@@ -10,7 +10,7 @@ short run where the field starts warmer than the reference.
 import numpy as np
 
 from thermoloop import (Blob, ConstantField, ExperimentConfig, GaussianBlobs,
-                        ReactionTerm, SchemeSpec, SwitchingFunction, eval_switch,
+                        ReactionTerm, SchemeSpec, assemble, eval_switch,
                         grid_layout, run_experiment)
 
 config = ExperimentConfig(
@@ -28,7 +28,10 @@ print(f"calibrated measurement height C_h = {config.C_h:.6f}")
 print(f"switch saturates once the mean deviation over the disc reaches "
       f"+-{config.C_switch}\n")
 
-w = SwitchingFunction(config.L_w, config.H_w)
+problem = assemble(config).problem
+print(f"the device acts through the sparse row P = I M ({problem.device_mass.nnz} "
+      f"nonzeros over {problem.mesh.n_vertices} vertices)")
+w = problem.switch  # one switch, shared by every device
 for s in (0.0, 0.05, 0.1, 0.2, 0.5):
     print(f"  switch({s:4.2f}) = {eval_switch(w, s):7.2f}")
 

@@ -15,8 +15,8 @@ from .linalg import CsrMatrix, CgResult, ConvergenceError, cg_solve, spmv
 from .fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
                   h1_seminorm, integral_product, interpolate, l2_norm)
 from .model import (Device, DeviceSet, ReactionTerm, SwitchingFunction,
-                    ThermostatBank, calibrate_ch, device_field, eval_reaction,
-                    eval_switch, feedback, measurement, thermostat_step)
+                    ThermostatBank, calibrate_ch, device_field, disc_indicators,
+                    eval_reaction, eval_switch, feedback, measurement, thermostat_step)
 from .stepper import (DiscreteProblem, RunOutput, SchemeParams, SimState,
                       build_step_operator, picard_step, run)
 from .metrics import (ErrorRecorder, ErrorSeries, SnapshotRecorder,

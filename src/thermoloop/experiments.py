@@ -15,8 +15,8 @@ import numpy as np
 from .fem import NodalField, assemble_mass, assemble_stiffness, field_from_values
 from .mesh import Mesh, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
-from .model import (Device, DeviceSet, ReactionTerm, SwitchingFunction,
-                    ThermostatBank, calibrate_ch, device_field)
+from .model import (DeviceSet, ReactionTerm, SwitchingFunction, ThermostatBank,
+                    calibrate_ch, disc_indicators)
 from .stepper import (DiscreteProblem, RunOutput, SchemeParams, SimState,
                       build_step_operator, run)
 
@@ -440,18 +440,9 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     stiffness = assemble_stiffness(mesh)
     step_matrix = build_step_operator(mass, stiffness, config.D, config.tau)
 
-    centers = layout_centers(config.layout)
-    J = len(centers)
-    if J:
-        # unit-height indicator per device; heights enter as scale factors so
-        # a zero C_g (control switched off) stays representable
-        indicators = np.stack([device_field(mesh, Device(tuple(c), config.r_sigma, 1.0)).values
-                               for c in centers])
-        control_loads = config.C_g * np.stack([mass.dot(row) for row in indicators])
-        measurement_profiles = config.C_h * indicators
-    else:
-        control_loads = np.zeros((0, mesh.n_vertices))
-        measurement_profiles = np.zeros((0, mesh.n_vertices))
+    # unit-height indicators: the heights enter as scale factors, so a zero
+    # C_g (control switched off) stays representable
+    indicators = disc_indicators(mesh, layout_centers(config.layout), config.r_sigma)
 
     ystar = realize_field(config.ystar, mesh)
     thermostats = ThermostatBank(beta=np.array(config.beta, dtype=np.float64),
@@ -459,10 +450,10 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness, step_matrix=step_matrix,
         tau=config.tau,
-        control_loads=control_loads,
-        measurement_profiles=measurement_profiles,
-        alpha=np.eye(J),
-        switches=tuple(SwitchingFunction(config.L_w, config.H_w) for _ in range(J)),
+        device_mass=indicators.matmul(mass),
+        C_g=config.C_g, C_h=config.C_h,
+        alpha=np.eye(indicators.n_rows),
+        switch=SwitchingFunction(config.L_w, config.H_w),
         thermostats=thermostats,
         reaction=config.reaction,
         ystar=ystar)

@@ -79,6 +79,15 @@ class CsrMatrix:
     def dot(self, x: np.ndarray) -> np.ndarray:
         return self._handle @ x
 
+    def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
+        """Sparse product self @ other, as a new matrix."""
+        if self.n_cols != other.n_rows:
+            raise ValueError("inner matrix dimensions do not match")
+        return CsrMatrix.from_scipy(self._handle @ other._handle, tag=self.tag)
+
+    def transpose(self) -> "CsrMatrix":
+        return CsrMatrix.from_scipy(self._handle.T, symmetric=self.symmetric, tag=self.tag)
+
     def diagonal(self) -> np.ndarray:
         return self._handle.diagonal()
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import assemble_mass, assemble_stiffness, interpolate, l2_norm, NodalField
+from .linalg import CsrMatrix
 from .mesh import build_mesh
 from .model import ReactionTerm, ThermostatBank
 from .stepper import DiscreteProblem, SchemeParams, SimState, build_step_operator, run
@@ -50,9 +51,8 @@ def heat_error(n_div: int, n_steps: int, D: float, T: float, cg_tol: float = 1e-
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness,
         step_matrix=build_step_operator(mass, stiffness, D, tau), tau=tau,
-        control_loads=np.zeros((0, mesh.n_vertices)),
-        measurement_profiles=np.zeros((0, mesh.n_vertices)),
-        alpha=np.zeros((0, 0)), switches=(),
+        device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices), tag=mesh.key),
+        C_g=0.0, C_h=0.0, alpha=np.zeros((0, 0)), switch=None,
         thermostats=ThermostatBank(beta=np.zeros(0), kappa0=np.zeros(0)),
         reaction=ReactionTerm.zero(),
         ystar=interpolate(mesh, lambda x, y: np.zeros_like(x)))

@@ -63,7 +63,7 @@ def eval_reaction(f: ReactionTerm, s):
     elif f.kind == "linear":
         out = f.slope * s
     elif f.kind == "cubic_bistable":
-        out = s - s ** 3
+        out = s - s * s * s  # s ** 3 takes numpy's slow pow path for negative s
     else:  # polynomial, ascending powers
         out = np.zeros_like(s)
         for c in reversed(f.coefficients):
@@ -133,10 +133,22 @@ def device_field(mesh: Mesh, device: Device) -> NodalField:
     deterministic tie-break for points exactly on the circle) carry the
     device height; all others are zero.
     """
-    dx = mesh.vertices[:, 0] - device.center[0]
-    dy = mesh.vertices[:, 1] - device.center[1]
-    inside = dx * dx + dy * dy <= device.radius ** 2
-    return field_from_values(mesh, np.where(inside, device.height, 0.0))
+    inside = disc_indicators(mesh, [device.center], device.radius).toarray()[0]
+    return field_from_values(mesh, device.height * inside)
+
+
+def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
+    """Sparse (J, n) 0/1 matrix; row j marks the vertices of disc j.
+
+    A vertex belongs to a disc when its distance from the center is <= radius
+    (the closed ball, a deterministic tie-break for vertices on the circle).
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    dx = mesh.vertices[:, 0] - centers[:, :1]
+    dy = mesh.vertices[:, 1] - centers[:, 1:]
+    rows, cols = np.nonzero(dx * dx + dy * dy <= radius ** 2)
+    return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
+                              shape=(len(centers), mesh.n_vertices), tag=mesh.key)
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,15 @@ class SimState:
 class DiscreteProblem:
     """Assembled operators and model terms for a run; immutable and shareable.
 
-    ``control_loads`` holds the rows G_j = M @ g_j (mass-weighted control
-    profiles); ``measurement_profiles`` the raw nodal h_k profiles.
+    The J devices are paired discs: control j and measurement j cover the
+    same vertices, marked by row j of the 0/1 indicator matrix I.  Both act
+    through one sparse (J, n) product ``device_mass`` P = I M, scaled by the
+    device heights: the measurements are m = C_h * (P y - P y*) and the
+    control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa).
+    P^T and the constant P y* are derived once, at construction.  All
+    devices share one ``switch`` (scalar L_w and H_w), which is None for a
+    device-free problem; ``alpha`` routes the J switch outputs to the J
+    thermostats.
     """
 
     mesh: Mesh
@@ -85,17 +92,28 @@ class DiscreteProblem:
     stiffness: CsrMatrix
     step_matrix: CsrMatrix
     tau: float
-    control_loads: np.ndarray        # (J, n)
-    measurement_profiles: np.ndarray  # (K, n)
-    alpha: np.ndarray                # (J, K)
-    switches: tuple[SwitchingFunction, ...]
+    device_mass: CsrMatrix           # P = I M, (J, n)
+    C_g: float
+    C_h: float
+    alpha: np.ndarray                # (J, J)
+    switch: SwitchingFunction | None
     thermostats: ThermostatBank
     reaction: ReactionTerm
     ystar: NodalField
+    device_mass_t: CsrMatrix = field(init=False, repr=False)   # P^T, (n, J)
+    device_mass_ystar: np.ndarray = field(init=False, repr=False)  # P y*, (J,)
+
+    def __post_init__(self):
+        if self.device_mass.n_cols != self.mesh.n_vertices:
+            raise ValueError("device operator width does not match the mesh")
+        if self.device_mass.n_rows and self.switch is None:
+            raise ValueError("a problem with devices needs a switching function")
+        object.__setattr__(self, "device_mass_t", self.device_mass.transpose())
+        object.__setattr__(self, "device_mass_ystar", self.device_mass.dot(self.ystar.values))
 
     @property
     def n_controls(self) -> int:
-        return self.control_loads.shape[0]
+        return self.device_mass.n_rows
 
 
 @dataclass(frozen=True)
@@ -122,36 +140,42 @@ def build_step_operator(M_mass: CsrMatrix, K_stiff: CsrMatrix, D: float, tau: fl
     return M_mass.scaled_add(tau * D, K_stiff)
 
 
+def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray, y: np.ndarray,
+                        tau: float) -> np.ndarray:
+    """Measure y, switch, and advance every thermostat one step from kappa_m."""
+    m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
+    demands = problem.alpha @ eval_switch(problem.switch, m_vals)
+    return thermostat_step(problem.thermostats.beta, kappa_m, demands, tau)
+
+
 def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams) -> SimState:
     """Advance one implicit Euler step with a fixed number of Picard sweeps.
 
-    Sweep p: measure m_k against the reference state, form demands
-    W_j = sum_k alpha[j,k] w_k(m_k), update kappa implicitly, then solve
-    (M + tau*D*K) y = M y_m + tau * (M f(y_lag) + sum_j kappa_j G_j) by CG
-    warm-started from the previous iterate.
+    Sweep p measures all devices at once, m = C_h * (P y - P y*) with the
+    sparse P = I M, passes the (J,) vector through the shared switch in one
+    call, forms demands W = alpha @ w(m) and updates kappa implicitly.  It
+    then solves (M + tau*D*K) y = M (y_m + tau * f(y_lag)) + tau * C_g * P^T kappa
+    by CG warm-started from the previous iterate, with the cubic lagged one
+    iterate.  With ``explicit_measure`` the thermostats are updated once per
+    step from y_m instead of once per sweep.
     """
     tau = problem.tau
     M = problem.mass
     y_m = state.y.values
-    b0 = M.dot(y_m)
     kappa_m = state.kappa
-    ystar = problem.ystar.values
+    controlled = problem.n_controls > 0
+    kappa_new = kappa_m
+    if controlled and params.explicit_measure:
+        kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
 
     y_prev = y_m
-    kappa_new = kappa_m
     sol = None
     for p in range(params.n_picard):
-        measured = y_m if params.explicit_measure else y_prev
-        weighted_dev = M.dot(measured - ystar)
-        m_vals = problem.measurement_profiles @ weighted_dev
-        w_vals = np.array([eval_switch(w, m) for w, m in zip(problem.switches, m_vals)])
-        demands = problem.alpha @ w_vals if len(w_vals) else np.zeros(problem.n_controls)
-        if problem.n_controls:
-            kappa_new = thermostat_step(problem.thermostats.beta, kappa_m, demands, tau)
-
-        rhs = b0 + tau * M.dot(eval_reaction(problem.reaction, y_prev))
-        if problem.n_controls:
-            rhs = rhs + tau * (problem.control_loads.T @ kappa_new)
+        if controlled and not params.explicit_measure:
+            kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
+        rhs = M.dot(y_m + tau * eval_reaction(problem.reaction, y_prev))
+        if controlled:
+            rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
         try:
             sol = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
                            max_iters=params.cg_max_iters, x0=y_prev)

@@ -47,6 +47,17 @@ def test_assembled_matrices_validate():
     assemble_stiffness(mesh).validate()
 
 
+def test_matmul_and_transpose_match_dense():
+    A = CsrMatrix.from_coo([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0], shape=(2, 3))
+    B = assemble_mass(build_mesh(1))  # 4 x 4
+    with pytest.raises(ValueError):
+        A.matmul(B)
+    C = CsrMatrix.from_coo([0, 1, 2, 2], [0, 1, 2, 3], [1.0, -1.0, 2.0, 4.0], shape=(3, 4))
+    assert np.array_equal(A.matmul(C).toarray(), A.toarray() @ C.toarray())
+    assert np.array_equal(A.transpose().toarray(), A.toarray().T)
+    assert (A.transpose().n_rows, A.transpose().n_cols) == (3, 2)
+
+
 def test_cg_identity_single_iteration():
     I5 = CsrMatrix.identity(5)
     b = np.array([3.0, -1.0, 0.5, 2.0, 7.0])

@@ -6,7 +6,7 @@ import pytest
 from thermoloop.fem import assemble_mass, interpolate
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (Device, DeviceSet, ReactionTerm, SwitchingFunction,
-                              ThermostatBank, calibrate_ch, device_field,
+                              ThermostatBank, calibrate_ch, device_field, disc_indicators,
                               eval_reaction, eval_switch, feedback, measurement,
                               thermostat_step)
 
@@ -37,6 +37,12 @@ class TestReaction:
         out = eval_reaction(ReactionTerm.cubic_bistable(), np.array([0.0, 2.0]))
         assert np.allclose(out, [0.0, -6.0])
 
+    def test_cubic_by_multiplication_matches_power_on_negative_values(self):
+        s = -np.linspace(0.0, 3.0, 1001)
+        out = eval_reaction(ReactionTerm.cubic_bistable(), s)
+        ref = s - s ** 3
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ReactionTerm(kind="tanh")
@@ -59,6 +65,13 @@ class TestSwitch:
         s = np.linspace(-100, 100, 2001)
         out = eval_switch(self.w, s)
         assert np.all(np.abs(out) <= self.w.H_w)
+
+    def test_array_call_equals_scalar_calls_bitwise(self):
+        # linear region, both saturated sides, the kinks at |L_w s| = 1, and +-0.0
+        s = np.array([-50.0, -0.1, -0.1000001, -0.05, -1e-300, -0.0, 0.0, 1e-300,
+                      0.03, 0.0999999, 0.1, 0.2, 50.0])
+        scalar = np.array([eval_switch(self.w, v) for v in s])
+        assert eval_switch(self.w, s).tobytes() == scalar.tobytes()
 
     def test_positive_amplitude_required(self):
         with pytest.raises(ValueError):
@@ -181,6 +194,16 @@ class TestDevices:
         dist = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         # vertices exactly on the circle (distance 0.25) are included
         assert np.all((fld.values == 3.0) == (dist <= 0.25 + 1e-15))
+
+    def test_disc_indicators_one_row_per_closed_disc(self):
+        mesh = build_mesh(8)
+        centers = [(0.0, 0.0), (-0.5, 0.75), (1.0, -1.0)]
+        indicators = disc_indicators(mesh, centers, 0.25).toarray()
+        assert indicators.shape == (3, mesh.n_vertices)
+        for row, (cx, cy) in zip(indicators, centers):
+            dist = np.hypot(mesh.vertices[:, 0] - cx, mesh.vertices[:, 1] - cy)
+            assert np.array_equal(row, (dist <= 0.25 + 1e-15).astype(float))
+        assert disc_indicators(mesh, np.zeros((0, 2)), 0.25).toarray().shape == (0, mesh.n_vertices)
 
     def test_device_set_shapes(self):
         ds = DeviceSet.paired([(0.0, 0.0), (0.5, 0.5)], 0.1, 2.0, 3.0)

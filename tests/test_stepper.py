@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
-                                    assemble, grid_layout, run_experiment,
-                                    scheme_params)
-from thermoloop.fem import assemble_mass, assemble_stiffness
-from thermoloop.linalg import ConvergenceError
+                                    assemble, grid_layout, layout_centers,
+                                    make_experiment, run_experiment, scheme_params)
+from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness
+from thermoloop.linalg import ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
-from thermoloop.model import ReactionTerm, eval_reaction
-from thermoloop.stepper import (SchemeParams, build_step_operator,
+from thermoloop.model import (Device, ReactionTerm, device_field, eval_reaction,
+                              eval_switch, thermostat_step)
+from thermoloop.stepper import (SchemeParams, SimState, build_step_operator,
                                 picard_step, run)
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
@@ -31,6 +34,37 @@ def devices_off(**overrides):
     cfg = small_config(layout=ExplicitLayout((), 0.5), beta=(), kappa0=(),
                        **overrides)
     return cfg
+
+
+def dense_device_arrays(cfg, built):
+    """Per-device dense (K, n) measurement profiles C_h * h_k and (J, n) loads C_g * M g_k."""
+    centers = layout_centers(cfg.layout)
+    indicators = np.array([device_field(built.mesh, Device(tuple(c), cfg.r_sigma, 1.0)).values
+                           for c in centers]).reshape(len(centers), built.mesh.n_vertices)
+    loads = cfg.C_g * np.array([built.problem.mass.dot(row) for row in indicators])
+    return cfg.C_h * indicators, loads.reshape(indicators.shape)
+
+
+def reference_picard_step(state, problem, params, profiles, loads):
+    """The sweep before vectorization, kept as the reference: one eval_switch
+    call per device, dense device matvecs on M (y - y*), s - s**3 and a
+    separate mass spmv for M y_m and for M f(y_lag)."""
+    tau = problem.tau
+    M = problem.mass
+    y_m = state.y.values
+    b0 = M.dot(y_m)
+    switches = (problem.switch,) * len(profiles)
+    y_prev, kappa_new = y_m, state.kappa
+    for _ in range(params.n_picard):
+        measured = y_m if params.explicit_measure else y_prev
+        m_vals = profiles @ M.dot(measured - problem.ystar.values)
+        w_vals = np.array([eval_switch(w, m) for w, m in zip(switches, m_vals)])
+        kappa_new = thermostat_step(problem.thermostats.beta, state.kappa,
+                                    problem.alpha @ w_vals, tau)
+        rhs = b0 + tau * M.dot(y_prev - y_prev ** 3) + tau * (loads.T @ kappa_new)
+        y_prev = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
+                          max_iters=params.cg_max_iters, x0=y_prev).x
+    return y_prev, kappa_new
 
 
 class TestStepOperator:
@@ -89,7 +123,8 @@ class TestConservation:
         params = scheme_params(cfg)
         ones = np.ones(built.mesh.n_vertices)
         wM = built.problem.mass.dot(ones)
-        g_masses = built.problem.control_loads @ ones  # 1^T G_j per device
+        # 1^T G_j per device, G_j = C_g * M I_j
+        g_masses = built.problem.C_g * built.problem.device_mass.dot(ones)
         state = built.initial
         for _ in range(params.n_steps):
             new = picard_step(state, built.problem, params)
@@ -107,11 +142,12 @@ class TestPicardStep:
         params = scheme_params(cfg)
         state = built.initial
         p = built.problem
+        _, loads = dense_device_arrays(cfg, built)
         for _ in range(params.n_steps):
             new = picard_step(state, p, params)
             f_vals = np.asarray(eval_reaction(p.reaction, state.y.values))
             rhs = (p.mass.dot(state.y.values) + params.tau * p.mass.dot(f_vals)
-                   + params.tau * (p.control_loads.T @ new.kappa))
+                   + params.tau * (loads.T @ new.kappa))
             resid = np.linalg.norm(p.step_matrix.dot(new.y.values) - rhs)
             assert resid <= params.cg_tol * np.linalg.norm(rhs)
             state = new
@@ -137,6 +173,40 @@ class TestPicardStep:
         built = assemble(cfg)
         with pytest.raises(ConvergenceError, match="step 1, Picard sweep"):
             picard_step(built.initial, built.problem, scheme_params(cfg))
+
+
+class TestVectorizedSweep:
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_matches_per_device_reference(self, explicit):
+        cfg = make_experiment(1, devices=64)
+        # T = 1 keeps the campaign's step size tau = 0.02, where the lagged
+        # cubic converges; at T = 24 and 50 steps it diverges
+        cfg = replace(cfg, T=1.0, scheme=replace(cfg.scheme, n_div=20, n_steps=50,
+                                                 explicit_measure=explicit))
+        built = assemble(cfg)
+        params = scheme_params(cfg)
+        profiles, loads = dense_device_arrays(cfg, built)
+        state = built.initial
+        ref_y, ref_kappa = state.y.values, state.kappa
+        for step in range(params.n_steps):
+            ref_state = SimState(step, step * params.tau,
+                                 NodalField(ref_y, state.y.mesh_key), ref_kappa)
+            ref_y, ref_kappa = reference_picard_step(ref_state, built.problem, params,
+                                                     profiles, loads)
+            state = picard_step(state, built.problem, params)
+            assert np.max(np.abs(state.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
+            assert np.max(np.abs(state.kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
+
+    def test_device_free_problem_steps(self):
+        cfg = devices_off(scheme=SchemeSpec(n_div=12, n_steps=5))
+        built = assemble(cfg)
+        assert built.problem.n_controls == 0
+        params = scheme_params(cfg)
+        profiles, loads = dense_device_arrays(cfg, built)
+        ref_y, _ = reference_picard_step(built.initial, built.problem, params, profiles, loads)
+        new = picard_step(built.initial, built.problem, params)
+        assert new.kappa.shape == (0,)
+        assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
 
 
 class TestRun:
