@@ -7,7 +7,7 @@ devices.  Each control device is driven by a first-order signal ODE (a
 deviation seen by a matching measurement device.  Space is discretized with
 P1 finite elements on a uniform triangulation, time with implicit Euler plus
 a fixed number of Picard sweeps per step; the per-step SPD systems are solved
-by conjugate gradients.
+by Jacobi-preconditioned conjugate gradients.
 """
 
 from .mesh import Mesh, build_mesh, vertex_coordinates

@@ -1,7 +1,9 @@
-"""Sparse symmetric-positive-definite linear algebra: CSR storage and CG."""
+"""Sparse symmetric-positive-definite linear algebra: CSR storage and
+Jacobi-preconditioned conjugate gradients."""
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -141,13 +143,18 @@ class CgResult(NamedTuple):
 
 
 def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
-             max_iters: int | None = None, precondition: bool = False,
+             max_iters: int | None = None, inv_diag: np.ndarray | None = None,
              x0: np.ndarray | None = None) -> CgResult:
-    """Conjugate gradients for symmetric positive definite A.
+    """Conjugate gradients for symmetric positive definite A, optionally
+    Jacobi-preconditioned.
 
     Stops when ||b - A x||_2 <= rel_tol * ||b||_2.  A zero right-hand side
-    returns x = 0 immediately.  ``precondition`` enables Jacobi (diagonal)
-    preconditioning.  ``x0`` is an optional warm-start guess.
+    returns x = 0 immediately.  ``inv_diag`` is the Jacobi (diagonal)
+    preconditioner given as 1 / diag(A); None runs plain CG.  ``x0`` is an
+    optional warm-start guess.
+
+    The iteration works in place with one scratch vector and computes
+    r^T r once per iteration; its square root is the residual norm.
 
     Raises ConvergenceError after ``max_iters`` (default 10 * n) iterations
     and on non-finite values in the right-hand side or the iterates.
@@ -155,6 +162,8 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
+    if inv_diag is not None and inv_diag.shape != b.shape:
+        raise ValueError(f"inverse diagonal length {inv_diag.shape} does not match {b.shape}")
     if not np.isfinite(b).all():
         raise ConvergenceError("right-hand side contains non-finite entries", 0, float("nan"))
     if max_iters is None:
@@ -172,17 +181,15 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
         x = np.array(x0, dtype=np.float64)
         r = b - A.dot(x)
 
-    inv_diag = None
-    if precondition:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise ValueError("Jacobi preconditioning requires positive diagonal")
-        inv_diag = 1.0 / diag
-
-    z = r * inv_diag if precondition else r
-    p = z.copy()
-    rz = float(r @ z)
-    res = float(np.linalg.norm(r))
+    scratch = np.empty_like(b)
+    rr = float(r @ r)
+    if inv_diag is None:
+        p = r.copy()
+        rz = rr
+    else:
+        p = r * inv_diag
+        rz = float(r @ p)
+    res = math.sqrt(rr)   # bitwise equal to np.linalg.norm(r)
 
     for k in range(max_iters):
         if res <= threshold:
@@ -193,13 +200,20 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
             raise ConvergenceError(
                 f"breakdown at iteration {k}: p^T A p = {pAp} (matrix not SPD?)", k, res)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = r * inv_diag if precondition else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        x += np.multiply(p, alpha, out=scratch)
+        Ap *= alpha
+        r -= Ap
+        rr = float(r @ r)
+        if inv_diag is None:
+            z = r
+            rz_new = rr
+        else:
+            z = np.multiply(r, inv_diag, out=scratch)
+            rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-        res = float(np.linalg.norm(r))
+        res = math.sqrt(rr)
         if not np.isfinite(res):
             raise ConvergenceError(f"non-finite residual at iteration {k + 1}", k + 1, res)
 

@@ -3,7 +3,8 @@
 Each time step advances (y, kappa_1..kappa_J) with a fixed number of Picard
 sweeps.  Within a sweep the measurement and thermostat update use the newest
 field iterate (implicit coupling) while the reaction term is lagged one
-iterate, so the linear system keeps the constant SPD matrix M + tau*D*K.
+iterate, so the linear system keeps the constant SPD matrix M + tau*D*K,
+solved by Jacobi-preconditioned conjugate gradients.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class DiscreteProblem:
     through one sparse (J, n) product ``device_mass`` P = I M, scaled by the
     device heights: the measurements are m = C_h * (P y - P y*) and the
     control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa).
-    P^T and the constant P y* are derived once, at construction.  All
-    devices share one ``switch`` (scalar L_w and H_w), which is None for a
-    device-free problem; ``alpha`` routes the J switch outputs to the J
+    P^T, the constant P y* and the inverse diagonal of the step matrix (the
+    Jacobi preconditioner of every solve) are derived once, at construction.
+    All devices share one ``switch`` (scalar L_w and H_w), which is None for
+    a device-free problem; ``alpha`` routes the J switch outputs to the J
     thermostats.
     """
 
@@ -102,6 +104,7 @@ class DiscreteProblem:
     ystar: NodalField
     device_mass_t: CsrMatrix = field(init=False, repr=False)   # P^T, (n, J)
     device_mass_ystar: np.ndarray = field(init=False, repr=False)  # P y*, (J,)
+    step_inv_diag: np.ndarray = field(init=False, repr=False)      # 1 / diag(step_matrix)
 
     def __post_init__(self):
         if self.device_mass.n_cols != self.mesh.n_vertices:
@@ -110,6 +113,12 @@ class DiscreteProblem:
             raise ValueError("a problem with devices needs a switching function")
         object.__setattr__(self, "device_mass_t", self.device_mass.transpose())
         object.__setattr__(self, "device_mass_ystar", self.device_mass.dot(self.ystar.values))
+        diag = self.step_matrix.diagonal()
+        if not np.all(diag > 0):
+            raise ValueError("the step matrix needs a positive diagonal (it must be SPD)")
+        inv_diag = 1.0 / diag
+        inv_diag.setflags(write=False)
+        object.__setattr__(self, "step_inv_diag", inv_diag)
 
     @property
     def n_controls(self) -> int:
@@ -155,9 +164,14 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
     sparse P = I M, passes the (J,) vector through the shared switch in one
     call, forms demands W = alpha @ w(m) and updates kappa implicitly.  It
     then solves (M + tau*D*K) y = M (y_m + tau * f(y_lag)) + tau * C_g * P^T kappa
-    by CG warm-started from the previous iterate, with the cubic lagged one
-    iterate.  With ``explicit_measure`` the thermostats are updated once per
-    step from y_m instead of once per sweep.
+    by Jacobi-preconditioned conjugate gradients warm-started from the
+    previous iterate, with the cubic lagged one iterate.  With
+    ``explicit_measure`` the thermostats are updated once per step from y_m
+    instead of once per sweep.
+
+    A lagged reaction term that overflows means the Picard iteration
+    diverged; that raises ConvergenceError naming the step, the sweep and the
+    last finite Picard increment.
     """
     tau = problem.tau
     M = problem.mass
@@ -168,17 +182,29 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
     if controlled and params.explicit_measure:
         kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
 
-    y_prev = y_m
+    y_before = y_prev = y_m
     sol = None
     for p in range(params.n_picard):
         if controlled and not params.explicit_measure:
             kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
-        rhs = M.dot(y_m + tau * eval_reaction(problem.reaction, y_prev))
+        with np.errstate(over="ignore"):
+            reaction = eval_reaction(problem.reaction, y_prev)
+        if not np.isfinite(reaction).all():
+            if p > 0:
+                last = _max_change(y_prev, y_before)
+            else:
+                last = state.diagnostics.picard_increment if state.diagnostics else float("nan")
+            raise ConvergenceError(
+                f"Picard iteration diverged at step {state.step_index + 1}, "
+                f"Picard sweep {p + 1}: the lagged reaction term is non-finite "
+                f"(last finite Picard increment {last:.3e})", p, last)
+        rhs = M.dot(y_m + tau * reaction)
         if controlled:
             rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
         try:
             sol = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
-                           max_iters=params.cg_max_iters, x0=y_prev)
+                           max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+                           x0=y_prev)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"linear solve failed at step {state.step_index + 1}, "
@@ -188,17 +214,21 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
                 f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
                 f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
                 f"{kappa_new.max() if len(kappa_new) else 0}]")
-        increment = float(np.max(np.abs(sol.x - y_prev))) if len(sol.x) else 0.0
-        y_prev = sol.x
+        y_before, y_prev = y_prev, sol.x
 
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
-                            picard_increment=increment)
+                            picard_increment=_max_change(y_prev, y_before))
     # node time from the index, not by accumulation: exact for every step
     return SimState(step_index=state.step_index + 1,
                     time=(state.step_index + 1) * tau,
                     y=NodalField(y_prev, state.y.mesh_key),
                     kappa=kappa_new,
                     diagnostics=diags)
+
+
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    """Max-abs difference of two Picard iterates (0 on an empty mesh)."""
+    return float(np.max(np.abs(new - old))) if len(new) else 0.0
 
 
 def run(initial: SimState, problem: DiscreteProblem, params: SchemeParams,

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from thermoloop.experiments import assemble, make_experiment
 from thermoloop.fem import assemble_mass, assemble_stiffness
-from thermoloop.linalg import (CsrMatrix, ConvergenceError, cg_solve, spmv)
+from thermoloop.linalg import (CgResult, CsrMatrix, ConvergenceError, cg_solve, spmv)
 from thermoloop.mesh import build_mesh
 from thermoloop.stepper import build_step_operator
 
@@ -112,7 +116,7 @@ def test_cg_jacobi_preconditioning():
     rng = np.random.default_rng(3)
     b = rng.standard_normal(mesh.n_vertices)
     plain = cg_solve(A, b, rel_tol=1e-11)
-    pre = cg_solve(A, b, rel_tol=1e-11, precondition=True)
+    pre = cg_solve(A, b, rel_tol=1e-11, inv_diag=1.0 / A.diagonal())
     assert np.allclose(plain.x, pre.x, atol=1e-9)
 
 
@@ -142,3 +146,100 @@ def test_cg_rhs_length_mismatch():
     A = dense_2x2(4, 1, 1, 3)
     with pytest.raises(ValueError):
         cg_solve(A, np.ones(3))
+
+
+def test_cg_inv_diag_length_mismatch():
+    A = dense_2x2(4, 1, 1, 3)
+    with pytest.raises(ValueError):
+        cg_solve(A, np.ones(2), inv_diag=np.ones(3))
+
+
+def reference_cg(A, b, rel_tol=1e-10, max_iters=None, x0=None):
+    """The unpreconditioned CG kernel before the in-place rewrite, kept as the
+    reference: fresh vectors each iteration, np.linalg.norm for the residual."""
+    b = np.asarray(b, dtype=np.float64)
+    if max_iters is None:
+        max_iters = 10 * A.n_rows
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return CgResult(np.zeros_like(b), 0, 0.0)
+    threshold = rel_tol * b_norm
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = b - A.dot(x)
+    z = r
+    p = z.copy()
+    rz = float(r @ z)
+    res = float(np.linalg.norm(r))
+    for k in range(max_iters):
+        if res <= threshold:
+            return CgResult(x, k, res)
+        Ap = A.dot(p)
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        res = float(np.linalg.norm(r))
+    raise AssertionError("reference CG did not converge")
+
+
+def campaign_step_matrix(n_div):
+    """The exp1-64 step matrix M + tau*D*K at n_div cells per side, with its mass matrix."""
+    cfg = make_experiment(1, devices=64)
+    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=n_div))).problem
+    return problem.step_matrix, problem.mass
+
+
+@pytest.mark.parametrize("n_div", [20, 40])
+def test_cg_unpreconditioned_matches_reference_bitwise(n_div):
+    A, M = campaign_step_matrix(n_div)
+    rng = np.random.default_rng(n_div)
+    n = A.n_rows
+    for trial in range(4):
+        # right-hand sides of the stepping form M y, and plain random ones
+        b = M.dot(rng.standard_normal(n)) if trial % 2 else rng.standard_normal(n)
+        cold = cg_solve(A, b)
+        ref = reference_cg(A, b)
+        assert cold.x.tobytes() == ref.x.tobytes()
+        assert (cold.iters, cold.residual) == (ref.iters, ref.residual)
+        # warm start near the solution, as the Picard sweeps use it
+        x0 = ref.x + 1e-3 * rng.standard_normal(n)
+        warm = cg_solve(A, b, x0=x0)
+        ref = reference_cg(A, b, x0=x0)
+        assert warm.x.tobytes() == ref.x.tobytes()
+        assert (warm.iters, warm.residual) == (ref.iters, ref.residual)
+
+
+@pytest.mark.parametrize("n_div", [20, 40])
+def test_cg_jacobi_meets_tolerance_in_fewer_iterations(n_div):
+    A, M = campaign_step_matrix(n_div)
+    inv_diag = 1.0 / A.diagonal()
+    rng = np.random.default_rng(100 + n_div)
+    n = A.n_rows
+    for b, x0 in ((rng.standard_normal(n), None),
+                  (M.dot(rng.standard_normal(n)), rng.standard_normal(n))):
+        rel_tol = 1e-10
+        plain = cg_solve(A, b, rel_tol=rel_tol, x0=x0)
+        pre = cg_solve(A, b, rel_tol=rel_tol, inv_diag=inv_diag, x0=x0)
+        assert np.linalg.norm(b - A.dot(pre.x)) <= rel_tol * np.linalg.norm(b)
+        if n_div == 40:
+            assert pre.iters < plain.iters
+
+
+def test_problem_rejects_step_matrix_without_positive_diagonal():
+    cfg = make_experiment(1, devices=64)
+    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=8))).problem
+    A = problem.step_matrix
+    assert np.array_equal(problem.step_inv_diag, 1.0 / A.diagonal())
+    for factor in (1.0, 2.0):   # one zero, then one negative diagonal entry
+        shift = np.zeros(A.n_rows)
+        shift[5] = factor * A.diagonal()[5]
+        bad = A.scaled_add(-1.0, CsrMatrix.from_scipy(sp.diags(shift)))
+        with pytest.raises(ValueError, match="positive diagonal"):
+            replace(problem, step_matrix=bad)

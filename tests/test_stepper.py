@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -63,7 +65,8 @@ def reference_picard_step(state, problem, params, profiles, loads):
                                     problem.alpha @ w_vals, tau)
         rhs = b0 + tau * M.dot(y_prev - y_prev ** 3) + tau * (loads.T @ kappa_new)
         y_prev = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
-                          max_iters=params.cg_max_iters, x0=y_prev).x
+                          max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+                          x0=y_prev).x
     return y_prev, kappa_new
 
 
@@ -166,6 +169,20 @@ class TestPicardStep:
         bound = max(abs(k) for k in cfg.kappa0) if cfg.kappa0 else 0.0
         bound = max(bound, cfg.H_w)  # identity weights: sum_k |alpha_jk| H_w = H_w
         assert np.all(np.abs(out.series.kappa_traces) <= bound)
+
+    def test_picard_divergence_is_named(self):
+        # at the campaign's T = 24 with only 50 steps (tau = 0.48) the lagged
+        # cubic overflows within a few steps
+        cfg = make_experiment(1, devices=64)
+        cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=20, n_steps=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no overflow warning may leak
+            with pytest.raises(ConvergenceError) as info:
+                run_experiment(cfg)
+        message = str(info.value)
+        assert re.search(r"Picard iteration diverged at step \d+, Picard sweep \d+", message)
+        assert "last finite Picard increment" in message
+        assert np.isfinite(info.value.residual) and info.value.residual > 0
 
     def test_cg_failure_carries_step_context(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2, cg_tol=1e-15,
