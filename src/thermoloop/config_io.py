@@ -187,14 +187,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     layout = layout_from_dict(d["layout"], "config.layout")
     n_devices = device_count(layout)
     max_iters = scheme_d.get("cg_max_iters")
-    scheme = SchemeSpec(
-        n_div=int(scheme_d["n_div"]),
-        n_steps=int(scheme_d["n_steps"]),
-        n_picard=int(scheme_d.get("n_picard", 3)),
-        cg_tol=float(scheme_d.get("cg_tol", 1e-10)),
-        cg_max_iters=None if max_iters is None else int(max_iters),
-        explicit_measure=bool(scheme_d.get("explicit_measure", False)))
     try:
+        scheme = SchemeSpec(
+            n_div=int(scheme_d["n_div"]),
+            n_steps=int(scheme_d["n_steps"]),
+            n_picard=int(scheme_d.get("n_picard", 3)),
+            cg_tol=float(scheme_d.get("cg_tol", 1e-10)),
+            cg_max_iters=None if max_iters is None else int(max_iters),
+            explicit_measure=bool(scheme_d.get("explicit_measure", False)))
         return ExperimentConfig(
             T=float(d["T"]), D=float(d["D"]),
             beta=_per_device(d["beta"], n_devices, "config.beta"),

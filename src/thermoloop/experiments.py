@@ -230,8 +230,10 @@ class SchemeSpec:
             raise ValueError("scheme.n_steps must be >= 1")
         if self.n_picard < 1:
             raise ValueError("scheme.n_picard must be >= 1")
-        if self.cg_tol <= 0:
+        if not self.cg_tol > 0:
             raise ValueError("scheme.cg_tol must be positive")
+        if self.cg_max_iters is not None and self.cg_max_iters < 1:
+            raise ValueError("scheme.cg_max_iters must be >= 1 or null")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,13 @@ class CsrMatrix:
     column indices sorted within each row.  An optional ``symmetric`` flag
     records that the matrix is meant to be symmetric; ``tag`` carries
     provenance (e.g. the owning mesh key) for cheap compatibility checks.
+
+    A square matrix whose nonzeros lie on a few diagonals (the mesh
+    operators: 7 diagonals) is multiplied by vectors in a banded DIA copy,
+    built on its first 1-D product.  DIA adds the diagonals in increasing
+    offset order, which is each row's column order, so for a finite vector
+    the product equals the CSR one up to the sign of zero (the band's
+    padding adds zeros).  2-D operands and every other matrix use CSR.
     """
 
     def __init__(self, n_rows: int, n_cols: int, row_offsets: np.ndarray,
@@ -43,6 +50,7 @@ class CsrMatrix:
         self.n_cols = int(n_cols)
         self.symmetric = bool(symmetric)
         self.tag = tag
+        self._vector_handle = None   # the handle of 1-D products, built lazily
 
     @property
     def row_offsets(self) -> np.ndarray:
@@ -79,7 +87,29 @@ class CsrMatrix:
         return cls.from_scipy(sp.identity(n, format="csr"), symmetric=True, tag=tag)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        return self._handle @ x
+        if np.ndim(x) != 1:
+            return self._handle @ x
+        handle = self._vector_handle
+        if handle is None:
+            handle = self._vector_handle = self._banded_or_csr()
+        return handle @ x
+
+    def _banded_or_csr(self):
+        """A DIA copy when the matrix is square, its diagonal offsets come
+        out strictly increasing and the band stores at most 2 * nnz values;
+        the CSR handle otherwise."""
+        csr = self._handle
+        if self.n_rows != self.n_cols or not self.nnz:
+            return csr
+        rows = np.repeat(np.arange(self.n_rows), np.diff(csr.indptr))
+        n_diagonals = len(np.unique(csr.indices - rows))
+        if n_diagonals * self.n_cols > 2 * self.nnz:   # checked before todia allocates
+            return csr
+        dia = csr.todia()
+        if not np.all(np.diff(dia.offsets) > 0):
+            return csr
+        dia.data.setflags(write=False)
+        return dia
 
     def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
         """Sparse product self @ other, as a new matrix."""
@@ -157,7 +187,9 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
     r^T r once per iteration; its square root is the residual norm.
 
     Raises ConvergenceError after ``max_iters`` (default 10 * n) iterations
-    and on non-finite values in the right-hand side or the iterates.
+    and on non-finite values in the iterates.  A right-hand side with
+    non-finite entries or an overflowing norm raises before the first
+    iteration, with ``iters`` 0 and a non-finite ``residual``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
@@ -169,7 +201,10 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
     if max_iters is None:
         max_iters = 10 * A.n_rows
 
-    b_norm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):
+        b_norm = math.sqrt(float(b @ b))   # bitwise equal to np.linalg.norm(b)
+    if not math.isfinite(b_norm):
+        raise ConvergenceError("the norm of the right-hand side overflows", 0, b_norm)
     if b_norm == 0.0:
         return CgResult(np.zeros_like(b), 0, 0.0)
     threshold = rel_tol * b_norm

@@ -4,11 +4,14 @@ Each time step advances (y, kappa_1..kappa_J) with a fixed number of Picard
 sweeps.  Within a sweep the measurement and thermostat update use the newest
 field iterate (implicit coupling) while the reaction term is lagged one
 iterate, so the linear system keeps the constant SPD matrix M + tau*D*K,
-solved by Jacobi-preconditioned conjugate gradients.
+solved by Jacobi-preconditioned conjugate gradients.  Each solve starts from
+the previous iterate plus the correction its sweep made at the last steps,
+extrapolated in time.
 """
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 
@@ -20,6 +23,14 @@ from .mesh import Mesh
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from .model import (ReactionTerm, SwitchingFunction, ThermostatBank,
                     eval_reaction, eval_switch, thermostat_step)
+
+# Order of the polynomial extrapolation in time of each sweep's correction
+# (the warm start of its solve), and the binomial weights of the last d
+# corrections, newest first, for each history length d <= the order:
+# (), (1,), (2, -1), (3, -3, 1).
+WARM_START_ORDER = 3
+_EXTRAPOLATION_WEIGHTS = tuple(tuple((-1.0) ** k * math.comb(d, k + 1) for k in range(d))
+                               for d in range(WARM_START_ORDER + 1))
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,10 @@ class SchemeParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.n_picard < 1:
             raise ValueError(f"n_picard must be >= 1, got {self.n_picard}")
+        if not self.cg_tol > 0:
+            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
+        if self.cg_max_iters is not None and self.cg_max_iters < 1:
+            raise ValueError(f"cg_max_iters must be >= 1 or None, got {self.cg_max_iters}")
 
 
 @dataclass(frozen=True)
@@ -57,13 +72,22 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class SimState:
-    """The unknowns (y, kappa) at one time node."""
+    """The unknowns (y, kappa) at one time node.
+
+    ``history`` holds the read-only (n_picard, n) Picard corrections
+    y_p - y_{p-1} of up to the last WARM_START_ORDER steps, newest first;
+    picard_step extrapolates them into the warm starts of its solves.  It is
+    solver state, not part of the solution: states compare without it, and
+    a state without history (every initial state) steps exactly as a
+    solve warm-started from the previous iterate.
+    """
 
     step_index: int
     time: float
     y: NodalField
     kappa: np.ndarray
     diagnostics: StepDiagnostics | None = None
+    history: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=np.float64))
@@ -164,14 +188,22 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
     sparse P = I M, passes the (J,) vector through the shared switch in one
     call, forms demands W = alpha @ w(m) and updates kappa implicitly.  It
     then solves (M + tau*D*K) y = M (y_m + tau * f(y_lag)) + tau * C_g * P^T kappa
-    by Jacobi-preconditioned conjugate gradients warm-started from the
-    previous iterate, with the cubic lagged one iterate.  With
-    ``explicit_measure`` the thermostats are updated once per step from y_m
-    instead of once per sweep.
+    by Jacobi-preconditioned conjugate gradients, with the cubic lagged one
+    iterate.  With ``explicit_measure`` the thermostats are updated once per
+    step from y_m instead of once per sweep.
 
-    A lagged reaction term that overflows means the Picard iteration
-    diverged; that raises ConvergenceError naming the step, the sweep and the
-    last finite Picard increment.
+    The solve of sweep p starts from the previous iterate y_{p-1} plus the
+    correction c_p = y_p - y_{p-1} that sweep p will make, extrapolated in
+    time from the corrections it made at the last d <= WARM_START_ORDER
+    steps (``state.history``): x0 = y_{p-1} + 3 c_p^(m) - 3 c_p^(m-1) + c_p^(m-2)
+    for d = 3, with the lower-order binomial weights for d = 1, 2.  With no
+    usable history (d = 0, or arrays that are not (n_picard, n)) or a
+    non-finite guess the solve starts from y_{p-1}.  The new state carries
+    this step's corrections in front of the history.
+
+    A Picard iteration that diverges (a lagged reaction term or a right-hand
+    side that overflows) raises ConvergenceError naming the step, the sweep
+    and the last finite Picard increment.
     """
     tau = problem.tau
     M = problem.mass
@@ -182,7 +214,14 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
     if controlled and params.explicit_measure:
         kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
 
-    y_before = y_prev = y_m
+    corrections = np.empty((params.n_picard, len(y_m)))
+    history = state.history
+    if any(np.shape(h) != corrections.shape for h in history):
+        history = ()
+    history = history[:WARM_START_ORDER]
+    weights = _EXTRAPOLATION_WEIGHTS[len(history)]
+
+    y_prev = y_m
     sol = None
     for p in range(params.n_picard):
         if controlled and not params.explicit_measure:
@@ -190,22 +229,26 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
         with np.errstate(over="ignore"):
             reaction = eval_reaction(problem.reaction, y_prev)
         if not np.isfinite(reaction).all():
-            if p > 0:
-                last = _max_change(y_prev, y_before)
-            else:
-                last = state.diagnostics.picard_increment if state.diagnostics else float("nan")
-            raise ConvergenceError(
-                f"Picard iteration diverged at step {state.step_index + 1}, "
-                f"Picard sweep {p + 1}: the lagged reaction term is non-finite "
-                f"(last finite Picard increment {last:.3e})", p, last)
+            raise _divergence(state, p, corrections, "the lagged reaction term is non-finite")
         rhs = M.dot(y_m + tau * reaction)
         if controlled:
             rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+        x0 = y_prev
+        if weights:
+            guess = y_prev.copy()
+            for w, h in zip(weights, history):
+                guess += w * h[p]
+            if np.isfinite(guess).all():
+                x0 = guess
         try:
             sol = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
                            max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
-                           x0=y_prev)
+                           x0=x0)
         except ConvergenceError as err:
+            if err.iters == 0 and not np.isfinite(err.residual):
+                # cg_solve rejects a right-hand side before its first iteration
+                raise _divergence(state, p, corrections,
+                                  f"the linear solve rejected its right-hand side: {err}") from err
             raise ConvergenceError(
                 f"linear solve failed at step {state.step_index + 1}, "
                 f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
@@ -214,21 +257,35 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
                 f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
                 f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
                 f"{kappa_new.max() if len(kappa_new) else 0}]")
-        y_before, y_prev = y_prev, sol.x
+        np.subtract(sol.x, y_prev, out=corrections[p])
+        y_prev = sol.x
 
+    corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
-                            picard_increment=_max_change(y_prev, y_before))
+                            picard_increment=_max_abs(corrections[-1]))
     # node time from the index, not by accumulation: exact for every step
     return SimState(step_index=state.step_index + 1,
                     time=(state.step_index + 1) * tau,
                     y=NodalField(y_prev, state.y.mesh_key),
                     kappa=kappa_new,
-                    diagnostics=diags)
+                    diagnostics=diags,
+                    history=((corrections,) + history)[:WARM_START_ORDER])
 
 
-def _max_change(new: np.ndarray, old: np.ndarray) -> float:
-    """Max-abs difference of two Picard iterates (0 on an empty mesh)."""
-    return float(np.max(np.abs(new - old))) if len(new) else 0.0
+def _divergence(state: SimState, p: int, corrections: np.ndarray, cause: str) -> ConvergenceError:
+    """The error for a Picard iteration that diverged in sweep p (0-based)."""
+    if p > 0:
+        last = _max_abs(corrections[p - 1])
+    else:
+        last = state.diagnostics.picard_increment if state.diagnostics else float("nan")
+    return ConvergenceError(
+        f"Picard iteration diverged at step {state.step_index + 1}, "
+        f"Picard sweep {p + 1}: {cause} (last finite Picard increment {last:.3e})", p, last)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """Max-abs entry of a Picard correction (0 on an empty mesh)."""
+    return float(np.max(np.abs(v))) if len(v) else 0.0
 
 
 def run(initial: SimState, problem: DiscreteProblem, params: SchemeParams,

@@ -97,3 +97,14 @@ def test_floats_round_trip_exactly(tmp_path):
     assert again.C_g == cfg.C_g
     data = json.loads(path.read_text())
     assert data["r_sigma"] == cfg.r_sigma
+
+
+@pytest.mark.parametrize("key, value", [("cg_tol", -1.0), ("cg_tol", 0.0),
+                                        ("cg_max_iters", 0), ("cg_max_iters", -3)])
+def test_bad_solver_setting_in_file_rejected(tmp_path, key, value):
+    d = config_to_dict(make_experiment(2))
+    d["scheme"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)

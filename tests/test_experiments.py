@@ -167,6 +167,16 @@ class TestConfigValidation:
     def test_valid(self):
         self.base()
 
+    @pytest.mark.parametrize("bad", [dict(cg_tol=-1.0), dict(cg_tol=0.0),
+                                     dict(cg_max_iters=0), dict(cg_max_iters=-3)])
+    def test_bad_solver_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"scheme.{next(iter(bad))}"):
+            SchemeSpec(n_div=4, n_steps=2, **bad)
+
+    def test_solver_settings_accepted(self):
+        spec = SchemeSpec(n_div=4, n_steps=2, cg_tol=1e-12, cg_max_iters=1)
+        assert spec.cg_max_iters == 1
+
     def test_zero_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             self.base(beta=(0.0,))

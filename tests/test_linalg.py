@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -243,3 +244,51 @@ def test_problem_rejects_step_matrix_without_positive_diagonal():
         bad = A.scaled_add(-1.0, CsrMatrix.from_scipy(sp.diags(shift)))
         with pytest.raises(ValueError, match="positive diagonal"):
             replace(problem, step_matrix=bad)
+
+
+@pytest.mark.parametrize("n_div", [1, 4, 40])
+def test_banded_matvec_equals_csr_bitwise(n_div):
+    mesh = build_mesh(n_div)
+    M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+    A = build_step_operator(M, K, D=0.02, tau=0.02)
+    rng = np.random.default_rng(n_div)
+    for matrix in (M, K, A):
+        csr = sp.csr_matrix((matrix.values, matrix.col_indices, matrix.row_offsets),
+                            shape=(matrix.n_rows, matrix.n_cols))
+        for x in (rng.standard_normal(matrix.n_cols), np.ones(matrix.n_cols)):
+            assert np.array_equal(matrix.dot(x), csr @ x)
+        assert matrix._vector_handle.format == "dia"
+        assert len(matrix._vector_handle.offsets) == 7
+
+
+def test_device_operators_and_2d_operands_stay_on_csr():
+    cfg = make_experiment(1, devices=64)
+    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=8))).problem
+    P, Pt = problem.device_mass, problem.device_mass_t
+    P.dot(np.ones(P.n_cols))
+    Pt.dot(np.ones(Pt.n_cols))
+    assert P._vector_handle.format == "csr" and Pt._vector_handle.format == "csr"
+    M = problem.mass
+    X = np.random.default_rng(0).standard_normal((M.n_cols, 3))
+    assert np.array_equal(M.dot(X), M._handle @ X)
+    assert M._vector_handle is None   # no 1-D product yet: the layout is not built
+
+
+def test_wide_band_stays_on_csr():
+    # a square matrix whose band would store far more than 2 * nnz values
+    n = 50
+    A = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
+                           [1.0, 1.0] + [4.0] * n, shape=(n, n), symmetric=True)
+    x = np.arange(n, dtype=float)
+    assert np.array_equal(A.dot(x), A._handle @ x)
+    assert A._vector_handle.format == "csr"
+
+
+def test_cg_rejects_overflowing_rhs_norm():
+    # every entry finite, but ||b||^2 overflows a double
+    A = dense_2x2(4, 1, 1, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="norm of the right-hand side overflows") as info:
+            cg_solve(A, np.array([1e160, 1e160]), x0=np.zeros(2))
+    assert info.value.iters == 0 and info.value.residual == np.inf

@@ -1,6 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ from thermoloop.linalg import ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (Device, ReactionTerm, device_field, eval_reaction,
                               eval_switch, thermostat_step)
-from thermoloop.stepper import (SchemeParams, SimState, build_step_operator,
-                                picard_step, run)
+import thermoloop.stepper as stepper_mod
+from thermoloop.stepper import (SchemeParams, SimState, StepDiagnostics,
+                                build_step_operator, picard_step, run)
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
 
@@ -47,27 +52,78 @@ def dense_device_arrays(cfg, built):
     return cfg.C_h * indicators, loads.reshape(indicators.shape)
 
 
-def reference_picard_step(state, problem, params, profiles, loads):
+def reference_picard_step(state, problem, params, profiles, loads, history=()):
     """The sweep before vectorization, kept as the reference: one eval_switch
     call per device, dense device matvecs on M (y - y*), s - s**3 and a
-    separate mass spmv for M y_m and for M f(y_lag)."""
+    separate mass spmv for M y_m and for M f(y_lag).  Each solve starts from
+    the previous iterate plus the cubic (or, with a shorter ``history``,
+    lower-order) extrapolation in time of the corrections its sweep made at
+    the last steps, ``history`` newest first.  Returns y, kappa and this
+    step's (n_picard, n) corrections."""
     tau = problem.tau
     M = problem.mass
     y_m = state.y.values
     b0 = M.dot(y_m)
     switches = (problem.switch,) * len(profiles)
     y_prev, kappa_new = y_m, state.kappa
-    for _ in range(params.n_picard):
+    corrections = []
+    for p in range(params.n_picard):
         measured = y_m if params.explicit_measure else y_prev
         m_vals = profiles @ M.dot(measured - problem.ystar.values)
         w_vals = np.array([eval_switch(w, m) for w, m in zip(switches, m_vals)])
         kappa_new = thermostat_step(problem.thermostats.beta, state.kappa,
                                     problem.alpha @ w_vals, tau)
         rhs = b0 + tau * M.dot(y_prev - y_prev ** 3) + tau * (loads.T @ kappa_new)
-        y_prev = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
-                          max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
-                          x0=y_prev).x
-    return y_prev, kappa_new
+        c = [h[p] for h in history]
+        if len(c) == 3:
+            x0 = y_prev + 3 * c[0] - 3 * c[1] + c[2]
+        elif len(c) == 2:
+            x0 = y_prev + 2 * c[0] - c[1]
+        elif len(c) == 1:
+            x0 = y_prev + c[0]
+        else:
+            x0 = y_prev
+        y_new = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
+                         max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+                         x0=x0).x
+        corrections.append(y_new - y_prev)
+        y_prev = y_new
+    return y_prev, kappa_new, np.array(corrections)
+
+
+def parent_picard_step(state, problem, params):
+    """The vectorized sweep as it was before warm starts, every solve
+    starting from the previous iterate: the reference a state without
+    history must reproduce bit for bit."""
+    tau = problem.tau
+    y_m, kappa_m = state.y.values, state.kappa
+    controlled = problem.n_controls > 0
+
+    def update(y):
+        m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
+        demands = problem.alpha @ eval_switch(problem.switch, m_vals)
+        return thermostat_step(problem.thermostats.beta, kappa_m, demands, tau)
+
+    kappa_new = update(y_m) if controlled and params.explicit_measure else kappa_m
+    y_before = y_prev = y_m
+    for _ in range(params.n_picard):
+        if controlled and not params.explicit_measure:
+            kappa_new = update(y_prev)
+        rhs = problem.mass.dot(y_m + tau * eval_reaction(problem.reaction, y_prev))
+        if controlled:
+            rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+        sol = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
+                       max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+                       x0=y_prev)
+        y_before, y_prev = y_prev, sol.x
+    return y_prev, kappa_new, sol, float(np.max(np.abs(y_prev - y_before)))
+
+
+def campaign1_small(**scheme):
+    """exp1-64 at N=20, M=50 and T=1, which keeps the campaign's step size
+    tau = 0.02, where the lagged cubic converges (at T = 24 it diverges)."""
+    cfg = make_experiment(1, devices=64)
+    return replace(cfg, T=1.0, scheme=replace(cfg.scheme, n_div=20, n_steps=50, **scheme))
 
 
 class TestStepOperator:
@@ -139,15 +195,18 @@ class TestConservation:
 
 class TestPicardStep:
     def test_per_step_linear_residual(self):
-        # with a single Picard sweep the accepted rhs is reconstructible
-        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=4, n_picard=1))
+        # with a single Picard sweep the accepted rhs is reconstructible; the
+        # chained steps warm-start from extrapolated corrections, and every
+        # solve must still meet the CG tolerance
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=8, n_picard=1))
         built = assemble(cfg)
         params = scheme_params(cfg)
         state = built.initial
         p = built.problem
         _, loads = dense_device_arrays(cfg, built)
-        for _ in range(params.n_steps):
+        for step in range(params.n_steps):
             new = picard_step(state, p, params)
+            assert len(new.history) == min(step + 1, 3)
             f_vals = np.asarray(eval_reaction(p.reaction, state.y.values))
             rhs = (p.mass.dot(state.y.values) + params.tau * p.mass.dot(f_vals)
                    + params.tau * (loads.T @ new.kappa))
@@ -184,6 +243,20 @@ class TestPicardStep:
         assert "last finite Picard increment" in message
         assert np.isfinite(info.value.residual) and info.value.residual > 0
 
+    def test_overflowing_rhs_norm_is_picard_divergence(self):
+        # at tau = 8 the right-hand side grows past 1e154, where ||b||^2
+        # overflows while every entry and the reaction are still finite
+        cfg = make_experiment(1, devices=16)
+        cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=8, n_steps=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no overflow warning may leak
+            with pytest.raises(ConvergenceError) as info:
+                run_experiment(cfg)
+        message = str(info.value)
+        assert re.search(r"Picard iteration diverged at step \d+, Picard sweep \d+", message)
+        assert "norm of the right-hand side overflows" in message
+        assert np.isfinite(info.value.residual) and info.value.residual > 0
+
     def test_cg_failure_carries_step_context(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2, cg_tol=1e-15,
                                              cg_max_iters=1))
@@ -195,24 +268,22 @@ class TestPicardStep:
 class TestVectorizedSweep:
     @pytest.mark.parametrize("explicit", [False, True])
     def test_matches_per_device_reference(self, explicit):
-        cfg = make_experiment(1, devices=64)
-        # T = 1 keeps the campaign's step size tau = 0.02, where the lagged
-        # cubic converges; at T = 24 and 50 steps it diverges
-        cfg = replace(cfg, T=1.0, scheme=replace(cfg.scheme, n_div=20, n_steps=50,
-                                                 explicit_measure=explicit))
+        cfg = campaign1_small(explicit_measure=explicit)
         built = assemble(cfg)
         params = scheme_params(cfg)
         profiles, loads = dense_device_arrays(cfg, built)
         state = built.initial
-        ref_y, ref_kappa = state.y.values, state.kappa
+        ref_y, ref_kappa, ref_history = state.y.values, state.kappa, ()
         for step in range(params.n_steps):
             ref_state = SimState(step, step * params.tau,
                                  NodalField(ref_y, state.y.mesh_key), ref_kappa)
-            ref_y, ref_kappa = reference_picard_step(ref_state, built.problem, params,
-                                                     profiles, loads)
+            ref_y, ref_kappa, ref_c = reference_picard_step(
+                ref_state, built.problem, params, profiles, loads, ref_history)
+            ref_history = ((ref_c,) + ref_history)[:3]
             state = picard_step(state, built.problem, params)
             assert np.max(np.abs(state.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
             assert np.max(np.abs(state.kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
+        assert len(state.history) == 3
 
     def test_device_free_problem_steps(self):
         cfg = devices_off(scheme=SchemeSpec(n_div=12, n_steps=5))
@@ -220,16 +291,116 @@ class TestVectorizedSweep:
         assert built.problem.n_controls == 0
         params = scheme_params(cfg)
         profiles, loads = dense_device_arrays(cfg, built)
-        ref_y, _ = reference_picard_step(built.initial, built.problem, params, profiles, loads)
+        ref_y, _, _ = reference_picard_step(built.initial, built.problem, params, profiles, loads)
         new = picard_step(built.initial, built.problem, params)
         assert new.kappa.shape == (0,)
         assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_fresh_state_steps_bitwise_as_before(self, explicit):
+        cfg = campaign1_small(explicit_measure=explicit)
+        built = assemble(cfg)
+        params = scheme_params(cfg)
+        state = run(built.initial, built.problem, replace(params, n_steps=4)).final_state
+        fresh = replace(state, history=())
+        y, kappa, sol, increment = parent_picard_step(fresh, built.problem, params)
+        new = picard_step(fresh, built.problem, params)
+        assert new.y.values.tobytes() == y.tobytes()
+        assert new.kappa.tobytes() == kappa.tobytes()
+        assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
+        assert len(new.history) == 1
+        assert new.history[0].shape == (params.n_picard, built.mesh.n_vertices)
+        assert not new.history[0].flags.writeable
+
+    def test_history_of_wrong_shape_is_ignored(self):
+        cfg = campaign1_small()
+        built = assemble(cfg)
+        params = scheme_params(cfg)
+        state = run(built.initial, built.problem, replace(params, n_steps=3)).final_state
+        fresh = picard_step(replace(state, history=()), built.problem, params)
+        n = built.mesh.n_vertices
+        for shape in [(params.n_picard + 1, n), (params.n_picard, n - 1), (n,)]:
+            stale = replace(state, history=(np.ones(shape),) + state.history[1:])
+            new = picard_step(stale, built.problem, params)
+            assert new.y.values.tobytes() == fresh.y.values.tobytes()
+            assert new.kappa.tobytes() == fresh.kappa.tobytes()
+            assert len(new.history) == 1
+
+    def test_non_finite_guess_falls_back(self):
+        cfg = campaign1_small()
+        built = assemble(cfg)
+        params = scheme_params(cfg)
+        state = run(built.initial, built.problem, replace(params, n_steps=2)).final_state
+        fresh = picard_step(replace(state, history=()), built.problem, params)
+        poisoned = np.array(state.history[0])
+        poisoned[:, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = picard_step(replace(state, history=(poisoned,)), built.problem, params)
+        assert new.y.values.tobytes() == fresh.y.values.tobytes()
+
+    def test_extrapolation_cuts_cg_iterations(self, monkeypatch):
+        cfg = campaign1_small()
+        built = assemble(cfg)
+        params = scheme_params(cfg)
+        iters = []
+
+        def counting_cg(*args, **kwargs):
+            result = cg_solve(*args, **kwargs)
+            iters.append(result.iters)
+            return result
+
+        monkeypatch.setattr(stepper_mod, "cg_solve", counting_cg)
+        totals = {}
+        for warm in (False, True):
+            iters.clear()
+            state = built.initial
+            for _ in range(params.n_steps):
+                state = picard_step(state if warm else replace(state, history=()),
+                                    built.problem, params)
+            totals[warm] = sum(iters)
+        assert totals[True] < 0.9 * totals[False], totals
+
+
+class TestImports:
+    def test_no_dense_or_iterative_scipy_solvers_loaded(self):
+        # the run path solves with its own CG; scipy.linalg and
+        # scipy.sparse.linalg would load a second BLAS and raise peak memory
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from thermoloop import make_experiment, run_experiment\n"
+            "cfg = make_experiment(2)\n"
+            "cfg = replace(cfg, T=0.06, scheme=replace(cfg.scheme, n_div=6, n_steps=6))\n"
+            "run_experiment(cfg)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRun:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
             SchemeParams(n_steps=0, tau=0.1)
+
+    @pytest.mark.parametrize("bad", [dict(cg_tol=-1.0), dict(cg_tol=0.0),
+                                     dict(cg_tol=float("nan")), dict(cg_max_iters=-5),
+                                     dict(cg_max_iters=0)])
+    def test_bad_solver_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SchemeParams(n_steps=1, tau=0.1, **bad)
+
+    def test_solver_settings_accepted(self):
+        params = SchemeParams(n_steps=1, tau=0.1, cg_tol=1e-12, cg_max_iters=1)
+        assert params.cg_max_iters == 1
+        assert SchemeParams(n_steps=1, tau=0.1).cg_max_iters is None
 
     def test_single_step_equals_picard_step(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=1))
