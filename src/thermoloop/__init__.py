@@ -10,21 +10,19 @@ a fixed number of Picard sweeps per step; the per-step SPD systems are solved
 by Jacobi-preconditioned conjugate gradients.
 """
 
-from .mesh import Mesh, build_mesh, vertex_coordinates
-from .linalg import CsrMatrix, CgResult, ConvergenceError, cg_solve, spmv
+from .mesh import Mesh, build_mesh
+from .linalg import CsrMatrix, CgResult, ConvergenceError, cg_solve
 from .fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
                   h1_seminorm, integral_product, interpolate, l2_norm)
-from .model import (Device, DeviceSet, ReactionTerm, SwitchingFunction,
-                    ThermostatBank, calibrate_ch, device_field, disc_indicators,
-                    eval_reaction, eval_switch, feedback, measurement, thermostat_step)
-from .stepper import (DiscreteProblem, RunOutput, SchemeParams, SimState,
+from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
+                    eval_reaction, eval_switch, thermostat_step)
+from .stepper import (DiscreteProblem, RunOutput, SchemeSpec, SimState,
                       build_step_operator, picard_step, run)
 from .metrics import (ErrorRecorder, ErrorSeries, SnapshotRecorder,
                       TrajectoryRecorder, error_h1semi, error_l2)
 from .experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
                           FieldSum, GaussianBlobs, GridLayout, GridSubsetLayout,
-                          SchemeSpec, TanhStripe, assemble, build_device_set,
-                          grid_layout, layout_centers, list_presets,
+                          TanhStripe, assemble, grid_layout, layout_centers, list_presets,
                           make_experiment, preset, realize_field, run_experiment,
                           scale_field)
 from .stability import (StabilityReport, TrajectoryNorms, probe_control_stability,

@@ -44,6 +44,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.source), args)
+    if not args.vmin < args.vmax:   # checked before the run, not when the snapshots are written
+        raise ValueError(f"need vmin < vmax for the snapshots, got {args.vmin} and {args.vmax}")
     snap_steps = {0, config.scheme.n_steps}
     out = run_experiment(config, snap_every=args.snap_every, snap_steps=snap_steps)
     series = out.series

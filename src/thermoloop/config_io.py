@@ -23,12 +23,38 @@ class ConfigError(ValueError):
 
 
 def _check_keys(d: dict, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {d!r}")
     unknown = set(d) - required - optional
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     missing = required - set(d)
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+
+
+def _number(value, where: str, integral: bool = False):
+    """A JSON number as a float, or as an int when ``integral``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not (isinstance(value, int) or value.is_integer()):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _list(value, where: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{where}: expected {length} entries, got {len(value)}")
+    return value
+
+
+def _numbers(value, where: str, integral: bool = False, length: int | None = None) -> tuple:
+    return tuple(_number(v, f"{where}[{i}]", integral)
+                 for i, v in enumerate(_list(value, where, length)))
 
 
 # ---- field specs ----------------------------------------------------------
@@ -54,23 +80,27 @@ def field_from_dict(d: dict, where: str = "field") -> FieldSpec:
     kind = d["kind"]
     if kind == "constant":
         _check_keys(d, {"kind", "value"}, set(), where)
-        return ConstantField(float(d["value"]))
+        return ConstantField(_number(d["value"], f"{where}.value"))
     if kind == "gaussian_blobs":
         _check_keys(d, {"kind", "blobs"}, set(), where)
         blobs = []
-        for i, b in enumerate(d["blobs"]):
-            _check_keys(b, {"center", "width", "amplitude"}, set(), f"{where}.blobs[{i}]")
-            blobs.append(Blob((float(b["center"][0]), float(b["center"][1])),
-                              float(b["width"]), float(b["amplitude"])))
+        for i, b in enumerate(_list(d["blobs"], f"{where}.blobs")):
+            at = f"{where}.blobs[{i}]"
+            _check_keys(b, {"center", "width", "amplitude"}, set(), at)
+            blobs.append(Blob(_numbers(b["center"], f"{at}.center", length=2),
+                              _number(b["width"], f"{at}.width"),
+                              _number(b["amplitude"], f"{at}.amplitude")))
         return GaussianBlobs(tuple(blobs))
     if kind == "tanh_stripe":
         _check_keys(d, {"kind", "axis", "position", "width", "amplitude"}, set(), where)
-        return TanhStripe(int(d["axis"]), float(d["position"]),
-                          float(d["width"]), float(d["amplitude"]))
+        return TanhStripe(_number(d["axis"], f"{where}.axis", integral=True),
+                          _number(d["position"], f"{where}.position"),
+                          _number(d["width"], f"{where}.width"),
+                          _number(d["amplitude"], f"{where}.amplitude"))
     if kind == "sum":
         _check_keys(d, {"kind", "terms"}, set(), where)
         return FieldSum(tuple(field_from_dict(t, f"{where}.terms[{i}]")
-                              for i, t in enumerate(d["terms"])))
+                              for i, t in enumerate(_list(d["terms"], f"{where}.terms"))))
     raise ConfigError(f"{where}: unknown field kind {kind!r}")
 
 
@@ -94,15 +124,20 @@ def layout_from_dict(d: dict, where: str = "layout") -> LayoutSpec:
     kind = d["kind"]
     if kind == "grid":
         _check_keys(d, {"kind", "n_per_side", "radius"}, set(), where)
-        return GridLayout(int(d["n_per_side"]), float(d["radius"]))
+        return GridLayout(_number(d["n_per_side"], f"{where}.n_per_side", integral=True),
+                          _number(d["radius"], f"{where}.radius"))
     if kind == "grid_subset":
         _check_keys(d, {"kind", "n_per_side", "radius", "kept_indices"}, set(), where)
-        return GridSubsetLayout(int(d["n_per_side"]), float(d["radius"]),
-                                tuple(int(i) for i in d["kept_indices"]))
+        return GridSubsetLayout(_number(d["n_per_side"], f"{where}.n_per_side", integral=True),
+                                _number(d["radius"], f"{where}.radius"),
+                                _numbers(d["kept_indices"], f"{where}.kept_indices",
+                                         integral=True))
     if kind == "explicit":
         _check_keys(d, {"kind", "centers", "radius"}, set(), where)
-        return ExplicitLayout(tuple((float(c[0]), float(c[1])) for c in d["centers"]),
-                              float(d["radius"]))
+        centers = _list(d["centers"], f"{where}.centers")
+        return ExplicitLayout(tuple(_numbers(c, f"{where}.centers[{i}]", length=2)
+                                    for i, c in enumerate(centers)),
+                              _number(d["radius"], f"{where}.radius"))
     raise ConfigError(f"{where}: unknown layout kind {kind!r}")
 
 
@@ -123,10 +158,10 @@ def reaction_from_dict(d: dict, where: str = "reaction") -> ReactionTerm:
     kind = d["kind"]
     if kind == "linear":
         _check_keys(d, {"kind", "slope"}, set(), where)
-        return ReactionTerm.linear(float(d["slope"]))
+        return ReactionTerm.linear(_number(d["slope"], f"{where}.slope"))
     if kind == "polynomial":
         _check_keys(d, {"kind", "coefficients"}, set(), where)
-        return ReactionTerm.polynomial(d["coefficients"])
+        return ReactionTerm.polynomial(_numbers(d["coefficients"], f"{where}.coefficients"))
     if kind in ("zero", "cubic_bistable"):
         _check_keys(d, {"kind"}, set(), where)
         return ReactionTerm(kind=kind)
@@ -169,46 +204,46 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _per_device(value, count: int, name: str) -> tuple[float, ...]:
-    """Accept a scalar (broadcast over devices) or an explicit list."""
-    if isinstance(value, (int, float)):
-        return (float(value),) * count
-    out = tuple(float(v) for v in value)
-    if len(out) != count:
-        raise ConfigError(f"{name}: expected {count} entries (one per device), got {len(out)}")
-    return out
+    """Accept a number (broadcast over devices) or a list of one per device."""
+    if isinstance(value, list):
+        return _numbers(value, name, length=count)
+    return (_number(value, name),) * count
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("configuration root must be an object")
     _check_keys(d, _CONFIG_REQUIRED, _CONFIG_OPTIONAL, "config")
     scheme_d = d["scheme"]
     _check_keys(scheme_d, _SCHEME_REQUIRED, _SCHEME_OPTIONAL, "config.scheme")
-    layout = layout_from_dict(d["layout"], "config.layout")
-    n_devices = device_count(layout)
     max_iters = scheme_d.get("cg_max_iters")
+    explicit = scheme_d.get("explicit_measure", False)
+    if not isinstance(explicit, bool):
+        raise ConfigError(f"config.scheme.explicit_measure: expected true or false, "
+                          f"got {explicit!r}")
     try:
+        layout = layout_from_dict(d["layout"], "config.layout")
+        n_devices = device_count(layout)
         scheme = SchemeSpec(
-            n_div=int(scheme_d["n_div"]),
-            n_steps=int(scheme_d["n_steps"]),
-            n_picard=int(scheme_d.get("n_picard", 3)),
-            cg_tol=float(scheme_d.get("cg_tol", 1e-10)),
-            cg_max_iters=None if max_iters is None else int(max_iters),
-            explicit_measure=bool(scheme_d.get("explicit_measure", False)))
+            n_div=_number(scheme_d["n_div"], "config.scheme.n_div", integral=True),
+            n_steps=_number(scheme_d["n_steps"], "config.scheme.n_steps", integral=True),
+            n_picard=_number(scheme_d.get("n_picard", 3), "config.scheme.n_picard", integral=True),
+            cg_tol=_number(scheme_d.get("cg_tol", 1e-10), "config.scheme.cg_tol"),
+            cg_max_iters=None if max_iters is None else _number(
+                max_iters, "config.scheme.cg_max_iters", integral=True),
+            explicit_measure=explicit)
         return ExperimentConfig(
-            T=float(d["T"]), D=float(d["D"]),
+            **{k: _number(d[k], f"config.{k}")
+               for k in ("T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma")},
             beta=_per_device(d["beta"], n_devices, "config.beta"),
             kappa0=_per_device(d["kappa0"], n_devices, "config.kappa0"),
-            C_g=float(d["C_g"]), C_switch=float(d["C_switch"]),
-            L_w=float(d["L_w"]), H_w=float(d["H_w"]), r_sigma=float(d["r_sigma"]),
             layout=layout,
             y0=field_from_dict(d["y0"], "config.y0"),
             ystar=field_from_dict(d["ystar"], "config.ystar"),
             scheme=scheme,
-            reaction=reaction_from_dict(d.get("reaction", {"kind": "cubic_bistable"})))
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
+            reaction=reaction_from_dict(d.get("reaction", {"kind": "cubic_bistable"}),
+                                        "config.reaction"))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
 

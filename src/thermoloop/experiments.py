@@ -15,9 +15,8 @@ import numpy as np
 from .fem import NodalField, assemble_mass, assemble_stiffness, field_from_values
 from .mesh import Mesh, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
-from .model import (DeviceSet, ReactionTerm, SwitchingFunction, ThermostatBank,
-                    calibrate_ch, disc_indicators)
-from .stepper import (DiscreteProblem, RunOutput, SchemeParams, SimState,
+from .model import ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators
+from .stepper import (DiscreteProblem, RunOutput, SchemeSpec, SimState,
                       build_step_operator, run)
 
 
@@ -213,30 +212,6 @@ SUBSET20_INDICES: tuple[int, ...] = (
 # full experiment configuration
 
 @dataclass(frozen=True)
-class SchemeSpec:
-    """Discretization block: mesh divisions, step count, Picard sweeps, solver knobs."""
-
-    n_div: int
-    n_steps: int
-    n_picard: int = 3
-    cg_tol: float = 1e-10
-    cg_max_iters: int | None = None
-    explicit_measure: bool = False
-
-    def __post_init__(self):
-        if self.n_div < 1:
-            raise ValueError("scheme.n_div must be >= 1")
-        if self.n_steps < 1:
-            raise ValueError("scheme.n_steps must be >= 1")
-        if self.n_picard < 1:
-            raise ValueError("scheme.n_picard must be >= 1")
-        if not self.cg_tol > 0:
-            raise ValueError("scheme.cg_tol must be positive")
-        if self.cg_max_iters is not None and self.cg_max_iters < 1:
-            raise ValueError("scheme.cg_max_iters must be >= 1 or null")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one run.
 
@@ -261,6 +236,9 @@ class ExperimentConfig:
     reaction: ReactionTerm = field(default_factory=ReactionTerm.cubic_bistable)
 
     def __post_init__(self):
+        for name in ("T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma", "beta", "kappa0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.D <= 0:
@@ -297,25 +275,6 @@ class ExperimentConfig:
     @property
     def C_h(self) -> float:
         return calibrate_ch(self.L_w, self.C_switch, self.r_sigma)
-
-
-def scheme_params(config: ExperimentConfig) -> SchemeParams:
-    s = config.scheme
-    return SchemeParams(n_steps=s.n_steps, tau=config.tau, n_picard=s.n_picard,
-                        cg_tol=s.cg_tol, cg_max_iters=s.cg_max_iters,
-                        explicit_measure=s.explicit_measure)
-
-
-def build_device_set(config: ExperimentConfig) -> DeviceSet | None:
-    """Paired control/measurement devices with identity weights; None if no devices."""
-    centers = layout_centers(config.layout)
-    if len(centers) == 0:
-        return None
-    if config.C_g <= 0:
-        return None  # zero-height controls cannot be modeled as devices
-    return DeviceSet.paired(centers, config.r_sigma,
-                            control_height=config.C_g,
-                            measurement_height=config.C_h)
 
 
 # --------------------------------------------------------------------------
@@ -447,8 +406,6 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     indicators = disc_indicators(mesh, layout_centers(config.layout), config.r_sigma)
 
     ystar = realize_field(config.ystar, mesh)
-    thermostats = ThermostatBank(beta=np.array(config.beta, dtype=np.float64),
-                                 kappa0=np.array(config.kappa0, dtype=np.float64))
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness, step_matrix=step_matrix,
         tau=config.tau,
@@ -456,12 +413,12 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
         C_g=config.C_g, C_h=config.C_h,
         alpha=np.eye(indicators.n_rows),
         switch=SwitchingFunction(config.L_w, config.H_w),
-        thermostats=thermostats,
+        beta=config.beta,
         reaction=config.reaction,
         ystar=ystar)
     initial = SimState(step_index=0, time=0.0,
                        y=realize_field(config.y0, mesh),
-                       kappa=thermostats.kappa0)
+                       kappa=config.kappa0)
     return AssembledExperiment(mesh=mesh, problem=problem, initial=initial, ystar=ystar)
 
 
@@ -483,7 +440,7 @@ def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
         observers.append(TrajectoryRecorder())
     observers.extend(extra_observers)
 
-    out = run(built.initial, built.problem, scheme_params(config), observers)
+    out = run(built.initial, built.problem, config.scheme, observers)
     timings = dict(out.timings)
     timings["assembly_s"] = t_assembly
     return replace(out, config_echo=config_to_dict(config), timings=timings)

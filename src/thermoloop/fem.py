@@ -73,8 +73,7 @@ def assemble_mass(mesh: Mesh) -> CsrMatrix:
     rows = np.repeat(tri, 3, axis=1)            # (nt, 9): i i i j j j k k k
     cols = np.tile(tri, (1, 3))                 # (nt, 9): i j k i j k i j k
     return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
-                              shape=(mesh.n_vertices, mesh.n_vertices),
-                              symmetric=True, tag=mesh.key)
+                              shape=(mesh.n_vertices, mesh.n_vertices), tag=mesh.key)
 
 
 def assemble_stiffness(mesh: Mesh) -> CsrMatrix:
@@ -97,8 +96,7 @@ def assemble_stiffness(mesh: Mesh) -> CsrMatrix:
     rows = np.repeat(tri, 3, axis=1)
     cols = np.tile(tri, (1, 3))
     return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
-                              shape=(mesh.n_vertices, mesh.n_vertices),
-                              symmetric=True, tag=mesh.key)
+                              shape=(mesh.n_vertices, mesh.n_vertices), tag=mesh.key)
 
 
 def integral_product(M: CsrMatrix, a: NodalField, b: NodalField) -> float:

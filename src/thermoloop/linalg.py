@@ -23,9 +23,8 @@ class CsrMatrix:
     """Compressed-sparse-row matrix, immutable once built.
 
     Stores the standard (row_offsets, col_indices, values) triple with
-    column indices sorted within each row.  An optional ``symmetric`` flag
-    records that the matrix is meant to be symmetric; ``tag`` carries
-    provenance (e.g. the owning mesh key) for cheap compatibility checks.
+    column indices sorted within each row; ``tag`` carries provenance (e.g.
+    the owning mesh key) for cheap compatibility checks.
 
     A square matrix whose nonzeros lie on a few diagonals (the mesh
     operators: 7 diagonals) is multiplied by vectors in a banded DIA copy,
@@ -36,8 +35,7 @@ class CsrMatrix:
     """
 
     def __init__(self, n_rows: int, n_cols: int, row_offsets: np.ndarray,
-                 col_indices: np.ndarray, values: np.ndarray,
-                 symmetric: bool = False, tag: Hashable = None):
+                 col_indices: np.ndarray, values: np.ndarray, tag: Hashable = None):
         handle = sp.csr_matrix((np.asarray(values, dtype=np.float64),
                                 np.asarray(col_indices),
                                 np.asarray(row_offsets)), shape=(n_rows, n_cols))
@@ -48,7 +46,6 @@ class CsrMatrix:
         self._handle = handle
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
-        self.symmetric = bool(symmetric)
         self.tag = tag
         self._vector_handle = None   # the handle of 1-D products, built lazily
 
@@ -69,22 +66,16 @@ class CsrMatrix:
         return self._handle.nnz
 
     @classmethod
-    def from_scipy(cls, matrix, symmetric: bool = False, tag: Hashable = None) -> "CsrMatrix":
+    def from_scipy(cls, matrix, tag: Hashable = None) -> "CsrMatrix":
         m = matrix.tocsr()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data,
-                   symmetric=symmetric, tag=tag)
+        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, tag=tag)
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape, symmetric: bool = False,
-                 tag: Hashable = None) -> "CsrMatrix":
+    def from_coo(cls, rows, cols, vals, shape, tag: Hashable = None) -> "CsrMatrix":
         """Build from coordinate triplets; duplicate entries are summed."""
         m = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
         m.sum_duplicates()
-        return cls.from_scipy(m, symmetric=symmetric, tag=tag)
-
-    @classmethod
-    def identity(cls, n: int, tag: Hashable = None) -> "CsrMatrix":
-        return cls.from_scipy(sp.identity(n, format="csr"), symmetric=True, tag=tag)
+        return cls.from_scipy(m, tag=tag)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         if np.ndim(x) != 1:
@@ -118,7 +109,7 @@ class CsrMatrix:
         return CsrMatrix.from_scipy(self._handle @ other._handle, tag=self.tag)
 
     def transpose(self) -> "CsrMatrix":
-        return CsrMatrix.from_scipy(self._handle.T, symmetric=self.symmetric, tag=self.tag)
+        return CsrMatrix.from_scipy(self._handle.T, tag=self.tag)
 
     def diagonal(self) -> np.ndarray:
         return self._handle.diagonal()
@@ -126,44 +117,11 @@ class CsrMatrix:
     def toarray(self) -> np.ndarray:
         return self._handle.toarray()
 
-    def scaled_add(self, factor: float, other: "CsrMatrix",
-                   symmetric: bool | None = None, tag: Hashable = None) -> "CsrMatrix":
+    def scaled_add(self, factor: float, other: "CsrMatrix") -> "CsrMatrix":
         """self + factor * other, as a new matrix."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("matrix dimensions do not match")
-        if symmetric is None:
-            symmetric = self.symmetric and other.symmetric
-        return CsrMatrix.from_scipy(self._handle + factor * other._handle,
-                                    symmetric=symmetric,
-                                    tag=self.tag if tag is None else tag)
-
-    def validate(self, rel_tol: float = 1e-12) -> None:
-        """Check the CSR structural invariants; raises ValueError on failure."""
-        off = self.row_offsets
-        if len(off) != self.n_rows + 1 or off[0] != 0 or off[-1] != len(self.values):
-            raise ValueError("row_offsets inconsistent with value count")
-        if np.any(np.diff(off) < 0):
-            raise ValueError("row_offsets not monotone nondecreasing")
-        cols = self.col_indices
-        if len(cols) and (cols.min() < 0 or cols.max() >= self.n_cols):
-            raise ValueError("column index out of range")
-        for i in range(self.n_rows):
-            row_cols = cols[off[i]:off[i + 1]]
-            if np.any(np.diff(row_cols) <= 0):
-                raise ValueError(f"column indices in row {i} not strictly increasing")
-        if self.symmetric:
-            diff = (self._handle - self._handle.T).tocoo()
-            scale = max(np.abs(self.values).max(), 1.0) if self.nnz else 1.0
-            if diff.nnz and np.abs(diff.data).max() > rel_tol * scale:
-                raise ValueError("matrix flagged symmetric is not symmetric")
-
-
-def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product A @ x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n_cols,):
-        raise ValueError(f"vector length {x.shape} does not match {A.n_cols} columns")
-    return A.dot(x)
+        return CsrMatrix.from_scipy(self._handle + factor * other._handle, tag=self.tag)
 
 
 class CgResult(NamedTuple):

@@ -78,38 +78,9 @@ def build_mesh(n_div: int, side: float = 2.0, origin: tuple[float, float] = (-1.
                 vertices=vertices, triangles=triangles)
 
 
-def vertex_coordinates(mesh: Mesh, index: int) -> np.ndarray:
-    """Coordinates of a vertex by row-major index."""
-    if not 0 <= index < mesh.n_vertices:
-        raise IndexError(f"vertex index {index} out of range [0, {mesh.n_vertices})")
-    return mesh.vertices[index]
-
-
 def signed_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
     p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def edge_counts(mesh: Mesh) -> dict[tuple[int, int], int]:
-    """How many triangles share each (sorted) vertex-pair edge."""
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in mesh.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge = (int(min(u, v)), int(max(u, v)))
-            counts[edge] = counts.get(edge, 0) + 1
-    return counts
-
-
-def swap_axes_permutation(mesh: Mesh) -> np.ndarray:
-    """Vertex permutation induced by swapping the two coordinate axes.
-
-    Only meaningful when the mesh is its own mirror image across the main
-    diagonal, which holds for the square meshes built here.
-    """
-    n = mesh.n_div + 1
-    idx = np.arange(mesh.n_vertices)
-    ix, iy = idx % n, idx // n
-    return ix * n + iy

@@ -20,8 +20,8 @@ import numpy as np
 from .fem import assemble_mass, assemble_stiffness, interpolate, l2_norm, NodalField
 from .linalg import CsrMatrix
 from .mesh import build_mesh
-from .model import ReactionTerm, ThermostatBank
-from .stepper import DiscreteProblem, SchemeParams, SimState, build_step_operator, run
+from .model import ReactionTerm
+from .stepper import DiscreteProblem, SchemeSpec, SimState, build_step_operator, run
 
 
 def exact_heat_solution(D: float, t: float):
@@ -53,14 +53,14 @@ def heat_error(n_div: int, n_steps: int, D: float, T: float, cg_tol: float = 1e-
         step_matrix=build_step_operator(mass, stiffness, D, tau), tau=tau,
         device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices), tag=mesh.key),
         C_g=0.0, C_h=0.0, alpha=np.zeros((0, 0)), switch=None,
-        thermostats=ThermostatBank(beta=np.zeros(0), kappa0=np.zeros(0)),
+        beta=np.zeros(0),
         reaction=ReactionTerm.zero(),
         ystar=interpolate(mesh, lambda x, y: np.zeros_like(x)))
     initial = SimState(step_index=0, time=0.0,
                        y=interpolate(mesh, exact_heat_solution(D, 0.0)),
                        kappa=np.zeros(0))
-    out = run(initial, problem, SchemeParams(n_steps=n_steps, tau=tau, n_picard=1,
-                                             cg_tol=cg_tol))
+    out = run(initial, problem, SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1,
+                                           cg_tol=cg_tol))
     exact = interpolate(mesh, exact_heat_solution(D, T))
     diff = NodalField(out.final_state.y.values - exact.values, mesh.key)
     return l2_norm(mass, diff)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalField, field_from_values
 from .linalg import CsrMatrix
 from .mesh import Mesh
 
@@ -86,10 +85,6 @@ class SwitchingFunction:
         if self.H_w <= 0:
             raise ValueError(f"H_w must be positive, got {self.H_w}")
 
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.L_w) * self.H_w
-
 
 def eval_switch(w: SwitchingFunction, s):
     """Evaluate the switch at a scalar or array; clamps for |L_w * s| >= 1."""
@@ -111,32 +106,6 @@ def calibrate_ch(L_w: float, C_switch: float, r_sigma: float) -> float:
     return 1.0 / (math.pi * abs(L_w) * C_switch * r_sigma ** 2)
 
 
-@dataclass(frozen=True)
-class Device:
-    """Disc-shaped device: height * indicator of the closed ball B(center, radius)."""
-
-    center: tuple[float, float]
-    radius: float
-    height: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"device radius must be positive, got {self.radius}")
-        if self.height <= 0:
-            raise ValueError(f"device height must be positive, got {self.height}")
-
-
-def device_field(mesh: Mesh, device: Device) -> NodalField:
-    """Nodal interpolation of the device profile.
-
-    Vertices with distance <= radius from the center (closed ball, a
-    deterministic tie-break for points exactly on the circle) carry the
-    device height; all others are zero.
-    """
-    inside = disc_indicators(mesh, [device.center], device.radius).toarray()[0]
-    return field_from_values(mesh, device.height * inside)
-
-
 def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
     """Sparse (J, n) 0/1 matrix; row j marks the vertices of disc j.
 
@@ -149,85 +118,6 @@ def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
     rows, cols = np.nonzero(dx * dx + dy * dy <= radius ** 2)
     return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
                               shape=(len(centers), mesh.n_vertices), tag=mesh.key)
-
-
-@dataclass(frozen=True)
-class DeviceSet:
-    """Controls g_j, measurements h_k, and the routing weights alpha[j, k]."""
-
-    controls: tuple[Device, ...]
-    measurements: tuple[Device, ...]
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        if len(self.controls) < 1 or len(self.measurements) < 1:
-            raise ValueError("a device set needs at least one control and one measurement device")
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        if alpha.shape != (len(self.controls), len(self.measurements)):
-            raise ValueError(f"alpha shape {alpha.shape} does not match "
-                             f"(J={len(self.controls)}, K={len(self.measurements)})")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def n_controls(self) -> int:
-        return len(self.controls)
-
-    @property
-    def n_measurements(self) -> int:
-        return len(self.measurements)
-
-    @classmethod
-    def paired(cls, centers, radius: float, control_height: float,
-               measurement_height: float) -> "DeviceSet":
-        """One measurement device on top of each control device, identity weights."""
-        controls = tuple(Device((float(cx), float(cy)), radius, control_height)
-                         for cx, cy in centers)
-        measurements = tuple(Device((float(cx), float(cy)), radius, measurement_height)
-                             for cx, cy in centers)
-        return cls(controls=controls, measurements=measurements,
-                   alpha=np.eye(len(controls)))
-
-
-@dataclass(frozen=True)
-class ThermostatBank:
-    """First-order signal generators: beta_j * kappa_j' + kappa_j = W_j."""
-
-    beta: np.ndarray
-    kappa0: np.ndarray
-
-    def __post_init__(self):
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
-        kappa0 = np.atleast_1d(np.asarray(self.kappa0, dtype=np.float64))
-        if beta.shape != kappa0.shape:
-            raise ValueError("beta and kappa0 must have the same length")
-        if np.any(beta <= 0):
-            raise ValueError("all thermostat time constants beta_j must be strictly positive")
-        beta.setflags(write=False)
-        kappa0.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "kappa0", kappa0)
-
-    def __len__(self) -> int:
-        return len(self.beta)
-
-
-def measurement(M: CsrMatrix, h_field: NodalField, y: NodalField, ystar: NodalField) -> float:
-    """Measured deviation: integral of h * (y - y*), evaluated as h^T M (y - y*)."""
-    for f in (h_field, y, ystar):
-        if f.mesh_key != M.tag:
-            raise ValueError("measurement fields must live on the mass matrix's mesh")
-    return float(h_field.values @ M.dot(y.values - ystar.values))
-
-
-def feedback(alpha_row: np.ndarray, switches, measurements) -> float:
-    """Signal demand W_j = sum_k alpha[j,k] * w_k(m_k)."""
-    alpha_row = np.asarray(alpha_row, dtype=np.float64)
-    measurements = np.asarray(measurements, dtype=np.float64)
-    if not (len(alpha_row) == len(switches) == len(measurements)):
-        raise ValueError("alpha row, switches and measurements must have equal length")
-    return float(sum(a * eval_switch(w, m)
-                     for a, w, m in zip(alpha_row, switches, measurements)))
 
 
 def thermostat_step(beta: float, kappa_prev: float, W: float, tau: float):

@@ -21,8 +21,8 @@ from .fem import NodalField
 from .linalg import CsrMatrix, ConvergenceError, cg_solve
 from .mesh import Mesh
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
-from .model import (ReactionTerm, SwitchingFunction, ThermostatBank,
-                    eval_reaction, eval_switch, thermostat_step)
+from .model import (ReactionTerm, SwitchingFunction, eval_reaction, eval_switch,
+                    thermostat_step)
 
 # Order of the polynomial extrapolation in time of each sweep's correction
 # (the warm start of its solve), and the binomial weights of the last d
@@ -34,33 +34,34 @@ _EXTRAPOLATION_WEIGHTS = tuple(tuple((-1.0) ** k * math.comb(d, k + 1) for k in 
 
 
 @dataclass(frozen=True)
-class SchemeParams:
-    """Time discretization controls.
+class SchemeSpec:
+    """Discretization block: mesh divisions, step count, Picard sweeps, solver knobs.
 
-    ``n_steps`` is the step count M (tau = T / M), ``n_picard`` the fixed
-    number of Picard sweeps per step.  ``explicit_measure`` switches the
-    measurement to the previous accepted state instead of the current Picard
-    iterate (a sensitivity-study variant, off by default).
+    ``n_steps`` is the step count M (the problem carries tau = T / M),
+    ``n_picard`` the fixed number of Picard sweeps per step.
+    ``explicit_measure`` switches the measurement to the previous accepted
+    state instead of the current Picard iterate (a sensitivity-study
+    variant, off by default).
     """
 
+    n_div: int
     n_steps: int
-    tau: float
     n_picard: int = 3
     cg_tol: float = 1e-10
     cg_max_iters: int | None = None
     explicit_measure: bool = False
 
     def __post_init__(self):
+        if self.n_div < 1:
+            raise ValueError("scheme.n_div must be >= 1")
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ValueError("scheme.n_steps must be >= 1")
         if self.n_picard < 1:
-            raise ValueError(f"n_picard must be >= 1, got {self.n_picard}")
+            raise ValueError("scheme.n_picard must be >= 1")
         if not self.cg_tol > 0:
-            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
+            raise ValueError("scheme.cg_tol must be positive")
         if self.cg_max_iters is not None and self.cg_max_iters < 1:
-            raise ValueError(f"cg_max_iters must be >= 1 or None, got {self.cg_max_iters}")
+            raise ValueError("scheme.cg_max_iters must be >= 1 or null")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class DiscreteProblem:
     Jacobi preconditioner of every solve) are derived once, at construction.
     All devices share one ``switch`` (scalar L_w and H_w), which is None for
     a device-free problem; ``alpha`` routes the J switch outputs to the J
-    thermostats.
+    thermostats, whose time constants are the read-only (J,) ``beta``.
     """
 
     mesh: Mesh
@@ -123,7 +124,7 @@ class DiscreteProblem:
     C_h: float
     alpha: np.ndarray                # (J, J)
     switch: SwitchingFunction | None
-    thermostats: ThermostatBank
+    beta: np.ndarray                 # (J,), entries > 0
     reaction: ReactionTerm
     ystar: NodalField
     device_mass_t: CsrMatrix = field(init=False, repr=False)   # P^T, (n, J)
@@ -135,8 +136,21 @@ class DiscreteProblem:
             raise ValueError("device operator width does not match the mesh")
         if self.device_mass.n_rows and self.switch is None:
             raise ValueError("a problem with devices needs a switching function")
+        J = self.device_mass.n_rows
+        beta = np.array(self.beta, dtype=np.float64)
+        if beta.shape != (J,) or not np.all(np.isfinite(beta) & (beta > 0)):
+            raise ValueError(f"beta must hold {J} finite thermostat time constants "
+                             f"beta_j > 0, got shape {beta.shape}")
+        alpha = np.array(self.alpha, dtype=np.float64)
+        if alpha.shape != (J, J):
+            raise ValueError(f"alpha shape {alpha.shape} does not match the {J} devices, "
+                             f"({J}, {J})")
+        ystar_measured = self.device_mass.dot(self.ystar.values)
+        for name, value in (("beta", beta), ("alpha", alpha),
+                            ("device_mass_ystar", ystar_measured)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "device_mass_t", self.device_mass.transpose())
-        object.__setattr__(self, "device_mass_ystar", self.device_mass.dot(self.ystar.values))
         diag = self.step_matrix.diagonal()
         if not np.all(diag > 0):
             raise ValueError("the step matrix needs a positive diagonal (it must be SPD)")
@@ -178,10 +192,10 @@ def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray, y: np.nda
     """Measure y, switch, and advance every thermostat one step from kappa_m."""
     m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
     demands = problem.alpha @ eval_switch(problem.switch, m_vals)
-    return thermostat_step(problem.thermostats.beta, kappa_m, demands, tau)
+    return thermostat_step(problem.beta, kappa_m, demands, tau)
 
 
-def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams) -> SimState:
+def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -> SimState:
     """Advance one implicit Euler step with a fixed number of Picard sweeps.
 
     Sweep p measures all devices at once, m = C_h * (P y - P y*) with the
@@ -211,10 +225,10 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
     kappa_m = state.kappa
     controlled = problem.n_controls > 0
     kappa_new = kappa_m
-    if controlled and params.explicit_measure:
+    if controlled and scheme.explicit_measure:
         kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
 
-    corrections = np.empty((params.n_picard, len(y_m)))
+    corrections = np.empty((scheme.n_picard, len(y_m)))
     history = state.history
     if any(np.shape(h) != corrections.shape for h in history):
         history = ()
@@ -223,8 +237,8 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
 
     y_prev = y_m
     sol = None
-    for p in range(params.n_picard):
-        if controlled and not params.explicit_measure:
+    for p in range(scheme.n_picard):
+        if controlled and not scheme.explicit_measure:
             kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
         with np.errstate(over="ignore"):
             reaction = eval_reaction(problem.reaction, y_prev)
@@ -241,8 +255,8 @@ def picard_step(state: SimState, problem: DiscreteProblem, params: SchemeParams)
             if np.isfinite(guess).all():
                 x0 = guess
         try:
-            sol = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
-                           max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+            sol = cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
+                           max_iters=scheme.cg_max_iters, inv_diag=problem.step_inv_diag,
                            x0=x0)
         except ConvergenceError as err:
             if err.iters == 0 and not np.isfinite(err.residual):
@@ -288,7 +302,7 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if len(v) else 0.0
 
 
-def run(initial: SimState, problem: DiscreteProblem, params: SchemeParams,
+def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
         observers=()) -> RunOutput:
     """Apply picard_step n_steps times, invoking every observer at each node.
 
@@ -296,14 +310,12 @@ def run(initial: SimState, problem: DiscreteProblem, params: SchemeParams,
     observed too, so series have n_steps + 1 entries.  Recorder observers
     from the metrics module are recognized and folded into the RunOutput.
     """
-    if params.n_steps < 1:
-        raise ValueError("a run needs at least one step")
     t_start = _time.perf_counter()
     state = initial
     for obs in observers:
         obs(state)
-    for _ in range(params.n_steps):
-        state = picard_step(state, problem, params)
+    for _ in range(scheme.n_steps):
+        state = picard_step(state, problem, scheme)
         for obs in observers:
             obs(state)
     elapsed = _time.perf_counter() - t_start

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import thermoloop.cli as cli_mod
 from thermoloop.cli import main, parse_config
 from thermoloop.config_io import ConfigError, dump_config
 from thermoloop.experiments import (ConstantField, ExperimentConfig, GaussianBlobs,
@@ -121,3 +122,16 @@ def test_explicit_measure_flag_changes_scheme(tmp_path, tiny_config_path):
                  "--explicit-measure"]) == 0
     echoed = json.loads((out_dir / "config_echo").read_text())
     assert echoed["scheme"]["explicit_measure"] is True
+
+
+@pytest.mark.parametrize("vmin, vmax", [("1", "0"), ("0.5", "0.5"), ("nan", "1")])
+def test_bad_snapshot_levels_rejected_before_the_run(tmp_path, tiny_config_path, capsys,
+                                                     monkeypatch, vmin, vmax):
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_experiment", lambda *a, **k: calls.append(a))
+    out_dir = tmp_path / "levels"
+    assert main(["run", str(tiny_config_path), "--out", str(out_dir),
+                 "--vmin", vmin, "--vmax", vmax]) == 1
+    assert capsys.readouterr().err.startswith("error: need vmin < vmax")
+    assert calls == []
+    assert not out_dir.exists() or not any(out_dir.iterdir())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from thermoloop.cli import main
 from thermoloop.config_io import (ConfigError, config_from_dict, config_to_dict,
                                   dump_config, load_config)
 from thermoloop.experiments import list_presets, make_experiment, preset
@@ -108,3 +109,41 @@ def test_bad_solver_setting_in_file_rejected(tmp_path, key, value):
     path.write_text(json.dumps(d))
     with pytest.raises(ConfigError, match=key):
         load_config(path)
+
+
+def _set(d, path, value):
+    """Set d[path[0]][path[1]]... = value; integers index lists."""
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("scheme",), 5, "config.scheme"),
+    (("T",), None, "config.T"),
+    (("layout", "n_per_side"), None, "config.layout.n_per_side"),
+    (("beta",), None, "config.beta"),
+    (("y0", "blobs", 0, "center"), 5, r"config.y0.blobs\[0\].center"),
+    (("scheme", "n_div"), 2.7, "config.scheme.n_div"),
+    (("scheme", "n_steps"), "400", "config.scheme.n_steps"),
+    (("beta",), [1.0] * 63 + ["1"], r"config.beta\[63\]"),
+    (("layout",), [], "config.layout"),
+    (("scheme", "explicit_measure"), "false", "config.scheme.explicit_measure"),
+])
+def test_wrong_json_type_is_named_without_traceback(tmp_path, capsys, path, value, named):
+    d = config_to_dict(make_experiment(2))
+    _set(d, path, value)
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(d)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named.replace("\\", "") in err
+    assert "Traceback" not in err
+
+
+def test_integral_float_count_accepted():
+    d = config_to_dict(make_experiment(2))
+    d["scheme"]["n_div"] = 100.0
+    assert config_from_dict(d) == make_experiment(2)

@@ -7,10 +7,10 @@ from dataclasses import replace
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs,
                                     GridSubsetLayout, SUBSET20_INDICES,
-                                    SchemeSpec, TanhStripe, build_device_set,
-                                    device_count, evaluate_field, grid_layout,
-                                    layout_centers, list_presets, make_experiment,
-                                    preset, realize_field, scale_field)
+                                    SchemeSpec, TanhStripe, assemble, device_count,
+                                    evaluate_field, grid_layout, layout_centers,
+                                    list_presets, make_experiment, preset,
+                                    realize_field, scale_field)
 from thermoloop.mesh import build_mesh
 
 
@@ -197,12 +197,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="L_w"):
             self.base(L_w=0.0)
 
+    @pytest.mark.parametrize("name", ["T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma",
+                                      "beta", "kappa0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, name, value):
+        bad = (value,) if name in ("beta", "kappa0") else value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            self.base(**{name: bad})
+
     def test_device_set_construction(self):
-        ds = build_device_set(self.base())
-        assert ds.n_controls == 1
-        assert ds.measurements[0].height == pytest.approx(
-            1.0 / (math.pi * 10.0 * 0.2))
-        assert build_device_set(self.base(C_g=0.0)) is None
+        # the paired devices become one row of the device operator P = I M,
+        # measuring with the calibrated height C_h and loading with C_g
+        problem = assemble(self.base()).problem
+        assert problem.n_controls == 1
+        assert np.array_equal(problem.alpha, np.eye(1))
+        assert problem.C_h == pytest.approx(1.0 / (math.pi * 10.0 * 0.2))
+        assert problem.C_g == 1.0
+        switched_off = assemble(self.base(C_g=0.0)).problem
+        assert switched_off.n_controls == 1 and switched_off.C_g == 0.0
 
     def test_devices_off_config(self):
         cfg = self.base(layout=ExplicitLayout((), 1.0), beta=(), kappa0=())

@@ -23,9 +23,20 @@ def test_mass_entry_sum_is_domain_area():
         assert abs(M.values.sum() - 4.0) <= 1e-12 * 4.0
 
 
+def assert_symmetric_sorted_csr(A):
+    """Symmetric to 1e-12 relative, with strictly increasing columns in every row."""
+    dense = A.toarray()
+    assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense))
+    off = A.row_offsets
+    assert off[0] == 0 and off[-1] == A.nnz and np.all(np.diff(off) >= 0)
+    rows = np.repeat(np.arange(A.n_rows), np.diff(off))
+    assert np.all(np.diff(A.col_indices)[rows[1:] == rows[:-1]] > 0)
+
+
 def test_mass_symmetric(ops2):
     M, _ = ops2
-    assert np.allclose(M.toarray(), M.toarray().T)
+    assert_symmetric_sorted_csr(M)
+    assert_symmetric_sorted_csr(assemble_mass(build_mesh(5)))
 
 
 def test_mass_local_block_values():
@@ -51,10 +62,10 @@ def test_stiffness_kernel_contains_constants():
 
 
 def test_stiffness_psd_small_mesh():
-    K = assemble_stiffness(build_mesh(1))
-    dense = K.toarray()
-    assert np.allclose(dense, dense.T)
-    assert np.linalg.eigvalsh(dense).min() >= -1e-12
+    for n in (1, 5):
+        K = assemble_stiffness(build_mesh(n))
+        assert_symmetric_sorted_csr(K)
+        assert np.linalg.eigvalsh(K.toarray()).min() >= -1e-12
 
 
 def test_stiffness_quadratic_form_linear_field(mesh2, ops2):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from thermoloop.mesh import (build_mesh, edge_counts, signed_areas,
-                             swap_axes_permutation, vertex_coordinates)
+from mesh_helpers import edge_counts, swap_axes_permutation
+from thermoloop.mesh import build_mesh, signed_areas
 
 
 def test_counts_n2():
@@ -33,17 +33,9 @@ def test_rejects_zero_divisions():
 
 def test_vertex_coordinates_corners_and_center():
     m = build_mesh(2)
-    assert np.allclose(vertex_coordinates(m, 0), (-1, -1))
-    assert np.allclose(vertex_coordinates(m, 4), (0, 0))
-    assert np.allclose(vertex_coordinates(m, 8), (1, 1))
-
-
-def test_vertex_index_out_of_range():
-    m = build_mesh(2)
-    with pytest.raises(IndexError):
-        vertex_coordinates(m, 9)
-    with pytest.raises(IndexError):
-        vertex_coordinates(m, -1)
+    assert np.allclose(m.vertices[0], (-1, -1))
+    assert np.allclose(m.vertices[4], (0, 0))
+    assert np.allclose(m.vertices[8], (1, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])

@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thermoloop.fem import assemble_mass, interpolate
+from thermoloop.experiments import (ConstantField, ExperimentConfig, ExplicitLayout,
+                                    SchemeSpec, TanhStripe, assemble, grid_layout)
+from thermoloop.fem import NodalField, interpolate
 from thermoloop.mesh import build_mesh
-from thermoloop.model import (Device, DeviceSet, ReactionTerm, SwitchingFunction,
-                              ThermostatBank, calibrate_ch, device_field, disc_indicators,
-                              eval_reaction, eval_switch, feedback, measurement,
-                              thermostat_step)
+from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
+                              eval_reaction, eval_switch, thermostat_step)
+from thermoloop.stepper import SimState, picard_step
 
 
 class TestReaction:
@@ -97,58 +99,91 @@ class TestCalibration:
             calibrate_ch(0.0, 0.2, 0.125)
 
 
+def device_config(centers, radius, ystar=ConstantField(0.0), n_div=4):
+    """Paired disc devices at ``centers`` with beta = 1 and tau = 1."""
+    return ExperimentConfig(
+        T=1.0, D=0.1, beta=(1.0,) * len(centers), kappa0=(0.0,) * len(centers),
+        C_g=1.0, C_switch=0.2, L_w=-10.0, H_w=10.0, r_sigma=radius,
+        layout=ExplicitLayout(tuple(centers), radius), y0=ConstantField(0.0),
+        ystar=ystar, scheme=SchemeSpec(n_div=n_div, n_steps=1))
+
+
+def device_problem(*args, **kwargs):
+    return assemble(device_config(*args, **kwargs)).problem
+
+
+def measure(problem, y):
+    """The run path's measurement of all devices at once: m = C_h * (P y - P y*), P = I M."""
+    return problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
+
+
 class TestMeasurement:
-    mesh = build_mesh(4)
-    M = assemble_mass(mesh)
-
-    def const(self, c):
-        return interpolate(self.mesh, lambda x, y: np.full_like(x, c))
-
     def test_zero_when_matching(self):
-        y = interpolate(self.mesh, lambda x, y_: x * y_)
-        assert measurement(self.M, self.const(1.0), y, y) == 0.0
+        p = device_problem([(0.0, 0.0), (0.5, -0.5)], 0.5,
+                         ystar=TanhStripe(0, 0.1, 0.3, 0.8))
+        assert np.all(measure(p, p.ystar.values) == 0.0)
 
     def test_zero_weight(self):
-        y = self.const(2.0)
-        assert measurement(self.M, self.const(0.0), y, self.const(0.0)) == 0.0
+        # a disc between the vertices of the n=4 mesh covers none of them
+        p = device_problem([(0.25, 0.25)], 0.1)
+        assert p.device_mass.nnz == 0
+        assert np.all(measure(p, np.full(p.mesh.n_vertices, 2.0)) == 0.0)
 
     def test_constant_deviation(self):
-        # h = 1 against y - y* = c integrates to 4c
-        assert measurement(self.M, self.const(1.0), self.const(2.5),
-                           self.const(0.5)) == pytest.approx(8.0)
+        # one disc covering the whole square integrates y - y* = 2 to 4 * 2
+        p = device_problem([(0.0, 0.0)], 1.5, ystar=ConstantField(0.5))
+        m = measure(p, np.full(p.mesh.n_vertices, 2.5))
+        assert m == pytest.approx([p.C_h * 8.0], rel=1e-14)
 
     def test_mesh_mismatch(self):
+        p = device_problem([(0.0, 0.0)], 0.5)
         other = build_mesh(3)
         y = interpolate(other, lambda x, y_: x)
-        with pytest.raises(ValueError):
-            measurement(self.M, self.const(1.0), y, self.const(0.0))
+        with pytest.raises(ValueError):    # the device product checks the field length
+            measure(p, y.values)
+        with pytest.raises(ValueError):    # P y* is formed when the problem is built
+            replace(p, ystar=y)
 
 
 class TestFeedback:
-    switches = (SwitchingFunction(-10.0, 10.0), SwitchingFunction(-10.0, 10.0))
+    """A sweep routes the switched measurements to the thermostats: W = alpha @ w(m)."""
+
+    # two discs, one vertex each; device 0 sees y = 5 (saturated), device 1 y = 0.05 (linear)
+    base = device_problem([(-0.5, 0.0), (0.5, 0.0)], 0.1, n_div=8)
+    y = np.where(base.mesh.vertices[:, 0] < 0, 5.0, 0.05)
+
+    def demands(self, alpha, y):
+        """W from one explicit-measure step from kappa = 0: with beta = tau = 1, kappa = W / 2."""
+        problem = replace(self.base, alpha=np.asarray(alpha, dtype=np.float64))
+        state = SimState(0, 0.0, NodalField(y, problem.mesh.key), np.zeros(2))
+        scheme = SchemeSpec(n_div=8, n_steps=1, n_picard=1, explicit_measure=True)
+        return 2.0 * picard_step(state, problem, scheme).kappa
+
+    def switched(self, y):
+        return eval_switch(self.base.switch, measure(self.base, y))
 
     def test_zero_measurements(self):
-        assert feedback(np.array([1.0, 1.0]), self.switches, np.zeros(2)) == 0.0
+        assert np.all(self.demands(np.ones((2, 2)), np.zeros(len(self.y))) == 0.0)
 
     def test_identity_row_selects_one(self):
-        out = feedback(np.array([0.0, 1.0]), self.switches, np.array([5.0, 0.05]))
-        assert out == pytest.approx(-5.0)
+        w = self.switched(self.y)
+        assert w[0] == -10.0 and -10.0 < w[1] < 0.0
+        assert np.array_equal(self.demands([[0.0, 1.0], [1.0, 0.0]], self.y), w[::-1])
 
     def test_summed_row(self):
-        out = feedback(np.array([1.0, 1.0]), self.switches, np.array([0.05, 0.2]))
-        assert out == pytest.approx(-15.0)  # -5 + (-10 clamped)
+        w = self.switched(self.y)
+        assert np.array_equal(self.demands(np.ones((2, 2)), self.y), [w[0] + w[1]] * 2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            feedback(np.array([1.0]), self.switches, np.zeros(2))
+        with pytest.raises(ValueError, match="alpha"):
+            self.demands(np.ones((1, 2)), self.y)
 
     def test_bound_property(self):
         rng = np.random.default_rng(1)
-        alpha = rng.standard_normal(2)
-        bound = np.abs(alpha).sum() * 10.0
-        for _ in range(50):
-            m = rng.standard_normal(2) * 10
-            assert abs(feedback(alpha, self.switches, m)) <= bound + 1e-12
+        for _ in range(20):
+            alpha = rng.standard_normal((2, 2))
+            W = self.demands(alpha, rng.standard_normal(len(self.y)) * 10)
+            assert np.all(np.abs(W) <= np.abs(alpha).sum(axis=1) * 10.0 + 1e-12)
 
 
 class TestThermostat:
@@ -182,18 +217,43 @@ class TestThermostat:
 
 
 class TestDevices:
-    def test_device_validation(self):
-        with pytest.raises(ValueError):
-            Device((0.0, 0.0), radius=0.0, height=1.0)
-        with pytest.raises(ValueError):
-            Device((0.0, 0.0), radius=0.1, height=-1.0)
+    centers = [(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5)]
+    problem = device_problem(centers, 0.5)
 
-    def test_device_field_closed_ball(self):
-        mesh = build_mesh(8)  # h = 0.25; vertices at multiples of 0.25
-        fld = device_field(mesh, Device((0.0, 0.0), radius=0.25, height=3.0))
-        dist = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        # vertices exactly on the circle (distance 0.25) are included
-        assert np.all((fld.values == 3.0) == (dist <= 0.25 + 1e-15))
+    def test_device_validation(self):
+        # disc radii are checked by the layouts, device heights by the config
+        with pytest.raises(ValueError, match="radius"):
+            ExplicitLayout(((0.0, 0.0),), radius=0.0)
+        with pytest.raises(ValueError, match="radius"):
+            grid_layout(2, -0.5)
+        with pytest.raises(ValueError, match="C_g"):
+            replace(device_config([(0.0, 0.0)], 0.5), C_g=-1.0)
+
+    def test_device_set_shapes(self):
+        # control j and measurement j share disc j: both act through row j of P = I M
+        p = self.problem
+        assert p.n_controls == p.device_mass.n_rows == p.device_mass_t.n_cols == 4
+        assert np.array_equal(p.alpha, np.eye(4))
+        assert (p.C_g, p.C_h) == (1.0, calibrate_ch(-10.0, 0.2, 0.5))
+        indicators = disc_indicators(p.mesh, self.centers, 0.5)
+        assert np.array_equal(p.device_mass.toarray(), indicators.matmul(p.mass).toarray())
+        assert np.array_equal(p.device_mass_t.toarray(), p.device_mass.toarray().T)
+
+    def test_device_set_alpha_shape(self):
+        # the routing weights must be (J, J) for the problem's J devices
+        assert self.problem.alpha.shape == (4, 4) and not self.problem.alpha.flags.writeable
+        assert not self.problem.device_mass_ystar.flags.writeable
+        for alpha in (np.eye(3), np.ones((4, 3)), np.ones(4)):
+            with pytest.raises(ValueError, match="alpha"):
+                replace(self.problem, alpha=alpha)
+
+    def test_thermostat_bank_validation(self):
+        # beta holds J finite time constants beta_j > 0, read-only
+        assert self.problem.beta.shape == (4,) and not self.problem.beta.flags.writeable
+        for beta in (np.ones(3), np.ones((4, 1)), [1.0, 0.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0],
+                     [1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="beta"):
+                replace(self.problem, beta=beta)
 
     def test_disc_indicators_one_row_per_closed_disc(self):
         mesh = build_mesh(8)
@@ -204,27 +264,3 @@ class TestDevices:
             dist = np.hypot(mesh.vertices[:, 0] - cx, mesh.vertices[:, 1] - cy)
             assert np.array_equal(row, (dist <= 0.25 + 1e-15).astype(float))
         assert disc_indicators(mesh, np.zeros((0, 2)), 0.25).toarray().shape == (0, mesh.n_vertices)
-
-    def test_device_set_shapes(self):
-        ds = DeviceSet.paired([(0.0, 0.0), (0.5, 0.5)], 0.1, 2.0, 3.0)
-        assert ds.n_controls == ds.n_measurements == 2
-        assert np.array_equal(ds.alpha, np.eye(2))
-        assert ds.controls[0].height == 2.0
-        assert ds.measurements[0].height == 3.0
-        assert ds.controls[1].center == ds.measurements[1].center
-
-    def test_device_set_requires_devices(self):
-        with pytest.raises(ValueError):
-            DeviceSet(controls=(), measurements=(), alpha=np.zeros((0, 0)))
-
-    def test_device_set_alpha_shape(self):
-        d = Device((0.0, 0.0), 0.1, 1.0)
-        with pytest.raises(ValueError):
-            DeviceSet(controls=(d,), measurements=(d,), alpha=np.ones((2, 1)))
-
-    def test_thermostat_bank_validation(self):
-        ThermostatBank(beta=np.array([1.0, 2.0]), kappa0=np.zeros(2))
-        with pytest.raises(ValueError):
-            ThermostatBank(beta=np.array([1.0, 0.0]), kappa0=np.zeros(2))
-        with pytest.raises(ValueError):
-            ThermostatBank(beta=np.ones(2), kappa0=np.zeros(3))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from mesh_helpers import swap_axes_permutation
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
                                     grid_layout, run_experiment)
 from thermoloop.fem import assemble_mass, assemble_stiffness
-from thermoloop.mesh import build_mesh, swap_axes_permutation
+from thermoloop.mesh import build_mesh
 from thermoloop.model import ReactionTerm
 from thermoloop.stability import (StabilityReport, probe_control_stability,
                                   probe_data_stability, trajectory_norms)

@@ -11,15 +11,15 @@ import pytest
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
                                     assemble, grid_layout, layout_centers,
-                                    make_experiment, run_experiment, scheme_params)
+                                    make_experiment, run_experiment)
 from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness
 from thermoloop.linalg import ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
-from thermoloop.model import (Device, ReactionTerm, device_field, eval_reaction,
-                              eval_switch, thermostat_step)
+from thermoloop.model import (ReactionTerm, disc_indicators, eval_reaction, eval_switch,
+                              thermostat_step)
 import thermoloop.stepper as stepper_mod
-from thermoloop.stepper import (SchemeParams, SimState, StepDiagnostics,
-                                build_step_operator, picard_step, run)
+from thermoloop.stepper import (SimState, StepDiagnostics, build_step_operator,
+                                picard_step, run)
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
 
@@ -45,14 +45,12 @@ def devices_off(**overrides):
 
 def dense_device_arrays(cfg, built):
     """Per-device dense (K, n) measurement profiles C_h * h_k and (J, n) loads C_g * M g_k."""
-    centers = layout_centers(cfg.layout)
-    indicators = np.array([device_field(built.mesh, Device(tuple(c), cfg.r_sigma, 1.0)).values
-                           for c in centers]).reshape(len(centers), built.mesh.n_vertices)
+    indicators = disc_indicators(built.mesh, layout_centers(cfg.layout), cfg.r_sigma).toarray()
     loads = cfg.C_g * np.array([built.problem.mass.dot(row) for row in indicators])
     return cfg.C_h * indicators, loads.reshape(indicators.shape)
 
 
-def reference_picard_step(state, problem, params, profiles, loads, history=()):
+def reference_picard_step(state, problem, scheme, profiles, loads, history=()):
     """The sweep before vectorization, kept as the reference: one eval_switch
     call per device, dense device matvecs on M (y - y*), s - s**3 and a
     separate mass spmv for M y_m and for M f(y_lag).  Each solve starts from
@@ -67,11 +65,11 @@ def reference_picard_step(state, problem, params, profiles, loads, history=()):
     switches = (problem.switch,) * len(profiles)
     y_prev, kappa_new = y_m, state.kappa
     corrections = []
-    for p in range(params.n_picard):
-        measured = y_m if params.explicit_measure else y_prev
+    for p in range(scheme.n_picard):
+        measured = y_m if scheme.explicit_measure else y_prev
         m_vals = profiles @ M.dot(measured - problem.ystar.values)
         w_vals = np.array([eval_switch(w, m) for w, m in zip(switches, m_vals)])
-        kappa_new = thermostat_step(problem.thermostats.beta, state.kappa,
+        kappa_new = thermostat_step(problem.beta, state.kappa,
                                     problem.alpha @ w_vals, tau)
         rhs = b0 + tau * M.dot(y_prev - y_prev ** 3) + tau * (loads.T @ kappa_new)
         c = [h[p] for h in history]
@@ -83,15 +81,15 @@ def reference_picard_step(state, problem, params, profiles, loads, history=()):
             x0 = y_prev + c[0]
         else:
             x0 = y_prev
-        y_new = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
-                         max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+        y_new = cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
+                         max_iters=scheme.cg_max_iters, inv_diag=problem.step_inv_diag,
                          x0=x0).x
         corrections.append(y_new - y_prev)
         y_prev = y_new
     return y_prev, kappa_new, np.array(corrections)
 
 
-def parent_picard_step(state, problem, params):
+def parent_picard_step(state, problem, scheme):
     """The vectorized sweep as it was before warm starts, every solve
     starting from the previous iterate: the reference a state without
     history must reproduce bit for bit."""
@@ -102,18 +100,18 @@ def parent_picard_step(state, problem, params):
     def update(y):
         m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
         demands = problem.alpha @ eval_switch(problem.switch, m_vals)
-        return thermostat_step(problem.thermostats.beta, kappa_m, demands, tau)
+        return thermostat_step(problem.beta, kappa_m, demands, tau)
 
-    kappa_new = update(y_m) if controlled and params.explicit_measure else kappa_m
+    kappa_new = update(y_m) if controlled and scheme.explicit_measure else kappa_m
     y_before = y_prev = y_m
-    for _ in range(params.n_picard):
-        if controlled and not params.explicit_measure:
+    for _ in range(scheme.n_picard):
+        if controlled and not scheme.explicit_measure:
             kappa_new = update(y_prev)
         rhs = problem.mass.dot(y_m + tau * eval_reaction(problem.reaction, y_prev))
         if controlled:
             rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
-        sol = cg_solve(problem.step_matrix, rhs, rel_tol=params.cg_tol,
-                       max_iters=params.cg_max_iters, inv_diag=problem.step_inv_diag,
+        sol = cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
+                       max_iters=scheme.cg_max_iters, inv_diag=problem.step_inv_diag,
                        x0=y_prev)
         y_before, y_prev = y_prev, sol.x
     return y_prev, kappa_new, sol, float(np.max(np.abs(y_prev - y_before)))
@@ -179,16 +177,16 @@ class TestConservation:
         cfg = small_config(reaction=ReactionTerm.zero(),
                            scheme=SchemeSpec(n_div=12, n_steps=8, cg_tol=1e-13))
         built = assemble(cfg)
-        params = scheme_params(cfg)
+        scheme = cfg.scheme
         ones = np.ones(built.mesh.n_vertices)
         wM = built.problem.mass.dot(ones)
         # 1^T G_j per device, G_j = C_g * M I_j
         g_masses = built.problem.C_g * built.problem.device_mass.dot(ones)
         state = built.initial
-        for _ in range(params.n_steps):
-            new = picard_step(state, built.problem, params)
+        for _ in range(scheme.n_steps):
+            new = picard_step(state, built.problem, scheme)
             lhs = wM @ new.y.values
-            rhs = wM @ state.y.values + params.tau * float(new.kappa @ g_masses)
+            rhs = wM @ state.y.values + cfg.tau * float(new.kappa @ g_masses)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
             state = new
 
@@ -200,24 +198,24 @@ class TestPicardStep:
         # solve must still meet the CG tolerance
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=8, n_picard=1))
         built = assemble(cfg)
-        params = scheme_params(cfg)
+        scheme = cfg.scheme
         state = built.initial
         p = built.problem
         _, loads = dense_device_arrays(cfg, built)
-        for step in range(params.n_steps):
-            new = picard_step(state, p, params)
+        for step in range(scheme.n_steps):
+            new = picard_step(state, p, scheme)
             assert len(new.history) == min(step + 1, 3)
             f_vals = np.asarray(eval_reaction(p.reaction, state.y.values))
-            rhs = (p.mass.dot(state.y.values) + params.tau * p.mass.dot(f_vals)
-                   + params.tau * (loads.T @ new.kappa))
+            rhs = (p.mass.dot(state.y.values) + cfg.tau * p.mass.dot(f_vals)
+                   + cfg.tau * (loads.T @ new.kappa))
             resid = np.linalg.norm(p.step_matrix.dot(new.y.values) - rhs)
-            assert resid <= params.cg_tol * np.linalg.norm(rhs)
+            assert resid <= scheme.cg_tol * np.linalg.norm(rhs)
             state = new
 
     def test_diagnostics_populated(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2))
         built = assemble(cfg)
-        state = picard_step(built.initial, built.problem, scheme_params(cfg))
+        state = picard_step(built.initial, built.problem, cfg.scheme)
         d = state.diagnostics
         assert d.cg_iters >= 0 and np.isfinite(d.cg_residual)
         assert d.picard_increment >= 0.0
@@ -262,7 +260,7 @@ class TestPicardStep:
                                              cg_max_iters=1))
         built = assemble(cfg)
         with pytest.raises(ConvergenceError, match="step 1, Picard sweep"):
-            picard_step(built.initial, built.problem, scheme_params(cfg))
+            picard_step(built.initial, built.problem, cfg.scheme)
 
 
 class TestVectorizedSweep:
@@ -270,17 +268,17 @@ class TestVectorizedSweep:
     def test_matches_per_device_reference(self, explicit):
         cfg = campaign1_small(explicit_measure=explicit)
         built = assemble(cfg)
-        params = scheme_params(cfg)
+        scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
         state = built.initial
         ref_y, ref_kappa, ref_history = state.y.values, state.kappa, ()
-        for step in range(params.n_steps):
-            ref_state = SimState(step, step * params.tau,
+        for step in range(scheme.n_steps):
+            ref_state = SimState(step, step * cfg.tau,
                                  NodalField(ref_y, state.y.mesh_key), ref_kappa)
             ref_y, ref_kappa, ref_c = reference_picard_step(
-                ref_state, built.problem, params, profiles, loads, ref_history)
+                ref_state, built.problem, scheme, profiles, loads, ref_history)
             ref_history = ((ref_c,) + ref_history)[:3]
-            state = picard_step(state, built.problem, params)
+            state = picard_step(state, built.problem, scheme)
             assert np.max(np.abs(state.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
             assert np.max(np.abs(state.kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
         assert len(state.history) == 3
@@ -289,10 +287,10 @@ class TestVectorizedSweep:
         cfg = devices_off(scheme=SchemeSpec(n_div=12, n_steps=5))
         built = assemble(cfg)
         assert built.problem.n_controls == 0
-        params = scheme_params(cfg)
+        scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
-        ref_y, _, _ = reference_picard_step(built.initial, built.problem, params, profiles, loads)
-        new = picard_step(built.initial, built.problem, params)
+        ref_y, _, _ = reference_picard_step(built.initial, built.problem, scheme, profiles, loads)
+        new = picard_step(built.initial, built.problem, scheme)
         assert new.kappa.shape == (0,)
         assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
 
@@ -302,28 +300,28 @@ class TestWarmStart:
     def test_fresh_state_steps_bitwise_as_before(self, explicit):
         cfg = campaign1_small(explicit_measure=explicit)
         built = assemble(cfg)
-        params = scheme_params(cfg)
-        state = run(built.initial, built.problem, replace(params, n_steps=4)).final_state
+        scheme = cfg.scheme
+        state = run(built.initial, built.problem, replace(scheme, n_steps=4)).final_state
         fresh = replace(state, history=())
-        y, kappa, sol, increment = parent_picard_step(fresh, built.problem, params)
-        new = picard_step(fresh, built.problem, params)
+        y, kappa, sol, increment = parent_picard_step(fresh, built.problem, scheme)
+        new = picard_step(fresh, built.problem, scheme)
         assert new.y.values.tobytes() == y.tobytes()
         assert new.kappa.tobytes() == kappa.tobytes()
         assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
         assert len(new.history) == 1
-        assert new.history[0].shape == (params.n_picard, built.mesh.n_vertices)
+        assert new.history[0].shape == (scheme.n_picard, built.mesh.n_vertices)
         assert not new.history[0].flags.writeable
 
     def test_history_of_wrong_shape_is_ignored(self):
         cfg = campaign1_small()
         built = assemble(cfg)
-        params = scheme_params(cfg)
-        state = run(built.initial, built.problem, replace(params, n_steps=3)).final_state
-        fresh = picard_step(replace(state, history=()), built.problem, params)
+        scheme = cfg.scheme
+        state = run(built.initial, built.problem, replace(scheme, n_steps=3)).final_state
+        fresh = picard_step(replace(state, history=()), built.problem, scheme)
         n = built.mesh.n_vertices
-        for shape in [(params.n_picard + 1, n), (params.n_picard, n - 1), (n,)]:
+        for shape in [(scheme.n_picard + 1, n), (scheme.n_picard, n - 1), (n,)]:
             stale = replace(state, history=(np.ones(shape),) + state.history[1:])
-            new = picard_step(stale, built.problem, params)
+            new = picard_step(stale, built.problem, scheme)
             assert new.y.values.tobytes() == fresh.y.values.tobytes()
             assert new.kappa.tobytes() == fresh.kappa.tobytes()
             assert len(new.history) == 1
@@ -331,20 +329,20 @@ class TestWarmStart:
     def test_non_finite_guess_falls_back(self):
         cfg = campaign1_small()
         built = assemble(cfg)
-        params = scheme_params(cfg)
-        state = run(built.initial, built.problem, replace(params, n_steps=2)).final_state
-        fresh = picard_step(replace(state, history=()), built.problem, params)
+        scheme = cfg.scheme
+        state = run(built.initial, built.problem, replace(scheme, n_steps=2)).final_state
+        fresh = picard_step(replace(state, history=()), built.problem, scheme)
         poisoned = np.array(state.history[0])
         poisoned[:, 0] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new = picard_step(replace(state, history=(poisoned,)), built.problem, params)
+            new = picard_step(replace(state, history=(poisoned,)), built.problem, scheme)
         assert new.y.values.tobytes() == fresh.y.values.tobytes()
 
     def test_extrapolation_cuts_cg_iterations(self, monkeypatch):
         cfg = campaign1_small()
         built = assemble(cfg)
-        params = scheme_params(cfg)
+        scheme = cfg.scheme
         iters = []
 
         def counting_cg(*args, **kwargs):
@@ -357,9 +355,9 @@ class TestWarmStart:
         for warm in (False, True):
             iters.clear()
             state = built.initial
-            for _ in range(params.n_steps):
+            for _ in range(scheme.n_steps):
                 state = picard_step(state if warm else replace(state, history=()),
-                                    built.problem, params)
+                                    built.problem, scheme)
             totals[warm] = sum(iters)
         assert totals[True] < 0.9 * totals[False], totals
 
@@ -388,26 +386,26 @@ class TestImports:
 class TestRun:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
-            SchemeParams(n_steps=0, tau=0.1)
+            SchemeSpec(n_div=1, n_steps=0)
 
     @pytest.mark.parametrize("bad", [dict(cg_tol=-1.0), dict(cg_tol=0.0),
                                      dict(cg_tol=float("nan")), dict(cg_max_iters=-5),
                                      dict(cg_max_iters=0)])
     def test_bad_solver_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            SchemeParams(n_steps=1, tau=0.1, **bad)
+            SchemeSpec(n_div=1, n_steps=1, **bad)
 
     def test_solver_settings_accepted(self):
-        params = SchemeParams(n_steps=1, tau=0.1, cg_tol=1e-12, cg_max_iters=1)
-        assert params.cg_max_iters == 1
-        assert SchemeParams(n_steps=1, tau=0.1).cg_max_iters is None
+        scheme = SchemeSpec(n_div=1, n_steps=1, cg_tol=1e-12, cg_max_iters=1)
+        assert scheme.cg_max_iters == 1
+        assert SchemeSpec(n_div=1, n_steps=1).cg_max_iters is None
 
     def test_single_step_equals_picard_step(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=1))
         built = assemble(cfg)
-        params = scheme_params(cfg)
-        via_run = run(built.initial, built.problem, params).final_state
-        direct = picard_step(built.initial, built.problem, params)
+        scheme = cfg.scheme
+        via_run = run(built.initial, built.problem, scheme).final_state
+        direct = picard_step(built.initial, built.problem, scheme)
         assert np.array_equal(via_run.y.values, direct.y.values)
         assert np.array_equal(via_run.kappa, direct.kappa)
 
