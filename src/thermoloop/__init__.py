@@ -22,7 +22,7 @@ from .metrics import (ErrorRecorder, ErrorSeries, SnapshotRecorder,
                       TrajectoryRecorder, error_h1semi, error_l2)
 from .experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
                           FieldSum, GaussianBlobs, GridLayout, GridSubsetLayout,
-                          TanhStripe, assemble, grid_layout, layout_centers, list_presets,
+                          assemble, grid_layout, layout_centers, list_presets,
                           make_experiment, preset, realize_field, run_experiment,
                           scale_field)
 from .stability import (StabilityReport, TrajectoryNorms, probe_control_stability,

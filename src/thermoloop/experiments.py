@@ -16,7 +16,7 @@ from .fem import NodalField, assemble_mass, assemble_stiffness, field_from_value
 from .mesh import Mesh, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
 from .model import ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators
-from .stepper import (DiscreteProblem, RunOutput, SchemeSpec, SimState,
+from .stepper import (DiscreteProblem, RunOutput, SchemeSpec, SimState, as_int,
                       build_step_operator, run)
 
 
@@ -47,27 +47,11 @@ class GaussianBlobs:
 
 
 @dataclass(frozen=True)
-class TanhStripe:
-    """a * tanh((x[axis] - position) / width): a smoothed step along one axis."""
-
-    axis: int
-    position: float
-    width: float
-    amplitude: float
-
-    def __post_init__(self):
-        if self.axis not in (0, 1):
-            raise ValueError("stripe axis must be 0 or 1")
-        if self.width <= 0:
-            raise ValueError("stripe width must be positive")
-
-
-@dataclass(frozen=True)
 class FieldSum:
-    terms: tuple["FieldSpec", ...]
+    terms: tuple[FieldSpec, ...]
 
 
-FieldSpec = Union[ConstantField, GaussianBlobs, TanhStripe, FieldSum]
+FieldSpec = Union[ConstantField, GaussianBlobs, FieldSum]
 
 
 def evaluate_field(spec: FieldSpec, x, y):
@@ -82,9 +66,6 @@ def evaluate_field(spec: FieldSpec, x, y):
             r2 = (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2
             out += b.amplitude * np.exp(-r2 / (2.0 * b.width ** 2))
         return out
-    if isinstance(spec, TanhStripe):
-        coord = x if spec.axis == 0 else y
-        return spec.amplitude * np.tanh((coord - spec.position) / spec.width)
     if isinstance(spec, FieldSum):
         out = np.zeros(np.broadcast(x, y).shape)
         for term in spec.terms:
@@ -106,8 +87,6 @@ def scale_field(spec: FieldSpec, factor: float) -> FieldSpec:
     if isinstance(spec, GaussianBlobs):
         return GaussianBlobs(tuple(Blob(b.center, b.width, b.amplitude * factor)
                                    for b in spec.blobs))
-    if isinstance(spec, TanhStripe):
-        return replace(spec, amplitude=spec.amplitude * factor)
     if isinstance(spec, FieldSum):
         return FieldSum(tuple(scale_field(t, factor) for t in spec.terms))
     raise TypeError(f"not a field spec: {spec!r}")
@@ -124,6 +103,7 @@ class GridLayout:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_per_side", as_int(self.n_per_side, "n_per_side"))
         if self.n_per_side < 1:
             raise ValueError("grid needs at least one device per side")
         if self.radius <= 0:
@@ -143,7 +123,10 @@ class GridSubsetLayout:
     kept_indices: tuple[int, ...]
 
     def __post_init__(self):
-        GridLayout(self.n_per_side, self.radius)  # reuse grid validation
+        grid = GridLayout(self.n_per_side, self.radius)  # reuse grid validation
+        object.__setattr__(self, "n_per_side", grid.n_per_side)
+        object.__setattr__(self, "kept_indices",
+                           tuple(as_int(i, "kept_indices") for i in self.kept_indices))
         n2 = self.n_per_side ** 2
         if len(set(self.kept_indices)) != len(self.kept_indices):
             raise ValueError("kept_indices contains duplicates")
@@ -427,7 +410,6 @@ def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
                    extra_observers=()) -> RunOutput:
     """Assemble and run a configured experiment with the standard recorders."""
     import time as _time
-    from .config_io import config_to_dict  # deferred: config_io imports this module
 
     t0 = _time.perf_counter()
     built = assemble(config)
@@ -443,4 +425,4 @@ def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
     out = run(built.initial, built.problem, config.scheme, observers)
     timings = dict(out.timings)
     timings["assembly_s"] = t_assembly
-    return replace(out, config_echo=config_to_dict(config), timings=timings)
+    return replace(out, timings=timings)

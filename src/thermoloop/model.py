@@ -23,15 +23,13 @@ class ReactionTerm:
     """Pointwise source nonlinearity f(s).
 
     Kinds: ``zero``; ``linear`` (slope * s); ``cubic_bistable`` (-s^3 + s,
-    with stable wells at +-1 and an unstable rest point at 0);
-    ``polynomial`` (coefficients in ascending powers).
+    with stable wells at +-1 and an unstable rest point at 0).
     """
 
     kind: str
     slope: float = 1.0
-    coefficients: tuple[float, ...] = ()
 
-    _KINDS = ("zero", "linear", "cubic_bistable", "polynomial")
+    _KINDS = ("zero", "linear", "cubic_bistable")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -49,10 +47,6 @@ class ReactionTerm:
     def cubic_bistable(cls) -> "ReactionTerm":
         return cls(kind="cubic_bistable")
 
-    @classmethod
-    def polynomial(cls, coefficients) -> "ReactionTerm":
-        return cls(kind="polynomial", coefficients=tuple(float(c) for c in coefficients))
-
 
 def eval_reaction(f: ReactionTerm, s):
     """Evaluate f at a scalar or numpy array of values."""
@@ -61,12 +55,8 @@ def eval_reaction(f: ReactionTerm, s):
         out = np.zeros_like(s)
     elif f.kind == "linear":
         out = f.slope * s
-    elif f.kind == "cubic_bistable":
+    else:  # cubic_bistable
         out = s - s * s * s  # s ** 3 takes numpy's slow pow path for negative s
-    else:  # polynomial, ascending powers
-        out = np.zeros_like(s)
-        for c in reversed(f.coefficients):
-            out = out * s + c
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,6 +12,7 @@ extrapolated in time.
 from __future__ import annotations
 
 import math
+import operator
 import time as _time
 from dataclasses import dataclass, field
 
@@ -24,13 +25,27 @@ from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRec
 from .model import (ReactionTerm, SwitchingFunction, eval_reaction, eval_switch,
                     thermostat_step)
 
-# Order of the polynomial extrapolation in time of each sweep's correction
+# Order of the extrapolation in time of each sweep's correction
 # (the warm start of its solve), and the binomial weights of the last d
 # corrections, newest first, for each history length d <= the order:
 # (), (1,), (2, -1), (3, -3, 1).
 WARM_START_ORDER = 3
 _EXTRAPOLATION_WEIGHTS = tuple(tuple((-1.0) ** k * math.comb(d, k + 1) for k in range(d))
                                for d in range(WARM_START_ORDER + 1))
+
+
+def as_int(value, name: str) -> int:
+    """An integer parameter as a Python int; numpy integers are accepted.
+
+    A bool, a float or anything else without ``__index__`` is a ValueError
+    naming the parameter.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,10 @@ class SchemeSpec:
     explicit_measure: bool = False
 
     def __post_init__(self):
+        counts = ("n_div", "n_steps", "n_picard") + (
+            () if self.cg_max_iters is None else ("cg_max_iters",))
+        for name in counts:
+            object.__setattr__(self, name, as_int(getattr(self, name), f"scheme.{name}"))
         if self.n_div < 1:
             raise ValueError("scheme.n_div must be >= 1")
         if self.n_steps < 1:
@@ -172,7 +191,6 @@ class RunOutput:
     snapshots: tuple = ()
     trajectory_y: np.ndarray | None = None      # (M+1, n) when recorded
     trajectory_kappa: np.ndarray | None = None  # (M+1, J) when recorded
-    config_echo: dict | None = None
     timings: dict = field(default_factory=dict)
 
 

@@ -1,17 +1,75 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from thermoloop.cli import main
-from thermoloop.config_io import (ConfigError, config_from_dict, config_to_dict,
-                                  dump_config, load_config)
-from thermoloop.experiments import list_presets, make_experiment, preset
+from thermoloop.config_io import (KINDS, ConfigError, config_from_dict, config_to_dict,
+                                  config_to_json, dump_config, load_config)
+from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
+                                    FieldSum, GaussianBlobs, SchemeSpec, list_presets,
+                                    make_experiment, preset)
+from thermoloop.model import ReactionTerm
+
+# sha256 of config_to_json(preset(name)): the file format, frozen byte for byte
+PRESET_JSON_SHA256 = {
+    "exp1-16": "96cae52f51767bbf76d26bf4eadef96c2b18f5f9bf175ff5527923db9e087537",
+    "exp1-36": "a5cc526a0de90df84bff1717684985f4639bddf22b061aed72e0899888e17eb1",
+    "exp1-64": "467b42e3a76aca95ce6b89cf715612785ccf3b6ada4174f4487b5da08954b66b",
+    "exp2-ic1": "72984bbbbb8e9873d69245487caa6fd432f5b91c758a9a5bffc456c0e11c667c",
+    "exp2-ic2": "ed8724c99a59b7c451e127e0c9f8b1ec1246b736ea61b85039af1fa414e49b21",
+    "exp3-20": "fb210f99cfe0c8e87cc964709a19157b2fe57530546bcf9fe6ffd13acbb0af46",
+    "exp3-64": "72984bbbbb8e9873d69245487caa6fd432f5b91c758a9a5bffc456c0e11c667c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_JSON_SHA256))
+def test_preset_json_is_frozen(name):
+    assert set(PRESET_JSON_SHA256) == set(list_presets())
+    digest = hashlib.sha256(config_to_json(preset(name)).encode()).hexdigest()
+    assert digest == PRESET_JSON_SHA256[name]
 
 
 def test_round_trip_equality_all_presets():
     for name in list_presets():
         cfg = preset(name)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def _with_layout(cfg, layout):
+    return replace(cfg, layout=layout, beta=(1.0,) * len(layout.centers),
+                   kappa0=(0.0,) * len(layout.centers))
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: _with_layout(c, ExplicitLayout((), 0.125)),
+    lambda c: replace(_with_layout(c, ExplicitLayout(((0.0, 0.5), (-0.25, 0.0)), 0.125)),
+                      beta=(0.5, 2.0), kappa0=(0.25, -1.0)),
+    lambda c: replace(c, y0=FieldSum((ConstantField(0.1),
+                                      GaussianBlobs((Blob((0.0, 0.5), 0.2, -0.3),)),
+                                      FieldSum((ConstantField(-0.2),))))),
+    lambda c: replace(c, reaction=ReactionTerm.zero()),
+    lambda c: replace(c, reaction=ReactionTerm.linear(-2.5)),
+    lambda c: replace(c, scheme=SchemeSpec(n_div=10, n_steps=5, n_picard=2, cg_tol=1e-8,
+                                           cg_max_iters=50, explicit_measure=True)),
+])
+def test_round_trip_equality_other_kinds(change):
+    cfg = change(make_experiment(2))
+    assert config_from_dict(json.loads(config_to_json(cfg))) == cfg
+
+
+@pytest.mark.parametrize("key, section, named", [
+    ("y0", {"kind": "tanh_stripe", "axis": 0, "position": 0.0, "width": 0.3, "amplitude": 1.0},
+     "config.y0"),
+    ("reaction", {"kind": "polynomial", "coefficients": [0.0, 1.0]}, "config.reaction"),
+    ("reaction", {"kind": "polynomial"}, "config.reaction"),
+])
+def test_removed_kinds_rejected(key, section, named):
+    d = config_to_dict(make_experiment(2))
+    d[key] = section
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(d)
 
 
 def test_file_round_trip(tmp_path):
@@ -66,6 +124,22 @@ def test_wrong_beta_length_named():
     d["beta"] = [1.0, 1.0]
     with pytest.raises(ConfigError, match="config.beta"):
         config_from_dict(d)
+
+
+def test_linear_reaction_requires_slope():
+    d = config_to_dict(make_experiment(2))
+    d["reaction"] = {"kind": "linear"}
+    with pytest.raises(ConfigError, match=r"config\.reaction: missing required keys \['slope'\]"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("cls", [*KINDS.values(), Blob, ExperimentConfig, SchemeSpec,
+                                 ReactionTerm])
+def test_annotations_have_no_nested_quotes(cls):
+    # Python 3.10's get_type_hints leaves a quoted name inside tuple[...] a plain str,
+    # which the mapper would then read as a number.
+    for name, annotation in cls.__annotations__.items():
+        assert not set("'\"") & set(str(annotation)), f"{cls.__name__}.{name}: {annotation}"
 
 
 def test_unknown_field_kind():

@@ -7,8 +7,8 @@ from dataclasses import replace
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs,
                                     GridSubsetLayout, SUBSET20_INDICES,
-                                    SchemeSpec, TanhStripe, assemble, device_count,
-                                    evaluate_field, grid_layout, layout_centers,
+                                    GridLayout, SchemeSpec, assemble, device_count,
+                                    grid_layout, layout_centers,
                                     list_presets, make_experiment, preset,
                                     realize_field, scale_field)
 from thermoloop.mesh import build_mesh
@@ -79,7 +79,7 @@ class TestFieldSpecs:
     def test_sum_is_pointwise(self):
         mesh = build_mesh(6)
         a = GaussianBlobs((Blob((0.2, 0.1), 0.4, 0.7),))
-        b = TanhStripe(0, 0.0, 0.3, 0.5)
+        b = GaussianBlobs((Blob((-0.5, 0.3), 0.2, -0.5),))
         total = realize_field(FieldSum((a, b)), mesh)
         assert np.allclose(total.values,
                            realize_field(a, mesh).values + realize_field(b, mesh).values)
@@ -87,15 +87,10 @@ class TestFieldSpecs:
     def test_scale_field(self):
         mesh = build_mesh(5)
         spec = FieldSum((GaussianBlobs((Blob((0.0, 0.0), 0.3, 0.8),)),
-                         ConstantField(0.2), TanhStripe(1, 0.1, 0.2, -0.4)))
+                         ConstantField(0.2), GaussianBlobs((Blob((0.4, -0.3), 0.2, -0.4),))))
         doubled = scale_field(spec, 2.0)
         assert np.allclose(realize_field(doubled, mesh).values,
                            2.0 * realize_field(spec, mesh).values)
-
-    def test_tanh_stripe_axis(self):
-        x = np.array([0.5]); y = np.array([-0.5])
-        along_x = evaluate_field(TanhStripe(0, 0.0, 0.25, 1.0), x, y)
-        assert along_x[0] == pytest.approx(np.tanh(2.0))
 
 
 class TestPresets:
@@ -172,6 +167,33 @@ class TestConfigValidation:
     def test_bad_solver_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=f"scheme.{next(iter(bad))}"):
             SchemeSpec(n_div=4, n_steps=2, **bad)
+
+    @pytest.mark.parametrize("name", ["n_div", "n_steps", "n_picard", "cg_max_iters"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2"])
+    def test_non_integer_scheme_count_rejected(self, name, value):
+        kw = dict(n_div=4, n_steps=2)
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"scheme.{name} must be an integer"):
+            SchemeSpec(**kw)
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: GridLayout(2.0, 0.5), "n_per_side"),
+        (lambda: GridLayout(True, 1.0), "n_per_side"),
+        (lambda: GridSubsetLayout(8.0, 0.125, (0, 1)), "n_per_side"),
+        (lambda: GridSubsetLayout(8, 0.125, (0.0, 1.0, 2.0)), "kept_indices"),
+        (lambda: GridSubsetLayout(8, 0.125, (0, False)), "kept_indices"),
+    ])
+    def test_non_integer_layout_count_rejected(self, make, named):
+        with pytest.raises(ValueError, match=f"{named} must be an integer"):
+            make()
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        spec = SchemeSpec(n_div=np.int64(4), n_steps=np.int32(2), cg_max_iters=np.int64(5))
+        layout = GridSubsetLayout(np.int64(8), 0.125, tuple(np.arange(3)))
+        for value in (spec.n_div, spec.n_steps, spec.cg_max_iters, layout.n_per_side,
+                      *layout.kept_indices):
+            assert type(value) is int
+        assert spec == SchemeSpec(n_div=4, n_steps=2, cg_max_iters=5)
 
     def test_solver_settings_accepted(self):
         spec = SchemeSpec(n_div=4, n_steps=2, cg_tol=1e-12, cg_max_iters=1)

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermoloop.experiments import (ConstantField, ExperimentConfig, ExplicitLayout,
-                                    SchemeSpec, TanhStripe, assemble, grid_layout)
+from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
+                                    GaussianBlobs, SchemeSpec, assemble, grid_layout)
 from thermoloop.fem import NodalField, interpolate
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
@@ -26,14 +26,6 @@ class TestReaction:
     def test_kinds(self):
         assert eval_reaction(ReactionTerm.zero(), 3.0) == 0.0
         assert eval_reaction(ReactionTerm.linear(2.0), 3.0) == 6.0
-        poly = ReactionTerm.polynomial([1.0, 0.0, -1.0])  # 1 - s^2
-        assert eval_reaction(poly, 2.0) == -3.0
-
-    def test_polynomial_matches_cubic(self):
-        poly = ReactionTerm.polynomial([0.0, 1.0, 0.0, -1.0])
-        s = np.linspace(-2, 2, 17)
-        assert np.allclose(eval_reaction(poly, s),
-                           eval_reaction(ReactionTerm.cubic_bistable(), s))
 
     def test_vectorized(self):
         out = eval_reaction(ReactionTerm.cubic_bistable(), np.array([0.0, 2.0]))
@@ -120,7 +112,7 @@ def measure(problem, y):
 class TestMeasurement:
     def test_zero_when_matching(self):
         p = device_problem([(0.0, 0.0), (0.5, -0.5)], 0.5,
-                         ystar=TanhStripe(0, 0.1, 0.3, 0.8))
+                         ystar=GaussianBlobs((Blob((0.1, -0.2), 0.3, 0.8),)))
         assert np.all(measure(p, p.ystar.values) == 0.0)
 
     def test_zero_weight(self):
