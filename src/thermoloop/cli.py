@@ -57,15 +57,13 @@ def _cmd_run(args) -> int:
           f"(+ {out.timings.get('assembly_s', 0.0):.2f} s assembly)")
 
     if args.out is not None:
-        from .mesh import build_mesh
         from .output import write_series_csv, write_snapshot_image
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_series_csv(series, out_dir / "series.csv")
         (out_dir / "config_echo").write_text(config_to_json(config))
-        mesh = build_mesh(config.scheme.n_div)
         for step, field in out.snapshots:
-            write_snapshot_image(field, mesh, vmin=args.vmin, vmax=args.vmax,
+            write_snapshot_image(field, out.problem.mesh, vmin=args.vmin, vmax=args.vmax,
                                  path=out_dir / f"snap_{step}.pgm")
         print(f"wrote {out_dir}/series.csv, config_echo and "
               f"{len(out.snapshots)} snapshots")

@@ -371,10 +371,8 @@ def preset(name: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class AssembledExperiment:
-    mesh: Mesh
     problem: DiscreteProblem
     initial: SimState
-    ystar: NodalField
 
 
 def assemble(config: ExperimentConfig) -> AssembledExperiment:
@@ -388,7 +386,6 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     # C_g (control switched off) stays representable
     indicators = disc_indicators(mesh, layout_centers(config.layout), config.r_sigma)
 
-    ystar = realize_field(config.ystar, mesh)
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness, step_matrix=step_matrix,
         tau=config.tau,
@@ -398,11 +395,11 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
         switch=SwitchingFunction(config.L_w, config.H_w),
         beta=config.beta,
         reaction=config.reaction,
-        ystar=ystar)
+        ystar=realize_field(config.ystar, mesh))
     initial = SimState(step_index=0, time=0.0,
                        y=realize_field(config.y0, mesh),
                        kappa=config.kappa0)
-    return AssembledExperiment(mesh=mesh, problem=problem, initial=initial, ystar=ystar)
+    return AssembledExperiment(problem=problem, initial=initial)
 
 
 def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
@@ -415,7 +412,8 @@ def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
     built = assemble(config)
     t_assembly = _time.perf_counter() - t0
 
-    observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness, built.ystar)]
+    observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness,
+                                     built.problem.ystar)]
     if snap_every is not None or snap_steps:
         observers.append(SnapshotRecorder(every=snap_every, steps=snap_steps))
     if record_trajectory:

@@ -51,9 +51,15 @@ class ErrorSeries:
 
 
 class ErrorRecorder:
-    """Observer collecting E_y, E_grad, kappa and mass at every time node."""
+    """Observer collecting E_y, E_grad, kappa and mass at every time node.
 
-    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, ystar: NodalField):
+    The reference ``ystar`` is one field, or an (M+1, n) array whose row m
+    is the reference at step m (a recorded trajectory): the errors are then
+    the distances between two runs.
+    """
+
+    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix,
+                 ystar: NodalField | np.ndarray):
         self._mass = mass
         self._stiffness = stiffness
         self._ystar = ystar
@@ -65,19 +71,20 @@ class ErrorRecorder:
         self._mass_trace: list[float] = []
 
     def __call__(self, state) -> None:
+        ref = self._ystar
+        if isinstance(ref, np.ndarray):
+            ref = NodalField(ref[state.step_index], state.y.mesh_key)
         self._times.append(state.time)
-        self._e_y.append(error_l2(self._mass, state.y, self._ystar))
-        self._e_grad.append(error_h1semi(self._stiffness, state.y, self._ystar))
+        self._e_y.append(error_l2(self._mass, state.y, ref))
+        self._e_grad.append(error_h1semi(self._stiffness, state.y, ref))
         self._kappa.append(np.array(state.kappa))
         self._mass_trace.append(float(self._weights @ state.y.values))
 
     def series(self) -> ErrorSeries:
-        kappa = (np.array(self._kappa).T if self._kappa and len(self._kappa[0])
-                 else np.zeros((0, len(self._times))))
         return ErrorSeries(times=np.array(self._times),
                            e_y=np.array(self._e_y),
                            e_grad=np.array(self._e_grad),
-                           kappa_traces=kappa,
+                           kappa_traces=np.array(self._kappa).T,
                            mass_trace=np.array(self._mass_trace))
 
 

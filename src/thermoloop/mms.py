@@ -71,7 +71,10 @@ def convergence_study(base_n: int = 10, levels: int = 3, D: float = 0.1,
     """Errors on successively halved meshes with tau ~ h^2, plus observed orders.
 
     Returns (rows, orders) where orders[i] = log2(error[i] / error[i+1]).
+    An order needs two meshes, so ``levels`` must be at least 2.
     """
+    if levels < 2:
+        raise ValueError(f"levels must be >= 2 to measure an order, got {levels}")
     rows = []
     for level in range(levels):
         n = base_n * 2 ** level

@@ -19,22 +19,19 @@ def write_series_csv(series: ErrorSeries, path) -> None:
     """
     J = series.kappa_traces.shape[0]
     header = "t,e_y,e_grad,mass" + "".join(f",kappa_{j + 1}" for j in range(J))
-    lines = [header]
-    for i in range(series.n_nodes):
-        cells = [series.times[i], series.e_y[i], series.e_grad[i], series.mass_trace[i]]
-        cells.extend(series.kappa_traces[:, i])
-        lines.append(",".join(f"{v:.12e}" for v in cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = np.column_stack([series.times, series.e_y, series.e_grad, series.mass_trace,
+                               series.kappa_traces.T])
+    np.savetxt(path, columns, fmt="%.12e", delimiter=",", header=header, comments="")
 
 
 def read_series_csv(path) -> ErrorSeries:
     """Inverse of write_series_csv."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
     if header[:4] != ["t", "e_y", "e_grad", "mass"]:
         raise ValueError(f"{path}: unexpected series header {header[:4]}")
     J = len(header) - 4
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return ErrorSeries(times=data[:, 0], e_y=data[:, 1], e_grad=data[:, 2],
                        mass_trace=data[:, 3], kappa_traces=data[:, 4:4 + J].T)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .experiments import (ExperimentConfig, FieldSpec, FieldSum, run_experiment,
                           scale_field)
-from .linalg import CsrMatrix
+from .metrics import ErrorRecorder
 from .stepper import RunOutput
 
 
@@ -29,28 +29,27 @@ class TrajectoryNorms:
     l2_dkappa: float   # root-sum-square of backward-difference kappa rates
 
 
-def trajectory_norms(out: RunOutput, mass: CsrMatrix, stiffness: CsrMatrix,
-                     tau: float) -> TrajectoryNorms:
+def _norms(e_y: np.ndarray, e_grad: np.ndarray, kappas: np.ndarray,
+           tau: float) -> TrajectoryNorms:
+    """The four norms from per-node L2 and gradient norms and (J, M+1) kappas."""
+    dk = np.diff(kappas, axis=1) / tau
+    return TrajectoryNorms(
+        sup_l2_y=float(np.max(e_y)),
+        l2_grad_y=float(np.sqrt(tau * np.sum(e_grad[1:] ** 2))),
+        sup_kappa=float(np.max(np.abs(kappas), initial=0.0)),
+        l2_dkappa=float(np.sqrt(tau * np.sum(dk ** 2))))
+
+
+def trajectory_norms(out: RunOutput) -> TrajectoryNorms:
     """Norms of a completed run; requires a recorded trajectory."""
     if out.trajectory_y is None:
         raise ValueError("run output has no recorded trajectory "
                          "(pass record_trajectory=True)")
-    Y = out.trajectory_y
-    quad_mass = np.einsum("mn,nm->m", Y, mass.dot(Y.T))
-    quad_stiff = np.einsum("mn,nm->m", Y, stiffness.dot(Y.T))
-    kappas = out.trajectory_kappa
-    if kappas.size:
-        sup_kappa = float(np.max(np.abs(kappas)))
-        dk = np.diff(kappas, axis=0) / tau
-        l2_dkappa = float(np.sqrt(tau * np.sum(dk ** 2)))
-    else:
-        sup_kappa = 0.0
-        l2_dkappa = 0.0
-    return TrajectoryNorms(
-        sup_l2_y=float(np.sqrt(np.max(np.maximum(quad_mass, 0.0)))),
-        l2_grad_y=float(np.sqrt(tau * np.sum(np.maximum(quad_stiff[1:], 0.0)))),
-        sup_kappa=sup_kappa,
-        l2_dkappa=l2_dkappa)
+    Y, P = out.trajectory_y, out.problem
+    quad_mass = np.einsum("mn,nm->m", Y, P.mass.dot(Y.T))
+    quad_stiff = np.einsum("mn,nm->m", Y, P.stiffness.dot(Y.T))
+    return _norms(np.sqrt(np.maximum(quad_mass, 0.0)), np.sqrt(np.maximum(quad_stiff, 0.0)),
+                  out.trajectory_kappa.T, P.tau)
 
 
 @dataclass(frozen=True)
@@ -92,15 +91,13 @@ def _check_deltas(deltas) -> tuple[float, ...]:
     return deltas
 
 
-def response_norm(base: RunOutput, perturbed: RunOutput, mass: CsrMatrix) -> float:
-    """sup-in-time L2 distance of the fields plus per-device sup distance of kappa."""
-    dY = perturbed.trajectory_y - base.trajectory_y
-    quad = np.einsum("mn,nm->m", dY, mass.dot(dY.T))
-    resp = float(np.sqrt(np.max(np.maximum(quad, 0.0))))
-    dk = perturbed.trajectory_kappa - base.trajectory_kappa
-    if dk.size:
-        resp += float(np.sum(np.max(np.abs(dk), axis=0)))
-    return resp
+def response_norm(e_y: np.ndarray, dkappa: np.ndarray) -> float:
+    """sup-in-time L2 distance of the fields plus per-device sup distance of kappa.
+
+    ``e_y`` holds the (M+1,) L2 distances of the fields, ``dkappa`` the
+    (J, M+1) differences of the signals.
+    """
+    return float(np.max(e_y)) + float(np.sum(np.max(np.abs(dkappa), axis=1)))
 
 
 def _spread(ratios: list[float]) -> float:
@@ -112,34 +109,25 @@ def _spread(ratios: list[float]) -> float:
     return max(positive) / min(positive)
 
 
-def _difference_norms(base: RunOutput, perturbed: RunOutput, mass: CsrMatrix,
-                      stiffness: CsrMatrix, tau: float) -> TrajectoryNorms:
-    diff = RunOutput(final_state=perturbed.final_state,
-                     trajectory_y=perturbed.trajectory_y - base.trajectory_y,
-                     trajectory_kappa=perturbed.trajectory_kappa - base.trajectory_kappa)
-    return trajectory_norms(diff, mass, stiffness, tau)
-
-
 def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityReport:
+    """Run the base, then each member against the base's one stored trajectory."""
     deltas = _check_deltas(deltas)
-    from .fem import assemble_mass, assemble_stiffness
-    from .mesh import build_mesh
-    mesh = build_mesh(base.scheme.n_div)
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-
     base_out = run_experiment(base, record_trajectory=True)
+    P = base_out.problem
     responses = []
     ratios = []
     norms = []
     for d in deltas:
         # delta 0 reruns the base configuration unchanged: a determinism check
         cfg = base if d == 0.0 else perturb(d)
-        out = run_experiment(cfg, record_trajectory=True)
-        r = response_norm(base_out, out, mass)
+        diff = ErrorRecorder(P.mass, P.stiffness, base_out.trajectory_y)
+        out = run_experiment(cfg, extra_observers=[diff])
+        dy = diff.series()
+        dk = out.series.kappa_traces - base_out.series.kappa_traces
+        r = response_norm(dy.e_y, dk)
         responses.append(r)
         ratios.append(r / d if d > 0 else float("nan"))
-        norms.append(_difference_norms(base_out, out, mass, stiffness, base.tau))
+        norms.append(_norms(dy.e_y, dy.e_grad, dk, P.tau))
     spread = _spread([r for d, r in zip(deltas, ratios) if d > 0])
     return StabilityReport(kind=kind, deltas=deltas, responses=tuple(responses),
                            ratios=tuple(ratios), spread=spread,

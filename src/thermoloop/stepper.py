@@ -184,9 +184,10 @@ class DiscreteProblem:
 
 @dataclass(frozen=True)
 class RunOutput:
-    """Everything collected from one run."""
+    """Everything collected from one run, with the problem it ran."""
 
     final_state: SimState
+    problem: DiscreteProblem
     series: ErrorSeries | None = None
     snapshots: tuple = ()
     trajectory_y: np.ndarray | None = None      # (M+1, n) when recorded
@@ -348,6 +349,6 @@ def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
             snapshots = tuple(obs.snapshots)
         elif isinstance(obs, TrajectoryRecorder) and traj_y is None:
             traj_y, traj_kappa = obs.ys(), obs.kappas()
-    return RunOutput(final_state=state, series=series, snapshots=snapshots,
+    return RunOutput(final_state=state, problem=problem, series=series, snapshots=snapshots,
                      trajectory_y=traj_y, trajectory_kappa=traj_kappa,
                      timings={"stepping_s": elapsed})

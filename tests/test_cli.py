@@ -96,6 +96,15 @@ def test_verify_convergence_passes(capsys):
     assert "order" in out
 
 
+@pytest.mark.parametrize("levels", ["1", "0"])
+def test_verify_convergence_needs_two_levels(levels, capsys):
+    # one mesh measures no order; this must not pass as "orders [] meet the target"
+    assert main(["verify", "convergence", "--base-n", "8", "--levels", levels]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "levels" in captured.err
+    assert "meet" not in captured.out
+
+
 def test_verify_stability_writes_report(tmp_path, tiny_config_path, capsys):
     out_dir = tmp_path / "verify"
     code = main(["verify", "stability", str(tiny_config_path),

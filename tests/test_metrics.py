@@ -82,6 +82,23 @@ def test_recorder_series_shape_and_times(ops):
     assert np.allclose(series.mass_trace, 4.0 * np.arange(5))
 
 
+def test_recorder_against_a_trajectory(ops):
+    # row m of an (M+1, n) reference is the reference at step m
+    mesh, M, K = ops
+    rng = np.random.default_rng(7)
+    ys = rng.standard_normal((4, mesh.n_vertices))
+    refs = rng.standard_normal((4, mesh.n_vertices))
+    rec = ErrorRecorder(M, K, refs)
+    for m, y in enumerate(ys):
+        rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, y), kappa=()))
+    series = rec.series()
+    for m in range(4):
+        y, ref = field_from_values(mesh, ys[m]), field_from_values(mesh, refs[m])
+        assert series.e_y[m] == error_l2(M, y, ref)
+        assert series.e_grad[m] == error_h1semi(K, y, ref)
+    assert series.kappa_traces.shape == (0, 4)
+
+
 def test_series_validation():
     good = dict(times=np.array([0.0, 1.0]), e_y=np.zeros(2), e_grad=np.zeros(2),
                 kappa_traces=np.zeros((1, 2)), mass_trace=np.zeros(2))

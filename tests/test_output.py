@@ -1,6 +1,10 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from thermoloop.experiments import ExplicitLayout, make_experiment, run_experiment
 from thermoloop.fem import field_from_values
 from thermoloop.mesh import build_mesh
 from thermoloop.metrics import ErrorSeries
@@ -58,6 +62,30 @@ class TestSeriesCsv:
         write_series_csv(series, p1)
         write_series_csv(series, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def line_by_line_series_csv(series, path):
+    """The series writer before np.savetxt, kept as the byte-level reference."""
+    J = series.kappa_traces.shape[0]
+    lines = ["t,e_y,e_grad,mass" + "".join(f",kappa_{j + 1}" for j in range(J))]
+    for i in range(series.n_nodes):
+        cells = [series.times[i], series.e_y[i], series.e_grad[i], series.mass_trace[i]]
+        cells.extend(series.kappa_traces[:, i])
+        lines.append(",".join(f"{v:.12e}" for v in cells))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("devices", [True, False], ids=["devices", "device-free"])
+def test_series_csv_bytes_match_line_by_line_writer(tmp_path, devices):
+    cfg = make_experiment(2)
+    cfg = replace(cfg, T=0.1, scheme=replace(cfg.scheme, n_div=8, n_steps=10))
+    if not devices:
+        cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
+    series = run_experiment(cfg).series
+    assert series.kappa_traces.shape[0] == (64 if devices else 0)
+    write_series_csv(series, tmp_path / "new.csv")
+    line_by_line_series_csv(series, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestSnapshotImage:

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mesh_helpers import swap_axes_permutation
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
-                                    ExplicitLayout, GaussianBlobs, SchemeSpec,
-                                    grid_layout, run_experiment)
+                                    ExplicitLayout, FieldSum, GaussianBlobs, SchemeSpec,
+                                    grid_layout, run_experiment, scale_field)
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.mesh import build_mesh
 from thermoloop.model import ReactionTerm
-from thermoloop.stability import (StabilityReport, probe_control_stability,
+import thermoloop.stability as stability_mod
+from thermoloop.stability import (StabilityReport, TrajectoryNorms, probe_control_stability,
                                   probe_data_stability, trajectory_norms)
 
 DIRECTION = GaussianBlobs((Blob((0.25, -0.15), 0.3, 1.0),))
@@ -31,9 +34,7 @@ class TestTrajectoryNorms:
     def test_zero_trajectory(self):
         cfg = tiny_config(y0=ConstantField(0.0))
         out = run_experiment(cfg, record_trajectory=True)
-        mesh = build_mesh(cfg.scheme.n_div)
-        norms = trajectory_norms(out, assemble_mass(mesh), assemble_stiffness(mesh),
-                                 cfg.tau)
+        norms = trajectory_norms(out)
         assert (norms.sup_l2_y, norms.l2_grad_y, norms.sup_kappa, norms.l2_dkappa) \
             == (0.0, 0.0, 0.0, 0.0)
 
@@ -42,9 +43,7 @@ class TestTrajectoryNorms:
         cfg = tiny_config(y0=ConstantField(1.0), reaction=ReactionTerm.zero(),
                           layout=ExplicitLayout((), 0.5), beta=(), kappa0=())
         out = run_experiment(cfg, record_trajectory=True)
-        mesh = build_mesh(cfg.scheme.n_div)
-        norms = trajectory_norms(out, assemble_mass(mesh), assemble_stiffness(mesh),
-                                 cfg.tau)
+        norms = trajectory_norms(out)
         assert norms.sup_l2_y == pytest.approx(2.0)
         assert norms.l2_grad_y <= 1e-9
         assert norms.sup_kappa == 0.0
@@ -52,18 +51,87 @@ class TestTrajectoryNorms:
     def test_requires_trajectory(self):
         cfg = tiny_config()
         out = run_experiment(cfg)
-        mesh = build_mesh(cfg.scheme.n_div)
         with pytest.raises(ValueError):
-            trajectory_norms(out, assemble_mass(mesh), assemble_stiffness(mesh), cfg.tau)
+            trajectory_norms(out)
 
     def test_closed_loop_norms_finite(self):
         cfg = tiny_config()
         out = run_experiment(cfg, record_trajectory=True)
-        mesh = build_mesh(cfg.scheme.n_div)
-        norms = trajectory_norms(out, assemble_mass(mesh), assemble_stiffness(mesh),
-                                 cfg.tau)
+        norms = trajectory_norms(out)
         for v in (norms.sup_l2_y, norms.l2_grad_y, norms.sup_kappa, norms.l2_dkappa):
             assert np.isfinite(v) and v >= 0
+
+
+def reference_probe(base, perturb, deltas):
+    """The probe before it streamed its members, kept as the reference: every
+    run records its full trajectory, and the response and the difference
+    norms are formed afterwards from the trajectories' differences."""
+    mesh = build_mesh(base.scheme.n_div)
+    M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+    base_out = run_experiment(base, record_trajectory=True)
+    responses, norms = [], []
+    for d in deltas:
+        out = run_experiment(base if d == 0.0 else perturb(d), record_trajectory=True)
+        dY = out.trajectory_y - base_out.trajectory_y
+        dk = out.trajectory_kappa - base_out.trajectory_kappa
+        quad_mass = np.einsum("mn,nm->m", dY, M.dot(dY.T))
+        quad_stiff = np.einsum("mn,nm->m", dY, K.dot(dY.T))
+        resp = float(np.sqrt(np.max(np.maximum(quad_mass, 0.0))))
+        if dk.size:
+            resp += float(np.sum(np.max(np.abs(dk), axis=0)))
+            sup_kappa = float(np.max(np.abs(dk)))
+            l2_dkappa = float(np.sqrt(base.tau * np.sum((np.diff(dk, axis=0) / base.tau) ** 2)))
+        else:
+            sup_kappa = l2_dkappa = 0.0
+        responses.append(resp)
+        norms.append(TrajectoryNorms(
+            sup_l2_y=float(np.sqrt(np.max(np.maximum(quad_mass, 0.0)))),
+            l2_grad_y=float(np.sqrt(base.tau * np.sum(np.maximum(quad_stiff[1:], 0.0)))),
+            sup_kappa=sup_kappa, l2_dkappa=l2_dkappa))
+    return responses, norms
+
+
+class TestProbeEquivalence:
+    DELTAS = (1e-1, 1e-2, 1e-3, 0.0)
+
+    def check(self, report, base, perturb):
+        responses, norms = reference_probe(base, perturb, self.DELTAS)
+        assert report.responses[-1] == 0.0
+        assert report.responses == pytest.approx(responses, rel=1e-12, abs=0.0)
+        for got, want in zip(report.difference_norms, norms):
+            assert (got.sup_l2_y, got.l2_grad_y, got.sup_kappa, got.l2_dkappa) == pytest.approx(
+                (want.sup_l2_y, want.l2_grad_y, want.sup_kappa, want.l2_dkappa),
+                rel=1e-12, abs=0.0)
+
+    def test_data_probe_matches_post_hoc_norms(self):
+        base = tiny_config()
+        report = probe_data_stability(base, DIRECTION, self.DELTAS)
+        self.check(report, base, lambda d: replace(
+            base, y0=FieldSum((base.y0, scale_field(DIRECTION, d)))))
+
+    def test_device_free_data_probe_matches_post_hoc_norms(self):
+        base = tiny_config(layout=ExplicitLayout((), 0.5), beta=(), kappa0=())
+        report = probe_data_stability(base, DIRECTION, self.DELTAS)
+        self.check(report, base, lambda d: replace(
+            base, y0=FieldSum((base.y0, scale_field(DIRECTION, d)))))
+
+    def test_control_probe_matches_post_hoc_norms(self):
+        base = tiny_config()
+        report = probe_control_stability(base, self.DELTAS)
+        self.check(report, base, lambda d: replace(base, C_g=base.C_g * (1.0 + d)))
+
+    def test_one_trajectory_recorded_per_probe(self, monkeypatch):
+        recorded = []
+
+        def counting_run(cfg, **kwargs):
+            recorded.append(kwargs.get("record_trajectory", False))
+            return run_experiment(cfg, **kwargs)
+
+        monkeypatch.setattr(stability_mod, "run_experiment", counting_run)
+        probe_data_stability(tiny_config(), DIRECTION, self.DELTAS)
+        probe_control_stability(tiny_config(), self.DELTAS)
+        assert recorded.count(True) == 2
+        assert len(recorded) == 2 * (1 + len(self.DELTAS))
 
 
 class TestDataStability:

@@ -45,7 +45,8 @@ def devices_off(**overrides):
 
 def dense_device_arrays(cfg, built):
     """Per-device dense (K, n) measurement profiles C_h * h_k and (J, n) loads C_g * M g_k."""
-    indicators = disc_indicators(built.mesh, layout_centers(cfg.layout), cfg.r_sigma).toarray()
+    indicators = disc_indicators(built.problem.mesh, layout_centers(cfg.layout),
+                                 cfg.r_sigma).toarray()
     loads = cfg.C_g * np.array([built.problem.mass.dot(row) for row in indicators])
     return cfg.C_h * indicators, loads.reshape(indicators.shape)
 
@@ -178,7 +179,7 @@ class TestConservation:
                            scheme=SchemeSpec(n_div=12, n_steps=8, cg_tol=1e-13))
         built = assemble(cfg)
         scheme = cfg.scheme
-        ones = np.ones(built.mesh.n_vertices)
+        ones = np.ones(built.problem.mesh.n_vertices)
         wM = built.problem.mass.dot(ones)
         # 1^T G_j per device, G_j = C_g * M I_j
         g_masses = built.problem.C_g * built.problem.device_mass.dot(ones)
@@ -309,7 +310,7 @@ class TestWarmStart:
         assert new.kappa.tobytes() == kappa.tobytes()
         assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
         assert len(new.history) == 1
-        assert new.history[0].shape == (scheme.n_picard, built.mesh.n_vertices)
+        assert new.history[0].shape == (scheme.n_picard, built.problem.mesh.n_vertices)
         assert not new.history[0].flags.writeable
 
     def test_history_of_wrong_shape_is_ignored(self):
@@ -318,7 +319,7 @@ class TestWarmStart:
         scheme = cfg.scheme
         state = run(built.initial, built.problem, replace(scheme, n_steps=3)).final_state
         fresh = picard_step(replace(state, history=()), built.problem, scheme)
-        n = built.mesh.n_vertices
+        n = built.problem.mesh.n_vertices
         for shape in [(scheme.n_picard + 1, n), (scheme.n_picard, n - 1), (n,)]:
             stale = replace(state, history=(np.ones(shape),) + state.history[1:])
             new = picard_step(stale, built.problem, scheme)
