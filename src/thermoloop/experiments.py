@@ -7,7 +7,7 @@ mixtures) so every preset is exactly reproducible from this file alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -371,8 +371,32 @@ def preset(name: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class AssembledExperiment:
+    """The mesh, operators and initial state built from ``config``."""
+
+    config: ExperimentConfig
     problem: DiscreteProblem
     initial: SimState
+
+
+# The config fields a run may change and still reuse another config's assembly:
+# the initial state and the control height, which enters the problem as a scale.
+_REUSABLE_FIELDS = ("y0", "kappa0", "C_g")
+
+
+def _initial_state(config: ExperimentConfig, mesh: Mesh) -> SimState:
+    return SimState(step_index=0, time=0.0, y=realize_field(config.y0, mesh),
+                    kappa=config.kappa0)
+
+
+def _first_difference(a, b, names) -> str | None:
+    """The dotted name of the first of ``names`` in which dataclasses a and b differ."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        if x != y:
+            if is_dataclass(x) and type(x) is type(y):
+                return f"{name}.{_first_difference(x, y, [f.name for f in fields(x)])}"
+            return name
+    return None
 
 
 def assemble(config: ExperimentConfig) -> AssembledExperiment:
@@ -396,20 +420,46 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
         beta=config.beta,
         reaction=config.reaction,
         ystar=realize_field(config.ystar, mesh))
-    initial = SimState(step_index=0, time=0.0,
-                       y=realize_field(config.y0, mesh),
-                       kappa=config.kappa0)
-    return AssembledExperiment(problem=problem, initial=initial)
+    return AssembledExperiment(config=config, problem=problem,
+                               initial=_initial_state(config, mesh))
+
+
+def _reuse_assembly(assembled: AssembledExperiment,
+                    config: ExperimentConfig) -> AssembledExperiment:
+    if config == assembled.config:
+        return assembled
+    fixed = [f.name for f in fields(config) if f.name not in _REUSABLE_FIELDS]
+    differs = _first_difference(config, assembled.config, fixed)
+    if differs is not None:
+        raise ValueError(f"cannot reuse the assembly of a config that differs in {differs} "
+                         f"(only {', '.join(_REUSABLE_FIELDS)} may differ)")
+    problem = assembled.problem
+    if config.C_g != problem.C_g:
+        problem = replace(problem, C_g=config.C_g)   # re-derives what depends on C_g
+    return AssembledExperiment(config=config, problem=problem,
+                               initial=_initial_state(config, problem.mesh))
 
 
 def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
                    snap_steps=(), record_trajectory: bool = False,
-                   extra_observers=()) -> RunOutput:
-    """Assemble and run a configured experiment with the standard recorders."""
+                   extra_observers=(), assembled: AssembledExperiment | None = None) -> RunOutput:
+    """Assemble and run a configured experiment with the standard recorders.
+
+    With ``assembled`` the run reuses its mesh and operators instead of
+    assembling anew, and gives the same bits as a run without it.
+    ``config`` may differ from ``assembled.config`` only in ``y0``,
+    ``kappa0`` and ``C_g``: the initial state is built anew, and a
+    different C_g goes into a copy of the problem.  Any other difference
+    raises ValueError naming the first field that differs.
+
+    ``timings["assembly_s"]`` is the time before stepping: the whole
+    assembly, or with ``assembled`` only the check of the configs and what
+    the reuse builds.
+    """
     import time as _time
 
     t0 = _time.perf_counter()
-    built = assemble(config)
+    built = assemble(config) if assembled is None else _reuse_assembly(assembled, config)
     t_assembly = _time.perf_counter() - t0
 
     observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness,
@@ -417,7 +467,7 @@ def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
     if snap_every is not None or snap_steps:
         observers.append(SnapshotRecorder(every=snap_every, steps=snap_steps))
     if record_trajectory:
-        observers.append(TrajectoryRecorder())
+        observers.append(TrajectoryRecorder(config.scheme.n_steps + 1))
     observers.extend(extra_observers)
 
     out = run(built.initial, built.problem, config.scheme, observers)

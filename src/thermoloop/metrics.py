@@ -108,18 +108,36 @@ class SnapshotRecorder:
 
 
 class TrajectoryRecorder:
-    """Observer keeping the full (y, kappa) history; memory-heavy on fine meshes."""
+    """Observer keeping the full (y, kappa) history of ``n_nodes`` time nodes.
 
-    def __init__(self):
-        self._ys: list[np.ndarray] = []
-        self._kappas: list[np.ndarray] = []
+    A run of M steps has M + 1 nodes.  The rows are written into one
+    (n_nodes, n) and one (n_nodes, J) array, allocated at the first node;
+    memory-heavy on fine meshes.  A node beyond ``n_nodes`` raises ValueError.
+    """
+
+    def __init__(self, n_nodes: int):
+        if n_nodes < 1:
+            raise ValueError(f"a trajectory has at least one node, got {n_nodes}")
+        self.n_nodes = n_nodes
+        self._count = 0
+        self._ys = self._kappas = np.zeros((0, 0))
 
     def __call__(self, state) -> None:
-        self._ys.append(np.array(state.y.values))
-        self._kappas.append(np.array(state.kappa))
+        m = self._count
+        if m == self.n_nodes:
+            raise ValueError(f"trajectory recorder sized for {self.n_nodes} time nodes "
+                             f"was given another (step {state.step_index})")
+        if m == 0:
+            self._ys = np.empty((self.n_nodes, len(state.y.values)))
+            self._kappas = np.empty((self.n_nodes, len(state.kappa)))
+        self._ys[m] = state.y.values
+        self._kappas[m] = state.kappa
+        self._count = m + 1
 
     def ys(self) -> np.ndarray:
-        return np.array(self._ys)
+        """The (nodes recorded, n) field history."""
+        return self._ys[:self._count]
 
     def kappas(self) -> np.ndarray:
-        return np.array(self._kappas)
+        """The (nodes recorded, J) signal history."""
+        return self._kappas[:self._count]

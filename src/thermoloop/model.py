@@ -100,12 +100,26 @@ def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
     """Sparse (J, n) 0/1 matrix; row j marks the vertices of disc j.
 
     A vertex belongs to a disc when its distance from the center is <= radius
-    (the closed ball, a deterministic tie-break for vertices on the circle).
+    (the closed ball, a deterministic tie-break for vertices on the circle),
+    tested as dx*dx + dy*dy <= radius**2.  Vertex k sits at (x_i, y_j) on the
+    mesh's grid ticks, so each disc first keeps the ticks with dx*dx <= r**2
+    and dy*dy <= r**2 and tests only that block: a rounded sum of two
+    nonnegative terms is at least each term, so no member is dropped.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
-    dx = mesh.vertices[:, 0] - centers[:, :1]
-    dy = mesh.vertices[:, 1] - centers[:, 1:]
-    rows, cols = np.nonzero(dx * dx + dy * dy <= radius ** 2)
+    n = mesh.n_div + 1
+    xs, ys = mesh.vertices[:n, 0], mesh.vertices[::n, 1]
+    r2 = radius ** 2
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for j, (cx, cy) in enumerate(centers):
+        dx, dy = xs - cx, ys - cy
+        dx2, dy2 = dx * dx, dy * dy
+        i = np.flatnonzero(dx2 <= r2)
+        k = np.flatnonzero(dy2 <= r2)
+        bk, bi = np.nonzero(dx2[i] + dy2[k, None] <= r2)
+        cols.append(k[bk] * n + i[bi])
+        rows.append(np.full(len(bk), j))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
                               shape=(len(centers), mesh.n_vertices), tag=mesh.key)
 

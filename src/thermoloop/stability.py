@@ -9,10 +9,12 @@ data and control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import experiments
 from .experiments import (ExperimentConfig, FieldSpec, FieldSum, run_experiment,
                           scale_field)
 from .metrics import ErrorRecorder
@@ -80,6 +82,8 @@ class StabilityReport:
 
 def _check_deltas(deltas) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
+    if not all(math.isfinite(d) for d in deltas):
+        raise ValueError(f"perturbation sizes must be finite, got {deltas}")
     if any(d < 0 for d in deltas):
         raise ValueError("perturbation sizes must be nonnegative")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -110,9 +114,14 @@ def _spread(ratios: list[float]) -> float:
 
 
 def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityReport:
-    """Run the base, then each member against the base's one stored trajectory."""
+    """Run the base, then each member against the base's one stored trajectory.
+
+    The base is assembled once; every run reuses its mesh and operators.
+    """
     deltas = _check_deltas(deltas)
-    base_out = run_experiment(base, record_trajectory=True)
+    # through the module attribute, so a wrapper set on experiments.assemble sees the call
+    built = experiments.assemble(base)
+    base_out = run_experiment(base, record_trajectory=True, assembled=built)
     P = base_out.problem
     responses = []
     ratios = []
@@ -121,7 +130,7 @@ def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityRepor
         # delta 0 reruns the base configuration unchanged: a determinism check
         cfg = base if d == 0.0 else perturb(d)
         diff = ErrorRecorder(P.mass, P.stiffness, base_out.trajectory_y)
-        out = run_experiment(cfg, extra_observers=[diff])
+        out = run_experiment(cfg, extra_observers=[diff], assembled=built)
         dy = diff.series()
         dk = out.series.kappa_traces - base_out.series.kappa_traces
         r = response_norm(dy.e_y, dk)

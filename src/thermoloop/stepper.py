@@ -77,8 +77,8 @@ class SchemeSpec:
             raise ValueError("scheme.n_steps must be >= 1")
         if self.n_picard < 1:
             raise ValueError("scheme.n_picard must be >= 1")
-        if not self.cg_tol > 0:
-            raise ValueError("scheme.cg_tol must be positive")
+        if not 0 < self.cg_tol < 1:   # also rejects nan and inf
+            raise ValueError(f"scheme.cg_tol must lie in (0, 1), got {self.cg_tol}")
         if self.cg_max_iters is not None and self.cg_max_iters < 1:
             raise ValueError("scheme.cg_max_iters must be >= 1 or null")
 

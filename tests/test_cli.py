@@ -81,6 +81,14 @@ def test_run_cg_tol_override_lands_in_echo(tmp_path, tiny_config_path):
     assert echoed["scheme"]["cg_tol"] == 1e-12
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "1"])
+def test_run_unusable_cg_tol_fails(tmp_path, tiny_config_path, capsys, tol):
+    out_dir = tmp_path / "results"
+    assert main(["run", str(tiny_config_path), "--out", str(out_dir), "--cg-tol", tol]) == 1
+    assert "scheme.cg_tol" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_unknown_preset_fails(capsys):
     assert main(["run", "exp7-11"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -185,6 +185,17 @@ def test_bad_solver_setting_in_file_rejected(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("literal", ["1e999", "1.0", "-1e999", "2"])
+def test_unusable_cg_tol_in_file_rejected(tmp_path, literal):
+    # 1e999 parses as inf: every solve would stop at its warm start
+    d = config_to_dict(make_experiment(2))
+    d["scheme"]["cg_tol"] = "CG_TOL"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d).replace('"CG_TOL"', literal))
+    with pytest.raises(ConfigError, match=r"config\.scheme: scheme\.cg_tol must lie in \(0, 1\)"):
+        load_config(path)
+
+
 def _set(d, path, value):
     """Set d[path[0]][path[1]]... = value; integers index lists."""
     for key in path[:-1]:

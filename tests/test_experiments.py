@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     GridLayout, SchemeSpec, assemble, device_count,
                                     grid_layout, layout_centers,
                                     list_presets, make_experiment, preset,
-                                    realize_field, scale_field)
+                                    realize_field, run_experiment, scale_field)
 from thermoloop.mesh import build_mesh
 
 
@@ -163,7 +164,8 @@ class TestConfigValidation:
         self.base()
 
     @pytest.mark.parametrize("bad", [dict(cg_tol=-1.0), dict(cg_tol=0.0),
-                                     dict(cg_max_iters=0), dict(cg_max_iters=-3)])
+                                     dict(cg_max_iters=0), dict(cg_max_iters=-3),
+                                     dict(cg_tol=math.inf), dict(cg_tol=1.0)])
     def test_bad_solver_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=f"scheme.{next(iter(bad))}"):
             SchemeSpec(n_div=4, n_steps=2, **bad)
@@ -241,3 +243,56 @@ class TestConfigValidation:
     def test_devices_off_config(self):
         cfg = self.base(layout=ExplicitLayout((), 1.0), beta=(), kappa0=())
         assert cfg.n_devices == 0
+
+
+class TestAssemblyReuse:
+    """run_experiment(config, assembled=...) reuses the mesh and operators."""
+
+    def base(self):
+        return replace(make_experiment(2, variant=1),
+                       T=0.1, scheme=SchemeSpec(n_div=12, n_steps=4))
+
+    def test_assembly_records_its_config(self):
+        cfg = self.base()
+        assert assemble(cfg).config is cfg
+
+    @pytest.mark.parametrize("change", [
+        dict(y0=FieldSum((ConstantField(0.1), GaussianBlobs((Blob((0.2, 0.1), 0.3, 0.5),))))),
+        dict(kappa0=tuple(0.01 * j for j in range(64))),
+        dict(C_g=3.0),
+        dict(C_g=0.0),
+        dict(y0=ConstantField(-0.2), kappa0=(0.5,) * 64, C_g=7.5),
+        dict(),
+    ])
+    def test_reuse_gives_the_bits_of_a_fresh_run(self, change):
+        base = self.base()
+        built = assemble(base)
+        cfg = replace(base, **change)
+        reused = run_experiment(cfg, assembled=built, record_trajectory=True)
+        fresh = run_experiment(cfg, record_trajectory=True)
+        assert reused.problem.mesh is built.problem.mesh
+        assert reused.problem.step_matrix is built.problem.step_matrix
+        assert reused.problem.C_g == cfg.C_g
+        assert reused.trajectory_y.tobytes() == fresh.trajectory_y.tobytes()
+        assert reused.trajectory_kappa.tobytes() == fresh.trajectory_kappa.tobytes()
+        for name in ("times", "e_y", "e_grad", "kappa_traces", "mass_trace"):
+            assert getattr(reused.series, name).tobytes() == getattr(fresh.series, name).tobytes()
+        assert "assembly_s" in reused.timings
+
+    @pytest.mark.parametrize("change, named", [
+        (dict(D=0.03), "D"),
+        (dict(scheme=SchemeSpec(n_div=10, n_steps=4)), "scheme.n_div"),
+        (dict(scheme=SchemeSpec(n_div=12, n_steps=8)), "scheme.n_steps"),
+        (dict(layout=ExplicitLayout(tuple((x + 0.01, y) for x, y in
+                                          layout_centers(grid_layout(8, 0.125))), 0.125)),
+         "layout"),
+        # the first field that differs is named: beta precedes the layout
+        (dict(layout=GridSubsetLayout(8, 0.125, SUBSET20_INDICES),
+              beta=(1.0,) * 20, kappa0=(0.0,) * 20), "beta"),
+        (dict(ystar=ConstantField(0.0)), "ystar"),
+        (dict(y0=ConstantField(0.3), ystar=ConstantField(0.0)), "ystar"),
+    ])
+    def test_reuse_rejects_other_differences(self, change, named):
+        built = assemble(self.base())
+        with pytest.raises(ValueError, match=rf"differs in {re.escape(named)} "):
+            run_experiment(replace(self.base(), **change), assembled=built)

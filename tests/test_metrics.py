@@ -3,7 +3,8 @@ import pytest
 
 from thermoloop.fem import assemble_mass, assemble_stiffness, field_from_values, interpolate
 from thermoloop.mesh import build_mesh
-from thermoloop.metrics import ErrorRecorder, ErrorSeries, error_h1semi, error_l2
+from thermoloop.metrics import (ErrorRecorder, ErrorSeries, TrajectoryRecorder, error_h1semi,
+                               error_l2)
 from thermoloop.stepper import SimState
 
 
@@ -97,6 +98,23 @@ def test_recorder_against_a_trajectory(ops):
         assert series.e_y[m] == error_l2(M, y, ref)
         assert series.e_grad[m] == error_h1semi(K, y, ref)
     assert series.kappa_traces.shape == (0, 4)
+
+
+def test_trajectory_recorder_rows_and_capacity(ops):
+    mesh, _, _ = ops
+    rng = np.random.default_rng(3)
+    ys, kappas = rng.standard_normal((4, mesh.n_vertices)), rng.standard_normal((4, 2))
+    rec = TrajectoryRecorder(4)
+    for m in range(4):
+        rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, ys[m]),
+                     kappa=kappas[m]))
+    # the rows a list of copies would give, byte for byte
+    assert rec.ys().tobytes() == np.array(list(ys)).tobytes() and rec.ys().shape == ys.shape
+    assert rec.kappas().tobytes() == kappas.tobytes() and rec.kappas().shape == (4, 2)
+    with pytest.raises(ValueError, match="4 time nodes"):
+        rec(SimState(step_index=4, time=2.0, y=field_from_values(mesh, ys[0]), kappa=kappas[0]))
+    with pytest.raises(ValueError):
+        TrajectoryRecorder(0)
 
 
 def test_series_validation():

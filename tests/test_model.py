@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
-                                    GaussianBlobs, SchemeSpec, assemble, grid_layout)
+                                    GaussianBlobs, SchemeSpec, assemble, grid_layout,
+                                    layout_centers)
 from thermoloop.fem import NodalField, interpolate
+from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
                               eval_reaction, eval_switch, thermostat_step)
@@ -256,3 +258,33 @@ class TestDevices:
             dist = np.hypot(mesh.vertices[:, 0] - cx, mesh.vertices[:, 1] - cy)
             assert np.array_equal(row, (dist <= 0.25 + 1e-15).astype(float))
         assert disc_indicators(mesh, np.zeros((0, 2)), 0.25).toarray().shape == (0, mesh.n_vertices)
+
+
+def dense_disc_indicators(mesh, centers, radius):
+    """The (J, n) distance test over every vertex, kept as the reference."""
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    dx = mesh.vertices[:, 0] - centers[:, :1]
+    dy = mesh.vertices[:, 1] - centers[:, 1:]
+    rows, cols = np.nonzero(dx * dx + dy * dy <= radius ** 2)
+    return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
+                              shape=(len(centers), mesh.n_vertices), tag=mesh.key)
+
+
+@pytest.mark.parametrize("n_div", [1, 7, 40, 60, 100])
+@pytest.mark.parametrize("centers, radius", [
+    (layout_centers(grid_layout(8, 0.125)), 0.125),        # the campaigns' 64 discs
+    (layout_centers(grid_layout(3, 1.0 / 3.0)), 1.0 / 3.0),
+    ([(1.3, -0.2), (-2.5, 2.5), (0.0, 1.05)], 0.4),        # centers off the domain
+    ([(-1.0, -1.0), (1.0, 0.3), (0.25, 1.0), (0.0, 0.0)], 0.5),   # on the boundary
+    ([(0.01, 0.013)], 1e-4),                               # covers no vertex at these N
+    (np.zeros((0, 2)), 0.25),                              # no centers
+    ([(0.1, 0.2)], 5.0),                                   # covers every vertex
+])
+def test_disc_indicators_match_dense_distance_test(n_div, centers, radius):
+    mesh = build_mesh(n_div)
+    got = disc_indicators(mesh, centers, radius)
+    want = dense_disc_indicators(mesh, centers, radius)
+    assert (got.n_rows, got.n_cols, got.tag) == (want.n_rows, want.n_cols, want.tag)
+    for name in ("row_offsets", "col_indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

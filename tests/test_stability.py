@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mesh_helpers import swap_axes_permutation
+import thermoloop.experiments as experiments_mod
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs, SchemeSpec,
                                     grid_layout, run_experiment, scale_field)
@@ -134,6 +135,48 @@ class TestProbeEquivalence:
         assert len(recorded) == 2 * (1 + len(self.DELTAS))
 
 
+class TestSharedAssembly:
+    DELTAS = (1e-1, 1e-2, 1e-3, 0.0)
+
+    def probes(self):
+        yield lambda base: probe_data_stability(base, DIRECTION, self.DELTAS)
+        yield lambda base: probe_control_stability(base, self.DELTAS)
+
+    def test_each_probe_builds_one_mesh(self, monkeypatch):
+        meshes = []
+
+        def counting_build_mesh(*args, **kwargs):
+            meshes.append(args)
+            return build_mesh(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "build_mesh", counting_build_mesh)
+        for probe in self.probes():
+            meshes.clear()
+            probe(tiny_config())
+            assert len(meshes) == 1
+
+    def test_members_bitwise_equal_fresh_runs(self, monkeypatch):
+        members = []
+
+        def recording_run(cfg, **kwargs):
+            out = run_experiment(cfg, **kwargs)
+            members.append((cfg, out))
+            return out
+
+        monkeypatch.setattr(stability_mod, "run_experiment", recording_run)
+        for probe in self.probes():
+            members.clear()
+            probe(tiny_config())
+            assert len(members) == 1 + len(self.DELTAS)
+            for cfg, out in members:
+                fresh = run_experiment(cfg)
+                assert out.final_state.y.values.tobytes() == fresh.final_state.y.values.tobytes()
+                assert out.final_state.kappa.tobytes() == fresh.final_state.kappa.tobytes()
+                for name in ("times", "e_y", "e_grad", "kappa_traces", "mass_trace"):
+                    assert (getattr(out.series, name).tobytes()
+                            == getattr(fresh.series, name).tobytes()), name
+
+
 class TestDataStability:
     def test_zero_delta_reproduces_base_exactly(self):
         report = probe_data_stability(tiny_config(), DIRECTION,
@@ -162,6 +205,21 @@ class TestDataStability:
             probe_data_stability(cfg, DIRECTION, [1e-1, 1e-2, 5e-2])  # not decreasing
         with pytest.raises(ValueError):
             probe_data_stability(cfg, DIRECTION, [1e-1, 5e-2, 2e-2])  # < 2 decades
+
+    @pytest.mark.parametrize("deltas", [(0.1, 0.01, 0.001, float("nan")),
+                                        (float("inf"), 0.1, 0.01, 0.001),
+                                        (0.1, float("nan"), 0.01, 0.001),
+                                        (0.1, 0.01, 0.001, float("-inf"))])
+    def test_non_finite_deltas_rejected_before_any_run(self, monkeypatch, deltas):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the deltas were checked")
+
+        monkeypatch.setattr(stability_mod, "run_experiment", no_run)
+        monkeypatch.setattr(experiments_mod, "assemble", no_run)
+        with pytest.raises(ValueError, match="finite"):
+            probe_data_stability(tiny_config(), DIRECTION, deltas)
+        with pytest.raises(ValueError, match="finite"):
+            probe_control_stability(tiny_config(), deltas)
 
 
 class TestControlStability:

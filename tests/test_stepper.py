@@ -37,6 +37,18 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def assert_contracting(state):
+    """Observer: each step's last Picard sweep moves y less than its first."""
+    if state.history:
+        corrections = state.history[0]
+        assert np.max(np.abs(corrections[-1])) < np.max(np.abs(corrections[0]))
+
+
+# small_config's T = 0.5 in 20 steps: the Picard iteration contracts at every
+# step (last/first sweep increment at most 0.008); it does not at 2 or 5 steps
+CONTRACTING_STEPS = 20
+
+
 def devices_off(**overrides):
     cfg = small_config(layout=ExplicitLayout((), 0.5), beta=(), kappa0=(),
                        **overrides)
@@ -214,9 +226,10 @@ class TestPicardStep:
             state = new
 
     def test_diagnostics_populated(self):
-        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2))
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
         built = assemble(cfg)
         state = picard_step(built.initial, built.problem, cfg.scheme)
+        assert_contracting(state)
         d = state.diagnostics
         assert d.cg_iters >= 0 and np.isfinite(d.cg_residual)
         assert d.picard_increment >= 0.0
@@ -257,11 +270,21 @@ class TestPicardStep:
         assert np.isfinite(info.value.residual) and info.value.residual > 0
 
     def test_cg_failure_carries_step_context(self):
-        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2, cg_tol=1e-15,
-                                             cg_max_iters=1))
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS,
+                                             cg_tol=1e-15, cg_max_iters=1))
         built = assemble(cfg)
         with pytest.raises(ConvergenceError, match="step 1, Picard sweep"):
             picard_step(built.initial, built.problem, cfg.scheme)
+
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="ROADMAP item 2: a diverged Picard iteration with finite "
+                              "values passes silently")
+    def test_silent_picard_divergence_raises(self):
+        # tau = 0.25: the last sweep moves y by 2.3e27 at step 2, E_y(T) = 6.0e26
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2))
+        with pytest.raises(ConvergenceError):
+            run_experiment(cfg)
 
 
 class TestVectorizedSweep:
@@ -391,7 +414,8 @@ class TestRun:
 
     @pytest.mark.parametrize("bad", [dict(cg_tol=-1.0), dict(cg_tol=0.0),
                                      dict(cg_tol=float("nan")), dict(cg_max_iters=-5),
-                                     dict(cg_max_iters=0)])
+                                     dict(cg_max_iters=0), dict(cg_tol=float("inf")),
+                                     dict(cg_tol=1.0)])
     def test_bad_solver_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SchemeSpec(n_div=1, n_steps=1, **bad)
@@ -419,14 +443,14 @@ class TestRun:
         assert np.array_equal(a.series.e_y, b.series.e_y)
 
     def test_observers_see_initial_state(self):
-        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=5))
-        out = run_experiment(cfg)
-        assert out.series.n_nodes == 6
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
+        out = run_experiment(cfg, extra_observers=[assert_contracting])
+        assert out.series.n_nodes == CONTRACTING_STEPS + 1
         assert out.series.times[0] == 0.0
 
     def test_time_axis(self):
-        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=5))
-        out = run_experiment(cfg)
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
+        out = run_experiment(cfg, extra_observers=[assert_contracting])
         assert np.allclose(np.diff(out.series.times), cfg.tau)
         assert abs(out.final_state.time - cfg.T) <= 1e-12 * cfg.T
 
