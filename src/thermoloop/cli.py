@@ -46,8 +46,13 @@ def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.source), args)
     if not args.vmin < args.vmax:   # checked before the run, not when the snapshots are written
         raise ValueError(f"need vmin < vmax for the snapshots, got {args.vmin} and {args.vmax}")
-    snap_steps = {0, config.scheme.n_steps}
-    out = run_experiment(config, snap_every=args.snap_every, snap_steps=snap_steps)
+    if args.snap_every is not None and args.snap_every < 1:
+        raise ValueError(f"--snap-every must be >= 1, got {args.snap_every}")
+    snap_steps = set()   # the first, the last and every S-th step, kept only for --out
+    if args.out is not None:
+        n_steps = config.scheme.n_steps
+        snap_steps = set(range(0, n_steps + 1, args.snap_every or n_steps)) | {n_steps}
+    out = run_experiment(config, snap_steps=snap_steps)
     series = out.series
     print(f"{args.source}: {config.n_devices} devices, "
           f"N={config.scheme.n_div}, M={config.scheme.n_steps}, tau={config.tau:g}")
@@ -122,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("source", help="preset name or JSON config path")
     p_run.add_argument("--out", help="output directory (series.csv, snapshots, config_echo)")
     p_run.add_argument("--snap-every", type=int, default=None,
-                       help="write a field snapshot every S steps")
+                       help="with --out, also write a field snapshot every S steps")
     p_run.add_argument("--cg-tol", type=float, default=None,
                        help="override the linear-solver relative tolerance")
     p_run.add_argument("--explicit-measure", action="store_true",

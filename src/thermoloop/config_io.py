@@ -18,7 +18,6 @@ from pathlib import Path
 from .experiments import (ConstantField, ExperimentConfig, ExplicitLayout, FieldSum,
                           GaussianBlobs, GridLayout, GridSubsetLayout, LayoutSpec,
                           device_count)
-from .model import ReactionTerm
 
 
 class ConfigError(ValueError):
@@ -31,19 +30,16 @@ KINDS = {"constant": ConstantField, "gaussian_blobs": GaussianBlobs, "sum": Fiel
 _KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
 
-def _keys(cls, kind) -> list[str]:
-    """The keys a dataclass writes and reads: its init fields, in declaration order."""
-    names = [f.name for f in dataclasses.fields(cls) if f.init]
-    if cls is ReactionTerm and kind != "linear":
-        names.remove("slope")  # only a linear reaction has a slope, and must state it
-    return names
+def _keys(cls) -> list[str]:
+    """The keys a dataclass writes and reads: its fields, in declaration order."""
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def _dump(value):
     if dataclasses.is_dataclass(value):
         cls = type(value)
         out = {"kind": _KIND_OF[cls]} if cls in _KIND_OF else {}
-        for key in _keys(cls, getattr(value, "kind", None)):
+        for key in _keys(cls):
             out[key] = _dump(getattr(value, key))
         return out
     if isinstance(value, tuple):
@@ -54,12 +50,12 @@ def _dump(value):
 def _load_object(cls, d, where: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected an object, got {d!r}")
-    keys = _keys(cls, d.get("kind"))
+    keys = _keys(cls)
     unknown = set(d) - set(keys) - ({"kind"} if cls in _KIND_OF else set())
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = {f.name for f in dataclasses.fields(cls) if f.name in keys and f.name not in d
-               and (cls is ReactionTerm or f.default is f.default_factory is dataclasses.MISSING)}
+    missing = {f.name for f in dataclasses.fields(cls) if f.name not in d
+               and f.default is f.default_factory is dataclasses.MISSING}
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
     hints = typing.get_type_hints(cls)

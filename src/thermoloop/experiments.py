@@ -20,6 +20,13 @@ from .stepper import (DiscreteProblem, RunOutput, SchemeSpec, SimState, as_int,
                       build_step_operator, run)
 
 
+def _require_finite(spec, *names) -> None:
+    """Raise ValueError naming the first of ``names`` with a non-finite entry."""
+    for name in names:
+        if not np.isfinite(getattr(spec, name)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 # --------------------------------------------------------------------------
 # analytic field generators
 
@@ -30,6 +37,7 @@ class Blob:
     amplitude: float
 
     def __post_init__(self):
+        _require_finite(self, "center", "width", "amplitude")
         if self.width <= 0:
             raise ValueError("blob width must be positive")
 
@@ -37,6 +45,9 @@ class Blob:
 @dataclass(frozen=True)
 class ConstantField:
     value: float
+
+    def __post_init__(self):
+        _require_finite(self, "value")
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,7 @@ class GridLayout:
         object.__setattr__(self, "n_per_side", as_int(self.n_per_side, "n_per_side"))
         if self.n_per_side < 1:
             raise ValueError("grid needs at least one device per side")
+        _require_finite(self, "radius")
         if self.radius <= 0:
             raise ValueError("device radius must be positive")
         if self.radius > 1.0 / self.n_per_side + 1e-12:
@@ -142,6 +154,7 @@ class ExplicitLayout:
     radius: float
 
     def __post_init__(self):
+        _require_finite(self, "centers", "radius")
         if self.radius <= 0:
             raise ValueError("device radius must be positive")
 
@@ -219,9 +232,8 @@ class ExperimentConfig:
     reaction: ReactionTerm = field(default_factory=ReactionTerm.cubic_bistable)
 
     def __post_init__(self):
-        for name in ("T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma", "beta", "kappa0"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+        _require_finite(self, "T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma", "beta",
+                        "kappa0")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.D <= 0:
@@ -435,15 +447,18 @@ def _reuse_assembly(assembled: AssembledExperiment,
                          f"(only {', '.join(_REUSABLE_FIELDS)} may differ)")
     problem = assembled.problem
     if config.C_g != problem.C_g:
-        problem = replace(problem, C_g=config.C_g)   # re-derives what depends on C_g
+        # replace reruns __post_init__, which re-derives P^T, P y* and the
+        # Jacobi diagonal; none of them depends on C_g
+        problem = replace(problem, C_g=config.C_g)
     return AssembledExperiment(config=config, problem=problem,
                                initial=_initial_state(config, problem.mesh))
 
 
-def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
-                   snap_steps=(), record_trajectory: bool = False,
+def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: bool = False,
                    extra_observers=(), assembled: AssembledExperiment | None = None) -> RunOutput:
     """Assemble and run a configured experiment with the standard recorders.
+
+    The field is kept at each step in ``snap_steps`` (``out.snapshots``).
 
     With ``assembled`` the run reuses its mesh and operators instead of
     assembling anew, and gives the same bits as a run without it.
@@ -464,8 +479,8 @@ def run_experiment(config: ExperimentConfig, snap_every: int | None = None,
 
     observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness,
                                      built.problem.ystar)]
-    if snap_every is not None or snap_steps:
-        observers.append(SnapshotRecorder(every=snap_every, steps=snap_steps))
+    if snap_steps:
+        observers.append(SnapshotRecorder(snap_steps))
     if record_trajectory:
         observers.append(TrajectoryRecorder(config.scheme.n_steps + 1))
     observers.extend(extra_observers)

@@ -22,9 +22,9 @@ class ConvergenceError(RuntimeError):
 class CsrMatrix:
     """Compressed-sparse-row matrix, immutable once built.
 
-    Stores the standard (row_offsets, col_indices, values) triple with
-    column indices sorted within each row; ``tag`` carries provenance (e.g.
-    the owning mesh key) for cheap compatibility checks.
+    Wraps a scipy sparse matrix (any format, copied to CSR with column
+    indices sorted within each row); ``tag`` carries provenance (e.g. the
+    owning mesh key) for cheap compatibility checks.
 
     A square matrix whose nonzeros lie on a few diagonals (the mesh
     operators: 7 diagonals) is multiplied by vectors in a banded DIA copy,
@@ -34,18 +34,16 @@ class CsrMatrix:
     padding adds zeros).  2-D operands and every other matrix use CSR.
     """
 
-    def __init__(self, n_rows: int, n_cols: int, row_offsets: np.ndarray,
-                 col_indices: np.ndarray, values: np.ndarray, tag: Hashable = None):
-        handle = sp.csr_matrix((np.asarray(values, dtype=np.float64),
-                                np.asarray(col_indices),
-                                np.asarray(row_offsets)), shape=(n_rows, n_cols))
+    def __init__(self, matrix, tag: Hashable = None):
+        m = matrix.tocsr()
+        handle = sp.csr_matrix((np.asarray(m.data, dtype=np.float64), m.indices, m.indptr),
+                               shape=m.shape)
         handle.sort_indices()
         handle.data.setflags(write=False)
         handle.indices.setflags(write=False)
         handle.indptr.setflags(write=False)
         self._handle = handle
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
+        self.n_rows, self.n_cols = handle.shape
         self.tag = tag
         self._vector_handle = None   # the handle of 1-D products, built lazily
 
@@ -66,16 +64,11 @@ class CsrMatrix:
         return self._handle.nnz
 
     @classmethod
-    def from_scipy(cls, matrix, tag: Hashable = None) -> "CsrMatrix":
-        m = matrix.tocsr()
-        return cls(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, tag=tag)
-
-    @classmethod
     def from_coo(cls, rows, cols, vals, shape, tag: Hashable = None) -> "CsrMatrix":
         """Build from coordinate triplets; duplicate entries are summed."""
         m = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
         m.sum_duplicates()
-        return cls.from_scipy(m, tag=tag)
+        return cls(m, tag=tag)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         if np.ndim(x) != 1:
@@ -106,10 +99,10 @@ class CsrMatrix:
         """Sparse product self @ other, as a new matrix."""
         if self.n_cols != other.n_rows:
             raise ValueError("inner matrix dimensions do not match")
-        return CsrMatrix.from_scipy(self._handle @ other._handle, tag=self.tag)
+        return CsrMatrix(self._handle @ other._handle, tag=self.tag)
 
     def transpose(self) -> "CsrMatrix":
-        return CsrMatrix.from_scipy(self._handle.T, tag=self.tag)
+        return CsrMatrix(self._handle.T, tag=self.tag)
 
     def diagonal(self) -> np.ndarray:
         return self._handle.diagonal()
@@ -121,7 +114,7 @@ class CsrMatrix:
         """self + factor * other, as a new matrix."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("matrix dimensions do not match")
-        return CsrMatrix.from_scipy(self._handle + factor * other._handle, tag=self.tag)
+        return CsrMatrix(self._handle + factor * other._handle, tag=self.tag)
 
 
 class CgResult(NamedTuple):

@@ -1,4 +1,4 @@
-"""Structured triangulations of a square domain with P1 nodal indexing."""
+"""Structured triangulations of the square (-1,1)^2 with P1 nodal indexing."""
 
 from __future__ import annotations
 
@@ -9,25 +9,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform triangulation of a square.
+    """Uniform triangulation of the square (-1,1)^2.
 
     Every grid cell is split along its lower-left to upper-right diagonal,
     giving 2*n_div**2 triangles with positive (counterclockwise) orientation
     and identical area h**2/2.  Vertices are numbered row-major with the
     first coordinate varying fastest, so vertex k sits at
-    (origin[0] + (k % (n_div+1))*h, origin[1] + (k // (n_div+1))*h).
+    (-1 + (k % (n_div+1))*h, -1 + (k // (n_div+1))*h).
     """
 
     n_div: int
-    side: float
-    origin: tuple[float, float]
     vertices: np.ndarray   # (n_vertices, 2) float
     triangles: np.ndarray  # (n_triangles, 3) int, counterclockwise
 
     @property
     def h(self) -> float:
-        """Spatial step: side / n_div."""
-        return self.side / self.n_div
+        """Spatial step: 2 / n_div."""
+        return 2.0 / self.n_div
 
     @property
     def n_vertices(self) -> int:
@@ -40,24 +38,18 @@ class Mesh:
     @property
     def key(self) -> tuple:
         """Structural identity; equal keys mean interchangeable meshes."""
-        return (self.n_div, self.side, self.origin)
+        return (self.n_div,)
 
 
-def build_mesh(n_div: int, side: float = 2.0, origin: tuple[float, float] = (-1.0, -1.0)) -> Mesh:
-    """Triangulate the square [origin, origin + side]^2 with n_div cells per side.
-
-    The default covers (-1,1) x (-1,1).  Rejects n_div < 1.
-    """
+def build_mesh(n_div: int) -> Mesh:
+    """Triangulate (-1,1)^2 with n_div cells per side.  Rejects n_div < 1."""
     if n_div < 1:
         raise ValueError(f"n_div must be >= 1, got {n_div}")
-    if side <= 0:
-        raise ValueError(f"side must be positive, got {side}")
 
     n = n_div + 1
-    ticks0 = origin[0] + (side / n_div) * np.arange(n)
-    ticks1 = origin[1] + (side / n_div) * np.arange(n)
+    ticks = -1.0 + (2.0 / n_div) * np.arange(n)
     # row-major, x fastest
-    xx, yy = np.meshgrid(ticks0, ticks1, indexing="xy")
+    xx, yy = np.meshgrid(ticks, ticks, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
     cells_i, cells_j = np.meshgrid(np.arange(n_div), np.arange(n_div), indexing="xy")
@@ -74,8 +66,7 @@ def build_mesh(n_div: int, side: float = 2.0, origin: tuple[float, float] = (-1.
 
     vertices.setflags(write=False)
     triangles.setflags(write=False)
-    return Mesh(n_div=n_div, side=float(side), origin=(float(origin[0]), float(origin[1])),
-                vertices=vertices, triangles=triangles)
+    return Mesh(n_div=n_div, vertices=vertices, triangles=triangles)
 
 
 def signed_areas(mesh: Mesh) -> np.ndarray:

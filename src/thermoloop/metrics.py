@@ -89,22 +89,15 @@ class ErrorRecorder:
 
 
 class SnapshotRecorder:
-    """Observer storing (step_index, field) pairs at a configurable cadence."""
+    """Observer storing (step_index, field) pairs at the given steps."""
 
-    def __init__(self, every: int | None = None, steps=()):
-        if every is not None and every < 1:
-            raise ValueError("snapshot cadence must be >= 1")
-        self.every = every
+    def __init__(self, steps):
         self.steps = frozenset(int(s) for s in steps)
         self.snapshots: list[tuple[int, NodalField]] = []
 
     def __call__(self, state) -> None:
-        m = state.step_index
-        due = m in self.steps
-        if self.every is not None:
-            due = due or (m % self.every == 0)
-        if due:
-            self.snapshots.append((m, state.y))
+        if state.step_index in self.steps:
+            self.snapshots.append((state.step_index, state.y))
 
 
 class TrajectoryRecorder:

@@ -13,15 +13,14 @@ tau proportional to h^2 should show second-order decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fem import assemble_mass, assemble_stiffness, interpolate, l2_norm, NodalField
-from .linalg import CsrMatrix
-from .mesh import build_mesh
+from .experiments import ConstantField, ExperimentConfig, ExplicitLayout, assemble
+from .fem import interpolate, l2_norm, NodalField
 from .model import ReactionTerm
-from .stepper import DiscreteProblem, SchemeSpec, SimState, build_step_operator, run
+from .stepper import SchemeSpec, run
 
 
 def exact_heat_solution(D: float, t: float):
@@ -44,23 +43,17 @@ class ConvergenceRow:
 
 def heat_error(n_div: int, n_steps: int, D: float, T: float, cg_tol: float = 1e-12) -> float:
     """Discrete L2 error against the manufactured solution at time T."""
-    mesh = build_mesh(n_div)
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    tau = T / n_steps
-    problem = DiscreteProblem(
-        mesh=mesh, mass=mass, stiffness=stiffness,
-        step_matrix=build_step_operator(mass, stiffness, D, tau), tau=tau,
-        device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices), tag=mesh.key),
-        C_g=0.0, C_h=0.0, alpha=np.zeros((0, 0)), switch=None,
-        beta=np.zeros(0),
-        reaction=ReactionTerm.zero(),
-        ystar=interpolate(mesh, lambda x, y: np.zeros_like(x)))
-    initial = SimState(step_index=0, time=0.0,
-                       y=interpolate(mesh, exact_heat_solution(D, 0.0)),
-                       kappa=np.zeros(0))
-    out = run(initial, problem, SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1,
-                                           cg_tol=cg_tol))
+    # no devices, so the switch and calibration parameters are placeholders
+    config = ExperimentConfig(
+        T=T, D=D, beta=(), kappa0=(), C_g=0.0, C_switch=1.0, L_w=1.0, H_w=1.0,
+        r_sigma=1.0, layout=ExplicitLayout((), 1.0),
+        y0=ConstantField(0.0), ystar=ConstantField(0.0),
+        scheme=SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1, cg_tol=cg_tol),
+        reaction=ReactionTerm.zero())
+    built = assemble(config)
+    mesh, mass = built.problem.mesh, built.problem.mass
+    initial = replace(built.initial, y=interpolate(mesh, exact_heat_solution(D, 0.0)))
+    out = run(initial, built.problem, config.scheme)
     exact = interpolate(mesh, exact_heat_solution(D, T))
     diff = NodalField(out.final_state.y.values - exact.values, mesh.key)
     return l2_norm(mass, diff)

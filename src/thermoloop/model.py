@@ -22,14 +22,13 @@ from .mesh import Mesh
 class ReactionTerm:
     """Pointwise source nonlinearity f(s).
 
-    Kinds: ``zero``; ``linear`` (slope * s); ``cubic_bistable`` (-s^3 + s,
-    with stable wells at +-1 and an unstable rest point at 0).
+    Kinds: ``zero``; ``cubic_bistable`` (-s^3 + s, with stable wells at
+    +-1 and an unstable rest point at 0).
     """
 
     kind: str
-    slope: float = 1.0
 
-    _KINDS = ("zero", "linear", "cubic_bistable")
+    _KINDS = ("zero", "cubic_bistable")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -38,10 +37,6 @@ class ReactionTerm:
     @classmethod
     def zero(cls) -> "ReactionTerm":
         return cls(kind="zero")
-
-    @classmethod
-    def linear(cls, slope: float) -> "ReactionTerm":
-        return cls(kind="linear", slope=float(slope))
 
     @classmethod
     def cubic_bistable(cls) -> "ReactionTerm":
@@ -53,8 +48,6 @@ def eval_reaction(f: ReactionTerm, s):
     s = np.asarray(s, dtype=np.float64)
     if f.kind == "zero":
         out = np.zeros_like(s)
-    elif f.kind == "linear":
-        out = f.slope * s
     else:  # cubic_bistable
         out = s - s * s * s  # s ** 3 takes numpy's slow pow path for negative s
     return float(out) if out.ndim == 0 else out

@@ -53,7 +53,7 @@ def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,
     if field.mesh_key != mesh.key:
         raise ValueError("field does not belong to the given mesh")
     n = mesh.n_div + 1
-    grid = field.values.reshape(n, n)          # row i holds vertices with x2 = origin + i*h
+    grid = field.values.reshape(n, n)          # row i holds vertices with x2 = -1 + i*h
     t = np.clip((grid - vmin) / (vmax - vmin), 0.0, 1.0)
     pixels = np.floor(255.0 * t + 0.5).astype(np.uint8)
     pixels = pixels[::-1]                      # image top = domain top

@@ -128,9 +128,10 @@ class DiscreteProblem:
     control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa).
     P^T, the constant P y* and the inverse diagonal of the step matrix (the
     Jacobi preconditioner of every solve) are derived once, at construction.
-    All devices share one ``switch`` (scalar L_w and H_w), which is None for
-    a device-free problem; ``alpha`` routes the J switch outputs to the J
-    thermostats, whose time constants are the read-only (J,) ``beta``.
+    All devices share one ``switch`` (scalar L_w and H_w); ``alpha`` routes
+    the J switch outputs to the J thermostats, whose time constants are the
+    read-only (J,) ``beta``.  A device-free problem has J = 0: its empty
+    operands make every device term an empty or zero vector.
     """
 
     mesh: Mesh
@@ -142,7 +143,7 @@ class DiscreteProblem:
     C_g: float
     C_h: float
     alpha: np.ndarray                # (J, J)
-    switch: SwitchingFunction | None
+    switch: SwitchingFunction
     beta: np.ndarray                 # (J,), entries > 0
     reaction: ReactionTerm
     ystar: NodalField
@@ -153,8 +154,6 @@ class DiscreteProblem:
     def __post_init__(self):
         if self.device_mass.n_cols != self.mesh.n_vertices:
             raise ValueError("device operator width does not match the mesh")
-        if self.device_mass.n_rows and self.switch is None:
-            raise ValueError("a problem with devices needs a switching function")
         J = self.device_mass.n_rows
         beta = np.array(self.beta, dtype=np.float64)
         if beta.shape != (J,) or not np.all(np.isfinite(beta) & (beta > 0)):
@@ -176,10 +175,6 @@ class DiscreteProblem:
         inv_diag = 1.0 / diag
         inv_diag.setflags(write=False)
         object.__setattr__(self, "step_inv_diag", inv_diag)
-
-    @property
-    def n_controls(self) -> int:
-        return self.device_mass.n_rows
 
 
 @dataclass(frozen=True)
@@ -242,9 +237,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     M = problem.mass
     y_m = state.y.values
     kappa_m = state.kappa
-    controlled = problem.n_controls > 0
-    kappa_new = kappa_m
-    if controlled and scheme.explicit_measure:
+    if scheme.explicit_measure:
         kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
 
     corrections = np.empty((scheme.n_picard, len(y_m)))
@@ -257,15 +250,14 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     y_prev = y_m
     sol = None
     for p in range(scheme.n_picard):
-        if controlled and not scheme.explicit_measure:
+        if not scheme.explicit_measure:
             kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
         with np.errstate(over="ignore"):
             reaction = eval_reaction(problem.reaction, y_prev)
         if not np.isfinite(reaction).all():
             raise _divergence(state, p, corrections, "the lagged reaction term is non-finite")
         rhs = M.dot(y_m + tau * reaction)
-        if controlled:
-            rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+        rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
         x0 = y_prev
         if weights:
             guess = y_prev.copy()

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -64,6 +65,37 @@ def test_run_outputs_byte_identical_on_repeat(tmp_path, tiny_config_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
+def test_snapshots_kept_only_for_out(tmp_path, tiny_config_path, monkeypatch):
+    seen = []
+    real_run = cli_mod.run_experiment
+
+    def recording_run(config, **kwargs):
+        seen.append(set(kwargs.get("snap_steps", ())))
+        return real_run(config, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run_experiment", recording_run)
+    assert main(["run", str(tiny_config_path), "--snap-every", "1"]) == 0
+    assert main(["run", str(tiny_config_path)]) == 0
+    assert main(["run", str(tiny_config_path), "--out", str(tmp_path / "a"),
+                 "--snap-every", "4"]) == 0
+    assert main(["run", str(tiny_config_path), "--out", str(tmp_path / "b")]) == 0
+    assert seen == [set(), set(), {0, 4, 6}, {0, 6}]
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+@pytest.mark.parametrize("with_out", [False, True])
+def test_bad_snap_every_rejected_before_the_run(tmp_path, tiny_config_path, capsys,
+                                                monkeypatch, with_out, every):
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_experiment", lambda *a, **k: calls.append(a))
+    out_dir = tmp_path / "snaps"
+    argv = ["run", str(tiny_config_path), "--snap-every", every]
+    assert main(argv + (["--out", str(out_dir)] if with_out else [])) == 1
+    assert capsys.readouterr().err.startswith("error: --snap-every must be >= 1")
+    assert calls == []
+    assert not out_dir.exists()
+
+
 def test_run_config_echo_reproduces_run(tmp_path, tiny_config_path):
     d1 = tmp_path / "first"
     assert main(["run", str(tiny_config_path), "--out", str(d1)]) == 0
@@ -96,6 +128,15 @@ def test_run_unknown_preset_fails(capsys):
 
 def test_usage_error_returns_nonzero(capsys):
     assert main(["frobnicate"]) != 0
+
+
+@pytest.mark.parametrize("argv, code", [(["list-presets"], 0), (["run", "exp7-11"], 1),
+                                        (["frobnicate"], 2)])
+def test_console_main_exits_with_the_status_of_main(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(sys, "argv", ["thermoloop", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli_mod.console_main()
+    assert info.value.code == code
 
 
 def test_verify_convergence_passes(capsys):

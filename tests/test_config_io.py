@@ -50,7 +50,6 @@ def _with_layout(cfg, layout):
                                       GaussianBlobs((Blob((0.0, 0.5), 0.2, -0.3),)),
                                       FieldSum((ConstantField(-0.2),))))),
     lambda c: replace(c, reaction=ReactionTerm.zero()),
-    lambda c: replace(c, reaction=ReactionTerm.linear(-2.5)),
     lambda c: replace(c, scheme=SchemeSpec(n_div=10, n_steps=5, n_picard=2, cg_tol=1e-8,
                                            cg_max_iters=50, explicit_measure=True)),
 ])
@@ -123,13 +122,6 @@ def test_wrong_beta_length_named():
     d = config_to_dict(make_experiment(2))
     d["beta"] = [1.0, 1.0]
     with pytest.raises(ConfigError, match="config.beta"):
-        config_from_dict(d)
-
-
-def test_linear_reaction_requires_slope():
-    d = config_to_dict(make_experiment(2))
-    d["reaction"] = {"kind": "linear"}
-    with pytest.raises(ConfigError, match=r"config\.reaction: missing required keys \['slope'\]"):
         config_from_dict(d)
 
 
@@ -226,6 +218,32 @@ def test_wrong_json_type_is_named_without_traceback(tmp_path, capsys, path, valu
     err = capsys.readouterr().err
     assert err.startswith("error:") and named.replace("\\", "") in err
     assert "Traceback" not in err
+
+
+EXPLICIT = _with_layout(make_experiment(2), ExplicitLayout(((0.0, 0.5), (-0.25, 0.0)), 0.125))
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("config, path, value, named", [
+    (make_experiment(2), ("layout", "radius"), NAN, "config.layout: radius"),
+    (make_experiment(3, devices=20), ("layout", "radius"), NAN, "config.layout: radius"),
+    (EXPLICIT, ("layout", "radius"), NAN, "config.layout: radius"),
+    (EXPLICIT, ("layout", "centers", 1, 0), NAN, "config.layout: centers"),
+    (make_experiment(2), ("y0", "blobs", 0, "amplitude"), 1e999,
+     r"config.y0.blobs\[0\]: amplitude"),
+    (make_experiment(2), ("y0", "blobs", 2, "width"), 1e999, r"config.y0.blobs\[2\]: width"),
+    (make_experiment(2), ("ystar", "blobs", 1, "center", 0), -1e999,
+     r"config.ystar.blobs\[1\]: center"),
+    (make_experiment(1), ("ystar", "value"), 1e999, "config.ystar: value"),
+])
+def test_non_finite_layout_or_field_named(config, path, value, named):
+    # unchecked, each would load: a NaN radius passes abs(r_sigma - nan) > 1e-12, a
+    # NaN center makes a device that covers no vertex, an infinite amplitude fails
+    # only at assembly without the key, and an infinite width flattens the blob
+    d = config_to_dict(config)
+    _set(d, path, value)
+    with pytest.raises(ConfigError, match=named + " must be finite"):
+        config_from_dict(d)
 
 
 def test_integral_float_count_accepted():

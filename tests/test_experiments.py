@@ -233,12 +233,12 @@ class TestConfigValidation:
         # the paired devices become one row of the device operator P = I M,
         # measuring with the calibrated height C_h and loading with C_g
         problem = assemble(self.base()).problem
-        assert problem.n_controls == 1
+        assert problem.device_mass.n_rows == 1
         assert np.array_equal(problem.alpha, np.eye(1))
         assert problem.C_h == pytest.approx(1.0 / (math.pi * 10.0 * 0.2))
         assert problem.C_g == 1.0
         switched_off = assemble(self.base(C_g=0.0)).problem
-        assert switched_off.n_controls == 1 and switched_off.C_g == 0.0
+        assert switched_off.device_mass.n_rows == 1 and switched_off.C_g == 0.0
 
     def test_devices_off_config(self):
         cfg = self.base(layout=ExplicitLayout((), 1.0), beta=(), kappa0=())

@@ -19,7 +19,7 @@ def dense_2x2(a, b, c, d):
 
 
 def identity(n):
-    return CsrMatrix.from_scipy(sp.identity(n, format="csr"))
+    return CsrMatrix(sp.identity(n, format="csr"))
 
 
 def test_spmv_identity():
@@ -236,7 +236,7 @@ def test_problem_rejects_step_matrix_without_positive_diagonal():
     for factor in (1.0, 2.0):   # one zero, then one negative diagonal entry
         shift = np.zeros(A.n_rows)
         shift[5] = factor * A.diagonal()[5]
-        bad = A.scaled_add(-1.0, CsrMatrix.from_scipy(sp.diags(shift)))
+        bad = A.scaled_add(-1.0, CsrMatrix(sp.diags(shift)))
         with pytest.raises(ValueError, match="positive diagonal"):
             replace(problem, step_matrix=bad)
 

@@ -185,9 +185,9 @@ class TestDataStability:
         assert np.isnan(report.ratios[-1])
 
     def test_linear_regime_ratio_exactly_constant(self):
-        # linear reaction, devices off: the step map is linear, so the
+        # no reaction, devices off: the step map is linear, so the
         # response scales exactly with delta (up to solver noise)
-        cfg = tiny_config(reaction=ReactionTerm.linear(1.0),
+        cfg = tiny_config(reaction=ReactionTerm.zero(),
                           layout=ExplicitLayout((), 0.5), beta=(), kappa0=())
         report = probe_data_stability(cfg, DIRECTION, [1.0, 1e-1, 1e-2])
         ratios = np.array(report.ratios)
@@ -234,7 +234,7 @@ class TestControlStability:
         # H_w = 0 silences the feedback, so kappa follows a fixed decay from
         # kappa0 in every run and the field responds linearly to C_g changes
         cfg = tiny_config(H_w=1e-12, kappa0=(1.0,) * 4,
-                          reaction=ReactionTerm.linear(1.0))
+                          reaction=ReactionTerm.zero())
         report = probe_control_stability(cfg, [1.0, 1e-1, 1e-2])
         ratios = np.array(report.ratios)
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) <= 1e-9

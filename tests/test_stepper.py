@@ -108,7 +108,7 @@ def parent_picard_step(state, problem, scheme):
     history must reproduce bit for bit."""
     tau = problem.tau
     y_m, kappa_m = state.y.values, state.kappa
-    controlled = problem.n_controls > 0
+    controlled = problem.device_mass.n_rows > 0
 
     def update(y):
         m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
@@ -310,7 +310,7 @@ class TestVectorizedSweep:
     def test_device_free_problem_steps(self):
         cfg = devices_off(scheme=SchemeSpec(n_div=12, n_steps=5))
         built = assemble(cfg)
-        assert built.problem.n_controls == 0
+        assert built.problem.device_mass.n_rows == 0
         scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
         ref_y, _, _ = reference_picard_step(built.initial, built.problem, scheme, profiles, loads)
@@ -320,9 +320,15 @@ class TestVectorizedSweep:
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_fresh_state_steps_bitwise_as_before(self, explicit):
+    @pytest.mark.parametrize("explicit, device_free",
+                             [(False, False), (True, False), (False, True), (True, True)],
+                             ids=["False", "True", "device-free", "device-free-explicit"])
+    def test_fresh_state_steps_bitwise_as_before(self, explicit, device_free):
+        # the device-free problem goes through the same sweep as a controlled
+        # one; the reference skips its device terms
         cfg = campaign1_small(explicit_measure=explicit)
+        if device_free:
+            cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
         built = assemble(cfg)
         scheme = cfg.scheme
         state = run(built.initial, built.problem, replace(scheme, n_steps=4)).final_state
