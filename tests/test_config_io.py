@@ -8,8 +8,8 @@ from thermoloop.cli import main
 from thermoloop.config_io import (KINDS, ConfigError, config_from_dict, config_to_dict,
                                   config_to_json, dump_config, load_config)
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
-                                    FieldSum, GaussianBlobs, SchemeSpec, list_presets,
-                                    make_experiment, preset)
+                                    FieldSum, GaussianBlobs, GridSubsetLayout, SchemeSpec,
+                                    list_presets, make_experiment, preset)
 from thermoloop.model import ReactionTerm
 
 # sha256 of config_to_json(preset(name)): the file format, frozen byte for byte
@@ -50,6 +50,8 @@ def _with_layout(cfg, layout):
                                       GaussianBlobs((Blob((0.0, 0.5), 0.2, -0.3),)),
                                       FieldSum((ConstantField(-0.2),))))),
     lambda c: replace(c, reaction=ReactionTerm.zero()),
+    lambda c: replace(c, layout=GridSubsetLayout(4, 0.125, (0, 5, 15)),
+                      beta=(1.0, 0.5, 3.0), kappa0=(0.0, 0.1, -0.2)),
     lambda c: replace(c, scheme=SchemeSpec(n_div=10, n_steps=5, n_picard=2, cg_tol=1e-8,
                                            cg_max_iters=50, explicit_measure=True)),
 ])
