@@ -71,7 +71,7 @@ class CsrMatrix:
         return cls(m, tag=tag)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        if np.ndim(x) != 1:
+        if x.ndim != 1:
             return self._handle @ x
         handle = self._vector_handle
         if handle is None:
@@ -137,24 +137,28 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
     The iteration works in place with one scratch vector and computes
     r^T r once per iteration; its square root is the residual norm.
 
-    Raises ConvergenceError after ``max_iters`` (default 10 * n) iterations
-    and on non-finite values in the iterates.  A right-hand side with
-    non-finite entries or an overflowing norm raises before the first
-    iteration, with ``iters`` 0 and a non-finite ``residual``.
+    Raises ConvergenceError after ``max_iters`` (default 10 * n) iterations,
+    and where a non-finite value shows (input is not scanned up front):
+    - a NaN or inf in ``b``: "right-hand side contains non-finite entries",
+      ``iters`` 0, ``residual`` NaN;
+    - a finite ``b`` with an overflowing norm: "the norm of the right-hand
+      side overflows", ``iters`` 0, ``residual`` inf;
+    - a non-finite ``x0`` or ``inv_diag``, or a value arising later:
+      "breakdown at iteration k" or "non-finite residual at iteration k".
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
     if inv_diag is not None and inv_diag.shape != b.shape:
         raise ValueError(f"inverse diagonal length {inv_diag.shape} does not match {b.shape}")
-    if not np.isfinite(b).all():
-        raise ConvergenceError("right-hand side contains non-finite entries", 0, float("nan"))
     if max_iters is None:
         max_iters = 10 * A.n_rows
 
     with np.errstate(over="ignore"):
         b_norm = math.sqrt(float(b @ b))   # bitwise equal to np.linalg.norm(b)
-    if not math.isfinite(b_norm):
+    if not math.isfinite(b_norm):   # b @ b is non-finite for any non-finite entry
+        if not np.isfinite(b).all():
+            raise ConvergenceError("right-hand side contains non-finite entries", 0, float("nan"))
         raise ConvergenceError("the norm of the right-hand side overflows", 0, b_norm)
     if b_norm == 0.0:
         return CgResult(np.zeros_like(b), 0, 0.0)
@@ -182,7 +186,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
             return CgResult(x, k, res)
         Ap = A.dot(p)
         pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0:
+        if not math.isfinite(pAp) or pAp <= 0:
             raise ConvergenceError(
                 f"breakdown at iteration {k}: p^T A p = {pAp} (matrix not SPD?)", k, res)
         alpha = rz / pAp
@@ -200,7 +204,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
         p += z
         rz = rz_new
         res = math.sqrt(rr)
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             raise ConvergenceError(f"non-finite residual at iteration {k + 1}", k + 1, res)
 
     if res <= threshold:

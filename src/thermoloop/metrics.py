@@ -10,17 +10,20 @@ from .fem import NodalField, l2_norm, h1_seminorm
 from .linalg import CsrMatrix
 
 
+def _require_mesh(operator: CsrMatrix, name: str, y: NodalField, ystar: NodalField) -> None:
+    if y.mesh_key != operator.tag or ystar.mesh_key != operator.tag:
+        raise ValueError(f"fields must live on the {name} matrix's mesh")
+
+
 def error_l2(M: CsrMatrix, y: NodalField, ystar: NodalField) -> float:
     """L2 distance to the reference state: sqrt((y-y*)^T M (y-y*))."""
-    if y.mesh_key != M.tag or ystar.mesh_key != M.tag:
-        raise ValueError("fields must live on the mass matrix's mesh")
+    _require_mesh(M, "mass", y, ystar)
     return l2_norm(M, NodalField(y.values - ystar.values, y.mesh_key))
 
 
 def error_h1semi(K: CsrMatrix, y: NodalField, ystar: NodalField) -> float:
     """Gradient distance to the reference state: sqrt((y-y*)^T K (y-y*))."""
-    if y.mesh_key != K.tag or ystar.mesh_key != K.tag:
-        raise ValueError("fields must live on the stiffness matrix's mesh")
+    _require_mesh(K, "stiffness", y, ystar)
     return h1_seminorm(K, NodalField(y.values - ystar.values, y.mesh_key))
 
 
@@ -71,12 +74,16 @@ class ErrorRecorder:
         self._mass_trace: list[float] = []
 
     def __call__(self, state) -> None:
-        ref = self._ystar
+        y, ref = state.y, self._ystar
         if isinstance(ref, np.ndarray):
-            ref = NodalField(ref[state.step_index], state.y.mesh_key)
+            ref = NodalField(ref[state.step_index], y.mesh_key)
         self._times.append(state.time)
-        self._e_y.append(error_l2(self._mass, state.y, ref))
-        self._e_grad.append(error_h1semi(self._stiffness, state.y, ref))
+        # error_l2 and error_h1semi with the deviation formed and checked once
+        _require_mesh(self._mass, "mass", y, ref)
+        deviation = NodalField(y.values - ref.values, y.mesh_key)
+        self._e_y.append(l2_norm(self._mass, deviation))
+        _require_mesh(self._stiffness, "stiffness", y, ref)
+        self._e_grad.append(h1_seminorm(self._stiffness, deviation))
         self._kappa.append(np.array(state.kappa))
         self._mass_trace.append(float(self._weights @ state.y.values))
 

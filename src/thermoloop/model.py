@@ -72,7 +72,7 @@ class SwitchingFunction:
 def eval_switch(w: SwitchingFunction, s):
     """Evaluate the switch at a scalar or array; clamps for |L_w * s| >= 1."""
     s = np.asarray(s, dtype=np.float64)
-    out = w.H_w * np.clip(w.L_w * s, -1.0, 1.0)
+    out = w.H_w * (w.L_w * s).clip(-1.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -124,6 +124,8 @@ def thermostat_step(beta: float, kappa_prev: float, W: float, tau: float):
     combination of kappa_prev and W, so |kappa| can never exceed
     max(|kappa_prev|, |W|).
     """
-    if np.any(np.asarray(beta) <= 0) or tau <= 0:
+    b = np.asarray(beta)
+    # one reduction: fmin skips NaN entries, so only a beta_j <= 0 is rejected
+    if (b.size and np.fmin.reduce(b, axis=None) <= 0) or tau <= 0:
         raise ValueError("beta and tau must be positive")
     return (beta * kappa_prev + tau * W) / (beta + tau)

@@ -152,6 +152,8 @@ class DiscreteProblem:
     step_inv_diag: np.ndarray = field(init=False, repr=False)      # 1 / diag(step_matrix)
 
     def __post_init__(self):
+        if not 0 < self.tau < math.inf:   # also rejects nan
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if self.device_mass.n_cols != self.mesh.n_vertices:
             raise ValueError("device operator width does not match the mesh")
         J = self.device_mass.n_rows
@@ -252,16 +254,16 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     for p in range(scheme.n_picard):
         if not scheme.explicit_measure:
             kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
+        # a non-finite reaction gives a non-finite right-hand side (tau > 0 and
+        # diag(M) > 0), which cg_solve rejects before its first iteration
         with np.errstate(over="ignore"):
             reaction = eval_reaction(problem.reaction, y_prev)
-        if not np.isfinite(reaction).all():
-            raise _divergence(state, p, corrections, "the lagged reaction term is non-finite")
-        rhs = M.dot(y_m + tau * reaction)
+            rhs = M.dot(y_m + tau * reaction)
         rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
         x0 = y_prev
         if weights:
-            guess = y_prev.copy()
-            for w, h in zip(weights, history):
+            guess = y_prev + weights[0] * history[0][p]
+            for w, h in zip(weights[1:], history[1:]):
                 guess += w * h[p]
             if np.isfinite(guess).all():
                 x0 = guess
@@ -271,9 +273,11 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
                            x0=x0)
         except ConvergenceError as err:
             if err.iters == 0 and not np.isfinite(err.residual):
-                # cg_solve rejects a right-hand side before its first iteration
-                raise _divergence(state, p, corrections,
-                                  f"the linear solve rejected its right-hand side: {err}") from err
+                if not np.isfinite(reaction).all():
+                    cause = "the lagged reaction term is non-finite"
+                else:
+                    cause = f"the linear solve rejected its right-hand side: {err}"
+                raise _divergence(state, p, corrections, cause) from err
             raise ConvergenceError(
                 f"linear solve failed at step {state.step_index + 1}, "
                 f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
@@ -310,7 +314,7 @@ def _divergence(state: SimState, p: int, corrections: np.ndarray, cause: str) ->
 
 def _max_abs(v: np.ndarray) -> float:
     """Max-abs entry of a Picard correction (0 on an empty mesh)."""
-    return float(np.max(np.abs(v))) if len(v) else 0.0
+    return float(np.abs(v).max()) if len(v) else 0.0
 
 
 def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,

@@ -133,9 +133,14 @@ def test_cg_reports_nonconvergence_with_residual():
 
 
 def test_cg_rejects_nonfinite_rhs():
+    # the non-finite norm of b sends cg_solve to its scan of b, which names the entries
     A = dense_2x2(4, 1, 1, 3)
-    with pytest.raises(ConvergenceError):
-        cg_solve(A, np.array([np.nan, 1.0]))
+    for b in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]):
+        with pytest.raises(ConvergenceError,
+                           match="^right-hand side contains non-finite entries$") as info:
+            cg_solve(A, np.array(b))
+        assert info.value.iters == 0
+        assert np.isnan(info.value.residual)
 
 
 def test_cg_rhs_length_mismatch():

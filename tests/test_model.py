@@ -207,6 +207,10 @@ class TestThermostat:
             thermostat_step(0.0, 0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             thermostat_step(1.0, 0.0, 1.0, 0.0)
+        # a bank is rejected for any beta_j <= 0, also next to a NaN entry
+        for beta in ([1.0, 0.0], [np.nan, -1.0], [-1.0, np.nan]):
+            with pytest.raises(ValueError, match="beta and tau must be positive"):
+                thermostat_step(np.array(beta), np.zeros(2), np.ones(2), 0.1)
 
 
 class TestDevices:
@@ -239,6 +243,12 @@ class TestDevices:
         for alpha in (np.eye(3), np.ones((4, 3)), np.ones(4)):
             with pytest.raises(ValueError, match="alpha"):
                 replace(self.problem, alpha=alpha)
+
+    def test_step_size_validation(self):
+        # tau is checked where the problem is built, not at its first sweep
+        for tau in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^tau must be finite and > 0"):
+                replace(self.problem, tau=tau)
 
     def test_thermostat_bank_validation(self):
         # beta holds J finite time constants beta_j > 0, read-only

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,8 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     assemble, grid_layout, layout_centers,
                                     make_experiment, run_experiment)
 from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness
-from thermoloop.linalg import ConvergenceError, cg_solve
+from thermoloop.linalg import CgResult, ConvergenceError, cg_solve
+from thermoloop.metrics import ErrorRecorder, error_h1semi, error_l2
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (ReactionTerm, disc_indicators, eval_reaction, eval_switch,
                               thermostat_step)
@@ -137,6 +139,181 @@ def campaign1_small(**scheme):
     return replace(cfg, T=1.0, scheme=replace(cfg.scheme, n_div=20, n_steps=50, **scheme))
 
 
+# The sweep, its solver and the error recorder as they were while every lagged
+# reaction, every right-hand side and every thermostat bank was scanned on each
+# sweep, kept verbatim (with the names they call) as the reference the sweep
+# must reproduce bit for bit.
+
+def scanning_eval_switch(w, s):
+    s = np.asarray(s, dtype=np.float64)
+    out = w.H_w * np.clip(w.L_w * s, -1.0, 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def scanning_thermostat_step(beta, kappa_prev, W, tau):
+    if np.any(np.asarray(beta) <= 0) or tau <= 0:
+        raise ValueError("beta and tau must be positive")
+    return (beta * kappa_prev + tau * W) / (beta + tau)
+
+
+def scanning_update_thermostats(problem, kappa_m, y, tau):
+    m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
+    demands = problem.alpha @ scanning_eval_switch(problem.switch, m_vals)
+    return scanning_thermostat_step(problem.beta, kappa_m, demands, tau)
+
+
+def scanning_max_abs(v):
+    return float(np.max(np.abs(v))) if len(v) else 0.0
+
+
+def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, inv_diag=None, x0=None):
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (A.n_rows,):
+        raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
+    if inv_diag is not None and inv_diag.shape != b.shape:
+        raise ValueError(f"inverse diagonal length {inv_diag.shape} does not match {b.shape}")
+    if not np.isfinite(b).all():
+        raise ConvergenceError("right-hand side contains non-finite entries", 0, float("nan"))
+    if max_iters is None:
+        max_iters = 10 * A.n_rows
+
+    with np.errstate(over="ignore"):
+        b_norm = math.sqrt(float(b @ b))   # bitwise equal to np.linalg.norm(b)
+    if not math.isfinite(b_norm):
+        raise ConvergenceError("the norm of the right-hand side overflows", 0, b_norm)
+    if b_norm == 0.0:
+        return CgResult(np.zeros_like(b), 0, 0.0)
+    threshold = rel_tol * b_norm
+
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = b - A.dot(x)
+
+    scratch = np.empty_like(b)
+    rr = float(r @ r)
+    if inv_diag is None:
+        p = r.copy()
+        rz = rr
+    else:
+        p = r * inv_diag
+        rz = float(r @ p)
+    res = math.sqrt(rr)   # bitwise equal to np.linalg.norm(r)
+
+    for k in range(max_iters):
+        if res <= threshold:
+            return CgResult(x, k, res)
+        Ap = A.dot(p)
+        pAp = float(p @ Ap)
+        if not np.isfinite(pAp) or pAp <= 0:
+            raise ConvergenceError(
+                f"breakdown at iteration {k}: p^T A p = {pAp} (matrix not SPD?)", k, res)
+        alpha = rz / pAp
+        x += np.multiply(p, alpha, out=scratch)
+        Ap *= alpha
+        r -= Ap
+        rr = float(r @ r)
+        if inv_diag is None:
+            z = r
+            rz_new = rr
+        else:
+            z = np.multiply(r, inv_diag, out=scratch)
+            rz_new = float(r @ z)
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
+        res = math.sqrt(rr)
+        if not np.isfinite(res):
+            raise ConvergenceError(f"non-finite residual at iteration {k + 1}", k + 1, res)
+
+    if res <= threshold:
+        return CgResult(x, max_iters, res)
+    raise ConvergenceError(
+        f"no convergence in {max_iters} iterations "
+        f"(residual {res:.3e}, target {threshold:.3e})", max_iters, res)
+
+
+def scanning_picard_step(state, problem, scheme):
+    tau = problem.tau
+    M = problem.mass
+    y_m = state.y.values
+    kappa_m = state.kappa
+    if scheme.explicit_measure:
+        kappa_new = scanning_update_thermostats(problem, kappa_m, y_m, tau)
+
+    corrections = np.empty((scheme.n_picard, len(y_m)))
+    history = state.history
+    if any(np.shape(h) != corrections.shape for h in history):
+        history = ()
+    history = history[:stepper_mod.WARM_START_ORDER]
+    weights = stepper_mod._EXTRAPOLATION_WEIGHTS[len(history)]
+
+    y_prev = y_m
+    sol = None
+    for p in range(scheme.n_picard):
+        if not scheme.explicit_measure:
+            kappa_new = scanning_update_thermostats(problem, kappa_m, y_prev, tau)
+        with np.errstate(over="ignore"):
+            reaction = eval_reaction(problem.reaction, y_prev)
+        if not np.isfinite(reaction).all():
+            raise stepper_mod._divergence(state, p, corrections,
+                                          "the lagged reaction term is non-finite")
+        rhs = M.dot(y_m + tau * reaction)
+        rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+        x0 = y_prev
+        if weights:
+            guess = y_prev.copy()
+            for w, h in zip(weights, history):
+                guess += w * h[p]
+            if np.isfinite(guess).all():
+                x0 = guess
+        try:
+            sol = scanning_cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
+                                    max_iters=scheme.cg_max_iters,
+                                    inv_diag=problem.step_inv_diag, x0=x0)
+        except ConvergenceError as err:
+            if err.iters == 0 and not np.isfinite(err.residual):
+                # cg_solve rejects a right-hand side before its first iteration
+                raise stepper_mod._divergence(
+                    state, p, corrections,
+                    f"the linear solve rejected its right-hand side: {err}") from err
+            raise ConvergenceError(
+                f"linear solve failed at step {state.step_index + 1}, "
+                f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
+        if not np.isfinite(sol.x).all():
+            raise RuntimeError(
+                f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
+                f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
+                f"{kappa_new.max() if len(kappa_new) else 0}]")
+        np.subtract(sol.x, y_prev, out=corrections[p])
+        y_prev = sol.x
+
+    corrections.setflags(write=False)
+    diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
+                            picard_increment=scanning_max_abs(corrections[-1]))
+    # node time from the index, not by accumulation: exact for every step
+    return SimState(step_index=state.step_index + 1,
+                    time=(state.step_index + 1) * tau,
+                    y=NodalField(y_prev, state.y.mesh_key),
+                    kappa=kappa_new,
+                    diagnostics=diags,
+                    history=((corrections,) + history)[:stepper_mod.WARM_START_ORDER])
+
+
+class ScanningErrorRecorder(ErrorRecorder):
+    def __call__(self, state) -> None:
+        ref = self._ystar
+        if isinstance(ref, np.ndarray):
+            ref = NodalField(ref[state.step_index], state.y.mesh_key)
+        self._times.append(state.time)
+        self._e_y.append(error_l2(self._mass, state.y, ref))
+        self._e_grad.append(error_h1semi(self._stiffness, state.y, ref))
+        self._kappa.append(np.array(state.kappa))
+        self._mass_trace.append(float(self._weights @ state.y.values))
+
+
 class TestStepOperator:
     mesh = build_mesh(4)
     M = assemble_mass(mesh)
@@ -251,7 +428,8 @@ class TestPicardStep:
             with pytest.raises(ConvergenceError) as info:
                 run_experiment(cfg)
         message = str(info.value)
-        assert re.search(r"Picard iteration diverged at step \d+, Picard sweep \d+", message)
+        assert "Picard iteration diverged at step 3, Picard sweep 1: " \
+               "the lagged reaction term is non-finite" in message
         assert "last finite Picard increment" in message
         assert np.isfinite(info.value.residual) and info.value.residual > 0
 
@@ -390,6 +568,48 @@ class TestWarmStart:
                                     built.problem, scheme)
             totals[warm] = sum(iters)
         assert totals[True] < 0.9 * totals[False], totals
+
+
+class TestScanFreeSweep:
+    @pytest.mark.parametrize("case", ["default", "explicit", "device-free"])
+    def test_steps_and_series_bitwise_as_scanning_sweep(self, case):
+        # exp1-64 at N=16, tau = 0.02, 40 steps: the warm start reaches its
+        # cubic order, and the series are recorded against y* and against a
+        # stored trajectory as the stability probe does
+        cfg = make_experiment(1, devices=64)
+        cfg = replace(cfg, T=0.8, scheme=replace(cfg.scheme, n_div=16, n_steps=40,
+                                                 explicit_measure=case == "explicit"))
+        if case == "device-free":
+            cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
+        built = assemble(cfg)
+        problem, scheme = built.problem, cfg.scheme
+        assert problem.device_mass.n_rows == (0 if case == "device-free" else 64)
+        trajectory = np.linspace(-0.5, 0.5, (scheme.n_steps + 1) * problem.mesh.n_vertices)
+        trajectory = trajectory.reshape(scheme.n_steps + 1, -1)
+        recorders = [cls(problem.mass, problem.stiffness, ref)
+                     for ref in (problem.ystar, trajectory)
+                     for cls in (ErrorRecorder, ScanningErrorRecorder)]
+
+        def diagnostics_bytes(state):
+            d = state.diagnostics
+            return d.cg_iters, d.cg_residual.hex(), d.picard_increment.hex()
+
+        state = reference = built.initial
+        for recorder in recorders:
+            recorder(state)
+        for _ in range(scheme.n_steps):
+            state = picard_step(state, problem, scheme)
+            reference = scanning_picard_step(reference, problem, scheme)
+            assert state.y.values.tobytes() == reference.y.values.tobytes()
+            assert state.kappa.tobytes() == reference.kappa.tobytes()
+            assert diagnostics_bytes(state) == diagnostics_bytes(reference)
+            for recorder, observed in zip(recorders, (state, reference) * 2):
+                recorder(observed)
+        assert len(state.history) == 3
+        for lean, scanning in (recorders[:2], recorders[2:]):
+            a, b = lean.series(), scanning.series()
+            for name in ("times", "e_y", "e_grad", "kappa_traces", "mass_trace"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 class TestImports:
