@@ -6,8 +6,8 @@ devices.  Each control device is driven by a first-order signal ODE (a
 "thermostat") fed by a clamped-linear switch acting on the integrated
 deviation seen by a matching measurement device.  Space is discretized with
 P1 finite elements on a uniform triangulation, time with implicit Euler plus
-a fixed number of Picard sweeps per step; the per-step SPD systems are solved
-by Jacobi-preconditioned conjugate gradients.
+a fixed number of Picard sweeps per step; each sweep solves the constant SPD
+system M + tau*D*K by warm-started, Jacobi-preconditioned conjugate gradients.
 """
 
 from .mesh import Mesh, build_mesh
@@ -16,10 +16,8 @@ from .fem import (NodalField, assemble_mass, assemble_stiffness, field_from_valu
                   h1_seminorm, integral_product, interpolate, l2_norm)
 from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
                     eval_reaction, eval_switch, thermostat_step)
-from .stepper import (DiscreteProblem, RunOutput, SchemeSpec, SimState,
-                      build_step_operator, picard_step, run)
-from .metrics import (ErrorRecorder, ErrorSeries, SnapshotRecorder,
-                      TrajectoryRecorder, error_h1semi, error_l2)
+from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, picard_step, run
+from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from .experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
                           FieldSum, GaussianBlobs, GridLayout, GridSubsetLayout,
                           assemble, grid_layout, layout_centers, list_presets,

@@ -48,14 +48,6 @@ class CsrMatrix:
         self._vector_handle = None   # the handle of 1-D products, built lazily
 
     @property
-    def row_offsets(self) -> np.ndarray:
-        return self._handle.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._handle.indices
-
-    @property
     def values(self) -> np.ndarray:
         return self._handle.data
 
@@ -123,16 +115,13 @@ class CgResult(NamedTuple):
     residual: float
 
 
-def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
-             max_iters: int | None = None, inv_diag: np.ndarray | None = None,
-             x0: np.ndarray | None = None) -> CgResult:
-    """Conjugate gradients for symmetric positive definite A, optionally
-    Jacobi-preconditioned.
+def cg_solve(A: CsrMatrix, b: np.ndarray, *, inv_diag: np.ndarray, x0: np.ndarray,
+             rel_tol: float = 1e-10, max_iters: int | None = None) -> CgResult:
+    """Conjugate gradients for symmetric positive definite A, started from
+    ``x0`` and preconditioned by ``inv_diag`` = 1 / diag(A) (Jacobi).
 
     Stops when ||b - A x||_2 <= rel_tol * ||b||_2.  A zero right-hand side
-    returns x = 0 immediately.  ``inv_diag`` is the Jacobi (diagonal)
-    preconditioner given as 1 / diag(A); None runs plain CG.  ``x0`` is an
-    optional warm-start guess.
+    returns x = 0 immediately.
 
     The iteration works in place with one scratch vector and computes
     r^T r once per iteration; its square root is the residual norm.
@@ -149,7 +138,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
-    if inv_diag is not None and inv_diag.shape != b.shape:
+    if inv_diag.shape != b.shape:
         raise ValueError(f"inverse diagonal length {inv_diag.shape} does not match {b.shape}")
     if max_iters is None:
         max_iters = 10 * A.n_rows
@@ -164,21 +153,12 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
         return CgResult(np.zeros_like(b), 0, 0.0)
     threshold = rel_tol * b_norm
 
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = b - A.dot(x)
-
+    x = np.array(x0, dtype=np.float64)
+    r = b - A.dot(x)
     scratch = np.empty_like(b)
     rr = float(r @ r)
-    if inv_diag is None:
-        p = r.copy()
-        rz = rr
-    else:
-        p = r * inv_diag
-        rz = float(r @ p)
+    p = r * inv_diag
+    rz = float(r @ p)
     res = math.sqrt(rr)   # bitwise equal to np.linalg.norm(r)
 
     for k in range(max_iters):
@@ -194,12 +174,8 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, rel_tol: float = 1e-10,
         Ap *= alpha
         r -= Ap
         rr = float(r @ r)
-        if inv_diag is None:
-            z = r
-            rz_new = rr
-        else:
-            z = np.multiply(r, inv_diag, out=scratch)
-            rz_new = float(r @ z)
+        z = np.multiply(r, inv_diag, out=scratch)
+        rz_new = float(r @ z)
         p *= rz_new / rz
         p += z
         rz = rz_new

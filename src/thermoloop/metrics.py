@@ -10,23 +10,6 @@ from .fem import NodalField, l2_norm, h1_seminorm
 from .linalg import CsrMatrix
 
 
-def _require_mesh(operator: CsrMatrix, name: str, y: NodalField, ystar: NodalField) -> None:
-    if y.mesh_key != operator.tag or ystar.mesh_key != operator.tag:
-        raise ValueError(f"fields must live on the {name} matrix's mesh")
-
-
-def error_l2(M: CsrMatrix, y: NodalField, ystar: NodalField) -> float:
-    """L2 distance to the reference state: sqrt((y-y*)^T M (y-y*))."""
-    _require_mesh(M, "mass", y, ystar)
-    return l2_norm(M, NodalField(y.values - ystar.values, y.mesh_key))
-
-
-def error_h1semi(K: CsrMatrix, y: NodalField, ystar: NodalField) -> float:
-    """Gradient distance to the reference state: sqrt((y-y*)^T K (y-y*))."""
-    _require_mesh(K, "stiffness", y, ystar)
-    return h1_seminorm(K, NodalField(y.values - ystar.values, y.mesh_key))
-
-
 @dataclass(frozen=True)
 class ErrorSeries:
     """Per-time-node diagnostics of a run."""
@@ -58,11 +41,18 @@ class ErrorRecorder:
 
     The reference ``ystar`` is one field, or an (M+1, n) array whose row m
     is the reference at step m (a recorded trajectory): the errors are then
-    the distances between two runs.
+    the distances between two runs.  It is checked against the mass
+    matrix's mesh once, here; each observed field meets ``l2_norm``'s check.
     """
 
     def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix,
                  ystar: NodalField | np.ndarray):
+        if isinstance(ystar, np.ndarray):
+            if ystar.shape[1:] != (mass.n_cols,):
+                raise ValueError(f"reference trajectory of shape {ystar.shape} is not "
+                                 f"{mass.n_cols} columns wide")
+        elif ystar.mesh_key != mass.tag:
+            raise ValueError(f"reference ystar lives on mesh {ystar.mesh_key}, not on {mass.tag}")
         self._mass = mass
         self._stiffness = stiffness
         self._ystar = ystar
@@ -75,14 +65,10 @@ class ErrorRecorder:
 
     def __call__(self, state) -> None:
         y, ref = state.y, self._ystar
-        if isinstance(ref, np.ndarray):
-            ref = NodalField(ref[state.step_index], y.mesh_key)
+        ref = ref[state.step_index] if isinstance(ref, np.ndarray) else ref.values
         self._times.append(state.time)
-        # error_l2 and error_h1semi with the deviation formed and checked once
-        _require_mesh(self._mass, "mass", y, ref)
-        deviation = NodalField(y.values - ref.values, y.mesh_key)
+        deviation = NodalField(y.values - ref, y.mesh_key)
         self._e_y.append(l2_norm(self._mass, deviation))
-        _require_mesh(self._stiffness, "stiffness", y, ref)
         self._e_grad.append(h1_seminorm(self._stiffness, deviation))
         self._kappa.append(np.array(state.kappa))
         self._mass_trace.append(float(self._weights @ state.y.values))

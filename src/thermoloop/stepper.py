@@ -192,17 +192,6 @@ class RunOutput:
     timings: dict = field(default_factory=dict)
 
 
-def build_step_operator(M_mass: CsrMatrix, K_stiff: CsrMatrix, D: float, tau: float) -> CsrMatrix:
-    """Implicit Euler step matrix A = M + tau * D * K (symmetric positive definite)."""
-    if (M_mass.n_rows, M_mass.n_cols) != (K_stiff.n_rows, K_stiff.n_cols):
-        raise ValueError("mass and stiffness dimensions disagree")
-    if M_mass.tag != K_stiff.tag:
-        raise ValueError("mass and stiffness come from different meshes")
-    if D <= 0 or tau < 0:
-        raise ValueError("require D > 0 and tau >= 0")
-    return M_mass.scaled_add(tau * D, K_stiff)
-
-
 def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray, y: np.ndarray,
                         tau: float) -> np.ndarray:
     """Measure y, switch, and advance every thermostat one step from kappa_m."""
@@ -231,9 +220,16 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     non-finite guess the solve starts from y_{p-1}.  The new state carries
     this step's corrections in front of the history.
 
-    A Picard iteration that diverges (a lagged reaction term or a right-hand
-    side that overflows) raises ConvergenceError naming the step, the sweep
-    and the last finite Picard increment.
+    A Picard iteration that diverges raises ConvergenceError.  An overflow of
+    the lagged reaction or of the right-hand side names the step, the sweep
+    and the last finite Picard increment.  A last sweep that moves y further
+    in max-abs than the first (never with one sweep) and than the floor
+    sqrt(cg_tol) * max|y_new| names the step and both increments.  The floor
+    lies above solver noise: a solve stopped at ||b - A x||_2 <= cg_tol ||b||_2
+    is off by at most cond(A) sqrt(n) cg_tol max|y|, so a converged sweep's
+    correction, the difference of two such errors, stays below
+    2e3 cg_tol max|y| on the presets (cond(A) < 10, n = 101^2); the floor is
+    1e5 cg_tol max|y| at the default cg_tol = 1e-10.
     """
     tau = problem.tau
     M = problem.mass
@@ -289,9 +285,15 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
         np.subtract(sol.x, y_prev, out=corrections[p])
         y_prev = sol.x
 
+    increment, first = _max_abs(corrections[-1]), _max_abs(corrections[0])
+    if increment > first and increment > math.sqrt(scheme.cg_tol) * _max_abs(y_prev):
+        raise ConvergenceError(
+            f"Picard iteration diverged at step {state.step_index + 1}: the last sweep "
+            f"moved y by {increment:.3e}, more than the first sweep's {first:.3e}",
+            scheme.n_picard, increment)
     corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
-                            picard_increment=_max_abs(corrections[-1]))
+                            picard_increment=increment)
     # node time from the index, not by accumulation: exact for every step
     return SimState(step_index=state.step_index + 1,
                     time=(state.step_index + 1) * tau,

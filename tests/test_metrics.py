@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from thermoloop.fem import assemble_mass, assemble_stiffness, field_from_values, interpolate
+from thermoloop.fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
+                            h1_seminorm, interpolate, l2_norm)
 from thermoloop.mesh import build_mesh
-from thermoloop.metrics import (ErrorRecorder, ErrorSeries, TrajectoryRecorder, error_h1semi,
-                               error_l2)
+from thermoloop.metrics import ErrorRecorder, ErrorSeries, TrajectoryRecorder
 from thermoloop.stepper import SimState
 
 
@@ -14,21 +14,26 @@ def ops():
     return mesh, assemble_mass(mesh), assemble_stiffness(mesh)
 
 
+def distance(norm, Q, y, ystar):
+    """norm(Q, y - y*): the distance ErrorRecorder measures."""
+    return norm(Q, NodalField(y.values - ystar.values, y.mesh_key))
+
+
 def test_error_l2_examples(ops):
     mesh, M, _ = ops
     y = interpolate(mesh, lambda x, yy: x * yy)
-    assert error_l2(M, y, y) == 0.0
+    assert distance(l2_norm, M, y, y) == 0.0
     one = interpolate(mesh, lambda x, yy: np.ones_like(x))
     zero = interpolate(mesh, lambda x, yy: np.zeros_like(x))
-    assert error_l2(M, one, zero) == pytest.approx(2.0)
+    assert distance(l2_norm, M, one, zero) == pytest.approx(2.0)
 
 
 def test_error_h1_examples(ops):
     mesh, _, K = ops
     y = interpolate(mesh, lambda x, yy: x)
     zero = interpolate(mesh, lambda x, yy: np.zeros_like(x))
-    assert error_h1semi(K, y, y) == 0.0
-    assert error_h1semi(K, y, zero) == pytest.approx(2.0, rel=1e-12)
+    assert distance(h1_seminorm, K, y, y) == 0.0
+    assert distance(h1_seminorm, K, y, zero) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_error_mesh_mismatch(ops):
@@ -36,7 +41,34 @@ def test_error_mesh_mismatch(ops):
     other = build_mesh(3)
     y = interpolate(other, lambda x, yy: x)
     with pytest.raises(ValueError):
-        error_l2(M, y, y)
+        distance(l2_norm, M, y, y)
+
+
+def test_recorder_rejects_a_reference_from_another_mesh(ops):
+    mesh, M, K = ops
+    for n_div in (3, 7):
+        ystar = interpolate(build_mesh(n_div), lambda x, yy: x)
+        with pytest.raises(ValueError, match="^reference ystar lives on mesh"):
+            ErrorRecorder(M, K, ystar)
+    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x))
+
+
+def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
+    mesh, M, K = ops
+    n = mesh.n_vertices
+    for shape in ((3, n - 1), (3, n + 1), (n,), (2, 3, n)):
+        with pytest.raises(ValueError, match=f"^reference trajectory of shape .* is not {n} "):
+            ErrorRecorder(M, K, np.zeros(shape))
+    ErrorRecorder(M, K, np.zeros((3, n)))
+
+
+def test_recorder_rejects_a_field_from_another_mesh(ops):
+    # the reference is checked once; each observed field meets l2_norm's check
+    mesh, M, K = ops
+    rec = ErrorRecorder(M, K, np.zeros((2, mesh.n_vertices)))
+    y = NodalField(np.zeros(mesh.n_vertices), build_mesh(3).key)
+    with pytest.raises(ValueError, match="does not match operator mesh"):
+        rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
 
 
 def test_norm_properties_on_random_fields(ops):
@@ -49,10 +81,12 @@ def test_norm_properties_on_random_fields(ops):
         ab = field_from_values(mesh, a.values + b.values)
         c = rng.uniform(-3, 3)
         ca = field_from_values(mesh, c * a.values)
-        for err, Q in ((error_l2, M), (error_h1semi, K)):
+        for norm, Q in ((l2_norm, M), (h1_seminorm, K)):
             # triangle inequality and absolute homogeneity
-            assert err(Q, ab, zero) <= err(Q, a, zero) + err(Q, b, zero) + 1e-12
-            assert err(Q, ca, zero) == pytest.approx(abs(c) * err(Q, a, zero), abs=1e-12)
+            assert distance(norm, Q, ab, zero) <= (distance(norm, Q, a, zero)
+                                                   + distance(norm, Q, b, zero) + 1e-12)
+            assert distance(norm, Q, ca, zero) == pytest.approx(
+                abs(c) * distance(norm, Q, a, zero), abs=1e-12)
 
 
 def test_gradient_error_shift_invariant(ops):
@@ -62,8 +96,8 @@ def test_gradient_error_shift_invariant(ops):
     ystar = field_from_values(mesh, rng.standard_normal(mesh.n_vertices))
     shifted_y = field_from_values(mesh, y.values + 5.0)
     shifted_s = field_from_values(mesh, ystar.values + 5.0)
-    assert error_h1semi(K, shifted_y, shifted_s) == pytest.approx(
-        error_h1semi(K, y, ystar), rel=1e-9)
+    assert distance(h1_seminorm, K, shifted_y, shifted_s) == pytest.approx(
+        distance(h1_seminorm, K, y, ystar), rel=1e-9)
 
 
 def test_recorder_series_shape_and_times(ops):
@@ -95,8 +129,8 @@ def test_recorder_against_a_trajectory(ops):
     series = rec.series()
     for m in range(4):
         y, ref = field_from_values(mesh, ys[m]), field_from_values(mesh, refs[m])
-        assert series.e_y[m] == error_l2(M, y, ref)
-        assert series.e_grad[m] == error_h1semi(K, y, ref)
+        assert series.e_y[m] == distance(l2_norm, M, y, ref)
+        assert series.e_grad[m] == distance(h1_seminorm, K, y, ref)
     assert series.kappa_traces.shape == (0, 4)
 
 

@@ -6,8 +6,7 @@ from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
 from thermoloop.mms import convergence_study, exact_heat_solution, heat_error
 from thermoloop.model import ReactionTerm, SwitchingFunction
-from thermoloop.stepper import (DiscreteProblem, SchemeSpec, SimState, build_step_operator,
-                                run)
+from thermoloop.stepper import DiscreteProblem, SchemeSpec, SimState, run
 
 
 def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
@@ -20,7 +19,7 @@ def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
     tau = T / n_steps
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness,
-        step_matrix=build_step_operator(mass, stiffness, D, tau), tau=tau,
+        step_matrix=mass.scaled_add(tau * D, stiffness), tau=tau,
         device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices), tag=mesh.key),
         C_g=0.0, C_h=0.0, alpha=np.zeros((0, 0)), switch=SwitchingFunction(1.0, 1.0),
         beta=np.zeros(0),

@@ -13,15 +13,14 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
                                     assemble, grid_layout, layout_centers,
                                     make_experiment, run_experiment)
-from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness
+from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, h1_seminorm, l2_norm
 from thermoloop.linalg import CgResult, ConvergenceError, cg_solve
-from thermoloop.metrics import ErrorRecorder, error_h1semi, error_l2
+from thermoloop.metrics import ErrorRecorder
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (ReactionTerm, disc_indicators, eval_reaction, eval_switch,
                               thermostat_step)
 import thermoloop.stepper as stepper_mod
-from thermoloop.stepper import (SimState, StepDiagnostics, build_step_operator,
-                                picard_step, run)
+from thermoloop.stepper import SimState, StepDiagnostics, picard_step, run
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
 
@@ -308,34 +307,37 @@ class ScanningErrorRecorder(ErrorRecorder):
         if isinstance(ref, np.ndarray):
             ref = NodalField(ref[state.step_index], state.y.mesh_key)
         self._times.append(state.time)
-        self._e_y.append(error_l2(self._mass, state.y, ref))
-        self._e_grad.append(error_h1semi(self._stiffness, state.y, ref))
+        y, key = state.y.values, state.y.mesh_key
+        self._e_y.append(l2_norm(self._mass, NodalField(y - ref.values, key)))
+        self._e_grad.append(h1_seminorm(self._stiffness, NodalField(y - ref.values, key)))
         self._kappa.append(np.array(state.kappa))
         self._mass_trace.append(float(self._weights @ state.y.values))
 
 
 class TestStepOperator:
+    """The step matrix M + tau*D*K, built as assemble builds it."""
     mesh = build_mesh(4)
     M = assemble_mass(mesh)
     K = assemble_stiffness(mesh)
 
     def test_zero_tau_gives_mass(self):
-        A = build_step_operator(self.M, self.K, D=0.02, tau=0.0)
+        A = self.M.scaled_add(0.0 * 0.02, self.K)
         assert np.max(np.abs(A.toarray() - self.M.toarray())) <= 1e-12
 
     def test_constants_feel_only_mass(self):
-        A = build_step_operator(self.M, self.K, D=0.02, tau=0.01)
+        A = self.M.scaled_add(0.01 * 0.02, self.K)
         ones = np.ones(self.M.n_cols)
         assert np.allclose(A.dot(ones), self.M.dot(ones), atol=1e-14)
 
     def test_spd_dense_cholesky(self):
-        A = build_step_operator(self.M, self.K, D=0.02, tau=0.01)
+        A = self.M.scaled_add(0.01 * 0.02, self.K)
         np.linalg.cholesky(A.toarray())  # raises if not SPD
 
     def test_mesh_mismatch_rejected(self):
+        # operators of another mesh differ in size: equal sizes mean equal n_div
         other = assemble_stiffness(build_mesh(5))
-        with pytest.raises(ValueError):
-            build_step_operator(self.M, other, D=0.02, tau=0.01)
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            self.M.scaled_add(0.01 * 0.02, other)
 
 
 class TestEquilibrium:
@@ -420,24 +422,26 @@ class TestPicardStep:
 
     def test_picard_divergence_is_named(self):
         # at the campaign's T = 24 with only 50 steps (tau = 0.48) the lagged
-        # cubic overflows within a few steps
+        # cubic overflows within a few steps; one sweep per step leaves the
+        # sweep comparison out, so the overflow is what stops the run
         cfg = make_experiment(1, devices=64)
-        cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=20, n_steps=50))
+        cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=20, n_steps=50, n_picard=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # no overflow warning may leak
             with pytest.raises(ConvergenceError) as info:
                 run_experiment(cfg)
         message = str(info.value)
-        assert "Picard iteration diverged at step 3, Picard sweep 1: " \
+        assert "Picard iteration diverged at step 7, Picard sweep 1: " \
                "the lagged reaction term is non-finite" in message
         assert "last finite Picard increment" in message
         assert np.isfinite(info.value.residual) and info.value.residual > 0
 
     def test_overflowing_rhs_norm_is_picard_divergence(self):
         # at tau = 8 the right-hand side grows past 1e154, where ||b||^2
-        # overflows while every entry and the reaction are still finite
+        # overflows while every entry and the reaction are still finite; one
+        # sweep per step leaves the sweep comparison out
         cfg = make_experiment(1, devices=16)
-        cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=8, n_steps=3))
+        cfg = replace(cfg, T=48.0, scheme=replace(cfg.scheme, n_div=8, n_steps=6, n_picard=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # no overflow warning may leak
             with pytest.raises(ConvergenceError) as info:
@@ -455,14 +459,57 @@ class TestPicardStep:
             picard_step(built.initial, built.problem, cfg.scheme)
 
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                       reason="ROADMAP item 2: a diverged Picard iteration with finite "
-                              "values passes silently")
     def test_silent_picard_divergence_raises(self):
-        # tau = 0.25: the last sweep moves y by 2.3e27 at step 2, E_y(T) = 6.0e26
+        # tau = 0.25: unchecked, the last sweep moved y by 2.3e27 at step 2 and
+        # the run ended at E_y(T) = 6.0e26; the sweep guard stops it at step 1
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=2))
         with pytest.raises(ConvergenceError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("n_steps, first, last", [(2, 2.56, 26.8), (4, 0.715, 1.57)])
+    def test_growing_sweeps_raise_at_the_first_step(self, n_steps, first, last):
+        # exp2 at T = 0.5, N = 10: every value stays finite, but the third
+        # sweep of step 1 moves y further than the first
+        cfg = make_experiment(2)
+        cfg = replace(cfg, T=0.5, scheme=replace(cfg.scheme, n_div=10, n_steps=n_steps))
+        built = assemble(cfg)
+        with pytest.raises(ConvergenceError) as info:
+            picard_step(built.initial, built.problem, cfg.scheme)
+        named = re.fullmatch(r"Picard iteration diverged at step 1: the last sweep moved y "
+                             r"by (\S+), more than the first sweep's (\S+)", str(info.value))
+        assert named, str(info.value)
+        assert float(named[1]) == pytest.approx(last, rel=5e-3)
+        assert float(named[2]) == pytest.approx(first, rel=5e-3)
+        assert info.value.iters == cfg.scheme.n_picard
+        assert info.value.residual == pytest.approx(last, rel=5e-3)
+
+    def test_single_sweep_is_not_compared(self):
+        # with one sweep per step the first sweep is the last: the same
+        # growing exp2 run steps on
+        cfg = make_experiment(2)
+        cfg = replace(cfg, T=0.5, scheme=replace(cfg.scheme, n_div=10, n_steps=4, n_picard=1))
+        out = run_experiment(cfg)
+        assert out.final_state.step_index == 4
+        assert np.isfinite(out.final_state.y.values).all()
+
+    def test_solver_noise_near_steady_state_does_not_trip(self):
+        # exp2 at N = 20 runs to T = 100 in 2000 steps: close to steady state
+        # the last sweep's correction is CG noise of order 1e-9 at cg_tol =
+        # 1e-10 and often exceeds the first's, but stays some 4000 times
+        # below the floor sqrt(cg_tol) * max|y|
+        cfg = make_experiment(2)
+        cfg = replace(cfg, T=100.0, scheme=replace(cfg.scheme, n_div=20, n_steps=2000))
+        grown = []
+
+        def record(state):
+            if state.history:
+                first, last = np.abs(state.history[0][[0, -1]]).max(axis=1)
+                if last > first:
+                    grown.append(last / np.abs(state.y.values).max())
+
+        out = run_experiment(cfg, extra_observers=[record])
+        assert out.final_state.step_index == 2000
+        assert grown and max(grown) < math.sqrt(cfg.scheme.cg_tol)
 
 
 class TestVectorizedSweep:
@@ -652,7 +699,8 @@ class TestRun:
         assert SchemeSpec(n_div=1, n_steps=1).cg_max_iters is None
 
     def test_single_step_equals_picard_step(self):
-        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=1))
+        # one step of small_config's contracting step size
+        cfg = small_config(T=0.5 / CONTRACTING_STEPS, scheme=SchemeSpec(n_div=10, n_steps=1))
         built = assemble(cfg)
         scheme = cfg.scheme
         via_run = run(built.initial, built.problem, scheme).final_state
