@@ -59,7 +59,7 @@ def _cmd_run(args) -> int:
     print(f"E_y(0)      = {series.e_y[0]:.8e}    E_grad(0) = {series.e_grad[0]:.8e}")
     print(f"E_y(T)      = {series.e_y[-1]:.8e}    E_grad(T) = {series.e_grad[-1]:.8e}")
     print(f"stepping    : {out.timings.get('stepping_s', 0.0):.2f} s "
-          f"(+ {out.timings.get('assembly_s', 0.0):.2f} s assembly)")
+          f"(+ {1e3 * out.timings.get('assembly_s', 0.0):.1f} ms assembly)")
 
     if args.out is not None:
         from .output import write_series_csv, write_snapshot_image

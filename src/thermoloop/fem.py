@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import CsrMatrix
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ def interpolate(mesh: Mesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) 
     return field_from_values(mesh, values)
 
 
-def _require_same_mesh(matrix: CsrMatrix, *fields: NodalField) -> None:
+def require_same_mesh(matrix: CsrMatrix, *fields: NodalField) -> None:
     for f in fields:
         if f.mesh_key != matrix.tag:
             raise ValueError(f"field mesh {f.mesh_key} does not match operator mesh {matrix.tag}")
@@ -58,62 +59,69 @@ def _require_same_mesh(matrix: CsrMatrix, *fields: NodalField) -> None:
             raise ValueError("field length does not match operator size")
 
 
+def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
+    """The matrix with element matrix ``lower`` on every cell's triangle
+    (n00, n10, n11) and ``upper`` on its (n00, n11, n01), as 7 diagonals.
+
+    DIA stores entry (a, b) in the band of offset b - a at column b; seen as
+    a grid over the column vertex, corner b of every cell is one slice.
+    """
+    N = mesh.n_div
+    n = N + 1
+    offsets = np.array([-N - 2, -N - 1, -1, 0, 1, N + 1, N + 2])
+    bands = np.zeros((7, n, n))
+    for element, corners in ((lower, ((0, 0), (0, 1), (1, 1))),
+                             (upper, ((0, 0), (1, 1), (1, 0)))):
+        for (ay, ax), row in zip(corners, element):
+            for (by, bx), value in zip(corners, row):
+                band = np.searchsorted(offsets, (by - ay) * n + bx - ax)
+                bands[band, by:by + N, bx:bx + N] += value
+    return CsrMatrix(sp.dia_matrix((bands.reshape(7, n * n), offsets), shape=(n * n, n * n)),
+                     tag=mesh.key)
+
+
 def assemble_mass(mesh: Mesh) -> CsrMatrix:
     """Consistent P1 mass matrix: M[i,j] = integral of phi_i * phi_j.
 
-    On each triangle of area A the local block is A/12 * [[2,1,1],[1,2,1],[1,1,2]].
-    The entry sum equals the domain area (partition of unity).
+    On each triangle, of area A = h^2/2, the local block is
+    A/12 * [[2,1,1],[1,2,1],[1,1,2]].  The entries sum to the domain area.
     """
-    areas = signed_areas(mesh)
-    tri = mesh.triangles
-    local = np.array([[2.0, 1.0, 1.0],
-                      [1.0, 2.0, 1.0],
-                      [1.0, 1.0, 2.0]]) / 12.0
-    vals = areas[:, None, None] * local[None, :, :]
-    rows = np.repeat(tri, 3, axis=1)            # (nt, 9): i i i j j j k k k
-    cols = np.tile(tri, (1, 3))                 # (nt, 9): i j k i j k i j k
-    return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
-                              shape=(mesh.n_vertices, mesh.n_vertices), tag=mesh.key)
+    area = mesh.h * mesh.h / 2.0
+    local = area / 12.0 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+    return _assemble_banded(mesh, local, local)
 
 
 def assemble_stiffness(mesh: Mesh) -> CsrMatrix:
     """P1 stiffness matrix: K[i,j] = integral of grad(phi_i) . grad(phi_j).
 
-    Pure natural (zero-flux) boundary conditions: no boundary terms, so
-    constants lie in the kernel and K is symmetric positive semidefinite.
+    The local blocks of the two right isosceles triangles do not depend on
+    h; the couplings along the cells' diagonals are zero.  Pure natural
+    (zero-flux) boundary conditions: no boundary terms, so constants lie in
+    the kernel and K is symmetric positive semidefinite.
     """
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    areas = signed_areas(mesh)
-    # gradients of the three barycentric basis functions, constant per triangle
-    b = np.stack([p[:, 1, 1] - p[:, 2, 1],
-                  p[:, 2, 1] - p[:, 0, 1],
-                  p[:, 0, 1] - p[:, 1, 1]], axis=1) / (2.0 * areas[:, None])
-    c = np.stack([p[:, 2, 0] - p[:, 1, 0],
-                  p[:, 0, 0] - p[:, 2, 0],
-                  p[:, 1, 0] - p[:, 0, 0]], axis=1) / (2.0 * areas[:, None])
-    vals = areas[:, None, None] * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1)
-    cols = np.tile(tri, (1, 3))
-    return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
-                              shape=(mesh.n_vertices, mesh.n_vertices), tag=mesh.key)
+    lower = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    upper = 0.5 * np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+    return _assemble_banded(mesh, lower, upper)
 
 
 def integral_product(M: CsrMatrix, a: NodalField, b: NodalField) -> float:
     """Discrete integral of a*b over the domain: a^T M b."""
-    _require_same_mesh(M, a, b)
+    require_same_mesh(M, a, b)
     return float(a.values @ M.dot(b.values))
+
+
+def form_norm(A: CsrMatrix, values: np.ndarray) -> float:
+    """sqrt(v^T A v) of a coefficient vector v; a form rounded below 0 reads 0."""
+    return float(np.sqrt(max(float(values @ A.dot(values)), 0.0)))
 
 
 def l2_norm(M: CsrMatrix, a: NodalField) -> float:
     """Discrete L2 norm sqrt(a^T M a)."""
-    _require_same_mesh(M, a)
-    quad = float(a.values @ M.dot(a.values))
-    return float(np.sqrt(max(quad, 0.0)))
+    require_same_mesh(M, a)
+    return form_norm(M, a.values)
 
 
 def h1_seminorm(K: CsrMatrix, a: NodalField) -> float:
     """Discrete gradient seminorm sqrt(a^T K a); zero for constant fields."""
-    _require_same_mesh(K, a)
-    quad = float(a.values @ K.dot(a.values))
-    return float(np.sqrt(max(quad, 0.0)))
+    require_same_mesh(K, a)
+    return form_norm(K, a.values)

@@ -1,5 +1,5 @@
-"""Sparse symmetric-positive-definite linear algebra: CSR storage and
-Jacobi-preconditioned conjugate gradients."""
+"""Sparse symmetric-positive-definite linear algebra: CSR storage, banded
+vector products and Jacobi-preconditioned conjugate gradients."""
 
 from __future__ import annotations
 
@@ -20,18 +20,18 @@ class ConvergenceError(RuntimeError):
 
 
 class CsrMatrix:
-    """Compressed-sparse-row matrix, immutable once built.
+    """Sparse matrix in compressed-sparse-row form, immutable once built.
 
     Wraps a scipy sparse matrix (any format, copied to CSR with column
     indices sorted within each row); ``tag`` carries provenance (e.g. the
     owning mesh key) for cheap compatibility checks.
 
-    A square matrix whose nonzeros lie on a few diagonals (the mesh
-    operators: 7 diagonals) is multiplied by vectors in a banded DIA copy,
-    built on its first 1-D product.  DIA adds the diagonals in increasing
-    offset order, which is each row's column order, so for a finite vector
-    the product equals the CSR one up to the sign of zero (the band's
-    padding adds zeros).  2-D operands and every other matrix use CSR.
+    A DIA (banded) input with strictly increasing diagonal offsets, such as
+    the mesh operators' 7 diagonals, is also kept as given and multiplies
+    1-D vectors.  DIA adds the diagonals in increasing offset order, which
+    is each row's column order, so for a finite vector the product equals
+    the CSR one up to the sign of zero (stored zeros add only zeros; the
+    CSR copy drops them).  2-D operands and every other matrix use CSR.
     """
 
     def __init__(self, matrix, tag: Hashable = None):
@@ -45,7 +45,12 @@ class CsrMatrix:
         self._handle = handle
         self.n_rows, self.n_cols = handle.shape
         self.tag = tag
-        self._vector_handle = None   # the handle of 1-D products, built lazily
+        self._vector_handle = handle   # the operand of 1-D products
+        if matrix.format == "dia" and np.all(np.diff(matrix.offsets) > 0):
+            dia = sp.dia_matrix((np.asarray(matrix.data, dtype=np.float64), matrix.offsets),
+                                shape=matrix.shape)
+            dia.data.setflags(write=False)
+            self._vector_handle = dia
 
     @property
     def values(self) -> np.ndarray:
@@ -63,29 +68,7 @@ class CsrMatrix:
         return cls(m, tag=tag)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 1:
-            return self._handle @ x
-        handle = self._vector_handle
-        if handle is None:
-            handle = self._vector_handle = self._banded_or_csr()
-        return handle @ x
-
-    def _banded_or_csr(self):
-        """A DIA copy when the matrix is square, its diagonal offsets come
-        out strictly increasing and the band stores at most 2 * nnz values;
-        the CSR handle otherwise."""
-        csr = self._handle
-        if self.n_rows != self.n_cols or not self.nnz:
-            return csr
-        rows = np.repeat(np.arange(self.n_rows), np.diff(csr.indptr))
-        n_diagonals = len(np.unique(csr.indices - rows))
-        if n_diagonals * self.n_cols > 2 * self.nnz:   # checked before todia allocates
-            return csr
-        dia = csr.todia()
-        if not np.all(np.diff(dia.offsets) > 0):
-            return csr
-        dia.data.setflags(write=False)
-        return dia
+        return (self._vector_handle if x.ndim == 1 else self._handle) @ x
 
     def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
         """Sparse product self @ other, as a new matrix."""
@@ -103,9 +86,15 @@ class CsrMatrix:
         return self._handle.toarray()
 
     def scaled_add(self, factor: float, other: "CsrMatrix") -> "CsrMatrix":
-        """self + factor * other, as a new matrix."""
+        """self + factor * other, as a new matrix.  Two banded matrices on the
+        same diagonals add their bands, bitwise the CSR sum."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("matrix dimensions do not match")
+        a, b = self._vector_handle, other._vector_handle
+        if (a.format == b.format == "dia" and np.array_equal(a.offsets, b.offsets)
+                and a.data.shape == b.data.shape):
+            return CsrMatrix(sp.dia_matrix((a.data + factor * b.data, a.offsets), shape=a.shape),
+                             tag=self.tag)
         return CsrMatrix(self._handle + factor * other._handle, tag=self.tag)
 
 

@@ -67,11 +67,3 @@ def build_mesh(n_div: int) -> Mesh:
     vertices.setflags(write=False)
     triangles.setflags(write=False)
     return Mesh(n_div=n_div, vertices=vertices, triangles=triangles)
-
-
-def signed_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every triangle (positive for counterclockwise)."""
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalField, l2_norm, h1_seminorm
+from .fem import NodalField, form_norm, require_same_mesh
 from .linalg import CsrMatrix
 
 
@@ -42,7 +42,8 @@ class ErrorRecorder:
     The reference ``ystar`` is one field, or an (M+1, n) array whose row m
     is the reference at step m (a recorded trajectory): the errors are then
     the distances between two runs.  It is checked against the mass
-    matrix's mesh once, here; each observed field meets ``l2_norm``'s check.
+    matrix's mesh once, here, and each observed field at every node; y - y*
+    is measured as a plain array.
     """
 
     def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix,
@@ -66,10 +67,11 @@ class ErrorRecorder:
     def __call__(self, state) -> None:
         y, ref = state.y, self._ystar
         ref = ref[state.step_index] if isinstance(ref, np.ndarray) else ref.values
+        require_same_mesh(self._mass, y)
         self._times.append(state.time)
-        deviation = NodalField(y.values - ref, y.mesh_key)
-        self._e_y.append(l2_norm(self._mass, deviation))
-        self._e_grad.append(h1_seminorm(self._stiffness, deviation))
+        deviation = y.values - ref
+        self._e_y.append(form_norm(self._mass, deviation))
+        self._e_grad.append(form_norm(self._stiffness, deviation))
         self._kappa.append(np.array(state.kappa))
         self._mass_trace.append(float(self._weights @ state.y.values))
 

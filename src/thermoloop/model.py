@@ -97,22 +97,26 @@ def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
     tested as dx*dx + dy*dy <= radius**2.  Vertex k sits at (x_i, y_j) on the
     mesh's grid ticks, so each disc first keeps the ticks with dx*dx <= r**2
     and dy*dy <= r**2 and tests only that block: a rounded sum of two
-    nonnegative terms is at least each term, so no member is dropped.
+    nonnegative terms is at least each term, so no member is dropped.  The
+    kept ticks of an axis are consecutive, at most W of them, so the blocks
+    of all discs are tested at once in one (J, W, W) array.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = mesh.n_div + 1
-    xs, ys = mesh.vertices[:n, 0], mesh.vertices[::n, 1]
     r2 = radius ** 2
-    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for j, (cx, cy) in enumerate(centers):
-        dx, dy = xs - cx, ys - cy
-        dx2, dy2 = dx * dx, dy * dy
-        i = np.flatnonzero(dx2 <= r2)
-        k = np.flatnonzero(dy2 <= r2)
-        bk, bi = np.nonzero(dx2[i] + dy2[k, None] <= r2)
-        cols.append(k[bk] * n + i[bi])
-        rows.append(np.full(len(bk), j))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    xs, ys = mesh.vertices[:n, 0], mesh.vertices[::n, 1]
+    blocks = []   # per axis: each disc's first kept tick and the (J, W) kept d*d
+    for ticks, c in ((xs, centers[:, 0]), (ys, centers[:, 1])):
+        d = ticks - c[:, None]
+        d2 = d * d                                   # (J, n)
+        near = d2 <= r2
+        start, count = near.argmax(axis=1), near.sum(axis=1)
+        window = np.arange(count.max(initial=0))
+        d2 = np.take_along_axis(d2, np.minimum(start[:, None] + window, n - 1), axis=1)
+        blocks.append((start, np.where(window < count[:, None], d2, np.inf)))   # inf fails
+    (x0, dx2), (y0, dy2) = blocks
+    rows, bk, bi = np.nonzero(dx2[:, None, :] + dy2[:, :, None] <= r2)
+    cols = (y0[rows] + bk) * n + x0[rows] + bi
     return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
                               shape=(len(centers), mesh.n_vertices), tag=mesh.key)
 

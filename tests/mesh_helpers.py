@@ -1,6 +1,9 @@
-"""Mesh topology helpers shared by the mesh and stability tests."""
+"""Mesh helpers shared by the tests: topology, and the element-by-element
+assembly of the mesh operators kept as the reference."""
 
 import numpy as np
+
+from thermoloop.linalg import CsrMatrix
 
 
 def edge_counts(mesh) -> dict[tuple[int, int], int]:
@@ -18,3 +21,45 @@ def swap_axes_permutation(mesh) -> np.ndarray:
     square mesh: the transpose of the row-major vertex grid."""
     n = mesh.n_div + 1
     return np.arange(n * n).reshape(n, n).T.ravel()
+
+
+def signed_areas(mesh) -> np.ndarray:
+    """Signed area of every triangle (positive for counterclockwise)."""
+    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _from_element_blocks(mesh, vals) -> CsrMatrix:
+    """Sum the (nt, 3, 3) element blocks into the global matrix through COO."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1)            # (nt, 9): i i i j j j k k k
+    cols = np.tile(tri, (1, 3))                 # (nt, 9): i j k i j k i j k
+    return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
+                              shape=(mesh.n_vertices, mesh.n_vertices), tag=mesh.key)
+
+
+def element_mass(mesh) -> CsrMatrix:
+    """The mass matrix assembled triangle by triangle from each one's own
+    computed area: the reference for the banded assembly."""
+    local = np.array([[2.0, 1.0, 1.0],
+                      [1.0, 2.0, 1.0],
+                      [1.0, 1.0, 2.0]]) / 12.0
+    return _from_element_blocks(mesh, signed_areas(mesh)[:, None, None] * local[None, :, :])
+
+
+def element_stiffness(mesh) -> CsrMatrix:
+    """The stiffness matrix assembled triangle by triangle from the gradients
+    of each one's barycentric basis functions: the reference for the banded
+    assembly."""
+    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    areas = signed_areas(mesh)
+    b = np.stack([p[:, 1, 1] - p[:, 2, 1],
+                  p[:, 2, 1] - p[:, 0, 1],
+                  p[:, 0, 1] - p[:, 1, 1]], axis=1) / (2.0 * areas[:, None])
+    c = np.stack([p[:, 2, 0] - p[:, 1, 0],
+                  p[:, 0, 0] - p[:, 2, 0],
+                  p[:, 1, 0] - p[:, 0, 0]], axis=1) / (2.0 * areas[:, None])
+    vals = areas[:, None, None] * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    return _from_element_blocks(mesh, vals)

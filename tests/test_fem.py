@@ -5,6 +5,7 @@ from thermoloop.fem import (assemble_mass, assemble_stiffness,
                             field_from_values, h1_seminorm, integral_product,
                             interpolate, l2_norm)
 from thermoloop.mesh import build_mesh
+from mesh_helpers import element_mass, element_stiffness
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,25 @@ def test_mass_local_block_values():
     assert M[1, 2] == pytest.approx(0.0)          # opposite corners, no shared triangle
     assert M[0, 3] == pytest.approx(2 * A / 12)   # diagonal edge shared by both
     assert M[0, 0] == pytest.approx(2 * A / 6)
+
+
+@pytest.mark.parametrize("n_div", [1, 2, 5, 40, 100])
+def test_banded_operators_match_the_element_assembly(n_div):
+    # the element loop rounds each triangle's area and gradients on its own;
+    # the banded assembly uses the two exact reference blocks
+    mesh = build_mesh(n_div)
+    M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+    for banded, reference in ((M, element_mass(mesh)), (K, element_stiffness(mesh))):
+        assert banded._vector_handle.format == "dia"
+        difference = banded.scaled_add(-1.0, reference).values
+        assert np.max(np.abs(difference), initial=0.0) <= 1e-14 * np.max(np.abs(reference.values))
+    for A in (M, K, M.scaled_add(0.02 * 0.01, K)):
+        At = A.transpose()._handle
+        for a, b in ((A.values, At.data), (A._handle.indices, At.indices),
+                     (A._handle.indptr, At.indptr)):
+            assert a.tobytes() == b.tobytes()   # exactly symmetric
+    assert np.all(K.dot(np.ones(K.n_cols)) == 0.0)
+    assert np.all(K._handle @ np.ones(K.n_cols) == 0.0)
 
 
 def test_stiffness_kernel_contains_constants():

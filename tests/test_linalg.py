@@ -49,11 +49,10 @@ def test_spmv_hand_example():
 def test_spmv_dimension_mismatch():
     # a rectangular matrix multiplies through CSR, the mesh's mass matrix through DIA
     rect = CsrMatrix.from_coo([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0], shape=(2, 3))
-    for A, layout in ((rect, "csr"), (assemble_mass(build_mesh(4)), "dia")):
+    for A in (rect, assemble_mass(build_mesh(4))):
         for x in (np.ones(A.n_cols + 1), np.ones(A.n_cols - 1)):
             with pytest.raises(ValueError):
                 A.dot(x)
-        assert A._vector_handle.format == layout
 
 
 def test_matmul_and_transpose_match_dense():
@@ -224,23 +223,54 @@ def test_device_operators_and_2d_operands_stay_on_csr():
     cfg = make_experiment(1, devices=64)
     problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=8))).problem
     P, Pt = problem.device_mass, problem.device_mass_t
-    P.dot(np.ones(P.n_cols))
-    Pt.dot(np.ones(Pt.n_cols))
-    assert P._vector_handle.format == "csr" and Pt._vector_handle.format == "csr"
+    assert P._vector_handle is P._handle and Pt._vector_handle is Pt._handle
     M = problem.mass
     X = np.random.default_rng(0).standard_normal((M.n_cols, 3))
     assert np.array_equal(M.dot(X), M._handle @ X)
-    assert M._vector_handle is None   # no 1-D product yet: the layout is not built
 
 
-def test_wide_band_stays_on_csr():
-    # a square matrix whose band would store far more than 2 * nnz values
-    n = 50
-    A = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
-                           [1.0, 1.0] + [4.0] * n, shape=(n, n))
-    x = np.arange(n, dtype=float)
+def test_dia_input_gives_banded_vector_products():
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((3, 6))
+    data[1, 2] = 0.0   # a stored zero: the CSR copy drops it
+    A = CsrMatrix(sp.dia_matrix((data, [-2, 0, 3]), shape=(6, 6)))
+    assert A._vector_handle.format == "dia" and A._handle.format == "csr"
+    assert A.nnz == np.count_nonzero(A.toarray()) == 4 + 6 + 3 - 1
+    x = rng.standard_normal(6)
     assert np.array_equal(A.dot(x), A._handle @ x)
-    assert A._vector_handle.format == "csr"
+    X = rng.standard_normal((6, 2))
+    assert np.array_equal(A.dot(X), A._handle @ X)
+    # decreasing offsets would add a row's terms out of column order: such a
+    # matrix keeps only its CSR copy
+    B = CsrMatrix(sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)))
+    assert B._vector_handle is B._handle
+    assert np.array_equal(B.toarray(), sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)).toarray())
+
+
+def test_csr_input_gives_csr_vector_products():
+    n = 50
+    wide = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
+                              [1.0, 1.0] + [4.0] * n, shape=(n, n))
+    mass = assemble_mass(build_mesh(6))
+    for A in (wide, CsrMatrix(mass._handle), identity(5)):
+        assert A._vector_handle is A._handle
+        x = np.arange(A.n_cols, dtype=float)
+        assert np.array_equal(A.dot(x), A._handle @ x)
+
+
+@pytest.mark.parametrize("n_div", [1, 4, 40])
+def test_scaled_add_of_banded_operators_is_banded_and_the_csr_sum(n_div):
+    mesh = build_mesh(n_div)
+    M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+    for factor in (0.02 * 0.02, 1.0, -3.0):
+        want = M._handle + factor * K._handle
+        for other, layout in ((K, "dia"), (CsrMatrix(K._handle), "csr")):
+            A = M.scaled_add(factor, other)
+            assert A._vector_handle.format == layout
+            got = A._handle
+            for a, b in ((got.data, want.data), (got.indices, want.indices),
+                         (got.indptr, want.indptr)):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_cg_rejects_overflowing_rhs_norm():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mesh_helpers import edge_counts, swap_axes_permutation
-from thermoloop.mesh import build_mesh, signed_areas
+from mesh_helpers import edge_counts, signed_areas, swap_axes_permutation
+from thermoloop.mesh import build_mesh
 
 
 def test_counts_n2():

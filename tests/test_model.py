@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
-                                    GaussianBlobs, SchemeSpec, assemble, grid_layout,
-                                    layout_centers)
+from thermoloop.experiments import (SUBSET20_INDICES, Blob, ConstantField, ExperimentConfig,
+                                    ExplicitLayout, GaussianBlobs, GridSubsetLayout, SchemeSpec,
+                                    assemble, grid_layout, layout_centers)
 from thermoloop.fem import NodalField, interpolate
 from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
@@ -297,3 +297,46 @@ def test_disc_indicators_match_dense_distance_test(n_div, centers, radius):
     assert got.nnz == want.nnz
     for a, b in ((got.toarray(), want.toarray()), (got.values, want.values)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def looped_disc_indicators(mesh, centers, radius):
+    """One disc at a time: its tick block on each axis, then the distance test
+    inside the block.  The reference for the all-discs-at-once block test."""
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
+    n = mesh.n_div + 1
+    xs, ys = mesh.vertices[:n, 0], mesh.vertices[::n, 1]
+    r2 = radius ** 2
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for j, (cx, cy) in enumerate(centers):
+        dx, dy = xs - cx, ys - cy
+        dx2, dy2 = dx * dx, dy * dy
+        i = np.flatnonzero(dx2 <= r2)
+        k = np.flatnonzero(dy2 <= r2)
+        bk, bi = np.nonzero(dx2[i] + dy2[k, None] <= r2)
+        cols.append(k[bk] * n + i[bi])
+        rows.append(np.full(len(bk), j))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
+                              shape=(len(centers), mesh.n_vertices), tag=mesh.key)
+
+
+@pytest.mark.parametrize("n_div, layout", [
+    (40, grid_layout(8, 0.125)),                     # the campaigns' 64 discs
+    (60, grid_layout(8, 0.125)),
+    (100, grid_layout(8, 0.125)),
+    (40, GridSubsetLayout(8, 0.125, SUBSET20_INDICES)),
+    (60, GridSubsetLayout(8, 0.125, SUBSET20_INDICES)),
+    (40, ExplicitLayout(((-1.0, 0.0), (1.0, 1.0), (0.3, -1.0)), 0.2)),   # on the boundary
+    (40, ExplicitLayout(((1.5, 0.0), (0.0, -1.25), (3.0, 3.0), (0.0, 0.0)), 0.2)),   # outside
+    (40, ExplicitLayout(((-0.25, 0.0), (0.25, 0.0), (0.25, 0.5)), 0.25)),   # tangent pairs
+    (60, ExplicitLayout(((-0.1, 0.05), (0.1, 0.05)), 0.1)),   # tangent off the grid ticks
+    (40, ExplicitLayout((), 0.125)),                 # J = 0
+])
+def test_disc_indicators_equal_the_per_disc_loop_bytewise(n_div, layout):
+    mesh = build_mesh(n_div)
+    centers, radius = layout_centers(layout), layout.radius
+    got = disc_indicators(mesh, centers, radius)._handle
+    want = looped_disc_indicators(mesh, centers, radius)._handle
+    assert got.shape == want.shape
+    for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
