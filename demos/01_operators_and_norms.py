@@ -11,7 +11,7 @@ from thermoloop import (assemble_mass, assemble_stiffness, build_mesh,
                         h1_seminorm, integral_product, interpolate, l2_norm)
 
 mesh = build_mesh(16)
-print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles, h = {mesh.h}")
+print(f"mesh: {mesh.n_vertices} vertices, {2 * mesh.n_div ** 2} triangles, h = {mesh.h}")
 
 M = assemble_mass(mesh)
 K = assemble_stiffness(mesh)

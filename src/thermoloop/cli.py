@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,8 +45,10 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.source), args)
-    if not args.vmin < args.vmax:   # checked before the run, not when the snapshots are written
-        raise ValueError(f"need vmin < vmax for the snapshots, got {args.vmin} and {args.vmax}")
+    # checked before the run, not when the snapshots are written
+    if not 0 < args.vmax - args.vmin < math.inf:
+        raise ValueError(f"need vmin < vmax a finite distance apart for the snapshots, "
+                         f"got {args.vmin} and {args.vmax}")
     if args.snap_every is not None and args.snap_every < 1:
         raise ValueError(f"--snap-every must be >= 1, got {args.snap_every}")
     snap_steps = set()   # the first, the last and every S-th step, kept only for --out

@@ -96,7 +96,10 @@ def _load(hint, value, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     if hint is float:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as err:   # an integer beyond the float range
+            raise ConfigError(f"{where}: {err}") from err
     if not (isinstance(value, int) or value.is_integer()):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(value)

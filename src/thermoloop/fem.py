@@ -61,7 +61,8 @@ def require_same_mesh(matrix: CsrMatrix, *fields: NodalField) -> None:
 
 def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
     """The matrix with element matrix ``lower`` on every cell's triangle
-    (n00, n10, n11) and ``upper`` on its (n00, n11, n01), as 7 diagonals.
+    (n00, n10, n11) and ``upper`` on its (n00, n11, n01), stored only as its
+    7 diagonals.
 
     DIA stores entry (a, b) in the band of offset b - a at column b; seen as
     a grid over the column vertex, corner b of every cell is one slice.

@@ -1,5 +1,5 @@
-"""Sparse symmetric-positive-definite linear algebra: CSR storage, banded
-vector products and Jacobi-preconditioned conjugate gradients."""
+"""Sparse symmetric-positive-definite linear algebra: banded or CSR storage
+and Jacobi-preconditioned conjugate gradients."""
 
 from __future__ import annotations
 
@@ -20,82 +20,74 @@ class ConvergenceError(RuntimeError):
 
 
 class CsrMatrix:
-    """Sparse matrix in compressed-sparse-row form, immutable once built.
-
-    Wraps a scipy sparse matrix (any format, copied to CSR with column
-    indices sorted within each row); ``tag`` carries provenance (e.g. the
-    owning mesh key) for cheap compatibility checks.
+    """Sparse matrix stored in one scipy format, immutable once built.
 
     A DIA (banded) input with strictly increasing diagonal offsets, such as
-    the mesh operators' 7 diagonals, is also kept as given and multiplies
-    1-D vectors.  DIA adds the diagonals in increasing offset order, which
-    is each row's column order, so for a finite vector the product equals
-    the CSR one up to the sign of zero (stored zeros add only zeros; the
-    CSR copy drops them).  2-D operands and every other matrix use CSR.
+    the mesh operators' 7 diagonals, stays banded.  DIA adds the diagonals
+    in increasing offset order, which is each row's column order, so for
+    finite operands its products equal the CSR ones up to the sign of zero
+    (an in-bounds stored zero adds only a zero term).  Every other input is
+    stored as CSR, duplicates summed and column indices sorted within each
+    row.  ``nnz`` counts the nonzero entries, not DIA's stored zeros.
+    ``tag`` carries provenance (e.g. the owning mesh key) for cheap
+    compatibility checks.
     """
 
     def __init__(self, matrix, tag: Hashable = None):
-        m = matrix.tocsr()
-        handle = sp.csr_matrix((np.asarray(m.data, dtype=np.float64), m.indices, m.indptr),
-                               shape=m.shape)
-        handle.sort_indices()
-        handle.data.setflags(write=False)
-        handle.indices.setflags(write=False)
-        handle.indptr.setflags(write=False)
-        self._handle = handle
-        self.n_rows, self.n_cols = handle.shape
-        self.tag = tag
-        self._vector_handle = handle   # the operand of 1-D products
         if matrix.format == "dia" and np.all(np.diff(matrix.offsets) > 0):
-            dia = sp.dia_matrix((np.asarray(matrix.data, dtype=np.float64), matrix.offsets),
-                                shape=matrix.shape)
-            dia.data.setflags(write=False)
-            self._vector_handle = dia
+            stored = sp.dia_matrix((np.asarray(matrix.data, dtype=np.float64), matrix.offsets),
+                                   shape=matrix.shape)
+            arrays = (stored.data, stored.offsets)
+        else:
+            stored = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
+            stored.sum_duplicates()   # also sorts each row's column indices
+            arrays = (stored.data, stored.indices, stored.indptr)
+        for a in arrays:
+            a.setflags(write=False)
+        self._matrix = stored
+        self.n_rows, self.n_cols = stored.shape
+        self.nnz = int(stored.count_nonzero())
+        self.tag = tag
 
     @property
     def values(self) -> np.ndarray:
-        return self._handle.data
-
-    @property
-    def nnz(self) -> int:
-        return self._handle.nnz
+        """The nonzero entries row by row, in column order within each row."""
+        return self._matrix.tocsr().data
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape, tag: Hashable = None) -> "CsrMatrix":
         """Build from coordinate triplets; duplicate entries are summed."""
-        m = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-        m.sum_duplicates()
-        return cls(m, tag=tag)
+        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape), tag=tag)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        return (self._vector_handle if x.ndim == 1 else self._handle) @ x
+        return self._matrix @ x
 
     def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
         """Sparse product self @ other, as a new matrix."""
         if self.n_cols != other.n_rows:
             raise ValueError("inner matrix dimensions do not match")
-        return CsrMatrix(self._handle @ other._handle, tag=self.tag)
+        return CsrMatrix(self._matrix @ other._matrix, tag=self.tag)
 
     def transpose(self) -> "CsrMatrix":
-        return CsrMatrix(self._handle.T, tag=self.tag)
+        return CsrMatrix(self._matrix.T, tag=self.tag)
 
     def diagonal(self) -> np.ndarray:
-        return self._handle.diagonal()
+        return self._matrix.diagonal()
 
     def toarray(self) -> np.ndarray:
-        return self._handle.toarray()
+        return self._matrix.toarray()
 
     def scaled_add(self, factor: float, other: "CsrMatrix") -> "CsrMatrix":
         """self + factor * other, as a new matrix.  Two banded matrices on the
         same diagonals add their bands, bitwise the CSR sum."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("matrix dimensions do not match")
-        a, b = self._vector_handle, other._vector_handle
+        a, b = self._matrix, other._matrix
         if (a.format == b.format == "dia" and np.array_equal(a.offsets, b.offsets)
                 and a.data.shape == b.data.shape):
             return CsrMatrix(sp.dia_matrix((a.data + factor * b.data, a.offsets), shape=a.shape),
                              tag=self.tag)
-        return CsrMatrix(self._handle + factor * other._handle, tag=self.tag)
+        return CsrMatrix(a + factor * b, tag=self.tag)
 
 
 class CgResult(NamedTuple):

@@ -13,14 +13,15 @@ class Mesh:
 
     Every grid cell is split along its lower-left to upper-right diagonal,
     giving 2*n_div**2 triangles with positive (counterclockwise) orientation
-    and identical area h**2/2.  Vertices are numbered row-major with the
-    first coordinate varying fastest, so vertex k sits at
+    and identical area h**2/2.  The triangles are implicit in the grid: the
+    operators are assembled from the cells' two reference triangles, so only
+    the vertices are stored.  Vertices are numbered row-major with the first
+    coordinate varying fastest, so vertex k sits at
     (-1 + (k % (n_div+1))*h, -1 + (k // (n_div+1))*h).
     """
 
     n_div: int
     vertices: np.ndarray   # (n_vertices, 2) float
-    triangles: np.ndarray  # (n_triangles, 3) int, counterclockwise
 
     @property
     def h(self) -> float:
@@ -30,10 +31,6 @@ class Mesh:
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
 
     @property
     def key(self) -> tuple:
@@ -46,24 +43,9 @@ def build_mesh(n_div: int) -> Mesh:
     if n_div < 1:
         raise ValueError(f"n_div must be >= 1, got {n_div}")
 
-    n = n_div + 1
-    ticks = -1.0 + (2.0 / n_div) * np.arange(n)
+    ticks = -1.0 + (2.0 / n_div) * np.arange(n_div + 1)
     # row-major, x fastest
     xx, yy = np.meshgrid(ticks, ticks, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    cells_i, cells_j = np.meshgrid(np.arange(n_div), np.arange(n_div), indexing="xy")
-    n00 = (cells_j * n + cells_i).ravel()
-    n10 = n00 + 1
-    n01 = n00 + n
-    n11 = n01 + 1
-    # split along the n00 -> n11 diagonal; both triangles counterclockwise
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    triangles = np.empty((2 * n_div * n_div, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
     vertices.setflags(write=False)
-    triangles.setflags(write=False)
-    return Mesh(n_div=n_div, vertices=vertices, triangles=triangles)
+    return Mesh(n_div=n_div, vertices=vertices)

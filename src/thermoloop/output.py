@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +44,13 @@ def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,
     The pixel grid equals the vertex grid: (n_div+1) x (n_div+1) pixels, the
     top image row holding the top of the domain (largest second coordinate).
     Values map linearly from vmin (black) to vmax (white); values outside
-    [vmin, vmax] are truncated.  Pixel law: floor(255 * t + 0.5) for
+    [vmin, vmax] are truncated.  vmax - vmin must be positive and finite.  Pixel law: floor(255 * t + 0.5) for
     t = clamp((v - vmin) / (vmax - vmin), 0, 1), i.e. round-half-up.
 
     Returns the encoded bytes; writes them to ``path`` when given.
     """
-    if vmin >= vmax:
-        raise ValueError(f"need vmin < vmax, got [{vmin}, {vmax}]")
+    if not 0 < vmax - vmin < math.inf:
+        raise ValueError(f"need vmin < vmax a finite distance apart, got [{vmin}, {vmax}]")
     if field.mesh_key != mesh.key:
         raise ValueError("field does not belong to the given mesh")
     n = mesh.n_div + 1

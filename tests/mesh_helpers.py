@@ -1,15 +1,30 @@
-"""Mesh helpers shared by the tests: topology, and the element-by-element
-assembly of the mesh operators kept as the reference."""
+"""Mesh helpers shared by the tests: the explicit triangle list and its
+topology, and the element-by-element assembly of the mesh operators kept as
+the reference."""
 
 import numpy as np
 
 from thermoloop.linalg import CsrMatrix
 
 
+def triangles(mesh) -> np.ndarray:
+    """The (2*n_div**2, 3) vertex triples of the triangulation, counterclockwise:
+    cell by cell, its lower (n00, n10, n11) and upper (n00, n11, n01) triangle."""
+    n = mesh.n_div + 1
+    cells_i, cells_j = np.meshgrid(np.arange(mesh.n_div), np.arange(mesh.n_div), indexing="xy")
+    n00 = (cells_j * n + cells_i).ravel()
+    n10, n01 = n00 + 1, n00 + n
+    n11 = n01 + 1
+    tri = np.empty((2 * mesh.n_div ** 2, 3), dtype=np.int64)
+    tri[0::2] = np.column_stack([n00, n10, n11])
+    tri[1::2] = np.column_stack([n00, n11, n01])
+    return tri
+
+
 def edge_counts(mesh) -> dict[tuple[int, int], int]:
     """How many triangles share each (sorted) vertex-pair edge."""
     counts: dict[tuple[int, int], int] = {}
-    for a, b, c in mesh.triangles:
+    for a, b, c in triangles(mesh):
         for u, v in ((a, b), (b, c), (c, a)):
             edge = (int(min(u, v)), int(max(u, v)))
             counts[edge] = counts.get(edge, 0) + 1
@@ -25,7 +40,7 @@ def swap_axes_permutation(mesh) -> np.ndarray:
 
 def signed_areas(mesh) -> np.ndarray:
     """Signed area of every triangle (positive for counterclockwise)."""
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    p = mesh.vertices[triangles(mesh)]  # (nt, 3, 2)
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -33,7 +48,7 @@ def signed_areas(mesh) -> np.ndarray:
 
 def _from_element_blocks(mesh, vals) -> CsrMatrix:
     """Sum the (nt, 3, 3) element blocks into the global matrix through COO."""
-    tri = mesh.triangles
+    tri = triangles(mesh)
     rows = np.repeat(tri, 3, axis=1)            # (nt, 9): i i i j j j k k k
     cols = np.tile(tri, (1, 3))                 # (nt, 9): i j k i j k i j k
     return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
@@ -53,7 +68,7 @@ def element_stiffness(mesh) -> CsrMatrix:
     """The stiffness matrix assembled triangle by triangle from the gradients
     of each one's barycentric basis functions: the reference for the banded
     assembly."""
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    p = mesh.vertices[triangles(mesh)]  # (nt, 3, 2)
     areas = signed_areas(mesh)
     b = np.stack([p[:, 1, 1] - p[:, 2, 1],
                   p[:, 2, 1] - p[:, 0, 1],

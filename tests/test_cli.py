@@ -182,14 +182,15 @@ def test_explicit_measure_flag_changes_scheme(tmp_path, tiny_config_path):
     assert echoed["scheme"]["explicit_measure"] is True
 
 
-@pytest.mark.parametrize("vmin, vmax", [("1", "0"), ("0.5", "0.5"), ("nan", "1")])
+@pytest.mark.parametrize("vmin, vmax", [("1", "0"), ("0.5", "0.5"), ("nan", "1"),
+                                        ("-1", "inf"), ("-1e308", "1e308"), ("-inf", "1")])
 def test_bad_snapshot_levels_rejected_before_the_run(tmp_path, tiny_config_path, capsys,
                                                      monkeypatch, vmin, vmax):
     calls = []
     monkeypatch.setattr(cli_mod, "run_experiment", lambda *a, **k: calls.append(a))
     out_dir = tmp_path / "levels"
     assert main(["run", str(tiny_config_path), "--out", str(out_dir),
-                 "--vmin", vmin, "--vmax", vmax]) == 1
+                 f"--vmin={vmin}", f"--vmax={vmax}"]) == 1
     assert capsys.readouterr().err.startswith("error: need vmin < vmax")
     assert calls == []
     assert not out_dir.exists() or not any(out_dir.iterdir())

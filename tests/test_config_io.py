@@ -208,6 +208,7 @@ def _set(d, path, value):
     (("beta",), [1.0] * 63 + ["1"], r"config.beta\[63\]"),
     (("layout",), [], "config.layout"),
     (("scheme", "explicit_measure"), "false", "config.scheme.explicit_measure"),
+    (("T",), 10 ** 400, "config.T: int too large to convert to float"),
 ])
 def test_wrong_json_type_is_named_without_traceback(tmp_path, capsys, path, value, named):
     d = config_to_dict(make_experiment(2))

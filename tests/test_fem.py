@@ -64,16 +64,19 @@ def test_banded_operators_match_the_element_assembly(n_div):
     mesh = build_mesh(n_div)
     M, K = assemble_mass(mesh), assemble_stiffness(mesh)
     for banded, reference in ((M, element_mass(mesh)), (K, element_stiffness(mesh))):
-        assert banded._vector_handle.format == "dia"
+        assert banded._matrix.format == "dia" and reference._matrix.format == "csr"
         difference = banded.scaled_add(-1.0, reference).values
         assert np.max(np.abs(difference), initial=0.0) <= 1e-14 * np.max(np.abs(reference.values))
     for A in (M, K, M.scaled_add(0.02 * 0.01, K)):
-        At = A.transpose()._handle
-        for a, b in ((A.values, At.data), (A._handle.indices, At.indices),
-                     (A._handle.indptr, At.indptr)):
+        # the banded matrix against its transpose, which has decreasing offsets
+        # and so is stored as CSR
+        stored, At = A._matrix.tocsr(), A.transpose()._matrix
+        assert At.format == "csr"
+        for a, b in ((stored.data, At.data), (stored.indices, At.indices),
+                     (stored.indptr, At.indptr)):
             assert a.tobytes() == b.tobytes()   # exactly symmetric
     assert np.all(K.dot(np.ones(K.n_cols)) == 0.0)
-    assert np.all(K._handle @ np.ones(K.n_cols) == 0.0)
+    assert np.all(K._matrix.tocsr() @ np.ones(K.n_cols) == 0.0)
 
 
 def test_stiffness_kernel_contains_constants():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoloop.experiments import assemble, make_experiment
+from thermoloop.experiments import assemble, layout_centers, make_experiment
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.linalg import CsrMatrix, ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
+from thermoloop.model import disc_indicators
 
 
 def dense_2x2(a, b, c, d):
@@ -215,35 +216,62 @@ def test_banded_matvec_equals_csr_bitwise(n_div):
         assert np.array_equal(csr.data, stored[stored != 0])
         for x in (rng.standard_normal(matrix.n_cols), np.ones(matrix.n_cols)):
             assert np.array_equal(matrix.dot(x), csr @ x)
-        assert matrix._vector_handle.format == "dia"
-        assert len(matrix._vector_handle.offsets) == 7
+        assert matrix._matrix.format == "dia"
+        assert len(matrix._matrix.offsets) == 7
 
 
-def test_device_operators_and_2d_operands_stay_on_csr():
+def test_assembly_stores_each_operator_once_read_only():
+    # the mesh operators keep their 7 bands, the device operators are CSR;
+    # each is one scipy matrix whose arrays are all read-only
     cfg = make_experiment(1, devices=64)
-    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=8))).problem
-    P, Pt = problem.device_mass, problem.device_mass_t
-    assert P._vector_handle is P._handle and Pt._vector_handle is Pt._handle
+    cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=8))
+    problem = assemble(cfg).problem
+    indicators = disc_indicators(problem.mesh, layout_centers(cfg.layout), cfg.r_sigma)
+    for A, layout in ((problem.mass, "dia"), (problem.stiffness, "dia"),
+                      (problem.step_matrix, "dia"), (indicators, "csr"),
+                      (problem.device_mass, "csr"), (problem.device_mass_t, "csr")):
+        stored = A._matrix
+        assert [v for v in vars(A).values() if sp.issparse(v)] == [stored]
+        assert stored.format == layout
+        if layout == "dia":
+            arrays = (stored.data, stored.offsets)
+        else:
+            assert stored.has_sorted_indices
+            arrays = (stored.data, stored.indices, stored.indptr)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert A.nnz == np.count_nonzero(A.toarray())
+    # 2-D operands multiply through the stored bands too
     M = problem.mass
     X = np.random.default_rng(0).standard_normal((M.n_cols, 3))
-    assert np.array_equal(M.dot(X), M._handle @ X)
+    assert np.array_equal(M.dot(X), sp.csr_matrix(M.toarray()) @ X)
+
+
+@pytest.mark.parametrize("n_div, nnz", [(40, 11441), (60, 25561)])
+def test_nnz_counts_the_nonzero_entries_of_the_step_matrix(n_div, nnz):
+    # scipy's DIA nnz also counts the in-bounds stored zeros: 11599 and 25799
+    A = step_matrix(build_mesh(n_div), D=0.02, tau=0.02)
+    assert A.nnz == nnz == np.count_nonzero(A.values)
+    assert A._matrix.nnz > nnz
 
 
 def test_dia_input_gives_banded_vector_products():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((3, 6))
-    data[1, 2] = 0.0   # a stored zero: the CSR copy drops it
+    data[1, 2] = 0.0   # a stored zero: the CSR form drops it
     A = CsrMatrix(sp.dia_matrix((data, [-2, 0, 3]), shape=(6, 6)))
-    assert A._vector_handle.format == "dia" and A._handle.format == "csr"
+    assert A._matrix.format == "dia"
     assert A.nnz == np.count_nonzero(A.toarray()) == 4 + 6 + 3 - 1
+    csr = sp.csr_matrix(A.toarray())
     x = rng.standard_normal(6)
-    assert np.array_equal(A.dot(x), A._handle @ x)
+    assert np.array_equal(A.dot(x), csr @ x)
     X = rng.standard_normal((6, 2))
-    assert np.array_equal(A.dot(X), A._handle @ X)
+    assert np.array_equal(A.dot(X), csr @ X)
     # decreasing offsets would add a row's terms out of column order: such a
-    # matrix keeps only its CSR copy
+    # matrix is stored as CSR
     B = CsrMatrix(sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)))
-    assert B._vector_handle is B._handle
+    assert B._matrix.format == "csr"
     assert np.array_equal(B.toarray(), sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)).toarray())
 
 
@@ -252,10 +280,20 @@ def test_csr_input_gives_csr_vector_products():
     wide = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
                               [1.0, 1.0] + [4.0] * n, shape=(n, n))
     mass = assemble_mass(build_mesh(6))
-    for A in (wide, CsrMatrix(mass._handle), identity(5)):
-        assert A._vector_handle is A._handle
+    for A in (wide, CsrMatrix(mass._matrix.tocsr()), identity(5)):
+        assert A._matrix.format == "csr"
         x = np.arange(A.n_cols, dtype=float)
-        assert np.array_equal(A.dot(x), A._handle @ x)
+        assert np.array_equal(A.dot(x), sp.csr_matrix(A.toarray()) @ x)
+
+
+def test_csr_input_is_copied_and_canonical():
+    # the stored matrix shares no memory with the input, and duplicate
+    # entries are summed into one sorted entry per position
+    given = sp.csr_matrix(([1.0, 2.0, 3.0], [1, 0, 1], [0, 3, 3]), shape=(2, 2))
+    A = CsrMatrix(given)
+    given.data[:] = 7.0
+    assert np.array_equal(A.toarray(), [[2.0, 4.0], [0.0, 0.0]])
+    assert A.nnz == 2 and list(A._matrix.indices) == [0, 1]
 
 
 @pytest.mark.parametrize("n_div", [1, 4, 40])
@@ -263,11 +301,11 @@ def test_scaled_add_of_banded_operators_is_banded_and_the_csr_sum(n_div):
     mesh = build_mesh(n_div)
     M, K = assemble_mass(mesh), assemble_stiffness(mesh)
     for factor in (0.02 * 0.02, 1.0, -3.0):
-        want = M._handle + factor * K._handle
-        for other, layout in ((K, "dia"), (CsrMatrix(K._handle), "csr")):
+        want = M._matrix.tocsr() + factor * K._matrix.tocsr()
+        for other, layout in ((K, "dia"), (CsrMatrix(K._matrix.tocsr()), "csr")):
             A = M.scaled_add(factor, other)
-            assert A._vector_handle.format == layout
-            got = A._handle
+            assert A._matrix.format == layout
+            got = A._matrix.tocsr()
             for a, b in ((got.data, want.data), (got.indices, want.indices),
                          (got.indptr, want.indptr)):
                 assert a.tobytes() == b.tobytes()

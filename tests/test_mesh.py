@@ -1,28 +1,28 @@
 import numpy as np
 import pytest
 
-from mesh_helpers import edge_counts, signed_areas, swap_axes_permutation
+from mesh_helpers import edge_counts, signed_areas, swap_axes_permutation, triangles
 from thermoloop.mesh import build_mesh
 
 
 def test_counts_n2():
     m = build_mesh(2)
     assert m.n_vertices == 9
-    assert m.n_triangles == 8
+    assert len(triangles(m)) == 8
     assert m.h == 1.0
 
 
 def test_counts_n100():
     m = build_mesh(100)
     assert m.n_vertices == 10201
-    assert m.n_triangles == 20000
+    assert len(triangles(m)) == 20000
     assert m.h == pytest.approx(0.02)
 
 
 def test_smallest_mesh():
     m = build_mesh(1)
     assert m.n_vertices == 4
-    assert m.n_triangles == 2
+    assert len(triangles(m)) == 2
     assert signed_areas(m).sum() == pytest.approx(4.0)
 
 
@@ -63,7 +63,7 @@ def test_edge_sharing(n):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_euler_formula(n):
     m = build_mesh(n)
-    V, E, F = m.n_vertices, len(edge_counts(m)), m.n_triangles
+    V, E, F = m.n_vertices, len(edge_counts(m)), len(triangles(m))
     assert V - E + F == 1
 
 

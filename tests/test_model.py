@@ -335,8 +335,8 @@ def looped_disc_indicators(mesh, centers, radius):
 def test_disc_indicators_equal_the_per_disc_loop_bytewise(n_div, layout):
     mesh = build_mesh(n_div)
     centers, radius = layout_centers(layout), layout.radius
-    got = disc_indicators(mesh, centers, radius)._handle
-    want = looped_disc_indicators(mesh, centers, radius)._handle
+    got = disc_indicators(mesh, centers, radius)._matrix
+    want = looped_disc_indicators(mesh, centers, radius)._matrix
     assert got.shape == want.shape
     for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -138,6 +138,12 @@ class TestSnapshotImage:
             write_snapshot_image(self.constant_field(0.0), self.mesh,
                                  vmin=1.0, vmax=-1.0)
 
+    @pytest.mark.parametrize("vmin, vmax", [(-1.0, np.inf), (-1e308, 1e308), (-np.inf, 1.0)])
+    def test_rejects_range_of_infinite_width(self, vmin, vmax):
+        # vmax - vmin overflows or is infinite: every pixel would be black or garbage
+        with pytest.raises(ValueError, match="finite distance apart"):
+            write_snapshot_image(self.constant_field(0.0), self.mesh, vmin=vmin, vmax=vmax)
+
     def test_rejects_foreign_field(self):
         other = build_mesh(5)
         fld = field_from_values(other, np.zeros(other.n_vertices))
