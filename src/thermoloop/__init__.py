@@ -7,7 +7,8 @@ devices.  Each control device is driven by a first-order signal ODE (a
 deviation seen by a matching measurement device.  Space is discretized with
 P1 finite elements on a uniform triangulation, time with implicit Euler plus
 a fixed number of Picard sweeps per step; each sweep solves the constant SPD
-system M + tau*D*K by warm-started, Jacobi-preconditioned conjugate gradients.
+system M + tau*D*K, scaled symmetrically by its Jacobi diagonal, by
+warm-started conjugate gradients.
 """
 
 from .mesh import Mesh, build_mesh

@@ -132,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--snap-every", type=int, default=None,
                        help="with --out, also write a field snapshot every S steps")
     p_run.add_argument("--cg-tol", type=float, default=None,
-                       help="override the linear-solver relative tolerance")
+                       help="override the linear-solver relative tolerance, a bound on "
+                            "the Jacobi-weighted residual: ||S(b - A y)|| <= tol ||S b||, "
+                            "S = diag(A)^-1/2")
     p_run.add_argument("--explicit-measure", action="store_true",
                        help="measure against the previous time level instead of "
                             "the current Picard iterate")
@@ -162,8 +164,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_level_values(argv: list[str]) -> list[str]:
+    """``--vmin V`` and ``--vmax V`` as ``--vmin=V``: argparse would take a value
+    such as ``-1e308`` or ``-inf``, which is not a plain negative number, for
+    an option and report the level as missing."""
+    joined = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("--vmin", "--vmax") else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_level_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse already printed usage

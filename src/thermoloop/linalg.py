@@ -1,5 +1,5 @@
-"""Sparse symmetric-positive-definite linear algebra: banded or CSR storage
-and Jacobi-preconditioned conjugate gradients."""
+"""Sparse symmetric-positive-definite linear algebra: banded or CSR storage,
+symmetric diagonal scaling and conjugate gradients."""
 
 from __future__ import annotations
 
@@ -17,6 +17,18 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.iters = iters
         self.residual = residual
+
+
+def _bands(dia) -> list[tuple[int, int, int, int]]:
+    """(k, offset, lo, hi) per diagonal k of a DIA matrix: its column j holds
+    entry (j - offset, j), inside the matrix for lo <= j < hi."""
+    n_rows, n_cols = dia.shape
+    width = min(n_cols, dia.data.shape[1])
+    bands = []
+    for k, offset in enumerate(dia.offsets.tolist()):
+        lo = max(offset, 0)
+        bands.append((k, offset, lo, max(lo, min(width, n_rows + offset))))
+    return bands
 
 
 class CsrMatrix:
@@ -38,15 +50,17 @@ class CsrMatrix:
             stored = sp.dia_matrix((np.asarray(matrix.data, dtype=np.float64), matrix.offsets),
                                    shape=matrix.shape)
             arrays = (stored.data, stored.offsets)
+            nnz = sum(np.count_nonzero(stored.data[k, lo:hi]) for k, _, lo, hi in _bands(stored))
         else:
             stored = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
             stored.sum_duplicates()   # also sorts each row's column indices
             arrays = (stored.data, stored.indices, stored.indptr)
+            nnz = stored.count_nonzero()
         for a in arrays:
             a.setflags(write=False)
         self._matrix = stored
         self.n_rows, self.n_cols = stored.shape
-        self.nnz = int(stored.count_nonzero())
+        self.nnz = int(nnz)
         self.tag = tag
 
     @property
@@ -89,6 +103,30 @@ class CsrMatrix:
                              tag=self.tag)
         return CsrMatrix(a + factor * b, tag=self.tag)
 
+    def scaled_symmetric(self, s: np.ndarray) -> "CsrMatrix":
+        """diag(s) @ self @ diag(s) of a square matrix, stored as self is.
+
+        Entry (i, j) is multiplied by the product s_i * s_j, taken first, so
+        a bitwise symmetric matrix stays bitwise symmetric.  A banded matrix
+        keeps its diagonals (DIA stores entry (j - offset, j) in column j),
+        with the slots outside the matrix zero.
+        """
+        s = np.asarray(s, dtype=np.float64)
+        if self.n_rows != self.n_cols or s.shape != (self.n_rows,):
+            raise ValueError(f"scale of shape {s.shape} does not fit a "
+                             f"{self.n_rows} x {self.n_cols} matrix")
+        m = self._matrix
+        if m.format == "dia":
+            data = np.zeros_like(m.data)
+            for k, offset, lo, hi in _bands(m):
+                data[k, lo:hi] = m.data[k, lo:hi] * (s[lo - offset:hi - offset] * s[lo:hi])
+            scaled = sp.dia_matrix((data, m.offsets), shape=m.shape)
+        else:
+            rows = np.repeat(np.arange(self.n_rows), np.diff(m.indptr))
+            scaled = sp.csr_matrix((m.data * (s[rows] * s[m.indices]), m.indices, m.indptr),
+                                   shape=m.shape)
+        return CsrMatrix(scaled, tag=self.tag)
+
 
 class CgResult(NamedTuple):
     x: np.ndarray
@@ -96,10 +134,14 @@ class CgResult(NamedTuple):
     residual: float
 
 
-def cg_solve(A: CsrMatrix, b: np.ndarray, *, inv_diag: np.ndarray, x0: np.ndarray,
+def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
              rel_tol: float = 1e-10, max_iters: int | None = None) -> CgResult:
-    """Conjugate gradients for symmetric positive definite A, started from
-    ``x0`` and preconditioned by ``inv_diag`` = 1 / diag(A) (Jacobi).
+    """Conjugate gradients for symmetric positive definite A, started from ``x0``.
+
+    The solver has no preconditioner: a caller that wants one scales the
+    system instead (``CsrMatrix.scaled_symmetric``), which gives the same
+    iterates as preconditioned CG with one dot product and one vector pass
+    less per iteration.
 
     Stops when ||b - A x||_2 <= rel_tol * ||b||_2.  A zero right-hand side
     returns x = 0 immediately.
@@ -113,14 +155,12 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, inv_diag: np.ndarray, x0: np.ndarra
       ``iters`` 0, ``residual`` NaN;
     - a finite ``b`` with an overflowing norm: "the norm of the right-hand
       side overflows", ``iters`` 0, ``residual`` inf;
-    - a non-finite ``x0`` or ``inv_diag``, or a value arising later:
-      "breakdown at iteration k" or "non-finite residual at iteration k".
+    - a non-finite ``x0``, or a value arising later: "breakdown at
+      iteration k" or "non-finite residual at iteration k".
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
-    if inv_diag.shape != b.shape:
-        raise ValueError(f"inverse diagonal length {inv_diag.shape} does not match {b.shape}")
     if max_iters is None:
         max_iters = 10 * A.n_rows
 
@@ -137,9 +177,8 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, inv_diag: np.ndarray, x0: np.ndarra
     x = np.array(x0, dtype=np.float64)
     r = b - A.dot(x)
     scratch = np.empty_like(b)
+    p = r.copy()
     rr = float(r @ r)
-    p = r * inv_diag
-    rz = float(r @ p)
     res = math.sqrt(rr)   # bitwise equal to np.linalg.norm(r)
 
     for k in range(max_iters):
@@ -150,16 +189,14 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, inv_diag: np.ndarray, x0: np.ndarra
         if not math.isfinite(pAp) or pAp <= 0:
             raise ConvergenceError(
                 f"breakdown at iteration {k}: p^T A p = {pAp} (matrix not SPD?)", k, res)
-        alpha = rz / pAp
+        alpha = rr / pAp
         x += np.multiply(p, alpha, out=scratch)
         Ap *= alpha
         r -= Ap
-        rr = float(r @ r)
-        z = np.multiply(r, inv_diag, out=scratch)
-        rz_new = float(r @ z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
+        rr_new = float(r @ r)
+        p *= rr_new / rr
+        p += r
+        rr = rr_new
         res = math.sqrt(rr)
         if not math.isfinite(res):
             raise ConvergenceError(f"non-finite residual at iteration {k + 1}", k + 1, res)

@@ -4,7 +4,7 @@ Each time step advances (y, kappa_1..kappa_J) with a fixed number of Picard
 sweeps.  Within a sweep the measurement and thermostat update use the newest
 field iterate (implicit coupling) while the reaction term is lagged one
 iterate, so the linear system keeps the constant SPD matrix M + tau*D*K,
-solved by Jacobi-preconditioned conjugate gradients.  Each solve starts from
+solved by conjugate gradients on its Jacobi-scaled form.  Each solve starts from
 the previous iterate plus the correction its sweep made at the last steps,
 extrapolated in time.
 """
@@ -126,8 +126,9 @@ class DiscreteProblem:
     through one sparse (J, n) product ``device_mass`` P = I M, scaled by the
     device heights: the measurements are m = C_h * (P y - P y*) and the
     control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa).
-    P^T, the constant P y* and the inverse diagonal of the step matrix (the
-    Jacobi preconditioner of every solve) are derived once, at construction.
+    P^T, the constant P y* and the Jacobi-scaled step matrix S A S, with the
+    read-only scale s = 1 / sqrt(diag(A)) (S = diag(s)), are derived once, at
+    construction: every solve runs on S A S.
     All devices share one ``switch`` (scalar L_w and H_w); ``alpha`` routes
     the J switch outputs to the J thermostats, whose time constants are the
     read-only (J,) ``beta``.  A device-free problem has J = 0: its empty
@@ -149,7 +150,8 @@ class DiscreteProblem:
     ystar: NodalField
     device_mass_t: CsrMatrix = field(init=False, repr=False)   # P^T, (n, J)
     device_mass_ystar: np.ndarray = field(init=False, repr=False)  # P y*, (J,)
-    step_inv_diag: np.ndarray = field(init=False, repr=False)      # 1 / diag(step_matrix)
+    step_scale: np.ndarray = field(init=False, repr=False)         # s = 1 / sqrt(diag(A))
+    scaled_step_matrix: CsrMatrix = field(init=False, repr=False)  # S A S, banded as A
 
     def __post_init__(self):
         if not 0 < self.tau < math.inf:   # also rejects nan
@@ -174,9 +176,10 @@ class DiscreteProblem:
         diag = self.step_matrix.diagonal()
         if not np.all(diag > 0):
             raise ValueError("the step matrix needs a positive diagonal (it must be SPD)")
-        inv_diag = 1.0 / diag
-        inv_diag.setflags(write=False)
-        object.__setattr__(self, "step_inv_diag", inv_diag)
+        scale = 1.0 / np.sqrt(diag)
+        scale.setflags(write=False)
+        object.__setattr__(self, "step_scale", scale)
+        object.__setattr__(self, "scaled_step_matrix", self.step_matrix.scaled_symmetric(scale))
 
 
 @dataclass(frozen=True)
@@ -206,10 +209,13 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     Sweep p measures all devices at once, m = C_h * (P y - P y*) with the
     sparse P = I M, passes the (J,) vector through the shared switch in one
     call, forms demands W = alpha @ w(m) and updates kappa implicitly.  It
-    then solves (M + tau*D*K) y = M (y_m + tau * f(y_lag)) + tau * C_g * P^T kappa
-    by Jacobi-preconditioned conjugate gradients, with the cubic lagged one
-    iterate.  With ``explicit_measure`` the thermostats are updated once per
-    step from y_m instead of once per sweep.
+    then solves A y = b, A = M + tau*D*K and b = M (y_m + tau * f(y_lag)) +
+    tau * C_g * P^T kappa, with the cubic lagged one iterate: conjugate
+    gradients solve the Jacobi-scaled system (S A S) x = S b, S = diag(s),
+    s = 1 / sqrt(diag(A)), from x0 / s, and y = s * x.  ``cg_tol`` bounds the
+    scaled residual, ||S (b - A y)||_2 <= cg_tol ||S b||_2, which is the
+    ``cg_residual`` of the step's diagnostics.  With ``explicit_measure`` the
+    thermostats are updated once per step from y_m instead of once per sweep.
 
     The solve of sweep p starts from the previous iterate y_{p-1} plus the
     correction c_p = y_p - y_{p-1} that sweep p will make, extrapolated in
@@ -225,14 +231,18 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     and the last finite Picard increment.  A last sweep that moves y further
     in max-abs than the first (never with one sweep) and than the floor
     sqrt(cg_tol) * max|y_new| names the step and both increments.  The floor
-    lies above solver noise: a solve stopped at ||b - A x||_2 <= cg_tol ||b||_2
-    is off by at most cond(A) sqrt(n) cg_tol max|y|, so a converged sweep's
-    correction, the difference of two such errors, stays below
-    2e3 cg_tol max|y| on the presets (cond(A) < 10, n = 101^2); the floor is
-    1e5 cg_tol max|y| at the default cg_tol = 1e-10.
+    lies above solver noise: x = y / s is off by at most cond(S A S) cg_tol
+    ||x||_2, so y is off by at most (max s / min s) cond(S A S) sqrt(n)
+    cg_tol max|y| in max-abs, and a converged sweep's correction, the
+    difference of two such errors, stays below 2.2e3 cg_tol max|y| on the
+    presets.  There max s / min s = sqrt(max d / min d) <= 2.41 for
+    d = diag(A), and cond(S A S) is at most 3.24 at N = 20 and 4.33 at
+    N = 100 (n = 101^2).  The floor is 1e5 cg_tol max|y| at the default
+    cg_tol = 1e-10.
     """
     tau = problem.tau
     M = problem.mass
+    s = problem.step_scale
     y_m = state.y.values
     kappa_m = state.kappa
     if scheme.explicit_measure:
@@ -250,12 +260,13 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     for p in range(scheme.n_picard):
         if not scheme.explicit_measure:
             kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
-        # a non-finite reaction gives a non-finite right-hand side (tau > 0 and
-        # diag(M) > 0), which cg_solve rejects before its first iteration
+        # a non-finite reaction gives a non-finite right-hand side (tau > 0,
+        # diag(M) > 0 and s > 0), which cg_solve rejects before its first iteration
         with np.errstate(over="ignore"):
             reaction = eval_reaction(problem.reaction, y_prev)
             rhs = M.dot(y_m + tau * reaction)
-        rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+            rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+            rhs *= s   # S b, the right-hand side of the scaled system
         x0 = y_prev
         if weights:
             guess = y_prev + weights[0] * history[0][p]
@@ -264,9 +275,8 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             if np.isfinite(guess).all():
                 x0 = guess
         try:
-            sol = cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
-                           max_iters=scheme.cg_max_iters, inv_diag=problem.step_inv_diag,
-                           x0=x0)
+            sol = cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,
+                           max_iters=scheme.cg_max_iters, x0=x0 / s)
         except ConvergenceError as err:
             if err.iters == 0 and not np.isfinite(err.residual):
                 if not np.isfinite(reaction).all():
@@ -277,13 +287,14 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             raise ConvergenceError(
                 f"linear solve failed at step {state.step_index + 1}, "
                 f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
-        if not np.isfinite(sol.x).all():
+        y_new = sol.x * s
+        if not np.isfinite(y_new).all():
             raise RuntimeError(
                 f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
                 f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
                 f"{kappa_new.max() if len(kappa_new) else 0}]")
-        np.subtract(sol.x, y_prev, out=corrections[p])
-        y_prev = sol.x
+        np.subtract(y_new, y_prev, out=corrections[p])
+        y_prev = y_new
 
     increment, first = _max_abs(corrections[-1]), _max_abs(corrections[0])
     if increment > first and increment > math.sqrt(scheme.cg_tol) * _max_abs(y_prev):

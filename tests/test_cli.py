@@ -189,8 +189,9 @@ def test_bad_snapshot_levels_rejected_before_the_run(tmp_path, tiny_config_path,
     calls = []
     monkeypatch.setattr(cli_mod, "run_experiment", lambda *a, **k: calls.append(a))
     out_dir = tmp_path / "levels"
-    assert main(["run", str(tiny_config_path), "--out", str(out_dir),
-                 f"--vmin={vmin}", f"--vmax={vmax}"]) == 1
-    assert capsys.readouterr().err.startswith("error: need vmin < vmax")
-    assert calls == []
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    # each level given joined by "=" and as a separate argument
+    for levels in ([f"--vmin={vmin}", f"--vmax={vmax}"], ["--vmin", vmin, "--vmax", vmax]):
+        assert main(["run", str(tiny_config_path), "--out", str(out_dir)] + levels) == 1
+        assert capsys.readouterr().err.startswith("error: need vmin < vmax")
+        assert calls == []
+        assert not out_dir.exists() or not any(out_dir.iterdir())

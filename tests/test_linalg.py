@@ -22,9 +22,15 @@ def identity(n):
     return CsrMatrix(sp.identity(n, format="csr"))
 
 
-def jacobi(A, x0=None):
-    """cg_solve's keywords for a Jacobi-preconditioned solve from x0 (zero by default)."""
-    return dict(inv_diag=1.0 / A.diagonal(), x0=np.zeros(A.n_rows) if x0 is None else x0)
+def start(A, x0=None):
+    """cg_solve's start vector keyword: x0, zero by default."""
+    return dict(x0=np.zeros(A.n_rows) if x0 is None else x0)
+
+
+def jacobi_scaled(A):
+    """The Jacobi scale s = 1 / sqrt(diag(A)) and the scaled matrix S A S."""
+    s = 1.0 / np.sqrt(A.diagonal())
+    return s, A.scaled_symmetric(s)
 
 
 def step_matrix(mesh, D, tau):
@@ -70,20 +76,20 @@ def test_matmul_and_transpose_match_dense():
 def test_cg_identity_single_iteration():
     I5 = identity(5)
     b = np.array([3.0, -1.0, 0.5, 2.0, 7.0])
-    x, iters, res = cg_solve(I5, b, **jacobi(I5))
+    x, iters, res = cg_solve(I5, b, **start(I5))
     assert iters <= 1
     assert np.allclose(x, b, atol=1e-14)
 
 
 def test_cg_2x2_hand_solution():
     A = dense_2x2(4, 1, 1, 3)
-    x, _, _ = cg_solve(A, np.array([1.0, 2.0]), **jacobi(A))
+    x, _, _ = cg_solve(A, np.array([1.0, 2.0]), **start(A))
     assert np.allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-12)
 
 
 def test_cg_zero_rhs_returns_zero():
     A = dense_2x2(4, 1, 1, 3)
-    x, iters, res = cg_solve(A, np.zeros(2), **jacobi(A))
+    x, iters, res = cg_solve(A, np.zeros(2), **start(A))
     assert iters == 0 and res == 0.0
     assert np.all(x == 0.0)
 
@@ -94,7 +100,7 @@ def test_cg_step_system_matches_dense_oracle():
     A = step_matrix(mesh, D=0.02, tau=0.01)
     rng = np.random.default_rng(7)
     b = rng.standard_normal(mesh.n_vertices)
-    x, iters, _ = cg_solve(A, b, rel_tol=1e-12, **jacobi(A))
+    x, iters, _ = cg_solve(A, b, rel_tol=1e-12, **start(A))
     oracle = np.linalg.solve(A.toarray(), b)
     assert np.max(np.abs(x - oracle)) <= 1e-8
     assert iters <= 10 * mesh.n_vertices
@@ -108,27 +114,29 @@ def test_cg_agrees_with_dense_oracle_on_every_small_mesh(n_div):
     A = step_matrix(mesh, D=0.01, tau=0.01)
     rng = np.random.default_rng(n_div)
     b = M.dot(rng.standard_normal(mesh.n_vertices))
-    x, iters, res = cg_solve(A, b, rel_tol=1e-10, max_iters=10 * mesh.n_vertices, **jacobi(A))
+    x, iters, res = cg_solve(A, b, rel_tol=1e-10, max_iters=10 * mesh.n_vertices, **start(A))
     assert np.max(np.abs(x - np.linalg.solve(A.toarray(), b))) <= 1e-8
     assert res <= 1e-10 * np.linalg.norm(b)
 
 
 def test_cg_jacobi_preconditioning():
-    # a unit inverse diagonal is the identity preconditioner: plain CG
+    # CG on the Jacobi-scaled system S A S x = S b gives y = S x, the solution
+    # of A y = b, in fewer iterations than CG on A
     mesh = build_mesh(6)
     A = step_matrix(mesh, D=0.5, tau=0.1)
+    s, SAS = jacobi_scaled(A)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(mesh.n_vertices)
-    x0 = np.zeros(mesh.n_vertices)
-    plain = cg_solve(A, b, rel_tol=1e-11, inv_diag=np.ones(mesh.n_vertices), x0=x0)
-    pre = cg_solve(A, b, rel_tol=1e-11, **jacobi(A))
-    assert np.allclose(plain.x, pre.x, atol=1e-9)
+    plain = cg_solve(A, b, rel_tol=1e-11, **start(A))
+    scaled = cg_solve(SAS, s * b, rel_tol=1e-11, **start(A))
+    assert np.allclose(plain.x, s * scaled.x, atol=1e-9)
+    assert scaled.iters < plain.iters
 
 
 def test_cg_warm_start_converges_immediately_at_solution():
     A = dense_2x2(4, 1, 1, 3)
     exact = np.array([1.0 / 11.0, 7.0 / 11.0])
-    x, iters, _ = cg_solve(A, np.array([1.0, 2.0]), **jacobi(A, exact))
+    x, iters, _ = cg_solve(A, np.array([1.0, 2.0]), **start(A, exact))
     assert iters == 0
     assert np.allclose(x, exact)
 
@@ -136,7 +144,7 @@ def test_cg_warm_start_converges_immediately_at_solution():
 def test_cg_reports_nonconvergence_with_residual():
     A = dense_2x2(4, 1, 1, 3)
     with pytest.raises(ConvergenceError) as info:
-        cg_solve(A, np.array([1.0, 2.0]), rel_tol=1e-15, max_iters=1, **jacobi(A))
+        cg_solve(A, np.array([1.0, 2.0]), rel_tol=1e-15, max_iters=1, **start(A))
     assert info.value.iters == 1
     assert np.isfinite(info.value.residual)
 
@@ -147,7 +155,7 @@ def test_cg_rejects_nonfinite_rhs():
     for b in ([np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]):
         with pytest.raises(ConvergenceError,
                            match="^right-hand side contains non-finite entries$") as info:
-            cg_solve(A, np.array(b), **jacobi(A))
+            cg_solve(A, np.array(b), **start(A))
         assert info.value.iters == 0
         assert np.isnan(info.value.residual)
 
@@ -155,13 +163,17 @@ def test_cg_rejects_nonfinite_rhs():
 def test_cg_rhs_length_mismatch():
     A = dense_2x2(4, 1, 1, 3)
     with pytest.raises(ValueError):
-        cg_solve(A, np.ones(3), **jacobi(A))
+        cg_solve(A, np.ones(3), **start(A))
 
 
-def test_cg_inv_diag_length_mismatch():
+def test_scale_length_mismatch():
     A = dense_2x2(4, 1, 1, 3)
-    with pytest.raises(ValueError):
-        cg_solve(A, np.ones(2), inv_diag=np.ones(3), x0=np.zeros(2))
+    for s in (np.ones(3), np.ones(1), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="does not fit a 2 x 2 matrix"):
+            A.scaled_symmetric(s)
+    rect = CsrMatrix.from_coo([0, 1], [0, 2], [1.0, 2.0], shape=(2, 3))
+    with pytest.raises(ValueError, match="does not fit a 2 x 3 matrix"):
+        rect.scaled_symmetric(np.ones(2))
 
 
 def campaign_step_matrix(n_div):
@@ -173,31 +185,65 @@ def campaign_step_matrix(n_div):
 
 @pytest.mark.parametrize("n_div", [20, 40])
 def test_cg_jacobi_meets_tolerance_in_fewer_iterations(n_div):
+    # plain CG on S A S meets its tolerance on the scaled residual in fewer
+    # iterations than plain CG on A
     A, M = campaign_step_matrix(n_div)
-    inv_diag = 1.0 / A.diagonal()
+    s, SAS = jacobi_scaled(A)
     rng = np.random.default_rng(100 + n_div)
     n = A.n_rows
     for b, x0 in ((rng.standard_normal(n), np.zeros(n)),
                   (M.dot(rng.standard_normal(n)), rng.standard_normal(n))):
         rel_tol = 1e-10
-        plain = cg_solve(A, b, rel_tol=rel_tol, inv_diag=np.ones(n), x0=x0)
-        pre = cg_solve(A, b, rel_tol=rel_tol, inv_diag=inv_diag, x0=x0)
-        assert np.linalg.norm(b - A.dot(pre.x)) <= rel_tol * np.linalg.norm(b)
+        plain = cg_solve(A, b, rel_tol=rel_tol, x0=x0)
+        scaled = cg_solve(SAS, s * b, rel_tol=rel_tol, x0=x0 / s)
+        y = s * scaled.x
+        assert np.linalg.norm(s * (b - A.dot(y))) <= rel_tol * np.linalg.norm(s * b)
         if n_div == 40:
-            assert pre.iters < plain.iters
+            assert scaled.iters < plain.iters
 
 
 def test_problem_rejects_step_matrix_without_positive_diagonal():
     cfg = make_experiment(1, devices=64)
     problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=8))).problem
     A = problem.step_matrix
-    assert np.array_equal(problem.step_inv_diag, 1.0 / A.diagonal())
+    assert np.array_equal(problem.step_scale, 1.0 / np.sqrt(A.diagonal()))
+    with pytest.raises(ValueError, match="read-only"):
+        problem.step_scale[0] = 1.0
     for factor in (1.0, 2.0):   # one zero, then one negative diagonal entry
         shift = np.zeros(A.n_rows)
         shift[5] = factor * A.diagonal()[5]
         bad = A.scaled_add(-1.0, CsrMatrix(sp.diags(shift)))
         with pytest.raises(ValueError, match="positive diagonal"):
             replace(problem, step_matrix=bad)
+
+
+@pytest.mark.parametrize("n_div", [2, 3, 4, 5, 6])
+def test_problem_solves_on_the_jacobi_scaled_step_matrix(n_div):
+    cfg = make_experiment(1, devices=64)
+    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=n_div))).problem
+    A, s, SAS = problem.step_matrix, problem.step_scale, problem.scaled_step_matrix
+    dense = np.outer(s, s) * A.toarray()   # each entry times s_i * s_j
+    assert np.array_equal(SAS.toarray(), dense)
+    assert np.array_equal(dense, dense.T)
+    # banded as A, with the slots outside the matrix zero and read-only arrays
+    stored = SAS._matrix
+    assert stored.format == "dia" and np.array_equal(stored.offsets, A._matrix.offsets)
+    assert SAS.nnz == A.nnz
+    cols = np.arange(stored.data.shape[1])
+    rows = cols - stored.offsets[:, None]
+    assert np.all(stored.data[(rows < 0) | (rows >= A.n_rows)] == 0.0)
+    for a in (stored.data, stored.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    # a CSR copy of A scales to the same entries
+    assert np.array_equal(CsrMatrix(A._matrix.tocsr()).scaled_symmetric(s).toarray(), dense)
+    # y = s * x of a scaled solve meets the unscaled system up to the spread of s
+    d = A.diagonal()
+    rng = np.random.default_rng(n_div)
+    for tol in (1e-6, 1e-10):
+        b = problem.mass.dot(rng.standard_normal(A.n_rows))
+        x = cg_solve(SAS, s * b, rel_tol=tol, **start(A)).x
+        assert np.linalg.norm(b - A.dot(s * x)) <= np.sqrt(d.max() / d.min()) * tol * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n_div", [1, 4, 40])
@@ -317,5 +363,5 @@ def test_cg_rejects_overflowing_rhs_norm():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="norm of the right-hand side overflows") as info:
-            cg_solve(A, np.array([1e160, 1e160]), **jacobi(A))
+            cg_solve(A, np.array([1e160, 1e160]), **start(A))
     assert info.value.iters == 0 and info.value.residual == np.inf

@@ -70,8 +70,9 @@ def reference_picard_step(state, problem, scheme, profiles, loads, history=()):
     separate mass spmv for M y_m and for M f(y_lag).  Each solve starts from
     the previous iterate plus the cubic (or, with a shorter ``history``,
     lower-order) extrapolation in time of the corrections its sweep made at
-    the last steps, ``history`` newest first.  Returns y, kappa and this
-    step's (n_picard, n) corrections."""
+    the last steps, ``history`` newest first, and solves the Jacobi-scaled
+    system S A S x = S rhs for y = S x.  Returns y, kappa and this step's
+    (n_picard, n) corrections."""
     tau = problem.tau
     M = problem.mass
     y_m = state.y.values
@@ -95,9 +96,9 @@ def reference_picard_step(state, problem, scheme, profiles, loads, history=()):
             x0 = y_prev + c[0]
         else:
             x0 = y_prev
-        y_new = cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
-                         max_iters=scheme.cg_max_iters, inv_diag=problem.step_inv_diag,
-                         x0=x0).x
+        s = problem.step_scale
+        y_new = s * cg_solve(problem.scaled_step_matrix, s * rhs, rel_tol=scheme.cg_tol,
+                             max_iters=scheme.cg_max_iters, x0=x0 / s).x
         corrections.append(y_new - y_prev)
         y_prev = y_new
     return y_prev, kappa_new, np.array(corrections)
@@ -105,8 +106,8 @@ def reference_picard_step(state, problem, scheme, profiles, loads, history=()):
 
 def parent_picard_step(state, problem, scheme):
     """The vectorized sweep as it was before warm starts, every solve
-    starting from the previous iterate: the reference a state without
-    history must reproduce bit for bit."""
+    starting from the previous iterate, on the Jacobi-scaled system: the
+    reference a state without history must reproduce bit for bit."""
     tau = problem.tau
     y_m, kappa_m = state.y.values, state.kappa
     controlled = problem.device_mass.n_rows > 0
@@ -124,10 +125,10 @@ def parent_picard_step(state, problem, scheme):
         rhs = problem.mass.dot(y_m + tau * eval_reaction(problem.reaction, y_prev))
         if controlled:
             rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
-        sol = cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
-                       max_iters=scheme.cg_max_iters, inv_diag=problem.step_inv_diag,
-                       x0=y_prev)
-        y_before, y_prev = y_prev, sol.x
+        s = problem.step_scale
+        sol = cg_solve(problem.scaled_step_matrix, rhs * s, rel_tol=scheme.cg_tol,
+                       max_iters=scheme.cg_max_iters, x0=y_prev / s)
+        y_before, y_prev = y_prev, sol.x * s
     return y_prev, kappa_new, sol, float(np.max(np.abs(y_prev - y_before)))
 
 
@@ -141,7 +142,8 @@ def campaign1_small(**scheme):
 # The sweep, its solver and the error recorder as they were while every lagged
 # reaction, every right-hand side and every thermostat bank was scanned on each
 # sweep, kept verbatim (with the names they call) as the reference the sweep
-# must reproduce bit for bit.
+# must reproduce bit for bit; only the solve moved to the Jacobi-scaled system
+# S A S x = S rhs, y = S x, which plain CG solves.
 
 def scanning_eval_switch(w, s):
     s = np.asarray(s, dtype=np.float64)
@@ -165,12 +167,10 @@ def scanning_max_abs(v):
     return float(np.max(np.abs(v))) if len(v) else 0.0
 
 
-def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, inv_diag=None, x0=None):
+def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, x0=None):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.n_rows,):
         raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
-    if inv_diag is not None and inv_diag.shape != b.shape:
-        raise ValueError(f"inverse diagonal length {inv_diag.shape} does not match {b.shape}")
     if not np.isfinite(b).all():
         raise ConvergenceError("right-hand side contains non-finite entries", 0, float("nan"))
     if max_iters is None:
@@ -193,12 +193,8 @@ def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, inv_diag=None, x0=Non
 
     scratch = np.empty_like(b)
     rr = float(r @ r)
-    if inv_diag is None:
-        p = r.copy()
-        rz = rr
-    else:
-        p = r * inv_diag
-        rz = float(r @ p)
+    p = r.copy()
+    rz = rr
     res = math.sqrt(rr)   # bitwise equal to np.linalg.norm(r)
 
     for k in range(max_iters):
@@ -214,12 +210,8 @@ def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, inv_diag=None, x0=Non
         Ap *= alpha
         r -= Ap
         rr = float(r @ r)
-        if inv_diag is None:
-            z = r
-            rz_new = rr
-        else:
-            z = np.multiply(r, inv_diag, out=scratch)
-            rz_new = float(r @ z)
+        z = r
+        rz_new = rr
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -261,6 +253,8 @@ def scanning_picard_step(state, problem, scheme):
                                           "the lagged reaction term is non-finite")
         rhs = M.dot(y_m + tau * reaction)
         rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+        s = problem.step_scale
+        rhs = rhs * s
         x0 = y_prev
         if weights:
             guess = y_prev.copy()
@@ -269,9 +263,8 @@ def scanning_picard_step(state, problem, scheme):
             if np.isfinite(guess).all():
                 x0 = guess
         try:
-            sol = scanning_cg_solve(problem.step_matrix, rhs, rel_tol=scheme.cg_tol,
-                                    max_iters=scheme.cg_max_iters,
-                                    inv_diag=problem.step_inv_diag, x0=x0)
+            sol = scanning_cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,
+                                    max_iters=scheme.cg_max_iters, x0=x0 / s)
         except ConvergenceError as err:
             if err.iters == 0 and not np.isfinite(err.residual):
                 # cg_solve rejects a right-hand side before its first iteration
@@ -281,13 +274,14 @@ def scanning_picard_step(state, problem, scheme):
             raise ConvergenceError(
                 f"linear solve failed at step {state.step_index + 1}, "
                 f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
-        if not np.isfinite(sol.x).all():
+        y_new = sol.x * s
+        if not np.isfinite(y_new).all():
             raise RuntimeError(
                 f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
                 f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
                 f"{kappa_new.max() if len(kappa_new) else 0}]")
-        np.subtract(sol.x, y_prev, out=corrections[p])
-        y_prev = sol.x
+        np.subtract(y_new, y_prev, out=corrections[p])
+        y_prev = y_new
 
     corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
