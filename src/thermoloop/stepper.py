@@ -267,16 +267,18 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             rhs = M.dot(y_m + tau * reaction)
             rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
             rhs *= s   # S b, the right-hand side of the scaled system
-        x0 = y_prev
+        x0 = None
         if weights:
             guess = y_prev + weights[0] * history[0][p]
             for w, h in zip(weights[1:], history[1:]):
                 guess += w * h[p]
             if np.isfinite(guess).all():
-                x0 = guess
+                x0 = np.divide(guess, s, out=guess)
+        if x0 is None:
+            x0 = y_prev / s
         try:
             sol = cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,
-                           max_iters=scheme.cg_max_iters, x0=x0 / s)
+                           max_iters=scheme.cg_max_iters, x0=x0)
         except ConvergenceError as err:
             if err.iters == 0 and not np.isfinite(err.residual):
                 if not np.isfinite(reaction).all():
@@ -287,7 +289,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             raise ConvergenceError(
                 f"linear solve failed at step {state.step_index + 1}, "
                 f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
-        y_new = sol.x * s
+        y_new = np.multiply(sol.x, s, out=sol.x)   # y = S x, in cg_solve's own array
         if not np.isfinite(y_new).all():
             raise RuntimeError(
                 f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "

@@ -321,6 +321,30 @@ def test_dia_input_gives_banded_vector_products():
     assert np.array_equal(B.toarray(), sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)).toarray())
 
 
+def test_banded_dot_is_bitwise_the_scipy_product():
+    # dot calls scipy's DIA kernel itself for a contiguous float64 vector and
+    # goes through `@` otherwise: the bits agree
+    rng = np.random.default_rng(11)
+    mats = []
+    for n_div in (1, 4, 40):
+        mesh = build_mesh(n_div)
+        A = assemble_mass(mesh).scaled_add(0.02 * 0.02, assemble_stiffness(mesh))
+        mats += [A, A.scaled_symmetric(1.0 / np.sqrt(A.diagonal()))]
+    for shape, width in (((6, 6), 6), ((4, 6), 6), ((6, 4), 3), ((6, 6), 9)):
+        data = rng.standard_normal((3, width))   # slots outside the matrix too
+        mats.append(CsrMatrix(sp.dia_matrix((data, [-2, 0, 3]), shape=shape)))
+    for A in mats:
+        assert A._matrix.format == "dia"
+        x = rng.standard_normal(A.n_cols)
+        frozen = x.copy()
+        frozen.setflags(write=False)
+        strided = rng.standard_normal(2 * A.n_cols)[::2]
+        for v in (x, frozen, strided, x.astype(np.float32), np.ones(A.n_cols)):
+            assert np.array_equal(A.dot(v), A._matrix @ v)
+        X = rng.standard_normal((A.n_cols, 2))
+        assert np.array_equal(A.dot(X), A._matrix @ X)
+
+
 def test_csr_input_gives_csr_vector_products():
     n = 50
     wide = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
