@@ -341,6 +341,7 @@ def test_banded_dot_is_bitwise_the_scipy_product():
         strided = rng.standard_normal(2 * A.n_cols)[::2]
         for v in (x, frozen, strided, x.astype(np.float32), np.ones(A.n_cols)):
             assert np.array_equal(A.dot(v), A._matrix @ v)
+        assert np.array_equal(A.dot(x.tolist()), A._matrix @ x)
         X = rng.standard_normal((A.n_cols, 2))
         assert np.array_equal(A.dot(X), A._matrix @ X)
 
