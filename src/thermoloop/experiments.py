@@ -411,7 +411,10 @@ def _first_difference(a, b, names) -> str | None:
 
 
 def assemble(config: ExperimentConfig) -> AssembledExperiment:
-    """Mesh, operators, device profiles and initial state for a config."""
+    """Mesh, operators, device profiles and initial state for a config.
+
+    A device whose disc covers no mesh vertex raises ValueError.
+    """
     mesh = build_mesh(config.scheme.n_div)
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
@@ -419,6 +422,11 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     # unit-height indicators: the heights enter as scale factors, so a zero
     # C_g (control switched off) stays representable
     indicators = disc_indicators(mesh, layout_centers(config.layout), config.r_sigma)
+    # a device that covers no vertex would measure 0 and load nothing
+    empty = np.flatnonzero(indicators.dot(np.ones(mesh.n_vertices)) == 0)
+    if len(empty):
+        raise ValueError(f"devices {empty.tolist()} cover no vertex of the "
+                         f"n_div={config.scheme.n_div} mesh")
 
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness,

@@ -14,18 +14,16 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class NodalField:
-    """Coefficient vector of a continuous piecewise-linear function.
-
-    One value per mesh vertex, tied to its mesh through ``mesh_key``.
+    """Coefficient vector of a continuous piecewise-linear function: one
+    value per mesh vertex, read-only float64.  A field fits a mesh or an
+    operator when its length does.  Values from outside are checked by
+    ``field_from_values``; the stepper checks each iterate it computes.
     """
 
     values: np.ndarray
-    mesh_key: tuple
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("nodal field contains non-finite values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -34,10 +32,14 @@ class NodalField:
 
 
 def field_from_values(mesh: Mesh, values: np.ndarray) -> NodalField:
+    """The checked constructor of a field: exactly ``mesh.n_vertices`` finite
+    values, else ValueError."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (mesh.n_vertices,):
         raise ValueError(f"expected {mesh.n_vertices} values, got {values.shape}")
-    return NodalField(values=values, mesh_key=mesh.key)
+    if not np.isfinite(values).all():
+        raise ValueError("nodal field contains non-finite values")
+    return NodalField(values)
 
 
 def interpolate(mesh: Mesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> NodalField:
@@ -49,14 +51,6 @@ def interpolate(mesh: Mesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) 
     raw = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
     values = np.broadcast_to(np.asarray(raw, dtype=np.float64), (mesh.n_vertices,)).copy()
     return field_from_values(mesh, values)
-
-
-def require_same_mesh(matrix: CsrMatrix, *fields: NodalField) -> None:
-    for f in fields:
-        if f.mesh_key != matrix.tag:
-            raise ValueError(f"field mesh {f.mesh_key} does not match operator mesh {matrix.tag}")
-        if len(f) != matrix.n_cols:
-            raise ValueError("field length does not match operator size")
 
 
 def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
@@ -77,8 +71,7 @@ def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
             for (by, bx), value in zip(corners, row):
                 band = np.searchsorted(offsets, (by - ay) * n + bx - ax)
                 bands[band, by:by + N, bx:bx + N] += value
-    return CsrMatrix(sp.dia_matrix((bands.reshape(7, n * n), offsets), shape=(n * n, n * n)),
-                     tag=mesh.key)
+    return CsrMatrix(sp.dia_matrix((bands.reshape(7, n * n), offsets), shape=(n * n, n * n)))
 
 
 def assemble_mass(mesh: Mesh) -> CsrMatrix:
@@ -107,7 +100,6 @@ def assemble_stiffness(mesh: Mesh) -> CsrMatrix:
 
 def integral_product(M: CsrMatrix, a: NodalField, b: NodalField) -> float:
     """Discrete integral of a*b over the domain: a^T M b."""
-    require_same_mesh(M, a, b)
     return float(a.values @ M.dot(b.values))
 
 
@@ -118,11 +110,9 @@ def form_norm(A: CsrMatrix, values: np.ndarray) -> float:
 
 def l2_norm(M: CsrMatrix, a: NodalField) -> float:
     """Discrete L2 norm sqrt(a^T M a)."""
-    require_same_mesh(M, a)
     return form_norm(M, a.values)
 
 
 def h1_seminorm(K: CsrMatrix, a: NodalField) -> float:
     """Discrete gradient seminorm sqrt(a^T K a); zero for constant fields."""
-    require_same_mesh(K, a)
     return form_norm(K, a.values)

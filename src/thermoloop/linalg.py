@@ -4,7 +4,7 @@ symmetric diagonal scaling and conjugate gradients."""
 from __future__ import annotations
 
 import math
-from typing import Hashable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,12 +38,12 @@ class CsrMatrix:
     finite operands its products equal the CSR ones up to the sign of zero
     (an in-bounds stored zero adds only a zero term).  Every other input is
     stored as CSR, duplicates summed and column indices sorted within each
-    row.  ``nnz`` counts the nonzero entries, not DIA's stored zeros.
-    ``tag`` carries provenance (e.g. the owning mesh key) for cheap
-    compatibility checks.
+    row.  ``nnz`` counts the nonzero entries, not DIA's stored zeros.  A
+    vector fits when its length is ``n_cols``; ``dot`` raises scipy's
+    ValueError on any other.
     """
 
-    def __init__(self, matrix, tag: Hashable = None):
+    def __init__(self, matrix):
         if matrix.format == "dia" and np.all(np.diff(matrix.offsets) > 0):
             stored = sp.dia_matrix((np.asarray(matrix.data, dtype=np.float64), matrix.offsets),
                                    shape=matrix.shape)
@@ -60,7 +60,6 @@ class CsrMatrix:
         self._matrix = stored
         self.n_rows, self.n_cols = stored.shape
         self.nnz = int(nnz)
-        self.tag = tag
 
     @property
     def values(self) -> np.ndarray:
@@ -68,9 +67,9 @@ class CsrMatrix:
         return self._matrix.tocsr().data
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape, tag: Hashable = None) -> "CsrMatrix":
+    def from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
         """Build from coordinate triplets; duplicate entries are summed."""
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape), tag=tag)
+        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """self @ x.  A banded matrix times a contiguous float64 vector calls
@@ -90,10 +89,10 @@ class CsrMatrix:
         """Sparse product self @ other, as a new matrix."""
         if self.n_cols != other.n_rows:
             raise ValueError("inner matrix dimensions do not match")
-        return CsrMatrix(self._matrix @ other._matrix, tag=self.tag)
+        return CsrMatrix(self._matrix @ other._matrix)
 
     def transpose(self) -> "CsrMatrix":
-        return CsrMatrix(self._matrix.T, tag=self.tag)
+        return CsrMatrix(self._matrix.T)
 
     def diagonal(self) -> np.ndarray:
         return self._matrix.diagonal()
@@ -102,40 +101,36 @@ class CsrMatrix:
         return self._matrix.toarray()
 
     def scaled_add(self, factor: float, other: "CsrMatrix") -> "CsrMatrix":
-        """self + factor * other, as a new matrix.  Two banded matrices on the
-        same diagonals add their bands, bitwise the CSR sum."""
+        """self + factor * other, as a new matrix, of two banded matrices on
+        the same diagonals: their bands add, bitwise the CSR sum.  Any other
+        operand raises ValueError."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("matrix dimensions do not match")
         a, b = self._matrix, other._matrix
-        if (a.format == b.format == "dia" and np.array_equal(a.offsets, b.offsets)
+        if not (a.format == b.format == "dia" and np.array_equal(a.offsets, b.offsets)
                 and a.data.shape == b.data.shape):
-            return CsrMatrix(sp.dia_matrix((a.data + factor * b.data, a.offsets), shape=a.shape),
-                             tag=self.tag)
-        return CsrMatrix(a + factor * b, tag=self.tag)
+            raise ValueError("scaled_add needs two banded matrices on the same diagonals")
+        return CsrMatrix(sp.dia_matrix((a.data + factor * b.data, a.offsets), shape=a.shape))
 
     def scaled_symmetric(self, s: np.ndarray) -> "CsrMatrix":
-        """diag(s) @ self @ diag(s) of a square matrix, stored as self is.
+        """diag(s) @ self @ diag(s) of a square banded matrix, on the same
+        diagonals; any other matrix raises ValueError.
 
         Entry (i, j) is multiplied by the product s_i * s_j, taken first, so
-        a bitwise symmetric matrix stays bitwise symmetric.  A banded matrix
-        keeps its diagonals (DIA stores entry (j - offset, j) in column j),
-        with the slots outside the matrix zero.
+        a bitwise symmetric matrix stays bitwise symmetric.  DIA stores entry
+        (j - offset, j) in column j; the slots outside the matrix stay zero.
         """
         s = np.asarray(s, dtype=np.float64)
         if self.n_rows != self.n_cols or s.shape != (self.n_rows,):
             raise ValueError(f"scale of shape {s.shape} does not fit a "
                              f"{self.n_rows} x {self.n_cols} matrix")
         m = self._matrix
-        if m.format == "dia":
-            data = np.zeros_like(m.data)
-            for k, offset, lo, hi in _bands(m):
-                data[k, lo:hi] = m.data[k, lo:hi] * (s[lo - offset:hi - offset] * s[lo:hi])
-            scaled = sp.dia_matrix((data, m.offsets), shape=m.shape)
-        else:
-            rows = np.repeat(np.arange(self.n_rows), np.diff(m.indptr))
-            scaled = sp.csr_matrix((m.data * (s[rows] * s[m.indices]), m.indices, m.indptr),
-                                   shape=m.shape)
-        return CsrMatrix(scaled, tag=self.tag)
+        if m.format != "dia":
+            raise ValueError("scaled_symmetric needs a banded matrix")
+        data = np.zeros_like(m.data)
+        for k, offset, lo, hi in _bands(m):
+            data[k, lo:hi] = m.data[k, lo:hi] * (s[lo - offset:hi - offset] * s[lo:hi])
+        return CsrMatrix(sp.dia_matrix((data, m.offsets), shape=m.shape))
 
 
 class CgResult(NamedTuple):

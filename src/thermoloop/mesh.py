@@ -17,7 +17,9 @@ class Mesh:
     operators are assembled from the cells' two reference triangles, so only
     the vertices are stored.  Vertices are numbered row-major with the first
     coordinate varying fastest, so vertex k sits at
-    (-1 + (k % (n_div+1))*h, -1 + (k // (n_div+1))*h).
+    (-1 + (k % (n_div+1))*h, -1 + (k // (n_div+1))*h).  The vertex count
+    (n_div+1)**2 fixes n_div, so it is the mesh's only identity: a field or an
+    operator fits the mesh when its length is the vertex count.
     """
 
     n_div: int
@@ -31,11 +33,6 @@ class Mesh:
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    @property
-    def key(self) -> tuple:
-        """Structural identity; equal keys mean interchangeable meshes."""
-        return (self.n_div,)
 
 
 def build_mesh(n_div: int) -> Mesh:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import NodalField, form_norm, require_same_mesh
+from .fem import NodalField, form_norm
 from .linalg import CsrMatrix
 
 
@@ -39,11 +39,12 @@ class ErrorSeries:
 class ErrorRecorder:
     """Observer collecting E_y, E_grad, kappa and mass at every time node.
 
-    The reference ``ystar`` is one field, or an (M+1, n) array whose row m
-    is the reference at step m (a recorded trajectory): the errors are then
-    the distances between two runs.  It is checked against the mass
-    matrix's mesh once, here, and each observed field at every node; y - y*
-    is measured as a plain array.
+    The reference ``ystar`` is one field of length ``mass.n_cols``, or a
+    (k, mass.n_cols) array whose row m is the reference at step m (a
+    recorded trajectory): the errors are then the distances between two
+    runs.  Only its length is checked, once, here: an observed field of the
+    wrong length fails the subtraction y - y* or a product with numpy's or
+    scipy's ValueError, before the node is recorded.
     """
 
     def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix,
@@ -52,11 +53,13 @@ class ErrorRecorder:
             if ystar.shape[1:] != (mass.n_cols,):
                 raise ValueError(f"reference trajectory of shape {ystar.shape} is not "
                                  f"{mass.n_cols} columns wide")
-        elif ystar.mesh_key != mass.tag:
-            raise ValueError(f"reference ystar lives on mesh {ystar.mesh_key}, not on {mass.tag}")
+        elif len(ystar) != mass.n_cols:
+            raise ValueError(f"reference ystar has {len(ystar)} values, not {mass.n_cols}")
+        else:
+            ystar = ystar.values
         self._mass = mass
         self._stiffness = stiffness
-        self._ystar = ystar
+        self._ystar = ystar   # (n,) field or (k, n) trajectory
         self._weights = mass.dot(np.ones(mass.n_cols))  # row sums; mass of y is w . y
         self._times: list[float] = []
         self._e_y: list[float] = []
@@ -65,15 +68,15 @@ class ErrorRecorder:
         self._mass_trace: list[float] = []
 
     def __call__(self, state) -> None:
-        y, ref = state.y, self._ystar
-        ref = ref[state.step_index] if isinstance(ref, np.ndarray) else ref.values
-        require_same_mesh(self._mass, y)
+        y, ref = state.y.values, self._ystar
+        deviation = y - (ref[state.step_index] if ref.ndim == 2 else ref)
+        e_y, e_grad = form_norm(self._mass, deviation), form_norm(self._stiffness, deviation)
+        mass = float(self._weights @ y)
         self._times.append(state.time)
-        deviation = y.values - ref
-        self._e_y.append(form_norm(self._mass, deviation))
-        self._e_grad.append(form_norm(self._stiffness, deviation))
+        self._e_y.append(e_y)
+        self._e_grad.append(e_grad)
         self._kappa.append(np.array(state.kappa))
-        self._mass_trace.append(float(self._weights @ state.y.values))
+        self._mass_trace.append(mass)
 
     def series(self) -> ErrorSeries:
         return ErrorSeries(times=np.array(self._times),

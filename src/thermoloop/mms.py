@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .experiments import ConstantField, ExperimentConfig, ExplicitLayout, assemble
-from .fem import interpolate, l2_norm, NodalField
+from .fem import form_norm, interpolate
 from .model import ReactionTerm
 from .stepper import SchemeSpec, run
 
@@ -55,8 +55,7 @@ def heat_error(n_div: int, n_steps: int, D: float, T: float, cg_tol: float = 1e-
     initial = replace(built.initial, y=interpolate(mesh, exact_heat_solution(D, 0.0)))
     out = run(initial, built.problem, config.scheme)
     exact = interpolate(mesh, exact_heat_solution(D, T))
-    diff = NodalField(out.final_state.y.values - exact.values, mesh.key)
-    return l2_norm(mass, diff)
+    return form_norm(mass, out.final_state.y.values - exact.values)
 
 
 def convergence_study(base_n: int = 10, levels: int = 3, D: float = 0.1,

@@ -118,7 +118,7 @@ def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
     rows, bk, bi = np.nonzero(dx2[:, None, :] + dy2[:, :, None] <= r2)
     cols = (y0[rows] + bk) * n + x0[rows] + bi
     return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
-                              shape=(len(centers), mesh.n_vertices), tag=mesh.key)
+                              shape=(len(centers), mesh.n_vertices))
 
 
 def thermostat_step(beta: float, kappa_prev: float, W: float, tau: float):

@@ -39,7 +39,8 @@ def read_series_csv(path) -> ErrorSeries:
 
 def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,
                          vmax: float = 1.0, path=None) -> bytes:
-    """Render a nodal field as a binary graymap (P5, maxval 255).
+    """Render a nodal field, one value per vertex of ``mesh``, as a binary
+    graymap (P5, maxval 255).
 
     The pixel grid equals the vertex grid: (n_div+1) x (n_div+1) pixels, the
     top image row holding the top of the domain (largest second coordinate).
@@ -51,8 +52,9 @@ def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,
     """
     if not 0 < vmax - vmin < math.inf:
         raise ValueError(f"need vmin < vmax a finite distance apart, got [{vmin}, {vmax}]")
-    if field.mesh_key != mesh.key:
-        raise ValueError("field does not belong to the given mesh")
+    if len(field) != mesh.n_vertices:
+        raise ValueError(f"field of {len(field)} values does not fit a mesh of "
+                         f"{mesh.n_vertices} vertices")
     n = mesh.n_div + 1
     grid = field.values.reshape(n, n)          # row i holds vertices with x2 = -1 + i*h
     t = np.clip((grid - vmin) / (vmax - vmin), 0.0, 1.0)

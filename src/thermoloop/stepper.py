@@ -310,7 +310,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     # node time from the index, not by accumulation: exact for every step
     return SimState(step_index=state.step_index + 1,
                     time=(state.step_index + 1) * tau,
-                    y=NodalField(y_prev, state.y.mesh_key),
+                    y=NodalField(y_prev),   # checked finite after its solve
                     kappa=kappa_new,
                     diagnostics=diags,
                     history=((corrections,) + history)[:WARM_START_ORDER])

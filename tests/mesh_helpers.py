@@ -52,7 +52,7 @@ def _from_element_blocks(mesh, vals) -> CsrMatrix:
     rows = np.repeat(tri, 3, axis=1)            # (nt, 9): i i i j j j k k k
     cols = np.tile(tri, (1, 3))                 # (nt, 9): i j k i j k i j k
     return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
-                              shape=(mesh.n_vertices, mesh.n_vertices), tag=mesh.key)
+                              shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def element_mass(mesh) -> CsrMatrix:

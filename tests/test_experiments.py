@@ -244,6 +244,18 @@ class TestConfigValidation:
         cfg = self.base(layout=ExplicitLayout((), 1.0), beta=(), kappa0=())
         assert cfg.n_devices == 0
 
+    def test_device_covering_no_vertex_rejected(self):
+        # exp2-ic1 at N=8: every disc of radius 1/8 falls between the vertices
+        # (h = 1/4), so the control would silently be off
+        cfg = preset("exp2-ic1")
+        coarse = replace(cfg, T=0.1, scheme=replace(cfg.scheme, n_div=8, n_steps=4))
+        with pytest.raises(ValueError, match=re.escape(
+                f"devices {list(range(64))} cover no vertex of the n_div=8 mesh")):
+            assemble(coarse)
+        # at N=16 each disc holds its centre vertex
+        fine = replace(coarse, scheme=replace(coarse.scheme, n_div=16))
+        assert np.all(assemble(fine).problem.device_mass.dot(np.ones(17 ** 2)) > 0)
+
 
 class TestAssemblyReuse:
     """run_experiment(config, assembled=...) reuses the mesh and operators."""

@@ -65,8 +65,10 @@ def test_banded_operators_match_the_element_assembly(n_div):
     M, K = assemble_mass(mesh), assemble_stiffness(mesh)
     for banded, reference in ((M, element_mass(mesh)), (K, element_stiffness(mesh))):
         assert banded._matrix.format == "dia" and reference._matrix.format == "csr"
-        difference = banded.scaled_add(-1.0, reference).values
+        difference = (banded._matrix - reference._matrix).tocsr().data
         assert np.max(np.abs(difference), initial=0.0) <= 1e-14 * np.max(np.abs(reference.values))
+        with pytest.raises(ValueError, match="two banded matrices"):
+            banded.scaled_add(-1.0, reference)
     for A in (M, K, M.scaled_add(0.02 * 0.01, K)):
         # the banded matrix against its transpose, which has decreasing offsets
         # and so is stored as CSR
@@ -169,3 +171,20 @@ def test_h1_seminorm_examples(mesh2, ops2):
 def test_field_length_checked(mesh2):
     with pytest.raises(ValueError):
         field_from_values(mesh2, np.ones(5))
+
+
+@pytest.mark.parametrize("shape", [(8,), (10,), (), (1, 9), (9, 1), (3, 3)])
+def test_field_from_values_rejects_wrong_shapes(mesh2, shape):
+    with pytest.raises(ValueError, match=rf"^expected 9 values, got \({', '.join(map(str, shape))},?\)$"):
+        field_from_values(mesh2, np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_from_values_rejects_non_finite_values(mesh2, bad):
+    values = np.zeros(mesh2.n_vertices)
+    values[4] = bad
+    with pytest.raises(ValueError, match="^nodal field contains non-finite values$"):
+        field_from_values(mesh2, values)
+    fld = field_from_values(mesh2, np.arange(9))   # integers become read-only float64
+    assert fld.values.dtype == np.float64 and not fld.values.flags.writeable
+    assert np.array_equal(fld.values, np.arange(9.0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoloop.experiments import assemble, layout_centers, make_experiment
+from thermoloop.experiments import ExplicitLayout, assemble, layout_centers, make_experiment
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.linalg import CsrMatrix, ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
@@ -203,8 +203,9 @@ def test_cg_jacobi_meets_tolerance_in_fewer_iterations(n_div):
 
 
 def test_problem_rejects_step_matrix_without_positive_diagonal():
+    # at n_div=16 each of the 64 discs holds its centre vertex
     cfg = make_experiment(1, devices=64)
-    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=8))).problem
+    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=16))).problem
     A = problem.step_matrix
     assert np.array_equal(problem.step_scale, 1.0 / np.sqrt(A.diagonal()))
     with pytest.raises(ValueError, match="read-only"):
@@ -212,15 +213,21 @@ def test_problem_rejects_step_matrix_without_positive_diagonal():
     for factor in (1.0, 2.0):   # one zero, then one negative diagonal entry
         shift = np.zeros(A.n_rows)
         shift[5] = factor * A.diagonal()[5]
-        bad = A.scaled_add(-1.0, CsrMatrix(sp.diags(shift)))
+        bad = CsrMatrix(A._matrix - sp.diags(shift))
         with pytest.raises(ValueError, match="positive diagonal"):
             replace(problem, step_matrix=bad)
+    # a diagonal matrix is banded on other diagonals than A: no sum of bands
+    with pytest.raises(ValueError, match="two banded matrices on the same diagonals"):
+        A.scaled_add(-1.0, CsrMatrix(sp.diags(shift)))
 
 
 @pytest.mark.parametrize("n_div", [2, 3, 4, 5, 6])
 def test_problem_solves_on_the_jacobi_scaled_step_matrix(n_div):
+    # device-free: on these coarse meshes the 64 discs fall between vertices
     cfg = make_experiment(1, devices=64)
-    problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=n_div))).problem
+    cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=(),
+                  scheme=replace(cfg.scheme, n_div=n_div))
+    problem = assemble(cfg).problem
     A, s, SAS = problem.step_matrix, problem.step_scale, problem.scaled_step_matrix
     dense = np.outer(s, s) * A.toarray()   # each entry times s_i * s_j
     assert np.array_equal(SAS.toarray(), dense)
@@ -235,8 +242,9 @@ def test_problem_solves_on_the_jacobi_scaled_step_matrix(n_div):
     for a in (stored.data, stored.offsets):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
-    # a CSR copy of A scales to the same entries
-    assert np.array_equal(CsrMatrix(A._matrix.tocsr()).scaled_symmetric(s).toarray(), dense)
+    # only a banded matrix scales
+    with pytest.raises(ValueError, match="needs a banded matrix"):
+        CsrMatrix(A._matrix.tocsr()).scaled_symmetric(s)
     # y = s * x of a scaled solve meets the unscaled system up to the spread of s
     d = A.diagonal()
     rng = np.random.default_rng(n_div)
@@ -270,7 +278,7 @@ def test_assembly_stores_each_operator_once_read_only():
     # the mesh operators keep their 7 bands, the device operators are CSR;
     # each is one scipy matrix whose arrays are all read-only
     cfg = make_experiment(1, devices=64)
-    cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=8))
+    cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=16))
     problem = assemble(cfg).problem
     indicators = disc_indicators(problem.mesh, layout_centers(cfg.layout), cfg.r_sigma)
     for A, layout in ((problem.mass, "dia"), (problem.stiffness, "dia"),
@@ -373,13 +381,16 @@ def test_scaled_add_of_banded_operators_is_banded_and_the_csr_sum(n_div):
     M, K = assemble_mass(mesh), assemble_stiffness(mesh)
     for factor in (0.02 * 0.02, 1.0, -3.0):
         want = M._matrix.tocsr() + factor * K._matrix.tocsr()
-        for other, layout in ((K, "dia"), (CsrMatrix(K._matrix.tocsr()), "csr")):
-            A = M.scaled_add(factor, other)
-            assert A._matrix.format == layout
-            got = A._matrix.tocsr()
-            for a, b in ((got.data, want.data), (got.indices, want.indices),
-                         (got.indptr, want.indptr)):
-                assert a.tobytes() == b.tobytes()
+        A = M.scaled_add(factor, K)
+        assert A._matrix.format == "dia"
+        got = A._matrix.tocsr()
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.tobytes() == b.tobytes()
+    # a CSR operand, or a banded one of another size, has no bands to add
+    for other in (CsrMatrix(K._matrix.tocsr()), assemble_stiffness(build_mesh(n_div + 1))):
+        with pytest.raises(ValueError, match="banded|dimensions"):
+            M.scaled_add(1.0, other)
 
 
 def test_cg_rejects_overflowing_rhs_norm():

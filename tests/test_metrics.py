@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoloop.fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
-                            h1_seminorm, interpolate, l2_norm)
+                            h1_seminorm, integral_product, interpolate, l2_norm)
 from thermoloop.mesh import build_mesh
 from thermoloop.metrics import ErrorRecorder, ErrorSeries, TrajectoryRecorder
 from thermoloop.stepper import SimState
@@ -16,7 +16,7 @@ def ops():
 
 def distance(norm, Q, y, ystar):
     """norm(Q, y - y*): the distance ErrorRecorder measures."""
-    return norm(Q, NodalField(y.values - ystar.values, y.mesh_key))
+    return norm(Q, NodalField(y.values - ystar.values))
 
 
 def test_error_l2_examples(ops):
@@ -37,18 +37,29 @@ def test_error_h1_examples(ops):
 
 
 def test_error_mesh_mismatch(ops):
-    _, M, _ = ops
-    other = build_mesh(3)
-    y = interpolate(other, lambda x, yy: x)
-    with pytest.raises(ValueError):
-        distance(l2_norm, M, y, y)
+    # a field of another length meets scipy's check in the operator product
+    mesh, M, K = ops
+    n = mesh.n_vertices
+    fits = field_from_values(mesh, np.ones(n))
+    for y in (interpolate(build_mesh(3), lambda x, yy: x), NodalField(np.ones(n - 1)),
+              NodalField(np.ones(n + 1))):
+        for norm, Q in ((l2_norm, M), (h1_seminorm, K)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                distance(norm, Q, y, y)
+        for a, b in ((y, fits), (fits, y)):
+            with pytest.raises(ValueError):
+                integral_product(M, a, b)
 
 
 def test_recorder_rejects_a_reference_from_another_mesh(ops):
+    # another mesh means another length: 16 or 64 values against 49 columns
     mesh, M, K = ops
-    for n_div in (3, 7):
-        ystar = interpolate(build_mesh(n_div), lambda x, yy: x)
-        with pytest.raises(ValueError, match="^reference ystar lives on mesh"):
+    n = mesh.n_vertices
+    for ystar in (interpolate(build_mesh(3), lambda x, yy: x),
+                  interpolate(build_mesh(7), lambda x, yy: x),
+                  NodalField(np.zeros(n - 1)), NodalField(np.zeros(n + 1))):
+        with pytest.raises(ValueError,
+                           match=f"^reference ystar has {len(ystar)} values, not {n}$"):
             ErrorRecorder(M, K, ystar)
     ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x))
 
@@ -63,12 +74,18 @@ def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
 
 
 def test_recorder_rejects_a_field_from_another_mesh(ops):
-    # the reference is checked once; each observed field meets l2_norm's check
+    # the reference is checked once; an observed field of another length fails
+    # the subtraction or a product, and the node is not recorded
     mesh, M, K = ops
-    rec = ErrorRecorder(M, K, np.zeros((2, mesh.n_vertices)))
-    y = NodalField(np.zeros(mesh.n_vertices), build_mesh(3).key)
-    with pytest.raises(ValueError, match="does not match operator mesh"):
-        rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
+    n = mesh.n_vertices
+    for ystar in (np.zeros((2, n)), field_from_values(mesh, np.zeros(n))):
+        rec = ErrorRecorder(M, K, ystar)
+        for length in (build_mesh(3).n_vertices, 1, n - 1, n + 1):
+            y = NodalField(np.zeros(length))
+            with pytest.raises(ValueError):
+                rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
+        rec(SimState(step_index=0, time=0.0, y=field_from_values(mesh, np.ones(n)), kappa=()))
+        assert rec.series().n_nodes == 1
 
 
 def test_norm_properties_on_random_fields(ops):

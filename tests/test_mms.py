@@ -20,7 +20,7 @@ def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness,
         step_matrix=mass.scaled_add(tau * D, stiffness), tau=tau,
-        device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices), tag=mesh.key),
+        device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices)),
         C_g=0.0, C_h=0.0, alpha=np.zeros((0, 0)), switch=SwitchingFunction(1.0, 1.0),
         beta=np.zeros(0),
         reaction=ReactionTerm.zero(),
@@ -31,7 +31,7 @@ def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
     out = run(initial, problem, SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1,
                                            cg_tol=cg_tol))
     exact = interpolate(mesh, exact_heat_solution(D, T))
-    diff = NodalField(out.final_state.y.values - exact.values, mesh.key)
+    diff = NodalField(out.final_state.y.values - exact.values)
     return l2_norm(mass, diff)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -117,10 +118,15 @@ class TestMeasurement:
         assert np.all(measure(p, p.ystar.values) == 0.0)
 
     def test_zero_weight(self):
-        # a disc between the vertices of the n=4 mesh covers none of them
-        p = device_problem([(0.25, 0.25)], 0.1)
-        assert p.device_mass.nnz == 0
-        assert np.all(measure(p, np.full(p.mesh.n_vertices, 2.0)) == 0.0)
+        # a disc between the vertices of the n=4 mesh, or off the square,
+        # covers no vertex: it would measure 0 and load nothing, so assembly
+        # names it
+        for centers, empty in (([(0.25, 0.25)], [0]),
+                               ([(0.0, 0.0), (0.25, 0.25), (5.0, 0.0)], [1, 2])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"devices {empty} cover no vertex of the n_div=4 mesh")):
+                device_problem(centers, 0.1)
+        assert device_problem([(0.0, 0.0)], 0.1).device_mass.nnz > 0
 
     def test_constant_deviation(self):
         # one disc covering the whole square integrates y - y* = 2 to 4 * 2
@@ -148,7 +154,7 @@ class TestFeedback:
     def demands(self, alpha, y):
         """W from one explicit-measure step from kappa = 0: with beta = tau = 1, kappa = W / 2."""
         problem = replace(self.base, alpha=np.asarray(alpha, dtype=np.float64))
-        state = SimState(0, 0.0, NodalField(y, problem.mesh.key), np.zeros(2))
+        state = SimState(0, 0.0, NodalField(y), np.zeros(2))
         scheme = SchemeSpec(n_div=8, n_steps=1, n_picard=1, explicit_measure=True)
         return 2.0 * picard_step(state, problem, scheme).kappa
 
@@ -276,7 +282,7 @@ def dense_disc_indicators(mesh, centers, radius):
     dy = mesh.vertices[:, 1] - centers[:, 1:]
     rows, cols = np.nonzero(dx * dx + dy * dy <= radius ** 2)
     return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
-                              shape=(len(centers), mesh.n_vertices), tag=mesh.key)
+                              shape=(len(centers), mesh.n_vertices))
 
 
 @pytest.mark.parametrize("n_div", [1, 7, 40, 60, 100])
@@ -293,7 +299,7 @@ def test_disc_indicators_match_dense_distance_test(n_div, centers, radius):
     mesh = build_mesh(n_div)
     got = disc_indicators(mesh, centers, radius)
     want = dense_disc_indicators(mesh, centers, radius)
-    assert (got.n_rows, got.n_cols, got.tag) == (want.n_rows, want.n_cols, want.tag)
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
     assert got.nnz == want.nnz
     for a, b in ((got.toarray(), want.toarray()), (got.values, want.values)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -317,7 +323,7 @@ def looped_disc_indicators(mesh, centers, radius):
         rows.append(np.full(len(bk), j))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
-                              shape=(len(centers), mesh.n_vertices), tag=mesh.key)
+                              shape=(len(centers), mesh.n_vertices))
 
 
 @pytest.mark.parametrize("n_div, layout", [

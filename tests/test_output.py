@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermoloop.experiments import ExplicitLayout, make_experiment, run_experiment
-from thermoloop.fem import field_from_values
+from thermoloop.fem import NodalField, field_from_values
 from thermoloop.mesh import build_mesh
 from thermoloop.metrics import ErrorSeries
 from thermoloop.output import (read_series_csv, read_snapshot_image,
@@ -78,7 +78,8 @@ def line_by_line_series_csv(series, path):
 @pytest.mark.parametrize("devices", [True, False], ids=["devices", "device-free"])
 def test_series_csv_bytes_match_line_by_line_writer(tmp_path, devices):
     cfg = make_experiment(2)
-    cfg = replace(cfg, T=0.1, scheme=replace(cfg.scheme, n_div=8, n_steps=10))
+    # at n_div=16 each of the 64 discs holds its centre vertex
+    cfg = replace(cfg, T=0.1, scheme=replace(cfg.scheme, n_div=16, n_steps=10))
     if not devices:
         cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
     series = run_experiment(cfg).series
@@ -145,10 +146,14 @@ class TestSnapshotImage:
             write_snapshot_image(self.constant_field(0.0), self.mesh, vmin=vmin, vmax=vmax)
 
     def test_rejects_foreign_field(self):
+        # a field fits the mesh when it has one value per vertex
         other = build_mesh(5)
-        fld = field_from_values(other, np.zeros(other.n_vertices))
-        with pytest.raises(ValueError):
-            write_snapshot_image(fld, self.mesh)
+        n = self.mesh.n_vertices
+        for fld in (field_from_values(other, np.zeros(other.n_vertices)),
+                    NodalField(np.zeros(n - 1)), NodalField(np.zeros(n + 1))):
+            with pytest.raises(ValueError, match=f"^field of {len(fld)} values does not fit "
+                                                 f"a mesh of {n} vertices$"):
+                write_snapshot_image(fld, self.mesh)
 
     def test_byte_determinism(self):
         rng = np.random.default_rng(9)
