@@ -8,7 +8,7 @@ Black is -1, white is +1, values outside are truncated.
 import numpy as np
 from pathlib import Path
 
-from thermoloop import build_mesh, realize_field, write_snapshot_image
+from thermoloop import build_mesh, interpolate, write_snapshot_image
 from thermoloop.experiments import (GridSubsetLayout, ICOND_VARIANT1,
                                     ICOND_VARIANT2, REFERENCE_STATE,
                                     SUBSET20_INDICES, layout_centers)
@@ -21,7 +21,7 @@ mesh = build_mesh(100)
 for name, spec in (("initial_variant1", ICOND_VARIANT1),
                    ("initial_variant2", ICOND_VARIANT2),
                    ("reference_state", REFERENCE_STATE)):
-    field = realize_field(spec, mesh)
+    field = interpolate(mesh, spec)
     write_snapshot_image(field, mesh, path=out_dir / f"{name}.pgm")
     print(f"{name:18s} range [{field.values.min():+.3f}, {field.values.max():+.3f}]"
           f" -> {name}.pgm")

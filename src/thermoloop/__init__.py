@@ -14,7 +14,7 @@ warm-started conjugate gradients.
 from .mesh import Mesh, build_mesh
 from .linalg import CsrMatrix, CgResult, ConvergenceError, cg_solve
 from .fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
-                  h1_seminorm, integral_product, interpolate, l2_norm)
+                  form_norm, interpolate)
 from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
                     eval_reaction, eval_switch, thermostat_step)
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, picard_step, run
@@ -22,8 +22,7 @@ from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRec
 from .experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
                           FieldSum, GaussianBlobs, GridLayout, GridSubsetLayout,
                           assemble, grid_layout, layout_centers, list_presets,
-                          make_experiment, preset, realize_field, run_experiment,
-                          scale_field)
+                          make_experiment, preset, run_experiment)
 from .stability import (StabilityReport, TrajectoryNorms, probe_control_stability,
                         probe_data_stability, response_norm, trajectory_norms)
 from .mms import convergence_study, exact_heat_solution, heat_error

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .experiments import (ConstantField, ExperimentConfig, ExplicitLayout, FieldSum,
                           GaussianBlobs, GridLayout, GridSubsetLayout, LayoutSpec,
-                          device_count)
+                          layout_centers)
 
 
 class ConfigError(ValueError):
@@ -112,7 +112,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Parse a config dict; ``beta`` and ``kappa0`` may each be one number for all devices."""
     if isinstance(d, dict) and "layout" in d:
-        n_devices = device_count(_load(LayoutSpec, d["layout"], "config.layout"))
+        n_devices = len(layout_centers(_load(LayoutSpec, d["layout"], "config.layout")))
         d = dict(d)
         for key in ("beta", "kappa0"):
             value = d.get(key)

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .fem import NodalField, assemble_mass, assemble_stiffness, field_from_values
+from .fem import assemble_mass, assemble_stiffness, interpolate
 from .mesh import Mesh, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
 from .model import ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators
@@ -48,6 +48,12 @@ class ConstantField:
     def __post_init__(self):
         _require_finite(self, "value")
 
+    def __call__(self, x, y) -> np.ndarray:
+        return np.full(np.broadcast(x, y).shape, float(self.value))
+
+    def scaled(self, factor: float) -> ConstantField:
+        return ConstantField(self.value * factor)
+
 
 @dataclass(frozen=True)
 class GaussianBlobs:
@@ -55,51 +61,37 @@ class GaussianBlobs:
 
     blobs: tuple[Blob, ...]
 
+    def __call__(self, x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        out = np.zeros(np.broadcast(x, y).shape)
+        for b in self.blobs:
+            r2 = (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2
+            out += b.amplitude * np.exp(-r2 / (2.0 * b.width ** 2))
+        return out
+
+    def scaled(self, factor: float) -> GaussianBlobs:
+        return GaussianBlobs(tuple(Blob(b.center, b.width, b.amplitude * factor)
+                                   for b in self.blobs))
+
 
 @dataclass(frozen=True)
 class FieldSum:
     terms: tuple[FieldSpec, ...]
 
+    def __call__(self, x, y) -> np.ndarray:
+        out = np.zeros(np.broadcast(x, y).shape)
+        for term in self.terms:
+            out = out + term(x, y)
+        return out
 
+    def scaled(self, factor: float) -> FieldSum:
+        return FieldSum(tuple(t.scaled(factor) for t in self.terms))
+
+
+# A field spec is a function of numpy coordinate arrays that broadcasts;
+# fem.interpolate(mesh, spec) gives its nodal field.
 FieldSpec = Union[ConstantField, GaussianBlobs, FieldSum]
-
-
-def evaluate_field(spec: FieldSpec, x, y):
-    """Evaluate a field spec at numpy coordinate arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if isinstance(spec, ConstantField):
-        return np.full(np.broadcast(x, y).shape, float(spec.value))
-    if isinstance(spec, GaussianBlobs):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for b in spec.blobs:
-            r2 = (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2
-            out += b.amplitude * np.exp(-r2 / (2.0 * b.width ** 2))
-        return out
-    if isinstance(spec, FieldSum):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for term in spec.terms:
-            out = out + evaluate_field(term, x, y)
-        return out
-    raise TypeError(f"not a field spec: {spec!r}")
-
-
-def realize_field(spec: FieldSpec, mesh: Mesh) -> NodalField:
-    """Nodal interpolation of an analytic field spec."""
-    values = evaluate_field(spec, mesh.vertices[:, 0], mesh.vertices[:, 1])
-    return field_from_values(mesh, values)
-
-
-def scale_field(spec: FieldSpec, factor: float) -> FieldSpec:
-    """Multiply a field spec by a scalar, returning a new spec."""
-    if isinstance(spec, ConstantField):
-        return ConstantField(spec.value * factor)
-    if isinstance(spec, GaussianBlobs):
-        return GaussianBlobs(tuple(Blob(b.center, b.width, b.amplitude * factor)
-                                   for b in spec.blobs))
-    if isinstance(spec, FieldSum):
-        return FieldSum(tuple(scale_field(t, factor) for t in spec.terms))
-    raise TypeError(f"not a field spec: {spec!r}")
 
 
 # --------------------------------------------------------------------------
@@ -185,10 +177,6 @@ def layout_centers(layout: LayoutSpec) -> np.ndarray:
     raise TypeError(f"not a layout spec: {layout!r}")
 
 
-def device_count(layout: LayoutSpec) -> int:
-    return layout_centers(layout).shape[0]
-
-
 # The 20-device subset of the 8 x 8 grid: an L-shaped triple in each corner,
 # the central 2 x 2 block, and one device per edge midpoint, chosen so the
 # whole pattern is invariant under 90-degree rotation.  Indices are row-major
@@ -249,7 +237,7 @@ class ExperimentConfig:
             raise ValueError("r_sigma must be positive")
         if abs(self.r_sigma - self.layout.radius) > 1e-12:
             raise ValueError("r_sigma must equal the layout's device radius")
-        J = device_count(self.layout)
+        J = self.n_devices
         if len(self.beta) != J:
             raise ValueError(f"beta has {len(self.beta)} entries but the layout has {J} devices")
         if len(self.kappa0) != J:
@@ -260,7 +248,7 @@ class ExperimentConfig:
 
     @property
     def n_devices(self) -> int:
-        return device_count(self.layout)
+        return len(layout_centers(self.layout))
 
     @property
     def tau(self) -> float:
@@ -395,7 +383,7 @@ _REUSABLE_FIELDS = ("y0", "kappa0", "C_g")
 
 
 def _initial_state(config: ExperimentConfig, mesh: Mesh) -> SimState:
-    return SimState(step_index=0, time=0.0, y=realize_field(config.y0, mesh),
+    return SimState(step_index=0, time=0.0, y=interpolate(mesh, config.y0),
                     kappa=config.kappa0)
 
 
@@ -437,7 +425,7 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
         switch=SwitchingFunction(config.L_w, config.H_w),
         beta=config.beta,
         reaction=config.reaction,
-        ystar=realize_field(config.ystar, mesh))
+        ystar=interpolate(mesh, config.ystar))
     return AssembledExperiment(config=config, problem=problem,
                                initial=_initial_state(config, mesh))
 
@@ -484,7 +472,7 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     t_assembly = _time.perf_counter() - t0
 
     observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness,
-                                     built.problem.ystar)]
+                                     built.problem.ystar.values)]
     if snap_steps:
         observers.append(SnapshotRecorder(snap_steps))
     if record_trajectory:

@@ -32,9 +32,9 @@ class NodalField:
 
 
 def field_from_values(mesh: Mesh, values: np.ndarray) -> NodalField:
-    """The checked constructor of a field: exactly ``mesh.n_vertices`` finite
-    values, else ValueError."""
-    values = np.asarray(values, dtype=np.float64)
+    """The checked constructor of a field: a copy of exactly ``mesh.n_vertices``
+    finite values, else ValueError."""
+    values = np.array(values, dtype=np.float64)
     if values.shape != (mesh.n_vertices,):
         raise ValueError(f"expected {mesh.n_vertices} values, got {values.shape}")
     if not np.isfinite(values).all():
@@ -45,12 +45,11 @@ def field_from_values(mesh: Mesh, values: np.ndarray) -> NodalField:
 def interpolate(mesh: Mesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> NodalField:
     """Nodal interpolation: field value at each vertex is fn(x1, x2).
 
-    ``fn`` must accept numpy arrays of coordinates and broadcast.
-    Non-finite results are rejected.
+    ``fn`` (a field spec, or any function) must accept numpy arrays of
+    coordinates and broadcast.  Non-finite results are rejected.
     """
     raw = fn(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    values = np.broadcast_to(np.asarray(raw, dtype=np.float64), (mesh.n_vertices,)).copy()
-    return field_from_values(mesh, values)
+    return field_from_values(mesh, np.broadcast_to(raw, (mesh.n_vertices,)))
 
 
 def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
@@ -98,21 +97,10 @@ def assemble_stiffness(mesh: Mesh) -> CsrMatrix:
     return _assemble_banded(mesh, lower, upper)
 
 
-def integral_product(M: CsrMatrix, a: NodalField, b: NodalField) -> float:
-    """Discrete integral of a*b over the domain: a^T M b."""
-    return float(a.values @ M.dot(b.values))
-
-
 def form_norm(A: CsrMatrix, values: np.ndarray) -> float:
-    """sqrt(v^T A v) of a coefficient vector v; a form rounded below 0 reads 0."""
+    """sqrt(v^T A v) of a coefficient vector v; a form rounded below 0 reads 0.
+
+    With the mass matrix M it is the discrete L2 norm, with the stiffness
+    matrix K the gradient seminorm (zero for constant fields).
+    """
     return float(np.sqrt(max(float(values @ A.dot(values)), 0.0)))
-
-
-def l2_norm(M: CsrMatrix, a: NodalField) -> float:
-    """Discrete L2 norm sqrt(a^T M a)."""
-    return form_norm(M, a.values)
-
-
-def h1_seminorm(K: CsrMatrix, a: NodalField) -> float:
-    """Discrete gradient seminorm sqrt(a^T K a); zero for constant fields."""
-    return form_norm(K, a.values)

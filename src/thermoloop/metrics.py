@@ -39,24 +39,22 @@ class ErrorSeries:
 class ErrorRecorder:
     """Observer collecting E_y, E_grad, kappa and mass at every time node.
 
-    The reference ``ystar`` is one field of length ``mass.n_cols``, or a
-    (k, mass.n_cols) array whose row m is the reference at step m (a
-    recorded trajectory): the errors are then the distances between two
-    runs.  Only its length is checked, once, here: an observed field of the
+    The reference ``ystar`` is an array: the (mass.n_cols,) values of one
+    field, or a (k, mass.n_cols) array whose row m is the reference at step
+    m (a recorded trajectory): the errors are then the distances between two
+    runs.  Only its width is checked, once, here: an observed field of the
     wrong length fails the subtraction y - y* or a product with numpy's or
     scipy's ValueError, before the node is recorded.
     """
 
-    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix,
-                 ystar: NodalField | np.ndarray):
-        if isinstance(ystar, np.ndarray):
-            if ystar.shape[1:] != (mass.n_cols,):
-                raise ValueError(f"reference trajectory of shape {ystar.shape} is not "
-                                 f"{mass.n_cols} columns wide")
-        elif len(ystar) != mass.n_cols:
+    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, ystar: np.ndarray):
+        if not isinstance(ystar, np.ndarray):
+            raise TypeError(f"reference ystar must be an array, not {type(ystar).__name__}")
+        if ystar.ndim == 1 and len(ystar) != mass.n_cols:
             raise ValueError(f"reference ystar has {len(ystar)} values, not {mass.n_cols}")
-        else:
-            ystar = ystar.values
+        if ystar.ndim != 1 and ystar.shape[1:] != (mass.n_cols,):
+            raise ValueError(f"reference trajectory of shape {ystar.shape} is not "
+                             f"{mass.n_cols} columns wide")
         self._mass = mass
         self._stiffness = stiffness
         self._ystar = ystar   # (n,) field or (k, n) trajectory

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import experiments
-from .experiments import (ExperimentConfig, FieldSpec, FieldSum, run_experiment,
-                          scale_field)
+from .experiments import ExperimentConfig, FieldSpec, FieldSum, run_experiment
 from .metrics import ErrorRecorder
 from .stepper import RunOutput
 
@@ -148,13 +147,20 @@ def probe_data_stability(base: ExperimentConfig, direction: FieldSpec,
     """Perturb the initial state along ``direction`` scaled by each delta."""
 
     def perturb(d: float) -> ExperimentConfig:
-        return replace(base, y0=FieldSum((base.y0, scale_field(direction, d))))
+        return replace(base, y0=FieldSum((base.y0, direction.scaled(d))))
 
     return _probe(base, perturb, deltas, kind="initial_data")
 
 
 def probe_control_stability(base: ExperimentConfig, deltas) -> StabilityReport:
-    """Scale the control-device height by (1 + delta) for each delta."""
+    """Scale the control-device height by (1 + delta) for each delta.
+
+    A base without control (C_g = 0, or no device) raises ValueError: every
+    member would rerun the base, and the probe would pass on no response.
+    """
+    if base.C_g == 0 or base.n_devices == 0:
+        raise ValueError(f"C_g = {base.C_g} on {base.n_devices} devices: scaling the "
+                         f"control height by (1 + delta) perturbs nothing")
 
     def perturb(d: float) -> ExperimentConfig:
         return replace(base, C_g=base.C_g * (1.0 + d))

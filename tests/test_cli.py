@@ -174,6 +174,20 @@ def test_verify_stability_control_mode(tmp_path, tiny_config_path):
     assert (out_dir / "report.csv").exists()
 
 
+def test_verify_stability_control_mode_rejects_a_zero_control_height(
+        tmp_path, tiny_config_path, capsys):
+    # C_g * (1 + delta) is 0 at every delta: no response, and no Lipschitz verdict
+    data = json.loads(tiny_config_path.read_text())
+    data["C_g"] = 0.0
+    path = tmp_path / "no-control.json"
+    path.write_text(json.dumps(data))
+    out_dir = tmp_path / "verify-no-control"
+    code = main(["verify", "stability", str(path), "--control", "--out", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: C_g = 0.0 on 4 devices: ")
+    assert not out_dir.exists()
+
+
 def test_explicit_measure_flag_changes_scheme(tmp_path, tiny_config_path):
     out_dir = tmp_path / "explicit"
     assert main(["run", str(tiny_config_path), "--out", str(out_dir),

@@ -8,10 +8,11 @@ from dataclasses import replace
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs,
                                     GridSubsetLayout, SUBSET20_INDICES,
-                                    GridLayout, SchemeSpec, assemble, device_count,
+                                    GridLayout, ICOND_VARIANT1, ICOND_VARIANT2,
+                                    PROBE_DIRECTION, REFERENCE_STATE, SchemeSpec, assemble,
                                     grid_layout, layout_centers,
-                                    list_presets, make_experiment, preset,
-                                    realize_field, run_experiment, scale_field)
+                                    list_presets, make_experiment, preset, run_experiment)
+from thermoloop.fem import interpolate
 from thermoloop.mesh import build_mesh
 
 
@@ -27,7 +28,7 @@ class TestGridLayout:
         assert np.all(np.abs(centers) < 1.0)
 
     def test_sixteen_devices(self):
-        assert device_count(grid_layout(4, 0.25)) == 16
+        assert len(layout_centers(grid_layout(4, 0.25))) == 16
 
     def test_single_inscribed_device(self):
         layout = grid_layout(1, 1.0)
@@ -68,12 +69,12 @@ class TestSubset20:
 class TestFieldSpecs:
     def test_constant(self):
         mesh = build_mesh(4)
-        fld = realize_field(ConstantField(0.0), mesh)
+        fld = interpolate(mesh, ConstantField(0.0))
         assert np.all(fld.values == 0.0)
 
     def test_blob_peaks_at_center_vertex(self):
         mesh = build_mesh(20)
-        fld = realize_field(GaussianBlobs((Blob((0.0, 0.0), 0.3, 1.0),)), mesh)
+        fld = interpolate(mesh, GaussianBlobs((Blob((0.0, 0.0), 0.3, 1.0),)))
         assert fld.values.argmax() == (mesh.n_vertices - 1) // 2
         assert fld.values.max() == pytest.approx(1.0)
 
@@ -81,17 +82,50 @@ class TestFieldSpecs:
         mesh = build_mesh(6)
         a = GaussianBlobs((Blob((0.2, 0.1), 0.4, 0.7),))
         b = GaussianBlobs((Blob((-0.5, 0.3), 0.2, -0.5),))
-        total = realize_field(FieldSum((a, b)), mesh)
+        total = interpolate(mesh, FieldSum((a, b)))
         assert np.allclose(total.values,
-                           realize_field(a, mesh).values + realize_field(b, mesh).values)
+                           interpolate(mesh, a).values + interpolate(mesh, b).values)
 
     def test_scale_field(self):
         mesh = build_mesh(5)
         spec = FieldSum((GaussianBlobs((Blob((0.0, 0.0), 0.3, 0.8),)),
                          ConstantField(0.2), GaussianBlobs((Blob((0.4, -0.3), 0.2, -0.4),))))
-        doubled = scale_field(spec, 2.0)
-        assert np.allclose(realize_field(doubled, mesh).values,
-                           2.0 * realize_field(spec, mesh).values)
+        doubled = spec.scaled(2.0)
+        assert np.allclose(interpolate(mesh, doubled).values,
+                           2.0 * interpolate(mesh, spec).values)
+
+    NESTED = FieldSum((ConstantField(0.2), FieldSum((REFERENCE_STATE, ConstantField(-0.1))),
+                       PROBE_DIRECTION))
+
+    @staticmethod
+    def formula(spec, x, y):
+        """The field formula of each spec kind, written out independently of the specs."""
+        if isinstance(spec, ConstantField):
+            return np.full(np.broadcast(x, y).shape, float(spec.value))
+        out = np.zeros(np.broadcast(x, y).shape)
+        if isinstance(spec, GaussianBlobs):
+            for b in spec.blobs:
+                r2 = (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2
+                out += b.amplitude * np.exp(-r2 / (2.0 * b.width ** 2))
+            return out
+        for term in spec.terms:
+            out = out + TestFieldSpecs.formula(term, x, y)
+        return out
+
+    @pytest.mark.parametrize("spec", [ICOND_VARIANT1, ICOND_VARIANT2, REFERENCE_STATE,
+                                      PROBE_DIRECTION, NESTED])
+    def test_interpolate_is_the_formula_at_the_vertices_bitwise(self, spec):
+        mesh = build_mesh(12)
+        want = self.formula(spec, mesh.vertices[:, 0], mesh.vertices[:, 1])
+        assert interpolate(mesh, spec).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [ConstantField(0.3), ICOND_VARIANT1, NESTED])
+    def test_scaled_is_twice_the_spec_bitwise(self, spec):
+        # doubling is exact, so every value of the scaled spec is exactly 2x
+        x, y = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 7))
+        doubled = spec.scaled(2.0)
+        assert type(doubled) is type(spec)
+        assert doubled(x, y).tobytes() == (2.0 * spec(x, y)).tobytes()
 
 
 class TestPresets:

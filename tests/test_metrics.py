@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoloop.fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
-                            h1_seminorm, integral_product, interpolate, l2_norm)
+                            form_norm, interpolate)
 from thermoloop.mesh import build_mesh
 from thermoloop.metrics import ErrorRecorder, ErrorSeries, TrajectoryRecorder
 from thermoloop.stepper import SimState
@@ -14,26 +14,26 @@ def ops():
     return mesh, assemble_mass(mesh), assemble_stiffness(mesh)
 
 
-def distance(norm, Q, y, ystar):
-    """norm(Q, y - y*): the distance ErrorRecorder measures."""
-    return norm(Q, NodalField(y.values - ystar.values))
+def distance(Q, y, ystar):
+    """form_norm(Q, y - y*): the distance ErrorRecorder measures."""
+    return form_norm(Q, y.values - ystar.values)
 
 
 def test_error_l2_examples(ops):
     mesh, M, _ = ops
     y = interpolate(mesh, lambda x, yy: x * yy)
-    assert distance(l2_norm, M, y, y) == 0.0
+    assert distance(M, y, y) == 0.0
     one = interpolate(mesh, lambda x, yy: np.ones_like(x))
     zero = interpolate(mesh, lambda x, yy: np.zeros_like(x))
-    assert distance(l2_norm, M, one, zero) == pytest.approx(2.0)
+    assert distance(M, one, zero) == pytest.approx(2.0)
 
 
 def test_error_h1_examples(ops):
     mesh, _, K = ops
     y = interpolate(mesh, lambda x, yy: x)
     zero = interpolate(mesh, lambda x, yy: np.zeros_like(x))
-    assert distance(h1_seminorm, K, y, y) == 0.0
-    assert distance(h1_seminorm, K, y, zero) == pytest.approx(2.0, rel=1e-12)
+    assert distance(K, y, y) == 0.0
+    assert distance(K, y, zero) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_error_mesh_mismatch(ops):
@@ -43,34 +43,47 @@ def test_error_mesh_mismatch(ops):
     fits = field_from_values(mesh, np.ones(n))
     for y in (interpolate(build_mesh(3), lambda x, yy: x), NodalField(np.ones(n - 1)),
               NodalField(np.ones(n + 1))):
-        for norm, Q in ((l2_norm, M), (h1_seminorm, K)):
+        for Q in (M, K):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                distance(norm, Q, y, y)
+                distance(Q, y, y)
         for a, b in ((y, fits), (fits, y)):
             with pytest.raises(ValueError):
-                integral_product(M, a, b)
+                a.values @ M.dot(b.values)
 
 
 def test_recorder_rejects_a_reference_from_another_mesh(ops):
     # another mesh means another length: 16 or 64 values against 49 columns
     mesh, M, K = ops
     n = mesh.n_vertices
-    for ystar in (interpolate(build_mesh(3), lambda x, yy: x),
-                  interpolate(build_mesh(7), lambda x, yy: x),
-                  NodalField(np.zeros(n - 1)), NodalField(np.zeros(n + 1))):
+    for ystar in (interpolate(build_mesh(3), lambda x, yy: x).values,
+                  interpolate(build_mesh(7), lambda x, yy: x).values,
+                  np.zeros(n - 1), np.zeros(n + 1)):
         with pytest.raises(ValueError,
                            match=f"^reference ystar has {len(ystar)} values, not {n}$"):
             ErrorRecorder(M, K, ystar)
-    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x))
+    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x).values)
 
 
 def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
     mesh, M, K = ops
     n = mesh.n_vertices
-    for shape in ((3, n - 1), (3, n + 1), (n,), (2, 3, n)):
+    for shape in ((3, n - 1), (3, n + 1), (2, 3, n), ()):
         with pytest.raises(ValueError, match=f"^reference trajectory of shape .* is not {n} "):
             ErrorRecorder(M, K, np.zeros(shape))
     ErrorRecorder(M, K, np.zeros((3, n)))
+
+
+def test_recorder_takes_a_field_or_a_trajectory_as_an_array(ops):
+    # n values are one reference field, a (k, n) array a reference trajectory
+    mesh, M, K = ops
+    n = mesh.n_vertices
+    y = field_from_values(mesh, np.ones(n))
+    for ystar in (np.zeros(n), np.zeros((1, n))):
+        rec = ErrorRecorder(M, K, ystar)
+        rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
+        assert rec.series().e_y[0] == pytest.approx(2.0)
+    with pytest.raises(TypeError, match="^reference ystar must be an array, not NodalField$"):
+        ErrorRecorder(M, K, field_from_values(mesh, np.zeros(n)))
 
 
 def test_recorder_rejects_a_field_from_another_mesh(ops):
@@ -78,7 +91,7 @@ def test_recorder_rejects_a_field_from_another_mesh(ops):
     # the subtraction or a product, and the node is not recorded
     mesh, M, K = ops
     n = mesh.n_vertices
-    for ystar in (np.zeros((2, n)), field_from_values(mesh, np.zeros(n))):
+    for ystar in (np.zeros((2, n)), np.zeros(n)):
         rec = ErrorRecorder(M, K, ystar)
         for length in (build_mesh(3).n_vertices, 1, n - 1, n + 1):
             y = NodalField(np.zeros(length))
@@ -98,12 +111,12 @@ def test_norm_properties_on_random_fields(ops):
         ab = field_from_values(mesh, a.values + b.values)
         c = rng.uniform(-3, 3)
         ca = field_from_values(mesh, c * a.values)
-        for norm, Q in ((l2_norm, M), (h1_seminorm, K)):
+        for Q in (M, K):
             # triangle inequality and absolute homogeneity
-            assert distance(norm, Q, ab, zero) <= (distance(norm, Q, a, zero)
-                                                   + distance(norm, Q, b, zero) + 1e-12)
-            assert distance(norm, Q, ca, zero) == pytest.approx(
-                abs(c) * distance(norm, Q, a, zero), abs=1e-12)
+            assert distance(Q, ab, zero) <= (distance(Q, a, zero)
+                                             + distance(Q, b, zero) + 1e-12)
+            assert distance(Q, ca, zero) == pytest.approx(
+                abs(c) * distance(Q, a, zero), abs=1e-12)
 
 
 def test_gradient_error_shift_invariant(ops):
@@ -113,14 +126,13 @@ def test_gradient_error_shift_invariant(ops):
     ystar = field_from_values(mesh, rng.standard_normal(mesh.n_vertices))
     shifted_y = field_from_values(mesh, y.values + 5.0)
     shifted_s = field_from_values(mesh, ystar.values + 5.0)
-    assert distance(h1_seminorm, K, shifted_y, shifted_s) == pytest.approx(
-        distance(h1_seminorm, K, y, ystar), rel=1e-9)
+    assert distance(K, shifted_y, shifted_s) == pytest.approx(
+        distance(K, y, ystar), rel=1e-9)
 
 
 def test_recorder_series_shape_and_times(ops):
     mesh, M, K = ops
-    ystar = field_from_values(mesh, np.zeros(mesh.n_vertices))
-    rec = ErrorRecorder(M, K, ystar)
+    rec = ErrorRecorder(M, K, np.zeros(mesh.n_vertices))
     tau = 0.25
     for m in range(5):
         y = field_from_values(mesh, np.full(mesh.n_vertices, float(m)))
@@ -146,8 +158,8 @@ def test_recorder_against_a_trajectory(ops):
     series = rec.series()
     for m in range(4):
         y, ref = field_from_values(mesh, ys[m]), field_from_values(mesh, refs[m])
-        assert series.e_y[m] == distance(l2_norm, M, y, ref)
-        assert series.e_grad[m] == distance(h1_seminorm, K, y, ref)
+        assert series.e_y[m] == distance(M, y, ref)
+        assert series.e_grad[m] == distance(K, y, ref)
     assert series.kappa_traces.shape == (0, 4)
 
 

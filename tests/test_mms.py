@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, interpolate, l2_norm
+from thermoloop.fem import assemble_mass, assemble_stiffness, form_norm, interpolate
 from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
 from thermoloop.mms import convergence_study, exact_heat_solution, heat_error
@@ -31,8 +31,7 @@ def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
     out = run(initial, problem, SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1,
                                            cg_tol=cg_tol))
     exact = interpolate(mesh, exact_heat_solution(D, T))
-    diff = NodalField(out.final_state.y.values - exact.values)
-    return l2_norm(mass, diff)
+    return form_norm(mass, out.final_state.y.values - exact.values)
 
 
 def test_exact_solution_is_flux_free_on_boundary():

@@ -7,7 +7,7 @@ from mesh_helpers import swap_axes_permutation
 import thermoloop.experiments as experiments_mod
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs, SchemeSpec,
-                                    grid_layout, run_experiment, scale_field)
+                                    grid_layout, run_experiment)
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.mesh import build_mesh
 from thermoloop.model import ReactionTerm
@@ -108,13 +108,13 @@ class TestProbeEquivalence:
         base = tiny_config()
         report = probe_data_stability(base, DIRECTION, self.DELTAS)
         self.check(report, base, lambda d: replace(
-            base, y0=FieldSum((base.y0, scale_field(DIRECTION, d)))))
+            base, y0=FieldSum((base.y0, DIRECTION.scaled(d)))))
 
     def test_device_free_data_probe_matches_post_hoc_norms(self):
         base = tiny_config(layout=ExplicitLayout((), 0.5), beta=(), kappa0=())
         report = probe_data_stability(base, DIRECTION, self.DELTAS)
         self.check(report, base, lambda d: replace(
-            base, y0=FieldSum((base.y0, scale_field(DIRECTION, d)))))
+            base, y0=FieldSum((base.y0, DIRECTION.scaled(d)))))
 
     def test_control_probe_matches_post_hoc_norms(self):
         base = tiny_config()
@@ -223,12 +223,17 @@ class TestDataStability:
 
 
 class TestControlStability:
-    def test_zero_control_base_gives_zero_response(self):
-        # scaling a zero control height changes nothing at any delta
-        cfg = tiny_config(C_g=0.0)
-        report = probe_control_stability(cfg, [1e-1, 1e-2, 1e-3])
-        assert all(r == 0.0 for r in report.responses)
-        assert report.spread == 1.0
+    def test_base_without_control_rejected(self, monkeypatch):
+        # scaling a zero control height, or that of no device, changes nothing
+        # at any delta: the probe would report a perfect spread on no response
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started for a base without control")
+
+        monkeypatch.setattr(stability_mod, "run_experiment", no_run)
+        for cfg in (tiny_config(C_g=0.0),
+                    tiny_config(layout=ExplicitLayout((), 0.5), beta=(), kappa0=())):
+            with pytest.raises(ValueError, match=r"^C_g = .* perturbs nothing$"):
+                probe_control_stability(cfg, [1e-1, 1e-2, 1e-3])
 
     def test_frozen_signal_response_linear_in_delta(self):
         # H_w = 0 silences the feedback, so kappa follows a fixed decay from

@@ -13,7 +13,7 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
                                     assemble, grid_layout, layout_centers,
                                     make_experiment, run_experiment)
-from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, h1_seminorm, l2_norm
+from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, form_norm
 from thermoloop.linalg import CgResult, ConvergenceError, cg_solve
 from thermoloop.metrics import ErrorRecorder
 from thermoloop.mesh import build_mesh
@@ -298,11 +298,11 @@ def scanning_picard_step(state, problem, scheme):
 class ScanningErrorRecorder(ErrorRecorder):
     def __call__(self, state) -> None:
         ref = self._ystar
-        ref = NodalField(ref[state.step_index] if ref.ndim == 2 else ref)
+        ref = ref[state.step_index] if ref.ndim == 2 else ref
         self._times.append(state.time)
         y = state.y.values
-        self._e_y.append(l2_norm(self._mass, NodalField(y - ref.values)))
-        self._e_grad.append(h1_seminorm(self._stiffness, NodalField(y - ref.values)))
+        self._e_y.append(form_norm(self._mass, y - ref))
+        self._e_grad.append(form_norm(self._stiffness, y - ref))
         self._kappa.append(np.array(state.kappa))
         self._mass_trace.append(float(self._weights @ state.y.values))
 
@@ -627,7 +627,7 @@ class TestScanFreeSweep:
         trajectory = np.linspace(-0.5, 0.5, (scheme.n_steps + 1) * problem.mesh.n_vertices)
         trajectory = trajectory.reshape(scheme.n_steps + 1, -1)
         recorders = [cls(problem.mass, problem.stiffness, ref)
-                     for ref in (problem.ystar, trajectory)
+                     for ref in (problem.ystar.values, trajectory)
                      for cls in (ErrorRecorder, ScanningErrorRecorder)]
 
         def diagnostics_bytes(state):
