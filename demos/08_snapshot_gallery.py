@@ -11,7 +11,7 @@ from pathlib import Path
 from thermoloop import build_mesh, interpolate, write_snapshot_image
 from thermoloop.experiments import (GridSubsetLayout, ICOND_VARIANT1,
                                     ICOND_VARIANT2, REFERENCE_STATE,
-                                    SUBSET20_INDICES, layout_centers)
+                                    SUBSET20_INDICES)
 from thermoloop.fem import field_from_values
 
 out_dir = Path(__file__).resolve().parent / "demo_output"
@@ -27,7 +27,7 @@ for name, spec in (("initial_variant1", ICOND_VARIANT1),
           f" -> {name}.pgm")
 
 # device layout: union of disc indicators, drawn at full white
-centers = layout_centers(GridSubsetLayout(8, 0.125, SUBSET20_INDICES))
+centers = GridSubsetLayout(8, 0.125, SUBSET20_INDICES).centers
 mask = np.zeros(mesh.n_vertices)
 for cx, cy in centers:
     inside = (mesh.vertices[:, 0] - cx) ** 2 + (mesh.vertices[:, 1] - cy) ** 2 <= 0.125 ** 2

@@ -21,7 +21,7 @@ from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, picard_st
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from .experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
                           FieldSum, GaussianBlobs, GridLayout, GridSubsetLayout,
-                          assemble, grid_layout, layout_centers, list_presets,
+                          assemble, grid_layout, list_presets,
                           make_experiment, preset, run_experiment)
 from .stability import (StabilityReport, TrajectoryNorms, probe_control_stability,
                         probe_data_stability, response_norm, trajectory_norms)

@@ -16,8 +16,7 @@ import typing
 from pathlib import Path
 
 from .experiments import (ConstantField, ExperimentConfig, ExplicitLayout, FieldSum,
-                          GaussianBlobs, GridLayout, GridSubsetLayout, LayoutSpec,
-                          layout_centers)
+                          GaussianBlobs, GridLayout, GridSubsetLayout, LayoutSpec)
 
 
 class ConfigError(ValueError):
@@ -112,7 +111,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Parse a config dict; ``beta`` and ``kappa0`` may each be one number for all devices."""
     if isinstance(d, dict) and "layout" in d:
-        n_devices = len(layout_centers(_load(LayoutSpec, d["layout"], "config.layout")))
+        n_devices = len(_load(LayoutSpec, d["layout"], "config.layout").centers)
         d = dict(d)
         for key in ("beta", "kappa0"):
             value = d.get(key)

@@ -116,6 +116,14 @@ class GridLayout:
                 f"radius {self.radius} makes grid discs overlap "
                 f"(limit 1/{self.n_per_side})")
 
+    @property
+    def centers(self) -> np.ndarray:
+        """Centers at odd multiples of 1/n from the edges, row-major (x fastest), (n*n, 2)."""
+        n = self.n_per_side
+        ticks = np.array([-1.0 + (2 * i - 1) / n for i in range(1, n + 1)])
+        cx, cy = np.meshgrid(ticks, ticks, indexing="xy")
+        return np.column_stack([cx.ravel(), cy.ravel()])
+
 
 @dataclass(frozen=True)
 class GridSubsetLayout:
@@ -136,15 +144,23 @@ class GridSubsetLayout:
         if any(not 0 <= i < n2 for i in self.kept_indices):
             raise ValueError(f"kept_indices must lie in [0, {n2})")
 
+    @property
+    def centers(self) -> np.ndarray:
+        """The kept centers of the grid, in ``kept_indices`` order, shape (J, 2)."""
+        return GridLayout(self.n_per_side, self.radius).centers[list(self.kept_indices)]
+
 
 @dataclass(frozen=True)
 class ExplicitLayout:
-    """Device centers given directly; may be empty (control disabled)."""
+    """Device centers given directly as (x, y) pairs; may be empty (control disabled)."""
 
     centers: tuple[tuple[float, float], ...]
     radius: float
 
     def __post_init__(self):
+        for c in self.centers:
+            if np.shape(c) != (2,):
+                raise ValueError(f"device center {c!r} is not an (x, y) pair")
         _require_finite(self, "centers", "radius")
         if self.radius <= 0:
             raise ValueError("device radius must be positive")
@@ -156,25 +172,6 @@ LayoutSpec = Union[GridLayout, GridSubsetLayout, ExplicitLayout]
 def grid_layout(n_per_side: int, radius: float) -> GridLayout:
     """Uniform n x n layout with centers at odd multiples of 1/n from the edges."""
     return GridLayout(n_per_side=n_per_side, radius=float(radius))
-
-
-def _grid_centers(n: int) -> np.ndarray:
-    ticks = np.array([-1.0 + (2 * i - 1) / n for i in range(1, n + 1)])
-    cx, cy = np.meshgrid(ticks, ticks, indexing="xy")  # row-major, x fastest
-    return np.column_stack([cx.ravel(), cy.ravel()])
-
-
-def layout_centers(layout: LayoutSpec) -> np.ndarray:
-    """Device center coordinates, shape (J, 2)."""
-    if isinstance(layout, GridLayout):
-        return _grid_centers(layout.n_per_side)
-    if isinstance(layout, GridSubsetLayout):
-        return _grid_centers(layout.n_per_side)[list(layout.kept_indices)]
-    if isinstance(layout, ExplicitLayout):
-        if not layout.centers:
-            return np.zeros((0, 2))
-        return np.array(layout.centers, dtype=np.float64)
-    raise TypeError(f"not a layout spec: {layout!r}")
 
 
 # The 20-device subset of the 8 x 8 grid: an L-shaped triple in each corner,
@@ -248,7 +245,7 @@ class ExperimentConfig:
 
     @property
     def n_devices(self) -> int:
-        return len(layout_centers(self.layout))
+        return len(self.layout.centers)
 
     @property
     def tau(self) -> float:
@@ -297,49 +294,37 @@ def make_experiment(exp_id: int, devices: int | None = None,
     2) with 64 devices.  Campaign 3 compares 64 devices against a 20-device
     subset (``devices``).
     """
-    common = dict(C_g=16.0 / math.pi, C_switch=0.2, L_w=-10.0, H_w=10.0,
-                  reaction=ReactionTerm.cubic_bistable())
     if exp_id == 1:
         devices = 64 if devices is None else devices
         if devices not in (16, 36, 64):
             raise ValueError("campaign 1 supports 16, 36 or 64 devices")
-        n = int(math.isqrt(devices))
-        layout = grid_layout(n, 1.0 / n)
-        return ExperimentConfig(
-            T=24.0, D=0.01,
-            beta=(1.0,) * devices, kappa0=(0.0,) * devices,
-            r_sigma=1.0 / n, layout=layout,
-            y0=ICOND_VARIANT1, ystar=ConstantField(0.0),
-            scheme=SchemeSpec(n_div=100, n_steps=2400, n_picard=3),
-            **common)
-    if exp_id == 2:
+        n = math.isqrt(devices)
+        T, D, n_steps, layout = 24.0, 0.01, 2400, grid_layout(n, 1.0 / n)
+        y0, ystar = ICOND_VARIANT1, ConstantField(0.0)
+    elif exp_id == 2:
         variant = 1 if variant is None else variant
         if variant not in (1, 2):
             raise ValueError("campaign 2 has initial-condition variants 1 and 2")
-        return ExperimentConfig(
-            T=4.0, D=0.02,
-            beta=(1.0,) * 64, kappa0=(0.0,) * 64,
-            r_sigma=0.125, layout=grid_layout(8, 0.125),
-            y0=ICOND_VARIANT1 if variant == 1 else ICOND_VARIANT2,
-            ystar=REFERENCE_STATE,
-            scheme=SchemeSpec(n_div=100, n_steps=400, n_picard=3),
-            **common)
-    if exp_id == 3:
+        T, D, n_steps, layout = 4.0, 0.02, 400, grid_layout(8, 0.125)
+        y0 = ICOND_VARIANT1 if variant == 1 else ICOND_VARIANT2
+        ystar = REFERENCE_STATE
+    elif exp_id == 3:
         devices = 64 if devices is None else devices
         if devices not in (64, 20):
             raise ValueError("campaign 3 supports 64 or 20 devices")
-        if devices == 64:
-            layout: LayoutSpec = grid_layout(8, 0.125)
-        else:
-            layout = GridSubsetLayout(8, 0.125, SUBSET20_INDICES)
-        return ExperimentConfig(
-            T=4.0, D=0.02,
-            beta=(1.0,) * devices, kappa0=(0.0,) * devices,
-            r_sigma=0.125, layout=layout,
-            y0=ICOND_VARIANT1, ystar=REFERENCE_STATE,
-            scheme=SchemeSpec(n_div=100, n_steps=400, n_picard=3),
-            **common)
-    raise ValueError(f"unknown experiment id {exp_id!r} (expected 1, 2 or 3)")
+        T, D, n_steps = 4.0, 0.02, 400
+        layout = (grid_layout(8, 0.125) if devices == 64
+                  else GridSubsetLayout(8, 0.125, SUBSET20_INDICES))
+        y0, ystar = ICOND_VARIANT1, REFERENCE_STATE
+    else:
+        raise ValueError(f"unknown experiment id {exp_id!r} (expected 1, 2 or 3)")
+    J = len(layout.centers)
+    return ExperimentConfig(
+        T=T, D=D, beta=(1.0,) * J, kappa0=(0.0,) * J,
+        C_g=16.0 / math.pi, C_switch=0.2, L_w=-10.0, H_w=10.0,
+        r_sigma=layout.radius, layout=layout, y0=y0, ystar=ystar,
+        scheme=SchemeSpec(n_div=100, n_steps=n_steps, n_picard=3),
+        reaction=ReactionTerm.cubic_bistable())
 
 
 _PRESETS = {
@@ -409,7 +394,7 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
 
     # unit-height indicators: the heights enter as scale factors, so a zero
     # C_g (control switched off) stays representable
-    indicators = disc_indicators(mesh, layout_centers(config.layout), config.r_sigma)
+    indicators = disc_indicators(mesh, config.layout.centers, config.r_sigma)
     # a device that covers no vertex would measure 0 and load nothing
     empty = np.flatnonzero(indicators.dot(np.ones(mesh.n_vertices)) == 0)
     if len(empty):

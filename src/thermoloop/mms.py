@@ -23,6 +23,13 @@ from .model import ReactionTerm
 from .stepper import SchemeSpec, run
 
 
+# The study's diffusivity, final time, coarsest step count and CG tolerance.
+D = 0.1
+T = 0.5
+BASE_STEPS = 4
+CG_TOL = 1e-12
+
+
 def exact_heat_solution(D: float, t: float):
     """The manufactured solution at time t, as a vectorized callable."""
     decay = np.exp(-D * np.pi ** 2 * t / 4.0)
@@ -41,14 +48,14 @@ class ConvergenceRow:
     error: float
 
 
-def heat_error(n_div: int, n_steps: int, D: float, T: float, cg_tol: float = 1e-12) -> float:
+def heat_error(n_div: int, n_steps: int) -> float:
     """Discrete L2 error against the manufactured solution at time T."""
     # no devices, so the switch and calibration parameters are placeholders
     config = ExperimentConfig(
         T=T, D=D, beta=(), kappa0=(), C_g=0.0, C_switch=1.0, L_w=1.0, H_w=1.0,
         r_sigma=1.0, layout=ExplicitLayout((), 1.0),
         y0=ConstantField(0.0), ystar=ConstantField(0.0),
-        scheme=SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1, cg_tol=cg_tol),
+        scheme=SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1, cg_tol=CG_TOL),
         reaction=ReactionTerm.zero())
     built = assemble(config)
     mesh, mass = built.problem.mesh, built.problem.mass
@@ -58,8 +65,8 @@ def heat_error(n_div: int, n_steps: int, D: float, T: float, cg_tol: float = 1e-
     return form_norm(mass, out.final_state.y.values - exact.values)
 
 
-def convergence_study(base_n: int = 10, levels: int = 3, D: float = 0.1,
-                      T: float = 0.5, base_steps: int = 4) -> tuple[list[ConvergenceRow], list[float]]:
+def convergence_study(base_n: int = 10,
+                      levels: int = 3) -> tuple[list[ConvergenceRow], list[float]]:
     """Errors on successively halved meshes with tau ~ h^2, plus observed orders.
 
     Returns (rows, orders) where orders[i] = log2(error[i] / error[i+1]).
@@ -70,8 +77,8 @@ def convergence_study(base_n: int = 10, levels: int = 3, D: float = 0.1,
     rows = []
     for level in range(levels):
         n = base_n * 2 ** level
-        steps = base_steps * 4 ** level
-        err = heat_error(n, steps, D, T)
+        steps = BASE_STEPS * 4 ** level
+        err = heat_error(n, steps)
         rows.append(ConvergenceRow(n_div=n, h=2.0 / n, n_steps=steps, error=err))
     orders = [float(np.log2(rows[i].error / rows[i + 1].error)) for i in range(levels - 1)]
     return rows, orders

@@ -129,7 +129,7 @@ def thermostat_step(beta: float, kappa_prev: float, W: float, tau: float):
     max(|kappa_prev|, |W|).
     """
     b = np.asarray(beta)
-    # one reduction: fmin skips NaN entries, so only a beta_j <= 0 is rejected
-    if (b.size and np.fmin.reduce(b, axis=None) <= 0) or tau <= 0:
+    # one reduction: min propagates NaN, so "not > 0" rejects a NaN as well as a value <= 0
+    if (b.size and not b.min() > 0) or not tau > 0:
         raise ValueError("beta and tau must be positive")
     return (beta * kappa_prev + tau * W) / (beta + tau)

@@ -66,17 +66,35 @@ class StabilityReport:
     kind: str                        # "initial_data" or "control_height"
     deltas: tuple[float, ...]
     responses: tuple[float, ...]
-    ratios: tuple[float, ...]        # response / delta, nan where delta == 0
-    spread: float                    # max/min of the positive-delta ratios
     difference_norms: tuple[TrajectoryNorms, ...] = ()
 
     def __post_init__(self):
-        if not (len(self.deltas) == len(self.responses) == len(self.ratios)):
+        # as floats, so that ratios and spread are defined for every report
+        for name in ("deltas", "responses"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        if len(self.deltas) != len(self.responses):
             raise ValueError("report lists must be aligned")
         if self.difference_norms and len(self.difference_norms) != len(self.deltas):
             raise ValueError("report lists must be aligned")
-        if any(b >= a for a, b in zip(self.deltas, self.deltas[1:])):
+        if not all(b < a for a, b in zip(self.deltas, self.deltas[1:])):   # false for a NaN
             raise ValueError("deltas must be strictly decreasing")
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """response / delta, nan where delta is not positive."""
+        return tuple(r / d if d > 0 else math.nan for d, r in zip(self.deltas, self.responses))
+
+    @property
+    def spread(self) -> float:
+        """max/min of the positive-delta ratios.
+
+        ``inf`` unless there is such a ratio and each is positive and finite:
+        a probe whose responses vanish shows no Lipschitz response.
+        """
+        ratios = [q for d, q in zip(self.deltas, self.ratios) if d > 0]
+        if not ratios or not all(0 < q < math.inf for q in ratios):
+            return math.inf
+        return max(ratios) / min(ratios)
 
 
 def _check_deltas(deltas) -> tuple[float, ...]:
@@ -103,15 +121,6 @@ def response_norm(e_y: np.ndarray, dkappa: np.ndarray) -> float:
     return float(np.max(e_y)) + float(np.sum(np.max(np.abs(dkappa), axis=1)))
 
 
-def _spread(ratios: list[float]) -> float:
-    if not ratios or max(ratios) == 0.0:
-        return 1.0  # all responses vanish: perfectly consistent
-    positive = [r for r in ratios if r > 0]
-    if len(positive) < len(ratios):
-        return float("inf")
-    return max(positive) / min(positive)
-
-
 def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityReport:
     """Run the base, then each member against the base's one stored trajectory.
 
@@ -123,7 +132,6 @@ def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityRepor
     base_out = run_experiment(base, record_trajectory=True, assembled=built)
     P = base_out.problem
     responses = []
-    ratios = []
     norms = []
     for d in deltas:
         # delta 0 reruns the base configuration unchanged: a determinism check
@@ -132,13 +140,9 @@ def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityRepor
         out = run_experiment(cfg, extra_observers=[diff], assembled=built)
         dy = diff.series()
         dk = out.series.kappa_traces - base_out.series.kappa_traces
-        r = response_norm(dy.e_y, dk)
-        responses.append(r)
-        ratios.append(r / d if d > 0 else float("nan"))
+        responses.append(response_norm(dy.e_y, dk))
         norms.append(_norms(dy.e_y, dy.e_grad, dk, P.tau))
-    spread = _spread([r for d, r in zip(deltas, ratios) if d > 0])
     return StabilityReport(kind=kind, deltas=deltas, responses=tuple(responses),
-                           ratios=tuple(ratios), spread=spread,
                            difference_norms=tuple(norms))
 
 

@@ -166,6 +166,15 @@ def test_verify_stability_writes_report(tmp_path, tiny_config_path, capsys):
     assert deltas == sorted(deltas, reverse=True)
 
 
+def test_verify_stability_without_response_is_inconclusive(tiny_config_path, capsys,
+                                                           monkeypatch):
+    # a direction that perturbs nothing gives responses (0, 0, 0) and spread inf
+    monkeypatch.setattr(cli_mod, "PROBE_DIRECTION", ConstantField(0.0))
+    code = main(["verify", "stability", str(tiny_config_path)])
+    assert code == 1
+    assert "ratio spread factor: inf (inconclusive)" in capsys.readouterr().out
+
+
 def test_verify_stability_control_mode(tmp_path, tiny_config_path):
     out_dir = tmp_path / "verify-ctrl"
     code = main(["verify", "stability", str(tiny_config_path), "--control",

@@ -10,7 +10,7 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     GridSubsetLayout, SUBSET20_INDICES,
                                     GridLayout, ICOND_VARIANT1, ICOND_VARIANT2,
                                     PROBE_DIRECTION, REFERENCE_STATE, SchemeSpec, assemble,
-                                    grid_layout, layout_centers,
+                                    grid_layout,
                                     list_presets, make_experiment, preset, run_experiment)
 from thermoloop.fem import interpolate
 from thermoloop.mesh import build_mesh
@@ -19,7 +19,7 @@ from thermoloop.mesh import build_mesh
 class TestGridLayout:
     def test_eight_by_eight_centers(self):
         layout = grid_layout(8, 1.0 / 8.0)
-        centers = layout_centers(layout)
+        centers = layout.centers
         assert centers.shape == (64, 2)
         # centers sit at odd multiples of 1/8
         scaled = centers * 8
@@ -28,15 +28,15 @@ class TestGridLayout:
         assert np.all(np.abs(centers) < 1.0)
 
     def test_sixteen_devices(self):
-        assert len(layout_centers(grid_layout(4, 0.25))) == 16
+        assert len(grid_layout(4, 0.25).centers) == 16
 
     def test_single_inscribed_device(self):
         layout = grid_layout(1, 1.0)
-        centers = layout_centers(layout)
+        centers = layout.centers
         assert np.allclose(centers, [[0.0, 0.0]])
 
     def test_tangency_spacing(self):
-        centers = layout_centers(grid_layout(4, 0.25))
+        centers = grid_layout(4, 0.25).centers
         d = np.hypot(centers[:, None, 0] - centers[None, :, 0],
                      centers[:, None, 1] - centers[None, :, 1])
         np.fill_diagonal(d, np.inf)
@@ -54,7 +54,7 @@ class TestSubset20:
 
     def test_rotation_invariance(self):
         # the kept-center set maps to itself under a 90-degree rotation
-        centers = layout_centers(GridSubsetLayout(8, 0.125, SUBSET20_INDICES))
+        centers = GridSubsetLayout(8, 0.125, SUBSET20_INDICES).centers
         rotated = np.column_stack([-centers[:, 1], centers[:, 0]])
         as_set = {tuple(np.round(c, 12)) for c in centers}
         assert {tuple(np.round(c, 12)) for c in rotated} == as_set
@@ -197,6 +197,16 @@ class TestConfigValidation:
     def test_valid(self):
         self.base()
 
+    @pytest.mark.parametrize("centers, bad", [
+        (((0.1, 0.2, 0.3, 0.4),), (0.1, 0.2, 0.3, 0.4)),   # 1 device, but 2 discs
+        ((0.5, 0.5), 0.5),                                 # a pair not wrapped in a tuple
+        (((0.0, 0.0), (0.1,)), (0.1,)),
+    ])
+    def test_explicit_center_must_be_an_xy_pair(self, centers, bad):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"device center {bad!r} is not an (x, y) pair")):
+            ExplicitLayout(centers, 0.5)
+
     @pytest.mark.parametrize("bad", [dict(cg_tol=-1.0), dict(cg_tol=0.0),
                                      dict(cg_max_iters=0), dict(cg_max_iters=-3),
                                      dict(cg_tol=math.inf), dict(cg_tol=1.0)])
@@ -330,7 +340,7 @@ class TestAssemblyReuse:
         (dict(scheme=SchemeSpec(n_div=10, n_steps=4)), "scheme.n_div"),
         (dict(scheme=SchemeSpec(n_div=12, n_steps=8)), "scheme.n_steps"),
         (dict(layout=ExplicitLayout(tuple((x + 0.01, y) for x, y in
-                                          layout_centers(grid_layout(8, 0.125))), 0.125)),
+                                          grid_layout(8, 0.125).centers), 0.125)),
          "layout"),
         # the first field that differs is named: beta precedes the layout
         (dict(layout=GridSubsetLayout(8, 0.125, SUBSET20_INDICES),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoloop.experiments import ExplicitLayout, assemble, layout_centers, make_experiment
+from thermoloop.experiments import ExplicitLayout, assemble, make_experiment
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.linalg import CsrMatrix, ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
@@ -280,7 +280,7 @@ def test_assembly_stores_each_operator_once_read_only():
     cfg = make_experiment(1, devices=64)
     cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=16))
     problem = assemble(cfg).problem
-    indicators = disc_indicators(problem.mesh, layout_centers(cfg.layout), cfg.r_sigma)
+    indicators = disc_indicators(problem.mesh, cfg.layout.centers, cfg.r_sigma)
     for A, layout in ((problem.mass, "dia"), (problem.stiffness, "dia"),
                       (problem.step_matrix, "dia"), (indicators, "csr"),
                       (problem.device_mass, "csr"), (problem.device_mass_t, "csr")):

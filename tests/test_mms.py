@@ -46,8 +46,8 @@ def test_exact_solution_is_flux_free_on_boundary():
 
 
 def test_error_decreases_under_refinement():
-    e_coarse = heat_error(n_div=8, n_steps=4, D=0.1, T=0.5)
-    e_fine = heat_error(n_div=16, n_steps=16, D=0.1, T=0.5)
+    e_coarse = heat_error(n_div=8, n_steps=4)
+    e_fine = heat_error(n_div=16, n_steps=16)
     assert e_fine < e_coarse
 
 
@@ -59,5 +59,5 @@ def test_observed_order_at_least_1_8():
 
 @pytest.mark.parametrize("n_div, n_steps", [(8, 4), (20, 16)])
 def test_heat_error_equals_hand_assembly_bitwise(n_div, n_steps):
-    error = heat_error(n_div, n_steps, D=0.1, T=0.5)
+    error = heat_error(n_div, n_steps)
     assert error.hex() == hand_assembled_heat_error(n_div, n_steps, D=0.1, T=0.5).hex()

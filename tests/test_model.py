@@ -7,7 +7,7 @@ import pytest
 
 from thermoloop.experiments import (SUBSET20_INDICES, Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, GridSubsetLayout, SchemeSpec,
-                                    assemble, grid_layout, layout_centers)
+                                    assemble, grid_layout)
 from thermoloop.fem import NodalField, interpolate
 from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
@@ -213,10 +213,12 @@ class TestThermostat:
             thermostat_step(0.0, 0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             thermostat_step(1.0, 0.0, 1.0, 0.0)
-        # a bank is rejected for any beta_j <= 0, also next to a NaN entry
-        for beta in ([1.0, 0.0], [np.nan, -1.0], [-1.0, np.nan]):
+        # a bank is rejected for any beta_j <= 0 or NaN
+        for beta in ([1.0, 0.0], [np.nan, -1.0], [-1.0, np.nan], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="beta and tau must be positive"):
                 thermostat_step(np.array(beta), np.zeros(2), np.ones(2), 0.1)
+        with pytest.raises(ValueError, match="beta and tau must be positive"):
+            thermostat_step(1.0, 0.0, 1.0, np.nan)
 
 
 class TestDevices:
@@ -287,8 +289,8 @@ def dense_disc_indicators(mesh, centers, radius):
 
 @pytest.mark.parametrize("n_div", [1, 7, 40, 60, 100])
 @pytest.mark.parametrize("centers, radius", [
-    (layout_centers(grid_layout(8, 0.125)), 0.125),        # the campaigns' 64 discs
-    (layout_centers(grid_layout(3, 1.0 / 3.0)), 1.0 / 3.0),
+    (grid_layout(8, 0.125).centers, 0.125),                # the campaigns' 64 discs
+    (grid_layout(3, 1.0 / 3.0).centers, 1.0 / 3.0),
     ([(1.3, -0.2), (-2.5, 2.5), (0.0, 1.05)], 0.4),        # centers off the domain
     ([(-1.0, -1.0), (1.0, 0.3), (0.25, 1.0), (0.0, 0.0)], 0.5),   # on the boundary
     ([(0.01, 0.013)], 1e-4),                               # covers no vertex at these N
@@ -340,7 +342,7 @@ def looped_disc_indicators(mesh, centers, radius):
 ])
 def test_disc_indicators_equal_the_per_disc_loop_bytewise(n_div, layout):
     mesh = build_mesh(n_div)
-    centers, radius = layout_centers(layout), layout.radius
+    centers, radius = layout.centers, layout.radius
     got = disc_indicators(mesh, centers, radius)._matrix
     want = looped_disc_indicators(mesh, centers, radius)._matrix
     assert got.shape == want.shape

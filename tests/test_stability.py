@@ -7,7 +7,7 @@ from mesh_helpers import swap_axes_permutation
 import thermoloop.experiments as experiments_mod
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs, SchemeSpec,
-                                    grid_layout, run_experiment)
+                                    grid_layout, make_experiment, run_experiment)
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.mesh import build_mesh
 from thermoloop.model import ReactionTerm
@@ -193,6 +193,15 @@ class TestDataStability:
         ratios = np.array(report.ratios)
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) <= 1e-10
 
+    def test_direction_that_perturbs_nothing_is_inconclusive(self):
+        # every member reruns the base: the responses vanish, and vanishing
+        # responses show no Lipschitz response
+        base = make_experiment(2, variant=1)
+        base = replace(base, T=0.2, scheme=replace(base.scheme, n_div=16, n_steps=20))
+        report = probe_data_stability(base, ConstantField(0.0), [1e-1, 1e-2, 1e-3])
+        assert report.responses == (0.0, 0.0, 0.0)
+        assert report.spread == np.inf
+
     def test_cubic_ratios_stay_close(self):
         report = probe_data_stability(tiny_config(), DIRECTION, [1e-1, 1e-2, 1e-3])
         assert report.spread < 3.0
@@ -253,13 +262,39 @@ class TestControlStability:
 class TestReport:
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
-            StabilityReport(kind="initial_data", deltas=(1.0, 0.1),
-                            responses=(1.0,), ratios=(1.0, 1.0), spread=1.0)
+            StabilityReport(kind="initial_data", deltas=(1.0, 0.1), responses=(1.0,))
 
-    def test_decreasing_enforced(self):
+    @pytest.mark.parametrize("deltas", [(0.1, 1.0), (1.0, 1.0), (1.0, np.nan, 0.5)])
+    def test_decreasing_enforced(self, deltas):
+        with pytest.raises(ValueError, match="deltas must be strictly decreasing"):
+            StabilityReport(kind="initial_data", deltas=deltas, responses=(0.0,) * len(deltas))
+
+    def test_non_numeric_response_rejected(self):
         with pytest.raises(ValueError):
-            StabilityReport(kind="initial_data", deltas=(0.1, 1.0),
-                            responses=(0.0, 0.0), ratios=(0.0, 0.0), spread=1.0)
+            StabilityReport(kind="initial_data", deltas=(1.0, 0.1), responses=(1.0, "0.1x"))
+
+    def test_ratios_follow_from_the_responses(self):
+        report = StabilityReport(kind="initial_data", deltas=(1.0, 0.1, 0.01, 0.0),
+                                 responses=(3.0, 0.25, 0.04, 0.0))
+        assert report.ratios[:3] == (3.0, 2.5, 4.0) and np.isnan(report.ratios[3])
+        assert report.spread == 4.0 / 2.5
+
+    @pytest.mark.parametrize("deltas, responses", [
+        ((1.0, 0.1, 0.01), (0.0, 0.0, 0.0)),             # no response at all
+        ((1.0, 0.1, 0.01), (1.0, 0.1, 0.0)),             # one member without response
+        ((1.0, 0.1, 0.01), (1.0, -0.1, 0.01)),
+        ((1.0, 0.1, 0.01), (1.0, np.nan, 0.01)),
+        ((1.0, 0.1, 0.01), (1.0, np.inf, 0.01)),
+        ((1.0, 0.1, 0.01), (np.inf, np.inf, np.inf)),
+        ((1.0, 1e-300, 0.0), (1.0, 1e10, 0.0)),          # a ratio that overflows
+        ((np.inf, 1.0, 0.1), (1.0, 1.0, 0.1)),           # a ratio of 0
+        ((0.0,), (0.0,)),                                # no positive delta
+        ((0.0, -1.0), (1.0, 1.0)),
+        ((), ()),
+    ])
+    def test_spread_is_inf_unless_every_ratio_is_positive_and_finite(self, deltas, responses):
+        report = StabilityReport(kind="initial_data", deltas=deltas, responses=responses)
+        assert report.spread == np.inf
 
 
 class TestSymmetry:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
-                                    assemble, grid_layout, layout_centers,
+                                    assemble, grid_layout,
                                     make_experiment, run_experiment)
 from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, form_norm
 from thermoloop.linalg import CgResult, ConvergenceError, cg_solve
@@ -58,7 +58,7 @@ def devices_off(**overrides):
 
 def dense_device_arrays(cfg, built):
     """Per-device dense (K, n) measurement profiles C_h * h_k and (J, n) loads C_g * M g_k."""
-    indicators = disc_indicators(built.problem.mesh, layout_centers(cfg.layout),
+    indicators = disc_indicators(built.problem.mesh, cfg.layout.centers,
                                  cfg.r_sigma).toarray()
     loads = cfg.C_g * np.array([built.problem.mass.dot(row) for row in indicators])
     return cfg.C_h * indicators, loads.reshape(indicators.shape)
