@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import CsrMatrix
 from .mesh import Mesh
@@ -57,8 +56,8 @@ def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
     (n00, n10, n11) and ``upper`` on its (n00, n11, n01), stored only as its
     7 diagonals.
 
-    DIA stores entry (a, b) in the band of offset b - a at column b; seen as
-    a grid over the column vertex, corner b of every cell is one slice.
+    Entry (a, b) lies in the band of offset b - a at column b; seen as a
+    grid over the column vertex, corner b of every cell is one slice.
     """
     N = mesh.n_div
     n = N + 1
@@ -70,7 +69,7 @@ def _assemble_banded(mesh: Mesh, lower, upper) -> CsrMatrix:
             for (by, bx), value in zip(corners, row):
                 band = np.searchsorted(offsets, (by - ay) * n + bx - ax)
                 bands[band, by:by + N, bx:bx + N] += value
-    return CsrMatrix(sp.dia_matrix((bands.reshape(7, n * n), offsets), shape=(n * n, n * n)))
+    return CsrMatrix.banded(bands.reshape(7, n * n), offsets, shape=(n * n, n * n))
 
 
 def assemble_mass(mesh: Mesh) -> CsrMatrix:

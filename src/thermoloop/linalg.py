@@ -1,14 +1,48 @@
 """Sparse symmetric-positive-definite linear algebra: banded or CSR storage,
-symmetric diagonal scaling and conjugate gradients."""
+symmetric diagonal scaling and conjugate gradients.
+
+The sparse operations run in scipy's compiled kernels, the private extension
+``scipy.sparse._sparsetools``, loaded from its file alone: importing it
+through ``scipy.sparse`` would load the whole package, about 20 MB of
+resident memory, for eight routines."""
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import dia_matvec   # private: the kernel `@` ends in
+
+
+def _load_sparse_kernels():
+    """The module ``scipy.sparse._sparsetools``, loaded without importing
+    scipy or scipy.sparse and registered under its name, so that a later
+    ``import scipy.sparse`` uses it too; one already loaded is reused."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")   # a top-level name: imports nothing
+    if scipy is None or scipy.origin is None:
+        raise ImportError("scipy is not installed: thermoloop needs its sparse kernels")
+    base = Path(scipy.origin).parent / "sparse" / "_sparsetools"
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for suffix in suffixes:
+        path = base.with_name(base.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"scipy's sparse kernels not found: searched {base} "
+                      f"with the suffixes {', '.join(suffixes)}")
+
+
+_kernels = _load_sparse_kernels()
 
 
 class ConvergenceError(RuntimeError):
@@ -20,85 +54,172 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _bands(dia) -> list[tuple[int, int, int, int]]:
-    """(k, offset, lo, hi) per diagonal k of a DIA matrix: its column j holds
-    entry (j - offset, j), inside the matrix for lo <= j < hi."""
-    n_rows, n_cols = dia.shape
-    return [(k, offset, max(offset, 0),
-             max(offset, 0, min(n_cols, n_rows + offset, dia.data.shape[1])))
-            for k, offset in enumerate(dia.offsets.tolist())]
+def _band_slices(offsets: np.ndarray, n_rows: int, n_cols: int):
+    """(k, offset, lo, hi) per band k: its column j holds entry (j - offset, j),
+    inside the matrix for lo <= j < hi."""
+    for k, offset in enumerate(offsets.tolist()):
+        lo = max(offset, 0)
+        yield k, offset, lo, max(lo, min(n_cols, n_rows + offset))
 
 
 class CsrMatrix:
-    """Sparse matrix stored in one scipy format, immutable once built.
+    """Sparse float64 matrix, immutable once built, stored in one of two forms.
 
-    A DIA (banded) input with strictly increasing diagonal offsets, such as
-    the mesh operators' 7 diagonals, stays banded.  DIA adds the diagonals
-    in increasing offset order, which is each row's column order, so for
-    finite operands its products equal the CSR ones up to the sign of zero
-    (an in-bounds stored zero adds only a zero term).  Every other input is
-    stored as CSR, duplicates summed and column indices sorted within each
-    row.  ``nnz`` counts the nonzero entries, not DIA's stored zeros.  A
-    vector fits when its length is ``n_cols``; ``dot`` raises scipy's
-    ValueError on any other.
+    A banded matrix (``banded``), such as a mesh operator with its 7
+    diagonals, keeps ``offsets`` (strictly increasing) and ``bands``: column j
+    of ``bands[k]`` holds entry (j - offsets[k], j), zero where that lies
+    outside the matrix.  Its products add the diagonals in increasing offset
+    order, which is each row's column order, so for finite operands they
+    equal the CSR ones up to the sign of zero.  Every other matrix
+    (``from_coo``) is canonical CSR: int32 ``indptr`` and ``indices``, float64
+    ``data``, column indices sorted within each row and no duplicates.  The
+    arrays of the other form are None, and every stored array is read-only.
+    ``nnz`` counts the nonzero entries.  An operand fits when its length is
+    ``n_cols``; ``dot`` raises ValueError ("dimension mismatch") on any other.
     """
 
-    def __init__(self, matrix):
-        if matrix.format == "dia" and np.all(np.diff(matrix.offsets) > 0):
-            stored = sp.dia_matrix((np.asarray(matrix.data, dtype=np.float64), matrix.offsets),
-                                   shape=matrix.shape)
-            arrays = (stored.data, stored.offsets)
-            # per band, not scipy's count_nonzero, which masks every slot (90 us at n=3721)
-            nnz = sum(np.count_nonzero(stored.data[k, lo:hi]) for k, _, lo, hi in _bands(stored))
-        else:
-            stored = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-            stored.sum_duplicates()   # also sorts each row's column indices
-            arrays = (stored.data, stored.indices, stored.indptr)
-            nnz = stored.count_nonzero()
-        for a in arrays:
-            a.setflags(write=False)
-        self._matrix = stored
-        self.n_rows, self.n_cols = stored.shape
-        self.nnz = int(nnz)
+    def __init__(self, shape, *, offsets=None, bands=None, indptr=None, indices=None,
+                 data=None):
+        """Keep the given arrays, made read-only; ``banded`` and ``from_coo``
+        check and build them."""
+        self.n_rows, self.n_cols = shape
+        self.offsets, self.bands = offsets, bands
+        self.indptr, self.indices, self.data = indptr, indices, data
+        for a in (offsets, bands, indptr, indices, data):
+            if a is not None:
+                a.setflags(write=False)
+        self.nnz = int(np.count_nonzero(data if bands is None else bands))
 
-    @property
-    def values(self) -> np.ndarray:
-        """The nonzero entries row by row, in column order within each row."""
-        return self._matrix.tocsr().data
+    @classmethod
+    def banded(cls, bands, offsets, shape) -> "CsrMatrix":
+        """The matrix whose entry (j - offsets[k], j) is ``bands[k, j]``, for
+        strictly increasing offsets and bands of shape (len(offsets), n_cols).
+        The bands are copied; their slots outside the matrix are set to zero."""
+        n_rows, n_cols = shape
+        offsets = np.array(offsets, dtype=np.int32)
+        bands = np.array(bands, dtype=np.float64)
+        if offsets.ndim != 1 or np.any(np.diff(offsets) <= 0):
+            raise ValueError("band offsets must increase strictly")
+        if bands.shape != (len(offsets), n_cols):
+            raise ValueError(f"bands of shape {bands.shape} do not fit {len(offsets)} "
+                             f"offsets and {n_cols} columns")
+        for k, _, lo, hi in _band_slices(offsets, n_rows, n_cols):
+            bands[k, :lo] = bands[k, hi:] = 0.0
+        return cls(shape, offsets=offsets, bands=bands)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
         """Build from coordinate triplets; duplicate entries are summed."""
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+        n_rows, n_cols = shape
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not rows.shape == cols.shape == vals.shape == (len(vals),):
+            raise ValueError("rows, cols and vals must be 1-D and of one length")
+        if len(vals) and (min(rows.min(), cols.min()) < 0
+                          or rows.max() >= n_rows or cols.max() >= n_cols):
+            raise ValueError(f"an entry lies outside the {n_rows} x {n_cols} matrix")
+        indptr = np.zeros(n_rows + 1, dtype=np.int32)
+        indices, data = np.empty(len(vals), dtype=np.int32), np.empty(len(vals))
+        _kernels.coo_tocsr(n_rows, n_cols, len(vals), rows.astype(np.int32),
+                           cols.astype(np.int32), vals, indptr, indices, data)
+        return cls._canonical(shape, indptr, indices, data)
+
+    @classmethod
+    def _canonical(cls, shape, indptr, indices, data) -> "CsrMatrix":
+        """The CSR matrix of these arrays, which are sorted within each row and
+        their duplicates summed in place, as scipy's ``sum_duplicates`` does."""
+        _kernels.csr_sort_indices(shape[0], indptr, indices, data)
+        _kernels.csr_sum_duplicates(shape[0], shape[1], indptr, indices, data)
+        nnz = indptr[-1]
+        return cls(shape, indptr=indptr, indices=indices[:nnz].copy(), data=data[:nnz].copy())
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, data): the stored CSR arrays, or a banded matrix's
+        nonzero entries row by row, as scipy's DIA-to-CSR conversion gives them."""
+        if self.bands is None:
+            return self.indptr, self.indices, self.data
+        by_band = np.zeros((len(self.offsets), self.n_rows))   # [k, i]: entry (i, i + offsets[k])
+        for k, offset, lo, hi in _band_slices(self.offsets, self.n_rows, self.n_cols):
+            by_band[k, lo - offset:hi - offset] = self.bands[k, lo:hi]
+        keep = (by_band != 0).T   # (n_rows, K): row-major order is each row's column order
+        cols = (np.arange(self.n_rows, dtype=np.int32) + self.offsets[:, None]).T
+        indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return indptr, cols[keep], by_band.T[keep]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The nonzero entries row by row, in column order within each row."""
+        return self._csr()[2]
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """self @ x.  A banded matrix times a contiguous float64 vector calls
-        scipy's DIA kernel directly, into a zeroed vector as ``@`` does: the
-        same bits, without the 5-7 us of dispatch ``@`` spends on each product
-        (a CG iteration at n=3721 takes about 40 us)."""
-        m, x = self._matrix, np.asarray(x)
-        if (m.format == "dia" and x.shape == (self.n_cols,) and x.dtype == np.float64
-                and x.flags.c_contiguous):
-            y = np.zeros(self.n_rows)
-            dia_matvec(self.n_rows, self.n_cols, len(m.offsets), m.data.shape[1],
-                       m.offsets, m.data, x, y)
-            return y
-        return m @ x
+        """self @ x, into a zeroed vector, for x of n_cols values; a 2-D x is
+        multiplied column by column.  One call of scipy's DIA or CSR kernel per
+        vector: the bits of ``@``, without the 5-7 us of dispatch it spends on
+        each product (a CG iteration at n=3721 takes about 40 us)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or len(x) != self.n_cols:
+            raise ValueError(f"dimension mismatch: an operand of shape {x.shape} "
+                             f"for a matrix of {self.n_cols} columns")
+        if x.ndim == 1:
+            return self._matvec(x)
+        y = np.empty((self.n_rows, x.shape[1]))
+        for c in range(x.shape[1]):
+            y[:, c] = self._matvec(x[:, c])
+        return y
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """self @ x of a float64 vector of n_cols values."""
+        y = np.zeros(self.n_rows)
+        if self.bands is None:
+            _kernels.csr_matvec(self.n_rows, self.n_cols, self.indptr, self.indices,
+                                self.data, x, y)
+        else:
+            _kernels.dia_matvec(self.n_rows, self.n_cols, len(self.offsets), self.n_cols,
+                                self.offsets, self.bands, x, y)
+        return y
 
     def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
-        """Sparse product self @ other, as a new matrix."""
+        """Sparse product self @ other, as a new CSR matrix; the product's
+        entries that sum to zero are dropped."""
         if self.n_cols != other.n_rows:
             raise ValueError("inner matrix dimensions do not match")
-        return CsrMatrix(self._matrix @ other._matrix)
+        shape = (self.n_rows, other.n_cols)
+        (a_ptr, a_idx, a_val), (b_ptr, b_idx, b_val) = self._csr(), other._csr()
+        nnz = _kernels.csr_matmat_maxnnz(*shape, a_ptr, a_idx, b_ptr, b_idx)
+        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        indices, data = np.empty(nnz, dtype=np.int32), np.empty(nnz)
+        _kernels.csr_matmat(*shape, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val,
+                            indptr, indices, data)
+        return CsrMatrix._canonical(shape, indptr, indices, data)
 
     def transpose(self) -> "CsrMatrix":
-        return CsrMatrix(self._matrix.T)
+        """The transpose, as a CSR matrix."""
+        indptr, indices, data = self._csr()
+        t_indptr = np.zeros(self.n_cols + 1, dtype=np.int32)
+        t_indices, t_data = np.empty(len(data), dtype=np.int32), np.empty(len(data))
+        _kernels.csr_tocsc(self.n_rows, self.n_cols, indptr, indices, data,
+                           t_indptr, t_indices, t_data)
+        return CsrMatrix((self.n_cols, self.n_rows), indptr=t_indptr, indices=t_indices,
+                         data=t_data)
 
     def diagonal(self) -> np.ndarray:
-        return self._matrix.diagonal()
+        """The entries (i, i), as a new array."""
+        size = min(self.n_rows, self.n_cols)
+        if self.bands is not None:
+            main = np.flatnonzero(self.offsets == 0)
+            return self.bands[main[0], :size].copy() if len(main) else np.zeros(size)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        on = rows == self.indices
+        diagonal = np.zeros(size)
+        diagonal[rows[on]] = self.data[on]
+        return diagonal
 
     def toarray(self) -> np.ndarray:
-        return self._matrix.toarray()
+        indptr, indices, data = self._csr()
+        dense = np.zeros((self.n_rows, self.n_cols))
+        dense[np.repeat(np.arange(self.n_rows), np.diff(indptr)), indices] = data
+        return dense
 
     def scaled_add(self, factor: float, other: "CsrMatrix") -> "CsrMatrix":
         """self + factor * other, as a new matrix, of two banded matrices on
@@ -106,31 +227,30 @@ class CsrMatrix:
         operand raises ValueError."""
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("matrix dimensions do not match")
-        a, b = self._matrix, other._matrix
-        if not (a.format == b.format == "dia" and np.array_equal(a.offsets, b.offsets)
-                and a.data.shape == b.data.shape):
+        if (self.bands is None or other.bands is None
+                or not np.array_equal(self.offsets, other.offsets)):
             raise ValueError("scaled_add needs two banded matrices on the same diagonals")
-        return CsrMatrix(sp.dia_matrix((a.data + factor * b.data, a.offsets), shape=a.shape))
+        return CsrMatrix.banded(self.bands + factor * other.bands, self.offsets,
+                                (self.n_rows, self.n_cols))
 
     def scaled_symmetric(self, s: np.ndarray) -> "CsrMatrix":
         """diag(s) @ self @ diag(s) of a square banded matrix, on the same
         diagonals; any other matrix raises ValueError.
 
         Entry (i, j) is multiplied by the product s_i * s_j, taken first, so
-        a bitwise symmetric matrix stays bitwise symmetric.  DIA stores entry
-        (j - offset, j) in column j; the slots outside the matrix stay zero.
+        a bitwise symmetric matrix stays bitwise symmetric.
         """
         s = np.asarray(s, dtype=np.float64)
-        if self.n_rows != self.n_cols or s.shape != (self.n_rows,):
+        n = self.n_rows
+        if n != self.n_cols or s.shape != (n,):
             raise ValueError(f"scale of shape {s.shape} does not fit a "
                              f"{self.n_rows} x {self.n_cols} matrix")
-        m = self._matrix
-        if m.format != "dia":
+        if self.bands is None:
             raise ValueError("scaled_symmetric needs a banded matrix")
-        data = np.zeros_like(m.data)
-        for k, offset, lo, hi in _bands(m):
-            data[k, lo:hi] = m.data[k, lo:hi] * (s[lo - offset:hi - offset] * s[lo:hi])
-        return CsrMatrix(sp.dia_matrix((data, m.offsets), shape=m.shape))
+        bands = np.zeros_like(self.bands)
+        for k, offset, lo, hi in _band_slices(self.offsets, n, n):
+            bands[k, lo:hi] = self.bands[k, lo:hi] * (s[lo - offset:hi - offset] * s[lo:hi])
+        return CsrMatrix((n, n), offsets=self.offsets, bands=bands)
 
 
 class CgResult(NamedTuple):

@@ -43,8 +43,9 @@ class ErrorRecorder:
     field, or a (k, mass.n_cols) array whose row m is the reference at step
     m (a recorded trajectory): the errors are then the distances between two
     runs.  Only its width is checked, once, here: an observed field of the
-    wrong length fails the subtraction y - y* or a product with numpy's or
-    scipy's ValueError, before the node is recorded.
+    wrong length fails the subtraction y - y* with numpy's ValueError, or a
+    product with ``CsrMatrix.dot``'s "dimension mismatch", before the node is
+    recorded.
     """
 
     def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, ystar: np.ndarray):

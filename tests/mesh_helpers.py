@@ -1,10 +1,28 @@
 """Mesh helpers shared by the tests: the explicit triangle list and its
-topology, and the element-by-element assembly of the mesh operators kept as
-the reference."""
+topology, the element-by-element assembly of the mesh operators kept as the
+reference, and the scipy form of a stored matrix, the reference for its
+operations."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from thermoloop.linalg import CsrMatrix
+
+
+def as_scipy(A: CsrMatrix):
+    """A's arrays as the scipy matrix of the same storage: DIA for a banded
+    matrix, CSR otherwise."""
+    shape = (A.n_rows, A.n_cols)
+    if A.bands is not None:
+        return sp.dia_matrix((A.bands, A.offsets), shape=shape)
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=shape)
+
+
+def as_csr(A: CsrMatrix) -> CsrMatrix:
+    """A CSR copy of A, its nonzero entries taken from the dense matrix."""
+    dense = A.toarray()
+    rows, cols = np.nonzero(dense)
+    return CsrMatrix.from_coo(rows, cols, dense[rows, cols], shape=dense.shape)
 
 
 def triangles(mesh) -> np.ndarray:

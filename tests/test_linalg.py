@@ -10,6 +10,7 @@ from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.linalg import CsrMatrix, ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
 from thermoloop.model import disc_indicators
+from mesh_helpers import as_csr, as_scipy
 
 
 def dense_2x2(a, b, c, d):
@@ -19,7 +20,7 @@ def dense_2x2(a, b, c, d):
 
 
 def identity(n):
-    return CsrMatrix(sp.identity(n, format="csr"))
+    return CsrMatrix.from_coo(range(n), range(n), np.ones(n), shape=(n, n))
 
 
 def start(A, x0=None):
@@ -57,9 +58,12 @@ def test_spmv_dimension_mismatch():
     # a rectangular matrix multiplies through CSR, the mesh's mass matrix through DIA
     rect = CsrMatrix.from_coo([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0], shape=(2, 3))
     for A in (rect, assemble_mass(build_mesh(4))):
-        for x in (np.ones(A.n_cols + 1), np.ones(A.n_cols - 1)):
-            with pytest.raises(ValueError):
+        for x in (np.ones(A.n_cols + 1), np.ones(A.n_cols - 1), np.ones((A.n_cols + 1, 2))):
+            with pytest.raises(ValueError, match=rf"^dimension mismatch: .*\({len(x)},.*"
+                                                 rf" of {A.n_cols} columns$"):
                 A.dot(x)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            A.dot(np.ones((A.n_cols, 1, 1)))
 
 
 def test_matmul_and_transpose_match_dense():
@@ -213,12 +217,15 @@ def test_problem_rejects_step_matrix_without_positive_diagonal():
     for factor in (1.0, 2.0):   # one zero, then one negative diagonal entry
         shift = np.zeros(A.n_rows)
         shift[5] = factor * A.diagonal()[5]
-        bad = CsrMatrix(A._matrix - sp.diags(shift))
+        bands = np.array(A.bands)
+        bands[list(A.offsets).index(0)] -= shift
+        bad = CsrMatrix.banded(bands, A.offsets, (A.n_rows, A.n_cols))
+        assert np.array_equal(bad.toarray(), A.toarray() - np.diag(shift))
         with pytest.raises(ValueError, match="positive diagonal"):
             replace(problem, step_matrix=bad)
     # a diagonal matrix is banded on other diagonals than A: no sum of bands
     with pytest.raises(ValueError, match="two banded matrices on the same diagonals"):
-        A.scaled_add(-1.0, CsrMatrix(sp.diags(shift)))
+        A.scaled_add(-1.0, CsrMatrix.banded(shift[None, :], [0], (A.n_rows, A.n_cols)))
 
 
 @pytest.mark.parametrize("n_div", [2, 3, 4, 5, 6])
@@ -233,18 +240,17 @@ def test_problem_solves_on_the_jacobi_scaled_step_matrix(n_div):
     assert np.array_equal(SAS.toarray(), dense)
     assert np.array_equal(dense, dense.T)
     # banded as A, with the slots outside the matrix zero and read-only arrays
-    stored = SAS._matrix
-    assert stored.format == "dia" and np.array_equal(stored.offsets, A._matrix.offsets)
+    assert SAS.bands is not None and np.array_equal(SAS.offsets, A.offsets)
     assert SAS.nnz == A.nnz
-    cols = np.arange(stored.data.shape[1])
-    rows = cols - stored.offsets[:, None]
-    assert np.all(stored.data[(rows < 0) | (rows >= A.n_rows)] == 0.0)
-    for a in (stored.data, stored.offsets):
+    cols = np.arange(SAS.bands.shape[1])
+    rows = cols - SAS.offsets[:, None]
+    assert np.all(SAS.bands[(rows < 0) | (rows >= A.n_rows)] == 0.0)
+    for a in (SAS.bands, SAS.offsets):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     # only a banded matrix scales
     with pytest.raises(ValueError, match="needs a banded matrix"):
-        CsrMatrix(A._matrix.tocsr()).scaled_symmetric(s)
+        as_csr(A).scaled_symmetric(s)
     # y = s * x of a scaled solve meets the unscaled system up to the spread of s
     d = A.diagonal()
     rng = np.random.default_rng(n_div)
@@ -270,28 +276,28 @@ def test_banded_matvec_equals_csr_bitwise(n_div):
         assert np.array_equal(csr.data, stored[stored != 0])
         for x in (rng.standard_normal(matrix.n_cols), np.ones(matrix.n_cols)):
             assert np.array_equal(matrix.dot(x), csr @ x)
-        assert matrix._matrix.format == "dia"
-        assert len(matrix._matrix.offsets) == 7
+        assert matrix.bands is not None and matrix.indptr is None
+        assert len(matrix.offsets) == 7
 
 
 def test_assembly_stores_each_operator_once_read_only():
     # the mesh operators keep their 7 bands, the device operators are CSR;
-    # each is one scipy matrix whose arrays are all read-only
+    # each holds the arrays of its one form, all read-only, and no scipy matrix
     cfg = make_experiment(1, devices=64)
     cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=16))
     problem = assemble(cfg).problem
     indicators = disc_indicators(problem.mesh, cfg.layout.centers, cfg.r_sigma)
-    for A, layout in ((problem.mass, "dia"), (problem.stiffness, "dia"),
-                      (problem.step_matrix, "dia"), (indicators, "csr"),
-                      (problem.device_mass, "csr"), (problem.device_mass_t, "csr")):
-        stored = A._matrix
-        assert [v for v in vars(A).values() if sp.issparse(v)] == [stored]
-        assert stored.format == layout
-        if layout == "dia":
-            arrays = (stored.data, stored.offsets)
+    for A, banded in ((problem.mass, True), (problem.stiffness, True),
+                      (problem.step_matrix, True), (indicators, False),
+                      (problem.device_mass, False), (problem.device_mass_t, False)):
+        assert not any(sp.issparse(v) for v in vars(A).values())
+        if banded:
+            arrays, unused = (A.bands, A.offsets), (A.indptr, A.indices, A.data)
         else:
-            assert stored.has_sorted_indices
-            arrays = (stored.data, stored.indices, stored.indptr)
+            arrays, unused = (A.data, A.indices, A.indptr), (A.bands, A.offsets)
+            assert A.indptr.dtype == A.indices.dtype == np.int32
+            assert as_scipy(A).has_canonical_format   # sorted, no duplicates
+        assert all(a is None for a in unused)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
@@ -307,51 +313,58 @@ def test_nnz_counts_the_nonzero_entries_of_the_step_matrix(n_div, nnz):
     # scipy's DIA nnz also counts the in-bounds stored zeros: 11599 and 25799
     A = step_matrix(build_mesh(n_div), D=0.02, tau=0.02)
     assert A.nnz == nnz == np.count_nonzero(A.values)
-    assert A._matrix.nnz > nnz
+    assert as_scipy(A).nnz == {40: 11599, 60: 25799}[n_div]
 
 
 def test_dia_input_gives_banded_vector_products():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((3, 6))
     data[1, 2] = 0.0   # a stored zero: the CSR form drops it
-    A = CsrMatrix(sp.dia_matrix((data, [-2, 0, 3]), shape=(6, 6)))
-    assert A._matrix.format == "dia"
+    A = CsrMatrix.banded(data, [-2, 0, 3], (6, 6))
+    assert A.bands is not None
     assert A.nnz == np.count_nonzero(A.toarray()) == 4 + 6 + 3 - 1
+    assert np.array_equal(A.toarray(), sp.dia_matrix((data, [-2, 0, 3]), shape=(6, 6)).toarray())
     csr = sp.csr_matrix(A.toarray())
     x = rng.standard_normal(6)
     assert np.array_equal(A.dot(x), csr @ x)
     X = rng.standard_normal((6, 2))
     assert np.array_equal(A.dot(X), csr @ X)
-    # decreasing offsets would add a row's terms out of column order: such a
-    # matrix is stored as CSR
-    B = CsrMatrix(sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)))
-    assert B._matrix.format == "csr"
-    assert np.array_equal(B.toarray(), sp.dia_matrix((data, [3, 0, -2]), shape=(6, 6)).toarray())
+    # decreasing offsets would add a row's terms out of column order, and bands
+    # hold one slot per column: any other input is rejected
+    for offsets in ([3, 0, -2], [0, 0, 3], [[-2, 0, 3]]):
+        with pytest.raises(ValueError, match="offsets must increase strictly"):
+            CsrMatrix.banded(data, offsets, (6, 6))
+    for shape in ((6, 5), (6, 7)):
+        with pytest.raises(ValueError, match=r"bands of shape \(3, 6\) do not fit"):
+            CsrMatrix.banded(data, [-2, 0, 3], shape)
 
 
 def test_banded_dot_is_bitwise_the_scipy_product():
-    # dot calls scipy's DIA kernel itself for a contiguous float64 vector and
-    # goes through `@` otherwise: the bits agree
+    # dot calls scipy's DIA kernel itself, on any operand numpy converts to
+    # float64 (read-only, strided, float32, a list, 2-D): the bits of `@`
     rng = np.random.default_rng(11)
     mats = []
     for n_div in (1, 4, 40):
         mesh = build_mesh(n_div)
         A = assemble_mass(mesh).scaled_add(0.02 * 0.02, assemble_stiffness(mesh))
         mats += [A, A.scaled_symmetric(1.0 / np.sqrt(A.diagonal()))]
-    for shape, width in (((6, 6), 6), ((4, 6), 6), ((6, 4), 3), ((6, 6), 9)):
-        data = rng.standard_normal((3, width))   # slots outside the matrix too
-        mats.append(CsrMatrix(sp.dia_matrix((data, [-2, 0, 3]), shape=shape)))
-    for A in mats:
-        assert A._matrix.format == "dia"
+    given = []   # scipy matrices of the bands as given, slots outside the matrix too
+    for shape, offsets in (((6, 6), [-2, 0, 3]), ((4, 6), [-2, 0, 3]), ((6, 4), [-2, 0, 3]),
+                           ((6, 6), [-9, 0, 8])):
+        data = rng.standard_normal((3, shape[1]))
+        mats.append(CsrMatrix.banded(data, offsets, shape))
+        given.append(sp.dia_matrix((data, offsets), shape=shape))
+    for A, reference in zip(mats, [as_scipy(A) for A in mats[:6]] + given):
+        assert A.bands is not None
         x = rng.standard_normal(A.n_cols)
         frozen = x.copy()
         frozen.setflags(write=False)
         strided = rng.standard_normal(2 * A.n_cols)[::2]
         for v in (x, frozen, strided, x.astype(np.float32), np.ones(A.n_cols)):
-            assert np.array_equal(A.dot(v), A._matrix @ v)
-        assert np.array_equal(A.dot(x.tolist()), A._matrix @ x)
+            assert np.array_equal(A.dot(v), reference @ v)
+        assert np.array_equal(A.dot(x.tolist()), reference @ x)
         X = rng.standard_normal((A.n_cols, 2))
-        assert np.array_equal(A.dot(X), A._matrix @ X)
+        assert np.array_equal(A.dot(X), reference @ X)
 
 
 def test_csr_input_gives_csr_vector_products():
@@ -359,8 +372,8 @@ def test_csr_input_gives_csr_vector_products():
     wide = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
                               [1.0, 1.0] + [4.0] * n, shape=(n, n))
     mass = assemble_mass(build_mesh(6))
-    for A in (wide, CsrMatrix(mass._matrix.tocsr()), identity(5)):
-        assert A._matrix.format == "csr"
+    for A in (wide, as_csr(mass), identity(5)):
+        assert A.bands is None
         x = np.arange(A.n_cols, dtype=float)
         assert np.array_equal(A.dot(x), sp.csr_matrix(A.toarray()) @ x)
 
@@ -368,11 +381,18 @@ def test_csr_input_gives_csr_vector_products():
 def test_csr_input_is_copied_and_canonical():
     # the stored matrix shares no memory with the input, and duplicate
     # entries are summed into one sorted entry per position
-    given = sp.csr_matrix(([1.0, 2.0, 3.0], [1, 0, 1], [0, 3, 3]), shape=(2, 2))
-    A = CsrMatrix(given)
-    given.data[:] = 7.0
+    rows, cols, vals = np.zeros(3, dtype=int), np.array([1, 0, 1]), np.array([1.0, 2.0, 3.0])
+    A = CsrMatrix.from_coo(rows, cols, vals, shape=(2, 2))
+    rows[:], cols[:], vals[:] = 1, 1, 7.0
     assert np.array_equal(A.toarray(), [[2.0, 4.0], [0.0, 0.0]])
-    assert A.nnz == 2 and list(A._matrix.indices) == [0, 1]
+    assert A.nnz == 2 and list(A.indices) == [0, 1] and list(A.indptr) == [0, 2, 2]
+    # an entry outside the matrix, or triplets of unequal lengths, are rejected
+    # before scipy's kernel could write out of bounds
+    for r, c in (([0, 2], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 2]), ([0, 1], [-1, 0])):
+        with pytest.raises(ValueError, match=r"outside the 2 x 2 matrix"):
+            CsrMatrix.from_coo(r, c, [1.0, 1.0], shape=(2, 2))
+    with pytest.raises(ValueError, match="one length"):
+        CsrMatrix.from_coo([0, 1], [0, 1], [1.0], shape=(2, 2))
 
 
 @pytest.mark.parametrize("n_div", [1, 4, 40])
@@ -380,15 +400,15 @@ def test_scaled_add_of_banded_operators_is_banded_and_the_csr_sum(n_div):
     mesh = build_mesh(n_div)
     M, K = assemble_mass(mesh), assemble_stiffness(mesh)
     for factor in (0.02 * 0.02, 1.0, -3.0):
-        want = M._matrix.tocsr() + factor * K._matrix.tocsr()
+        want = as_scipy(M).tocsr() + factor * as_scipy(K).tocsr()
         A = M.scaled_add(factor, K)
-        assert A._matrix.format == "dia"
-        got = A._matrix.tocsr()
+        assert A.bands is not None
+        got = as_scipy(A).tocsr()
         for a, b in ((got.data, want.data), (got.indices, want.indices),
-                     (got.indptr, want.indptr)):
+                     (got.indptr, want.indptr), (A.values, want.data)):
             assert a.tobytes() == b.tobytes()
     # a CSR operand, or a banded one of another size, has no bands to add
-    for other in (CsrMatrix(K._matrix.tocsr()), assemble_stiffness(build_mesh(n_div + 1))):
+    for other in (as_csr(K), assemble_stiffness(build_mesh(n_div + 1))):
         with pytest.raises(ValueError, match="banded|dimensions"):
             M.scaled_add(1.0, other)
 
@@ -401,3 +421,65 @@ def test_cg_rejects_overflowing_rhs_norm():
         with pytest.raises(ConvergenceError, match="norm of the right-hand side overflows") as info:
             cg_solve(A, np.array([1e160, 1e160]), **start(A))
     assert info.value.iters == 0 and info.value.residual == np.inf
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_div", [1, 2, 5, 40])
+def test_operations_equal_scipy_bitwise(n_div):
+    # every operator of a run against scipy's matrix of the same arrays: the
+    # banded ones as DIA, the device operators as CSR, P and P^T also against
+    # scipy's own product and transpose
+    cfg = make_experiment(2)
+    layout = ExplicitLayout(((-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)), 0.3)
+    cfg = replace(cfg, layout=layout, r_sigma=0.3, beta=(1.0,) * 4, kappa0=(0.0,) * 4,
+                  scheme=replace(cfg.scheme, n_div=n_div))
+    problem = assemble(cfg).problem
+    indicators = disc_indicators(problem.mesh, layout.centers, layout.radius)
+    P, PT = problem.device_mass, problem.device_mass_t
+    want_P = as_scipy(indicators) @ as_scipy(problem.mass)   # csr @ dia
+    want_P.sort_indices()
+    for got, want in ((P, want_P), (PT, want_P.T.tocsr())):
+        assert want.has_canonical_format
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert_same_bits(a, b)
+    rng = np.random.default_rng(n_div)
+    for A in (problem.mass, problem.stiffness, problem.step_matrix,
+              problem.scaled_step_matrix, indicators, P, PT):
+        ref = as_scipy(A)
+        assert ref.format == ("dia" if A.bands is not None else "csr")
+        x = rng.standard_normal(A.n_cols)
+        X = rng.standard_normal((A.n_cols, 3))
+        assert_same_bits(A.dot(x), ref @ x)
+        assert_same_bits(A.dot(X), ref @ X)
+        assert_same_bits(A.dot(X.T.copy().T), ref @ X)   # a column-major operand
+        assert_same_bits(A.toarray(), ref.toarray())
+        assert_same_bits(A.values, ref.tocsr().data)
+        assert_same_bits(A.diagonal(), ref.diagonal())
+        assert A.nnz == ref.count_nonzero()
+        t, want_t = A.transpose(), ref.T.tocsr()
+        want_t.sort_indices()
+        assert (t.n_rows, t.n_cols) == want_t.shape and t.bands is None
+        for a, b in ((t.indptr, want_t.indptr), (t.indices, want_t.indices),
+                     (t.data, want_t.data)):
+            assert_same_bits(a, b)
+
+
+def test_from_coo_equals_canonical_scipy_csr():
+    # unsorted triplets with duplicates, some of them three or more times
+    rng = np.random.default_rng(4)
+    shape = (30, 40)
+    rows = rng.integers(0, shape[0], 600)
+    cols = rng.integers(0, shape[1], 600)
+    vals = rng.standard_normal(600)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) < 500
+    got = CsrMatrix.from_coo(rows, cols, vals, shape)
+    want = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    assert want.has_canonical_format
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert_same_bits(a, b)
+    assert got.nnz == want.count_nonzero()

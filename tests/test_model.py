@@ -343,8 +343,8 @@ def looped_disc_indicators(mesh, centers, radius):
 def test_disc_indicators_equal_the_per_disc_loop_bytewise(n_div, layout):
     mesh = build_mesh(n_div)
     centers, radius = layout.centers, layout.radius
-    got = disc_indicators(mesh, centers, radius)._matrix
-    want = looped_disc_indicators(mesh, centers, radius)._matrix
-    assert got.shape == want.shape
+    got = disc_indicators(mesh, centers, radius)
+    want = looped_disc_indicators(mesh, centers, radius)
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
     for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -652,6 +652,22 @@ class TestScanFreeSweep:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
+SMALL_RUN = ("cfg = make_experiment(2)\n"
+             "cfg = replace(cfg, T=0.06, scheme=replace(cfg.scheme, n_div=16, n_steps=6))\n"
+             "out = run_experiment(cfg)\n")
+
+
+def run_script(script: str) -> str:
+    """The stripped stdout of ``script`` run by a fresh interpreter that
+    imports thermoloop from this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return out.stdout.strip()
+
+
 class TestImports:
     def test_no_dense_or_iterative_scipy_solvers_loaded(self):
         # the run path solves with its own CG; scipy.linalg and
@@ -665,12 +681,47 @@ class TestImports:
             "run_experiment(cfg)\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert out.stdout.strip() == "[]"
+        assert run_script(script) == "[]"
+
+    def test_a_run_loads_only_the_compiled_sparse_kernels(self, tmp_path):
+        # linalg loads scipy's kernel extension from its file; the scipy.sparse
+        # package, which would double the resident memory of a small run,
+        # stays unloaded, through the API and through the CLI
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from thermoloop import cli, dump_config, make_experiment, run_experiment\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+            f"{SMALL_RUN}"
+            "loaded()\n"
+            f"dump_config(cfg, {str(tmp_path / 'small.json')!r})\n"
+            f"cli.main(['run', {str(tmp_path / 'small.json')!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "loaded()\n")
+        lines = run_script(script).splitlines()
+        assert [lines[0], lines[-1]] == ["['scipy.sparse._sparsetools']"] * 2
+        assert (tmp_path / "out" / "series.csv").stat().st_size > 0
+
+    def test_scipy_sparse_imported_before_or_after_gives_the_same_bits(self):
+        # with scipy.sparse imported first, linalg reuses its kernel module;
+        # imported after, scipy.sparse takes linalg's; either way the run's
+        # bits are those of a run without scipy.sparse, and scipy's own
+        # products still work
+        check = ("import numpy as np, scipy.sparse as sp, thermoloop.linalg as la\n"
+                 "from scipy.sparse import _sparsetools\n"
+                 "assert _sparsetools is la._kernels\n"
+                 "assert (sp.csr_matrix(np.eye(3)) @ np.arange(3.0)).tolist() == [0.0, 1.0, 2.0]\n")
+        digests = []
+        for before, after in (("", ""), ("import scipy.sparse\n", check), ("", check)):
+            script = (before + "import hashlib\n"
+                      "from dataclasses import replace\n"
+                      "from thermoloop import make_experiment, run_experiment\n"
+                      + after + SMALL_RUN +
+                      "final = out.final_state\n"
+                      "print(hashlib.sha256(final.y.values.tobytes()"
+                      " + final.kappa.tobytes()).hexdigest())\n" + after)
+            digests.append(run_script(script))
+        assert digests[0] == digests[1] == digests[2]
 
 
 class TestRun:
