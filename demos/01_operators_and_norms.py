@@ -14,7 +14,7 @@ print(f"mesh: {mesh.n_vertices} vertices, {2 * mesh.n_div ** 2} triangles, h = {
 
 M = assemble_mass(mesh)
 K = assemble_stiffness(mesh)
-print(f"mass entry sum   = {M.values.sum():.15f}   (domain area 4)")
+print(f"mass entry sum   = {M.toarray().sum():.15f}   (domain area 4)")
 print(f"|K @ ones|_inf   = {np.abs(K.dot(np.ones(mesh.n_vertices))).max():.2e}"
       "   (constants lie in the stiffness kernel)")
 

@@ -426,8 +426,8 @@ def _reuse_assembly(assembled: AssembledExperiment,
                          f"(only {', '.join(_REUSABLE_FIELDS)} may differ)")
     problem = assembled.problem
     if config.C_g != problem.C_g:
-        # replace reruns __post_init__, which re-derives P^T, P y*, the
-        # Jacobi scale and S A S; none of them depends on C_g
+        # replace reruns __post_init__, which re-derives P y*, the Jacobi
+        # scale and S A S; none of them depends on C_g
         problem = replace(problem, C_g=config.C_g)
     return AssembledExperiment(config=config, problem=problem,
                                initial=_initial_state(config, problem.mesh))

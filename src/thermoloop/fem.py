@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,4 +103,4 @@ def form_norm(A: CsrMatrix, values: np.ndarray) -> float:
     With the mass matrix M it is the discrete L2 norm, with the stiffness
     matrix K the gradient seminorm (zero for constant fields).
     """
-    return float(np.sqrt(max(float(values @ A.dot(values)), 0.0)))
+    return math.sqrt(max(float(values @ A.dot(values)), 0.0))

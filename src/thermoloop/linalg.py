@@ -4,7 +4,7 @@ symmetric diagonal scaling and conjugate gradients.
 The sparse operations run in scipy's compiled kernels, the private extension
 ``scipy.sparse._sparsetools``, loaded from its file alone: importing it
 through ``scipy.sparse`` would load the whole package, about 20 MB of
-resident memory, for eight routines."""
+resident memory, for six routines."""
 
 from __future__ import annotations
 
@@ -62,6 +62,12 @@ def _band_slices(offsets: np.ndarray, n_rows: int, n_cols: int):
         yield k, offset, lo, max(lo, min(n_cols, n_rows + offset))
 
 
+def _mismatch(shape, n_cols: int) -> ValueError:
+    """The error for an operand of this shape to a matrix of n_cols columns."""
+    return ValueError(f"dimension mismatch: an operand of shape {shape} "
+                      f"for a matrix of {n_cols} columns")
+
+
 class CsrMatrix:
     """Sparse float64 matrix, immutable once built, stored in one of two forms.
 
@@ -70,18 +76,20 @@ class CsrMatrix:
     of ``bands[k]`` holds entry (j - offsets[k], j), zero where that lies
     outside the matrix.  Its products add the diagonals in increasing offset
     order, which is each row's column order, so for finite operands they
-    equal the CSR ones up to the sign of zero.  Every other matrix
-    (``from_coo``) is canonical CSR: int32 ``indptr`` and ``indices``, float64
-    ``data``, column indices sorted within each row and no duplicates.  The
-    arrays of the other form are None, and every stored array is read-only.
-    ``nnz`` counts the nonzero entries.  An operand fits when its length is
-    ``n_cols``; ``dot`` raises ValueError ("dimension mismatch") on any other.
+    equal the CSR ones up to the sign of zero.  Every other matrix is
+    canonical CSR: int32 ``indptr`` and ``indices``, float64 ``data``, column
+    indices sorted within each row and no duplicates.  The constructor takes
+    such arrays as they are; ``model.disc_indicators`` and ``matmul`` build
+    them.  The arrays of the other form are None, and every stored array is
+    read-only.  ``nnz`` counts the nonzero entries.  An operand fits when its
+    length is ``n_cols`` (``n_rows`` for ``tdot``); ``dot`` and ``tdot``
+    raise ValueError ("dimension mismatch") on any other.
     """
 
     def __init__(self, shape, *, offsets=None, bands=None, indptr=None, indices=None,
                  data=None):
-        """Keep the given arrays, made read-only; ``banded`` and ``from_coo``
-        check and build them."""
+        """Keep the given arrays, made read-only; ``banded`` checks and builds
+        banded ones, CSR arrays must already be canonical."""
         self.n_rows, self.n_cols = shape
         self.offsets, self.bands = offsets, bands
         self.indptr, self.indices, self.data = indptr, indices, data
@@ -107,32 +115,6 @@ class CsrMatrix:
             bands[k, :lo] = bands[k, hi:] = 0.0
         return cls(shape, offsets=offsets, bands=bands)
 
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
-        """Build from coordinate triplets; duplicate entries are summed."""
-        n_rows, n_cols = shape
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not rows.shape == cols.shape == vals.shape == (len(vals),):
-            raise ValueError("rows, cols and vals must be 1-D and of one length")
-        if len(vals) and (min(rows.min(), cols.min()) < 0
-                          or rows.max() >= n_rows or cols.max() >= n_cols):
-            raise ValueError(f"an entry lies outside the {n_rows} x {n_cols} matrix")
-        indptr = np.zeros(n_rows + 1, dtype=np.int32)
-        indices, data = np.empty(len(vals), dtype=np.int32), np.empty(len(vals))
-        _kernels.coo_tocsr(n_rows, n_cols, len(vals), rows.astype(np.int32),
-                           cols.astype(np.int32), vals, indptr, indices, data)
-        return cls._canonical(shape, indptr, indices, data)
-
-    @classmethod
-    def _canonical(cls, shape, indptr, indices, data) -> "CsrMatrix":
-        """The CSR matrix of these arrays, which are sorted within each row and
-        their duplicates summed in place, as scipy's ``sum_duplicates`` does."""
-        _kernels.csr_sort_indices(shape[0], indptr, indices, data)
-        _kernels.csr_sum_duplicates(shape[0], shape[1], indptr, indices, data)
-        nnz = indptr[-1]
-        return cls(shape, indptr=indptr, indices=indices[:nnz].copy(), data=data[:nnz].copy())
-
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, indices, data): the stored CSR arrays, or a banded matrix's
         nonzero entries row by row, as scipy's DIA-to-CSR conversion gives them."""
@@ -147,11 +129,6 @@ class CsrMatrix:
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         return indptr, cols[keep], by_band.T[keep]
 
-    @property
-    def values(self) -> np.ndarray:
-        """The nonzero entries row by row, in column order within each row."""
-        return self._csr()[2]
-
     def dot(self, x: np.ndarray) -> np.ndarray:
         """self @ x, into a zeroed vector, for x of n_cols values; a 2-D x is
         multiplied column by column.  One call of scipy's DIA or CSR kernel per
@@ -159,8 +136,7 @@ class CsrMatrix:
         each product (a CG iteration at n=3721 takes about 40 us)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or len(x) != self.n_cols:
-            raise ValueError(f"dimension mismatch: an operand of shape {x.shape} "
-                             f"for a matrix of {self.n_cols} columns")
+            raise _mismatch(x.shape, self.n_cols)
         if x.ndim == 1:
             return self._matvec(x)
         y = np.empty((self.n_rows, x.shape[1]))
@@ -179,9 +155,25 @@ class CsrMatrix:
                                 self.offsets, self.bands, x, y)
         return y
 
+    def tdot(self, x: np.ndarray) -> np.ndarray:
+        """self^T @ x of a CSR matrix, into a zeroed vector, for x of n_rows
+        values; a banded matrix raises ValueError.  The stored arrays are the
+        CSC arrays of self^T, so this is scipy's CSC kernel on them, the
+        kernel of scipy's ``csr.T @ x``."""
+        if self.bands is not None:
+            raise ValueError("tdot needs a CSR matrix")
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n_rows,):
+            raise _mismatch(x.shape, self.n_rows)
+        y = np.zeros(self.n_cols)
+        _kernels.csc_matvec(self.n_cols, self.n_rows, self.indptr, self.indices, self.data,
+                            x, y)
+        return y
+
     def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
-        """Sparse product self @ other, as a new CSR matrix; the product's
-        entries that sum to zero are dropped."""
+        """Sparse product self @ other, as a new CSR matrix.  scipy's kernel
+        emits each column of a row once and drops the entries that sum to
+        zero; only the column order within each row is left to sort."""
         if self.n_cols != other.n_rows:
             raise ValueError("inner matrix dimensions do not match")
         shape = (self.n_rows, other.n_cols)
@@ -191,29 +183,19 @@ class CsrMatrix:
         indices, data = np.empty(nnz, dtype=np.int32), np.empty(nnz)
         _kernels.csr_matmat(*shape, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val,
                             indptr, indices, data)
-        return CsrMatrix._canonical(shape, indptr, indices, data)
-
-    def transpose(self) -> "CsrMatrix":
-        """The transpose, as a CSR matrix."""
-        indptr, indices, data = self._csr()
-        t_indptr = np.zeros(self.n_cols + 1, dtype=np.int32)
-        t_indices, t_data = np.empty(len(data), dtype=np.int32), np.empty(len(data))
-        _kernels.csr_tocsc(self.n_rows, self.n_cols, indptr, indices, data,
-                           t_indptr, t_indices, t_data)
-        return CsrMatrix((self.n_cols, self.n_rows), indptr=t_indptr, indices=t_indices,
-                         data=t_data)
+        _kernels.csr_sort_indices(shape[0], indptr, indices, data)
+        nnz = indptr[-1]
+        return CsrMatrix(shape, indptr=indptr, indices=indices[:nnz].copy(),
+                         data=data[:nnz].copy())
 
     def diagonal(self) -> np.ndarray:
-        """The entries (i, i), as a new array."""
+        """The entries (i, i) of a banded matrix, as a new array; a CSR matrix
+        raises ValueError."""
+        if self.bands is None:
+            raise ValueError("diagonal needs a banded matrix")
         size = min(self.n_rows, self.n_cols)
-        if self.bands is not None:
-            main = np.flatnonzero(self.offsets == 0)
-            return self.bands[main[0], :size].copy() if len(main) else np.zeros(size)
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-        on = rows == self.indices
-        diagonal = np.zeros(size)
-        diagonal[rows[on]] = self.data[on]
-        return diagonal
+        main = np.flatnonzero(self.offsets == 0)
+        return self.bands[main[0], :size].copy() if len(main) else np.zeros(size)
 
     def toarray(self) -> np.ndarray:
         indptr, indices, data = self._csr()
@@ -274,7 +256,9 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
     The iteration works in place with one scratch vector and computes
     r^T r once per iteration; its square root is the residual norm.  Dot
     products go through ``ndarray.dot``: the same BLAS ddot as ``@``, with
-    about 1 us less dispatch per call.
+    about 1 us less dispatch per call.  A square A and an ``x0`` of n values
+    are checked once (a wrong length raises ``dot``'s "dimension mismatch"),
+    and every product then calls the kernel directly.
 
     Raises ConvergenceError after ``max_iters`` (default 10 * n) iterations,
     and where a non-finite value shows (input is not scanned up front):
@@ -285,11 +269,14 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
     - a non-finite ``x0``, or a value arising later: "breakdown at
       iteration k" or "non-finite residual at iteration k".
     """
+    n = A.n_rows
+    if A.n_cols != n:
+        raise ValueError(f"cg_solve needs a square matrix, got {n} x {A.n_cols}")
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n_rows,):
-        raise ValueError(f"rhs length {b.shape} does not match {A.n_rows} rows")
+    if b.shape != (n,):
+        raise ValueError(f"rhs length {b.shape} does not match {n} rows")
     if max_iters is None:
-        max_iters = 10 * A.n_rows
+        max_iters = 10 * n
 
     with np.errstate(over="ignore"):
         b_norm = math.sqrt(float(b.dot(b)))   # bitwise equal to np.linalg.norm(b)
@@ -302,7 +289,9 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
     threshold = rel_tol * b_norm
 
     x = np.array(x0, dtype=np.float64)
-    r = b - A.dot(x)
+    if x.shape != (n,):
+        raise _mismatch(x.shape, n)
+    r = b - A._matvec(x)
     scratch = np.empty_like(b)
     p = r.copy()
     rr = float(r.dot(r))
@@ -311,7 +300,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
     for k in range(max_iters):
         if res <= threshold:
             return CgResult(x, k, res)
-        Ap = A.dot(p)
+        Ap = A._matvec(p)
         pAp = float(p.dot(Ap))
         if not math.isfinite(pAp) or pAp <= 0:
             raise ConvergenceError(

@@ -72,7 +72,7 @@ class SwitchingFunction:
 def eval_switch(w: SwitchingFunction, s):
     """Evaluate the switch at a scalar or array; clamps for |L_w * s| >= 1."""
     s = np.asarray(s, dtype=np.float64)
-    out = w.H_w * (w.L_w * s).clip(-1.0, 1.0)
+    out = w.H_w * np.maximum(np.minimum(w.L_w * s, 1.0), -1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,7 +99,9 @@ def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
     and dy*dy <= r**2 and tests only that block: a rounded sum of two
     nonnegative terms is at least each term, so no member is dropped.  The
     kept ticks of an axis are consecutive, at most W of them, so the blocks
-    of all discs are tested at once in one (J, W, W) array.
+    of all discs are tested at once in one (J, W, W) array.  Its nonzeros
+    come out disc by disc and, within a disc, in increasing vertex index:
+    they are the matrix's canonical CSR arrays as they stand.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 2)
     n = mesh.n_div + 1
@@ -116,9 +118,11 @@ def disc_indicators(mesh: Mesh, centers, radius: float) -> CsrMatrix:
         blocks.append((start, np.where(window < count[:, None], d2, np.inf)))   # inf fails
     (x0, dx2), (y0, dy2) = blocks
     rows, bk, bi = np.nonzero(dx2[:, None, :] + dy2[:, :, None] <= r2)
-    cols = (y0[rows] + bk) * n + x0[rows] + bi
-    return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
-                              shape=(len(centers), mesh.n_vertices))
+    indptr = np.zeros(len(centers) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(centers)), out=indptr[1:])
+    cols = ((y0[rows] + bk) * n + x0[rows] + bi).astype(np.int32)
+    return CsrMatrix((len(centers), mesh.n_vertices), indptr=indptr, indices=cols,
+                     data=np.ones(len(cols)))
 
 
 def thermostat_step(beta: float, kappa_prev: float, W: float, tau: float):

@@ -125,8 +125,9 @@ class DiscreteProblem:
     same vertices, marked by row j of the 0/1 indicator matrix I.  Both act
     through one sparse (J, n) product ``device_mass`` P = I M, scaled by the
     device heights: the measurements are m = C_h * (P y - P y*) and the
-    control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa).
-    P^T, the constant P y* and the Jacobi-scaled step matrix S A S, with the
+    control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa),
+    computed from P's own arrays (``CsrMatrix.tdot``): P is stored once.
+    The constant P y* and the Jacobi-scaled step matrix S A S, with the
     read-only scale s = 1 / sqrt(diag(A)) (S = diag(s)), are derived once, at
     construction: every solve runs on S A S.
     All devices share one ``switch`` (scalar L_w and H_w); ``alpha`` routes
@@ -148,7 +149,6 @@ class DiscreteProblem:
     beta: np.ndarray                 # (J,), entries > 0
     reaction: ReactionTerm
     ystar: NodalField
-    device_mass_t: CsrMatrix = field(init=False, repr=False)   # P^T, (n, J)
     device_mass_ystar: np.ndarray = field(init=False, repr=False)  # P y*, (J,)
     step_scale: np.ndarray = field(init=False, repr=False)         # s = 1 / sqrt(diag(A))
     scaled_step_matrix: CsrMatrix = field(init=False, repr=False)  # S A S, banded as A
@@ -172,7 +172,6 @@ class DiscreteProblem:
                             ("device_mass_ystar", ystar_measured)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "device_mass_t", self.device_mass.transpose())
         diag = self.step_matrix.diagonal()
         if not np.all(diag > 0):
             raise ValueError("the step matrix needs a positive diagonal (it must be SPD)")
@@ -253,7 +252,9 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     if any(np.shape(h) != corrections.shape for h in history):
         history = ()
     history = history[:WARM_START_ORDER]
-    weights = _EXTRAPOLATION_WEIGHTS[len(history)]
+    # the weighted corrections w * c^(m-k) of all sweeps, formed once per step
+    weighted = [h if w == 1.0 else w * h
+                for w, h in zip(_EXTRAPOLATION_WEIGHTS[len(history)], history)]
 
     y_prev = y_m
     sol = None
@@ -265,13 +266,13 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
         with np.errstate(over="ignore"):
             reaction = eval_reaction(problem.reaction, y_prev)
             rhs = M.dot(y_m + tau * reaction)
-            rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+            rhs += tau * problem.C_g * problem.device_mass.tdot(kappa_new)
             rhs *= s   # S b, the right-hand side of the scaled system
         x0 = None
-        if weights:
-            guess = y_prev + weights[0] * history[0][p]
-            for w, h in zip(weights[1:], history[1:]):
-                guess += w * h[p]
+        if weighted:
+            guess = y_prev + weighted[0][p]
+            for wh in weighted[1:]:
+                guess += wh[p]
             if np.isfinite(guess).all():
                 x0 = np.divide(guess, s, out=guess)
         if x0 is None:

@@ -18,11 +18,16 @@ def as_scipy(A: CsrMatrix):
     return sp.csr_matrix((A.data, A.indices, A.indptr), shape=shape)
 
 
-def as_csr(A: CsrMatrix) -> CsrMatrix:
-    """A CSR copy of A, its nonzero entries taken from the dense matrix."""
-    dense = A.toarray()
-    rows, cols = np.nonzero(dense)
-    return CsrMatrix.from_coo(rows, cols, dense[rows, cols], shape=dense.shape)
+def csr(m, shape=None) -> CsrMatrix:
+    """The CSR matrix of scipy's canonical CSR form of m, in fresh arrays: m is
+    a dense array or a CsrMatrix (their nonzero entries) or (vals, (rows, cols))
+    triplets, whose duplicates are summed."""
+    if isinstance(m, CsrMatrix):
+        m = as_scipy(m)
+    c = sp.csr_matrix(m, shape=shape, dtype=np.float64)
+    c.sum_duplicates()   # sorted column indices, each position once
+    return CsrMatrix(c.shape, indptr=c.indptr.astype(np.int32),
+                     indices=c.indices.astype(np.int32), data=c.data.copy())
 
 
 def triangles(mesh) -> np.ndarray:
@@ -69,8 +74,8 @@ def _from_element_blocks(mesh, vals) -> CsrMatrix:
     tri = triangles(mesh)
     rows = np.repeat(tri, 3, axis=1)            # (nt, 9): i i i j j j k k k
     cols = np.tile(tri, (1, 3))                 # (nt, 9): i j k i j k i j k
-    return CsrMatrix.from_coo(rows.ravel(), cols.ravel(), vals.ravel(),
-                              shape=(mesh.n_vertices, mesh.n_vertices))
+    return csr((vals.ravel(), (rows.ravel(), cols.ravel())),
+               shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def element_mass(mesh) -> CsrMatrix:

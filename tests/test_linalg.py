@@ -1,26 +1,32 @@
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoloop.experiments import ExplicitLayout, assemble, make_experiment
+from thermoloop import linalg
+from thermoloop.experiments import ExplicitLayout, assemble, make_experiment, run_experiment
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.linalg import CsrMatrix, ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
 from thermoloop.model import disc_indicators
-from mesh_helpers import as_csr, as_scipy
+from mesh_helpers import as_scipy, csr
 
 
 def dense_2x2(a, b, c, d):
-    return CsrMatrix.from_coo([0, 0, 1, 1], [0, 1, 0, 1],
-                              [float(a), float(b), float(c), float(d)],
-                              shape=(2, 2))
+    return csr(np.array([[a, b], [c, d]], dtype=float))
 
 
 def identity(n):
-    return CsrMatrix.from_coo(range(n), range(n), np.ones(n), shape=(n, n))
+    return csr(np.eye(n))
+
+
+# a 2 x 3 CSR matrix
+RECT = np.array([[1.0, 0.0, 2.0],
+                 [0.0, 3.0, 0.0]])
 
 
 def start(A, x0=None):
@@ -45,7 +51,7 @@ def test_spmv_identity():
 
 
 def test_spmv_zero_matrix():
-    Z = CsrMatrix.from_coo([], [], [], shape=(3, 3))
+    Z = csr(np.zeros((3, 3)))
     assert np.allclose(Z.dot(np.array([4.0, 5.0, 6.0])), 0.0)
 
 
@@ -56,8 +62,7 @@ def test_spmv_hand_example():
 
 def test_spmv_dimension_mismatch():
     # a rectangular matrix multiplies through CSR, the mesh's mass matrix through DIA
-    rect = CsrMatrix.from_coo([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0], shape=(2, 3))
-    for A in (rect, assemble_mass(build_mesh(4))):
+    for A in (csr(RECT), assemble_mass(build_mesh(4))):
         for x in (np.ones(A.n_cols + 1), np.ones(A.n_cols - 1), np.ones((A.n_cols + 1, 2))):
             with pytest.raises(ValueError, match=rf"^dimension mismatch: .*\({len(x)},.*"
                                                  rf" of {A.n_cols} columns$"):
@@ -66,15 +71,13 @@ def test_spmv_dimension_mismatch():
             A.dot(np.ones((A.n_cols, 1, 1)))
 
 
-def test_matmul_and_transpose_match_dense():
-    A = CsrMatrix.from_coo([0, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0], shape=(2, 3))
+def test_matmul_matches_dense():
+    A = csr(RECT)
     B = assemble_mass(build_mesh(1))  # 4 x 4
     with pytest.raises(ValueError):
         A.matmul(B)
-    C = CsrMatrix.from_coo([0, 1, 2, 2], [0, 1, 2, 3], [1.0, -1.0, 2.0, 4.0], shape=(3, 4))
+    C = csr((np.array([1.0, -1.0, 2.0, 4.0]), ([0, 1, 2, 2], [0, 1, 2, 3])), shape=(3, 4))
     assert np.array_equal(A.matmul(C).toarray(), A.toarray() @ C.toarray())
-    assert np.array_equal(A.transpose().toarray(), A.toarray().T)
-    assert (A.transpose().n_rows, A.transpose().n_cols) == (3, 2)
 
 
 def test_cg_identity_single_iteration():
@@ -175,9 +178,8 @@ def test_scale_length_mismatch():
     for s in (np.ones(3), np.ones(1), np.ones((2, 2))):
         with pytest.raises(ValueError, match="does not fit a 2 x 2 matrix"):
             A.scaled_symmetric(s)
-    rect = CsrMatrix.from_coo([0, 1], [0, 2], [1.0, 2.0], shape=(2, 3))
     with pytest.raises(ValueError, match="does not fit a 2 x 3 matrix"):
-        rect.scaled_symmetric(np.ones(2))
+        csr(RECT).scaled_symmetric(np.ones(2))
 
 
 def campaign_step_matrix(n_div):
@@ -250,7 +252,7 @@ def test_problem_solves_on_the_jacobi_scaled_step_matrix(n_div):
             a[0] = 1
     # only a banded matrix scales
     with pytest.raises(ValueError, match="needs a banded matrix"):
-        as_csr(A).scaled_symmetric(s)
+        csr(A).scaled_symmetric(s)
     # y = s * x of a scaled solve meets the unscaled system up to the spread of s
     d = A.diagonal()
     rng = np.random.default_rng(n_div)
@@ -267,15 +269,12 @@ def test_banded_matvec_equals_csr_bitwise(n_div):
     A = M.scaled_add(0.02 * 0.02, K)
     rng = np.random.default_rng(n_div)
     for matrix in (M, K, A):
-        # the dense matrix's nonzeros in row-major order are the stored values
-        # read in order (stored zeros aside), so the CSR built from it sums
-        # each row in the same order; a stored zero adds only a zero term
-        csr = sp.csr_matrix(matrix.toarray())
-        stored = matrix.values
-        assert csr.nnz <= matrix.nnz == len(stored)
-        assert np.array_equal(csr.data, stored[stored != 0])
+        # the CSR form of the dense matrix sums each row in column order, as
+        # the banded product does; a stored zero adds only a zero term
+        reference = sp.csr_matrix(matrix.toarray())
+        assert reference.nnz == matrix.nnz
         for x in (rng.standard_normal(matrix.n_cols), np.ones(matrix.n_cols)):
-            assert np.array_equal(matrix.dot(x), csr @ x)
+            assert np.array_equal(matrix.dot(x), reference @ x)
         assert matrix.bands is not None and matrix.indptr is None
         assert len(matrix.offsets) == 7
 
@@ -289,7 +288,7 @@ def test_assembly_stores_each_operator_once_read_only():
     indicators = disc_indicators(problem.mesh, cfg.layout.centers, cfg.r_sigma)
     for A, banded in ((problem.mass, True), (problem.stiffness, True),
                       (problem.step_matrix, True), (indicators, False),
-                      (problem.device_mass, False), (problem.device_mass_t, False)):
+                      (problem.device_mass, False)):
         assert not any(sp.issparse(v) for v in vars(A).values())
         if banded:
             arrays, unused = (A.bands, A.offsets), (A.indptr, A.indices, A.data)
@@ -312,7 +311,7 @@ def test_assembly_stores_each_operator_once_read_only():
 def test_nnz_counts_the_nonzero_entries_of_the_step_matrix(n_div, nnz):
     # scipy's DIA nnz also counts the in-bounds stored zeros: 11599 and 25799
     A = step_matrix(build_mesh(n_div), D=0.02, tau=0.02)
-    assert A.nnz == nnz == np.count_nonzero(A.values)
+    assert A.nnz == nnz == as_scipy(A).count_nonzero()
     assert as_scipy(A).nnz == {40: 11599, 60: 25799}[n_div]
 
 
@@ -369,30 +368,13 @@ def test_banded_dot_is_bitwise_the_scipy_product():
 
 def test_csr_input_gives_csr_vector_products():
     n = 50
-    wide = CsrMatrix.from_coo([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)),
-                              [1.0, 1.0] + [4.0] * n, shape=(n, n))
+    wide = csr(([1.0, 1.0] + [4.0] * n, ([0, n - 1] + list(range(n)), [n - 1, 0] + list(range(n)))),
+               shape=(n, n))
     mass = assemble_mass(build_mesh(6))
-    for A in (wide, as_csr(mass), identity(5)):
+    for A in (wide, csr(mass), identity(5)):
         assert A.bands is None
         x = np.arange(A.n_cols, dtype=float)
         assert np.array_equal(A.dot(x), sp.csr_matrix(A.toarray()) @ x)
-
-
-def test_csr_input_is_copied_and_canonical():
-    # the stored matrix shares no memory with the input, and duplicate
-    # entries are summed into one sorted entry per position
-    rows, cols, vals = np.zeros(3, dtype=int), np.array([1, 0, 1]), np.array([1.0, 2.0, 3.0])
-    A = CsrMatrix.from_coo(rows, cols, vals, shape=(2, 2))
-    rows[:], cols[:], vals[:] = 1, 1, 7.0
-    assert np.array_equal(A.toarray(), [[2.0, 4.0], [0.0, 0.0]])
-    assert A.nnz == 2 and list(A.indices) == [0, 1] and list(A.indptr) == [0, 2, 2]
-    # an entry outside the matrix, or triplets of unequal lengths, are rejected
-    # before scipy's kernel could write out of bounds
-    for r, c in (([0, 2], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 2]), ([0, 1], [-1, 0])):
-        with pytest.raises(ValueError, match=r"outside the 2 x 2 matrix"):
-            CsrMatrix.from_coo(r, c, [1.0, 1.0], shape=(2, 2))
-    with pytest.raises(ValueError, match="one length"):
-        CsrMatrix.from_coo([0, 1], [0, 1], [1.0], shape=(2, 2))
 
 
 @pytest.mark.parametrize("n_div", [1, 4, 40])
@@ -405,10 +387,10 @@ def test_scaled_add_of_banded_operators_is_banded_and_the_csr_sum(n_div):
         assert A.bands is not None
         got = as_scipy(A).tocsr()
         for a, b in ((got.data, want.data), (got.indices, want.indices),
-                     (got.indptr, want.indptr), (A.values, want.data)):
+                     (got.indptr, want.indptr)):
             assert a.tobytes() == b.tobytes()
     # a CSR operand, or a banded one of another size, has no bands to add
-    for other in (as_csr(K), assemble_stiffness(build_mesh(n_div + 1))):
+    for other in (csr(K), assemble_stiffness(build_mesh(n_div + 1))):
         with pytest.raises(ValueError, match="banded|dimensions"):
             M.scaled_add(1.0, other)
 
@@ -431,25 +413,23 @@ def assert_same_bits(a, b):
 @pytest.mark.parametrize("n_div", [1, 2, 5, 40])
 def test_operations_equal_scipy_bitwise(n_div):
     # every operator of a run against scipy's matrix of the same arrays: the
-    # banded ones as DIA, the device operators as CSR, P and P^T also against
-    # scipy's own product and transpose
+    # banded ones as DIA, the device operators as CSR, P also against scipy's
+    # own product
     cfg = make_experiment(2)
     layout = ExplicitLayout(((-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)), 0.3)
     cfg = replace(cfg, layout=layout, r_sigma=0.3, beta=(1.0,) * 4, kappa0=(0.0,) * 4,
                   scheme=replace(cfg.scheme, n_div=n_div))
     problem = assemble(cfg).problem
     indicators = disc_indicators(problem.mesh, layout.centers, layout.radius)
-    P, PT = problem.device_mass, problem.device_mass_t
+    P = problem.device_mass
     want_P = as_scipy(indicators) @ as_scipy(problem.mass)   # csr @ dia
     want_P.sort_indices()
-    for got, want in ((P, want_P), (PT, want_P.T.tocsr())):
-        assert want.has_canonical_format
-        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                     (got.data, want.data)):
-            assert_same_bits(a, b)
+    assert want_P.has_canonical_format
+    for a, b in ((P.indptr, want_P.indptr), (P.indices, want_P.indices), (P.data, want_P.data)):
+        assert_same_bits(a, b)
     rng = np.random.default_rng(n_div)
     for A in (problem.mass, problem.stiffness, problem.step_matrix,
-              problem.scaled_step_matrix, indicators, P, PT):
+              problem.scaled_step_matrix, indicators, P):
         ref = as_scipy(A)
         assert ref.format == ("dia" if A.bands is not None else "csr")
         x = rng.standard_normal(A.n_cols)
@@ -458,28 +438,81 @@ def test_operations_equal_scipy_bitwise(n_div):
         assert_same_bits(A.dot(X), ref @ X)
         assert_same_bits(A.dot(X.T.copy().T), ref @ X)   # a column-major operand
         assert_same_bits(A.toarray(), ref.toarray())
-        assert_same_bits(A.values, ref.tocsr().data)
-        assert_same_bits(A.diagonal(), ref.diagonal())
         assert A.nnz == ref.count_nonzero()
-        t, want_t = A.transpose(), ref.T.tocsr()
-        want_t.sort_indices()
-        assert (t.n_rows, t.n_cols) == want_t.shape and t.bands is None
-        for a, b in ((t.indptr, want_t.indptr), (t.indices, want_t.indices),
-                     (t.data, want_t.data)):
-            assert_same_bits(a, b)
+        # diagonal reads bands only, tdot CSR arrays only
+        if A.bands is not None:
+            assert_same_bits(A.diagonal(), ref.diagonal())
+            with pytest.raises(ValueError, match="tdot needs a CSR matrix"):
+                A.tdot(np.ones(A.n_rows))
+        else:
+            y = rng.standard_normal(A.n_rows)
+            assert_same_bits(A.tdot(y), ref.T @ y)
+            with pytest.raises(ValueError, match="diagonal needs a banded matrix"):
+                A.diagonal()
 
 
-def test_from_coo_equals_canonical_scipy_csr():
-    # unsorted triplets with duplicates, some of them three or more times
-    rng = np.random.default_rng(4)
-    shape = (30, 40)
-    rows = rng.integers(0, shape[0], 600)
-    cols = rng.integers(0, shape[1], 600)
-    vals = rng.standard_normal(600)
-    assert len(set(zip(rows.tolist(), cols.tolist()))) < 500
-    got = CsrMatrix.from_coo(rows, cols, vals, shape)
-    want = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    assert want.has_canonical_format
-    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
-        assert_same_bits(a, b)
-    assert got.nnz == want.count_nonzero()
+def tdot_operators():
+    """(name, CSR matrix) pairs: the indicators and P of the 64-device
+    campaign at N=40, P of its device-free variant (J = 0) and a 2 x 3
+    rectangle."""
+    cfg = make_experiment(1, devices=64)
+    cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=40))
+    problem = assemble(cfg).problem
+    bare = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
+    return [("indicators", disc_indicators(problem.mesh, cfg.layout.centers, cfg.r_sigma)),
+            ("P", problem.device_mass), ("P, J=0", assemble(bare).problem.device_mass),
+            ("rectangle", csr(RECT))]
+
+
+def test_tdot_is_bitwise_the_scipy_transpose_product():
+    # tdot runs scipy's CSC kernel on the stored arrays: the kernel of csr.T @ y
+    rng = np.random.default_rng(21)
+    for name, A in tdot_operators():
+        ref = as_scipy(A).T
+        for y in (rng.standard_normal(A.n_rows), np.ones(A.n_rows), np.zeros(A.n_rows)):
+            got = A.tdot(y)
+            assert got.shape == (A.n_cols,), name
+            assert_same_bits(got, ref @ y)
+        for y in (np.ones(A.n_rows + 1), np.ones((A.n_rows, 1)), np.ones(A.n_cols + 1)):
+            with pytest.raises(ValueError, match=rf"^dimension mismatch: .* of {A.n_rows} columns$"):
+                A.tdot(y)
+
+
+def test_cg_checks_its_operands_once():
+    A = dense_2x2(4, 1, 1, 3)
+    for x0 in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: an operand of shape "
+                                             rf"{re.escape(str(x0.shape))} for a matrix of 2 columns$"):
+            cg_solve(A, np.ones(2), x0=x0)
+    with pytest.raises(ValueError, match="needs a square matrix, got 2 x 3"):
+        cg_solve(csr(RECT), np.ones(2), x0=np.zeros(3))
+
+
+class RecordingKernels:
+    """Stands in for linalg's kernel module and records the names looked up on it."""
+
+    def __init__(self, kernels):
+        self.kernels, self.names = kernels, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.kernels, name)
+
+
+# the compiled kernels linalg calls; the CI floor job's comment lists them too
+KERNELS = {"dia_matvec", "csr_matvec", "csc_matvec", "csr_sort_indices",
+           "csr_matmat_maxnnz", "csr_matmat"}
+
+
+def test_assembly_and_run_call_exactly_the_six_kernels(monkeypatch):
+    recorder = RecordingKernels(linalg._kernels)
+    monkeypatch.setattr(linalg, "_kernels", recorder)
+    cfg = make_experiment(1, devices=64)
+    cfg = replace(cfg, T=0.1, scheme=replace(cfg.scheme, n_div=16, n_steps=5))
+    out = run_experiment(cfg)
+    assert out.final_state.step_index == 5 and np.isfinite(out.final_state.y.values).all()
+    assert recorder.names == KERNELS
+    # the comment on the dependency-floor CI job names the same kernels
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    comment = re.search(r"_sparsetools \(([^)]*)\)", workflow.read_text())
+    assert set(re.split(r"[,\s#]+", comment.group(1))) - {""} == KERNELS

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from thermoloop.fem import assemble_mass, assemble_stiffness, form_norm, interpolate
-from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
 from thermoloop.mms import convergence_study, exact_heat_solution, heat_error
 from thermoloop.model import ReactionTerm, SwitchingFunction
 from thermoloop.stepper import DiscreteProblem, SchemeSpec, SimState, run
+from mesh_helpers import csr
 
 
 def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
@@ -20,7 +20,7 @@ def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness,
         step_matrix=mass.scaled_add(tau * D, stiffness), tau=tau,
-        device_mass=CsrMatrix.from_coo([], [], [], shape=(0, mesh.n_vertices)),
+        device_mass=csr(np.zeros((0, mesh.n_vertices))),
         C_g=0.0, C_h=0.0, alpha=np.zeros((0, 0)), switch=SwitchingFunction(1.0, 1.0),
         beta=np.zeros(0),
         reaction=ReactionTerm.zero(),

@@ -9,11 +9,11 @@ from thermoloop.experiments import (SUBSET20_INDICES, Blob, ConstantField, Exper
                                     ExplicitLayout, GaussianBlobs, GridSubsetLayout, SchemeSpec,
                                     assemble, grid_layout)
 from thermoloop.fem import NodalField, interpolate
-from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
                               eval_reaction, eval_switch, thermostat_step)
 from thermoloop.stepper import SimState, picard_step
+from mesh_helpers import csr
 
 
 class TestReaction:
@@ -237,12 +237,15 @@ class TestDevices:
     def test_device_set_shapes(self):
         # control j and measurement j share disc j: both act through row j of P = I M
         p = self.problem
-        assert p.device_mass.n_rows == p.device_mass_t.n_cols == 4
+        assert p.device_mass.n_rows == 4
         assert np.array_equal(p.alpha, np.eye(4))
         assert (p.C_g, p.C_h) == (1.0, calibrate_ch(-10.0, 0.2, 0.5))
         indicators = disc_indicators(p.mesh, self.centers, 0.5)
-        assert np.array_equal(p.device_mass.toarray(), indicators.matmul(p.mass).toarray())
-        assert np.array_equal(p.device_mass_t.toarray(), p.device_mass.toarray().T)
+        dense = p.device_mass.toarray()
+        assert np.array_equal(dense, indicators.matmul(p.mass).toarray())
+        # the load of device j alone is row j of P, read through P^T
+        for j, unit in enumerate(np.eye(4)):
+            assert np.array_equal(p.device_mass.tdot(unit), dense[j])
 
     def test_device_set_alpha_shape(self):
         # the routing weights must be (J, J) for the problem's J devices
@@ -283,8 +286,7 @@ def dense_disc_indicators(mesh, centers, radius):
     dx = mesh.vertices[:, 0] - centers[:, :1]
     dy = mesh.vertices[:, 1] - centers[:, 1:]
     rows, cols = np.nonzero(dx * dx + dy * dy <= radius ** 2)
-    return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
-                              shape=(len(centers), mesh.n_vertices))
+    return csr((np.ones(len(rows)), (rows, cols)), shape=(len(centers), mesh.n_vertices))
 
 
 @pytest.mark.parametrize("n_div", [1, 7, 40, 60, 100])
@@ -303,8 +305,25 @@ def test_disc_indicators_match_dense_distance_test(n_div, centers, radius):
     want = dense_disc_indicators(mesh, centers, radius)
     assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
     assert got.nnz == want.nnz
-    for a, b in ((got.toarray(), want.toarray()), (got.values, want.values)):
+    for a, b in ((got.toarray(), want.toarray()), (got.data, want.data)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_div", [7, 40, 100])
+def test_disc_indicators_store_scipys_canonical_csr_of_their_triplets(n_div):
+    # disc_indicators hands its arrays to the matrix as they come out, so they
+    # must already be canonical: int32, each row's columns sorted, no
+    # duplicates.  Rows 2 and 4 are empty (a disc off the square), and the
+    # overlapping discs 0 and 1 share vertices.
+    mesh = build_mesh(n_div)
+    centers = [(0.1, 0.2), (0.3, 0.2), (5.0, 5.0), (-1.0, 0.7), (-3.0, 0.0)]
+    got = disc_indicators(mesh, centers, 0.3)
+    assert list(np.diff(got.indptr)[[2, 4]]) == [0, 0] and got.nnz > 0
+    rows = np.repeat(np.arange(got.n_rows), np.diff(got.indptr))
+    want = csr((got.data, (rows, got.indices)), shape=(got.n_rows, got.n_cols))
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.indptr.dtype == got.indices.dtype == np.int32
 
 
 def looped_disc_indicators(mesh, centers, radius):
@@ -324,8 +343,7 @@ def looped_disc_indicators(mesh, centers, radius):
         cols.append(k[bk] * n + i[bi])
         rows.append(np.full(len(bk), j))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return CsrMatrix.from_coo(rows, cols, np.ones(len(rows)),
-                              shape=(len(centers), mesh.n_vertices))
+    return csr((np.ones(len(rows)), (rows, cols)), shape=(len(centers), mesh.n_vertices))
 
 
 @pytest.mark.parametrize("n_div, layout", [

@@ -21,6 +21,7 @@ from thermoloop.model import (ReactionTerm, disc_indicators, eval_reaction, eval
                               thermostat_step)
 import thermoloop.stepper as stepper_mod
 from thermoloop.stepper import SimState, StepDiagnostics, picard_step, run
+from mesh_helpers import as_scipy
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
 
@@ -124,7 +125,7 @@ def parent_picard_step(state, problem, scheme):
             kappa_new = update(y_prev)
         rhs = problem.mass.dot(y_m + tau * eval_reaction(problem.reaction, y_prev))
         if controlled:
-            rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+            rhs += tau * problem.C_g * (as_scipy(problem.device_mass).T @ kappa_new)
         s = problem.step_scale
         sol = cg_solve(problem.scaled_step_matrix, rhs * s, rel_tol=scheme.cg_tol,
                        max_iters=scheme.cg_max_iters, x0=y_prev / s)
@@ -252,7 +253,7 @@ def scanning_picard_step(state, problem, scheme):
             raise stepper_mod._divergence(state, p, corrections,
                                           "the lagged reaction term is non-finite")
         rhs = M.dot(y_m + tau * reaction)
-        rhs += tau * problem.C_g * problem.device_mass_t.dot(kappa_new)
+        rhs += tau * problem.C_g * (as_scipy(problem.device_mass).T @ kappa_new)
         s = problem.step_scale
         rhs = rhs * s
         x0 = y_prev
