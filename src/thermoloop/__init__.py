@@ -15,7 +15,7 @@ from .mesh import Mesh, build_mesh
 from .linalg import CsrMatrix, CgResult, ConvergenceError, cg_solve
 from .fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
                   form_norm, interpolate)
-from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
+from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_rows,
                     eval_reaction, eval_switch, thermostat_step)
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, picard_step, run
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder

@@ -15,7 +15,7 @@ import numpy as np
 from .fem import assemble_mass, assemble_stiffness, interpolate
 from .mesh import Mesh, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
-from .model import ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators
+from .model import ReactionTerm, SwitchingFunction, calibrate_ch, disc_rows
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, as_int, run
 
 
@@ -392,11 +392,11 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
 
-    # unit-height indicators: the heights enter as scale factors, so a zero
-    # C_g (control switched off) stays representable
-    indicators = disc_indicators(mesh, config.layout.centers, config.r_sigma)
-    # a device that covers no vertex would measure 0 and load nothing
-    empty = np.flatnonzero(indicators.dot(np.ones(mesh.n_vertices)) == 0)
+    # P = I M of unit-height indicators I: the heights enter as scale factors,
+    # so a zero C_g (control switched off) stays representable
+    device_mass = disc_rows(mesh, config.layout.centers, config.r_sigma, mass)
+    # a device that covers no vertex has an empty row: it would measure 0 and load nothing
+    empty = np.flatnonzero(np.diff(device_mass.indptr) == 0)
     if len(empty):
         raise ValueError(f"devices {empty.tolist()} cover no vertex of the "
                          f"n_div={config.scheme.n_div} mesh")
@@ -404,9 +404,9 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
     problem = DiscreteProblem(
         mesh=mesh, mass=mass, stiffness=stiffness,
         step_matrix=mass.scaled_add(config.tau * config.D, stiffness), tau=config.tau,
-        device_mass=indicators.matmul(mass),
+        device_mass=device_mass,
         C_g=config.C_g, C_h=config.C_h,
-        alpha=np.eye(indicators.n_rows),
+        alpha=np.eye(device_mass.n_rows),
         switch=SwitchingFunction(config.L_w, config.H_w),
         beta=config.beta,
         reaction=config.reaction,

@@ -4,7 +4,8 @@ symmetric diagonal scaling and conjugate gradients.
 The sparse operations run in scipy's compiled kernels, the private extension
 ``scipy.sparse._sparsetools``, loaded from its file alone: importing it
 through ``scipy.sparse`` would load the whole package, about 20 MB of
-resident memory, for six routines."""
+resident memory, for three routines: the DIA, CSR and CSC matrix-vector
+products."""
 
 from __future__ import annotations
 
@@ -79,11 +80,11 @@ class CsrMatrix:
     equal the CSR ones up to the sign of zero.  Every other matrix is
     canonical CSR: int32 ``indptr`` and ``indices``, float64 ``data``, column
     indices sorted within each row and no duplicates.  The constructor takes
-    such arrays as they are; ``model.disc_indicators`` and ``matmul`` build
-    them.  The arrays of the other form are None, and every stored array is
-    read-only.  ``nnz`` counts the nonzero entries.  An operand fits when its
-    length is ``n_cols`` (``n_rows`` for ``tdot``); ``dot`` and ``tdot``
-    raise ValueError ("dimension mismatch") on any other.
+    such arrays as they are; ``model.disc_rows`` builds them from the bands
+    of a mesh operator.  The arrays of the other form are None, and every
+    stored array is read-only.  ``nnz`` counts the nonzero entries.  An
+    operand fits when its length is ``n_cols`` (``n_rows`` for ``tdot``);
+    ``dot`` and ``tdot`` raise ValueError ("dimension mismatch") on any other.
     """
 
     def __init__(self, shape, *, offsets=None, bands=None, indptr=None, indices=None,
@@ -114,20 +115,6 @@ class CsrMatrix:
         for k, _, lo, hi in _band_slices(offsets, n_rows, n_cols):
             bands[k, :lo] = bands[k, hi:] = 0.0
         return cls(shape, offsets=offsets, bands=bands)
-
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, data): the stored CSR arrays, or a banded matrix's
-        nonzero entries row by row, as scipy's DIA-to-CSR conversion gives them."""
-        if self.bands is None:
-            return self.indptr, self.indices, self.data
-        by_band = np.zeros((len(self.offsets), self.n_rows))   # [k, i]: entry (i, i + offsets[k])
-        for k, offset, lo, hi in _band_slices(self.offsets, self.n_rows, self.n_cols):
-            by_band[k, lo - offset:hi - offset] = self.bands[k, lo:hi]
-        keep = (by_band != 0).T   # (n_rows, K): row-major order is each row's column order
-        cols = (np.arange(self.n_rows, dtype=np.int32) + self.offsets[:, None]).T
-        indptr = np.zeros(self.n_rows + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return indptr, cols[keep], by_band.T[keep]
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """self @ x, into a zeroed vector, for x of n_cols values; a 2-D x is
@@ -170,24 +157,6 @@ class CsrMatrix:
                             x, y)
         return y
 
-    def matmul(self, other: "CsrMatrix") -> "CsrMatrix":
-        """Sparse product self @ other, as a new CSR matrix.  scipy's kernel
-        emits each column of a row once and drops the entries that sum to
-        zero; only the column order within each row is left to sort."""
-        if self.n_cols != other.n_rows:
-            raise ValueError("inner matrix dimensions do not match")
-        shape = (self.n_rows, other.n_cols)
-        (a_ptr, a_idx, a_val), (b_ptr, b_idx, b_val) = self._csr(), other._csr()
-        nnz = _kernels.csr_matmat_maxnnz(*shape, a_ptr, a_idx, b_ptr, b_idx)
-        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        indices, data = np.empty(nnz, dtype=np.int32), np.empty(nnz)
-        _kernels.csr_matmat(*shape, a_ptr, a_idx, a_val, b_ptr, b_idx, b_val,
-                            indptr, indices, data)
-        _kernels.csr_sort_indices(shape[0], indptr, indices, data)
-        nnz = indptr[-1]
-        return CsrMatrix(shape, indptr=indptr, indices=indices[:nnz].copy(),
-                         data=data[:nnz].copy())
-
     def diagonal(self) -> np.ndarray:
         """The entries (i, i) of a banded matrix, as a new array; a CSR matrix
         raises ValueError."""
@@ -198,9 +167,14 @@ class CsrMatrix:
         return self.bands[main[0], :size].copy() if len(main) else np.zeros(size)
 
     def toarray(self) -> np.ndarray:
-        indptr, indices, data = self._csr()
+        """The dense matrix, as a new array: scipy's ``toarray`` bit for bit."""
         dense = np.zeros((self.n_rows, self.n_cols))
-        dense[np.repeat(np.arange(self.n_rows), np.diff(indptr)), indices] = data
+        if self.bands is None:
+            dense[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.data
+        else:
+            for k, offset, lo, hi in _band_slices(self.offsets, self.n_rows, self.n_cols):
+                dense[np.arange(lo - offset, hi - offset), np.arange(lo, hi)] = self.bands[k, lo:hi]
+        dense += 0.0   # a stored -0.0 reads +0.0, as in scipy's dense copy
         return dense
 
     def scaled_add(self, factor: float, other: "CsrMatrix") -> "CsrMatrix":

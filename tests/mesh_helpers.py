@@ -1,12 +1,13 @@
 """Mesh helpers shared by the tests: the explicit triangle list and its
 topology, the element-by-element assembly of the mesh operators kept as the
-reference, and the scipy form of a stored matrix, the reference for its
-operations."""
+reference, the disc indicators, and the scipy form of a stored matrix, the
+reference for its operations."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from thermoloop.linalg import CsrMatrix
+from thermoloop.model import disc_rows
 
 
 def as_scipy(A: CsrMatrix):
@@ -16,6 +17,12 @@ def as_scipy(A: CsrMatrix):
     if A.bands is not None:
         return sp.dia_matrix((A.bands, A.offsets), shape=shape)
     return sp.csr_matrix((A.data, A.indices, A.indptr), shape=shape)
+
+
+def disc_indicators(mesh, centers, radius) -> CsrMatrix:
+    """The (J, n) 0/1 disc indicators I: ``disc_rows`` on the banded identity."""
+    n = mesh.n_vertices
+    return disc_rows(mesh, centers, radius, CsrMatrix.banded(np.ones((1, n)), [0], (n, n)))
 
 
 def csr(m, shape=None) -> CsrMatrix:

@@ -12,8 +12,7 @@ from thermoloop.experiments import ExplicitLayout, assemble, make_experiment, ru
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.linalg import CsrMatrix, ConvergenceError, cg_solve
 from thermoloop.mesh import build_mesh
-from thermoloop.model import disc_indicators
-from mesh_helpers import as_scipy, csr
+from mesh_helpers import as_scipy, csr, disc_indicators
 
 
 def dense_2x2(a, b, c, d):
@@ -69,15 +68,6 @@ def test_spmv_dimension_mismatch():
                 A.dot(x)
         with pytest.raises(ValueError, match="dimension mismatch"):
             A.dot(np.ones((A.n_cols, 1, 1)))
-
-
-def test_matmul_matches_dense():
-    A = csr(RECT)
-    B = assemble_mass(build_mesh(1))  # 4 x 4
-    with pytest.raises(ValueError):
-        A.matmul(B)
-    C = csr((np.array([1.0, -1.0, 2.0, 4.0]), ([0, 1, 2, 2], [0, 1, 2, 3])), shape=(3, 4))
-    assert np.array_equal(A.matmul(C).toarray(), A.toarray() @ C.toarray())
 
 
 def test_cg_identity_single_iteration():
@@ -410,6 +400,23 @@ def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_toarray_is_scipys_dense_copy_bitwise():
+    # from the bands or the CSR arrays themselves; a stored -0.0 reads +0.0
+    rng = np.random.default_rng(13)
+    mesh = build_mesh(6)
+    mats = [assemble_mass(mesh), assemble_stiffness(mesh), step_matrix(mesh, D=0.02, tau=0.01)]
+    for shape in ((6, 6), (4, 6), (6, 4)):
+        data = rng.standard_normal((3, shape[1]))
+        data[1, 2] = -0.0
+        mats.append(CsrMatrix.banded(data, [-2, 0, 3], shape))
+    mats += [csr(RECT), disc_indicators(mesh, [(0.0, 0.0), (1.0, -1.0)], 0.5),
+             CsrMatrix((2, 3), indptr=np.array([0, 2, 3], dtype=np.int32),
+                       indices=np.array([0, 2, 1], dtype=np.int32), data=np.array([-0.0, 2.0, 3.0]))]
+    for A in mats:
+        assert_same_bits(A.toarray(), as_scipy(A).toarray())
+    assert not np.signbit(mats[-1].toarray()).any()
+
+
 @pytest.mark.parametrize("n_div", [1, 2, 5, 40])
 def test_operations_equal_scipy_bitwise(n_div):
     # every operator of a run against scipy's matrix of the same arrays: the
@@ -500,11 +507,10 @@ class RecordingKernels:
 
 
 # the compiled kernels linalg calls; the CI floor job's comment lists them too
-KERNELS = {"dia_matvec", "csr_matvec", "csc_matvec", "csr_sort_indices",
-           "csr_matmat_maxnnz", "csr_matmat"}
+KERNELS = {"dia_matvec", "csr_matvec", "csc_matvec"}
 
 
-def test_assembly_and_run_call_exactly_the_six_kernels(monkeypatch):
+def test_assembly_and_run_call_exactly_the_three_kernels(monkeypatch):
     recorder = RecordingKernels(linalg._kernels)
     monkeypatch.setattr(linalg, "_kernels", recorder)
     cfg = make_experiment(1, devices=64)

@@ -7,13 +7,14 @@ import pytest
 
 from thermoloop.experiments import (SUBSET20_INDICES, Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, GridSubsetLayout, SchemeSpec,
-                                    assemble, grid_layout)
-from thermoloop.fem import NodalField, interpolate
+                                    assemble, grid_layout, list_presets, preset)
+from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, interpolate
+from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
-from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_indicators,
+from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_rows,
                               eval_reaction, eval_switch, thermostat_step)
 from thermoloop.stepper import SimState, picard_step
-from mesh_helpers import csr
+from mesh_helpers import as_scipy, csr, disc_indicators
 
 
 class TestReaction:
@@ -240,9 +241,9 @@ class TestDevices:
         assert p.device_mass.n_rows == 4
         assert np.array_equal(p.alpha, np.eye(4))
         assert (p.C_g, p.C_h) == (1.0, calibrate_ch(-10.0, 0.2, 0.5))
-        indicators = disc_indicators(p.mesh, self.centers, 0.5)
+        want = as_scipy(disc_indicators(p.mesh, self.centers, 0.5)) @ as_scipy(p.mass)
         dense = p.device_mass.toarray()
-        assert np.array_equal(dense, indicators.matmul(p.mass).toarray())
+        assert np.array_equal(dense, want.toarray())
         # the load of device j alone is row j of P, read through P^T
         for j, unit in enumerate(np.eye(4)):
             assert np.array_equal(p.device_mass.tdot(unit), dense[j])
@@ -311,7 +312,7 @@ def test_disc_indicators_match_dense_distance_test(n_div, centers, radius):
 
 @pytest.mark.parametrize("n_div", [7, 40, 100])
 def test_disc_indicators_store_scipys_canonical_csr_of_their_triplets(n_div):
-    # disc_indicators hands its arrays to the matrix as they come out, so they
+    # disc_rows hands its arrays to the matrix as they come out, so they
     # must already be canonical: int32, each row's columns sorted, no
     # duplicates.  Rows 2 and 4 are empty (a disc off the square), and the
     # overlapping discs 0 and 1 share vertices.
@@ -366,3 +367,57 @@ def test_disc_indicators_equal_the_per_disc_loop_bytewise(n_div, layout):
     assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
     for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# the layouts of every preset, then discs centred on corners, on edges and off
+# the square, one disc that covers every vertex, and no disc
+DISC_LAYOUTS = [(preset(name).layout.centers, preset(name).r_sigma) for name in list_presets()] + [
+    (((-1.0, -1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)), 0.3),
+    (((-1.0, 0.3), (1.0, -0.55), (0.2, 1.0), (0.0, -1.0)), 0.3),
+    (((1.3, -0.2), (-2.5, 2.5), (0.0, 1.05), (-1.1, -1.1)), 0.4),
+    (((0.1, 0.2),), 2.9),
+    (np.zeros((0, 2)), 0.25),
+]
+
+
+@pytest.mark.parametrize("n_div", [1, 2, 8, 16, 24, 40, 60, 100])
+def test_disc_rows_are_scipys_product_bitwise(n_div):
+    # P = I M is scipy's sparse product of the indicators and the mass matrix,
+    # down to the bytes of its canonical CSR arrays; so is I K, whose sums
+    # cancel to dropped zeros, and I (M + c K)
+    mesh = build_mesh(n_div)
+    mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
+    for centers, radius in DISC_LAYOUTS:
+        indicators = as_scipy(dense_disc_indicators(mesh, centers, radius))
+        for operator in (mass, stiffness, mass.scaled_add(0.37, stiffness)):
+            got = disc_rows(mesh, centers, radius, operator)
+            want = indicators @ as_scipy(operator).tocsr()
+            want.sort_indices()
+            assert (got.n_rows, got.n_cols) == want.shape
+            assert got.indptr.dtype == got.indices.dtype == np.int32
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert a.tobytes() == b.astype(a.dtype).tobytes()
+            assert got.nnz == len(got.data)   # no stored zeros
+
+
+def test_disc_rows_reject_operators_off_the_p1_stencil():
+    mesh = build_mesh(4)   # 5 ticks a side: the stencil offsets are -6, -5, -1, 0, 1, 5, 6
+    n = mesh.n_vertices
+    mass = assemble_mass(mesh)
+    for operator in (csr(mass), assemble_mass(build_mesh(5))):
+        with pytest.raises(ValueError, match="^disc_rows needs a banded 25 x 25 operator$"):
+            disc_rows(mesh, [(0.0, 0.0)], 0.5, operator)
+    # the other diagonal (4), two ticks (2, -10) and beyond the grid (25)
+    for offset in (4, -4, 2, -10, 25):
+        band = CsrMatrix.banded(np.ones((1, n)), [offset], (n, n))
+        with pytest.raises(ValueError, match=f"^band offset {offset} is not in the P1 stencil"):
+            disc_rows(mesh, [(0.0, 0.0)], 0.5, band)
+    # an entry from the end of one grid row to the start of the next: column 5
+    # at (x, y) = (0, 1) against row 4 at (4, 0), and the like
+    for offset, column in ((1, 5), (6, 10), (-1, 4), (-6, 4)):
+        bands = np.zeros((1, n))
+        bands[0, column] = 1.0
+        with pytest.raises(ValueError, match=f"^band offset {offset} couples the ends"):
+            disc_rows(mesh, [(0.0, 0.0)], 0.5, CsrMatrix.banded(bands, [offset], (n, n)))
+    assert disc_rows(mesh, [(0.0, 0.0)], 0.5, mass).n_rows == 1

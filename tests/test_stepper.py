@@ -17,11 +17,10 @@ from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, form_n
 from thermoloop.linalg import CgResult, ConvergenceError, cg_solve
 from thermoloop.metrics import ErrorRecorder
 from thermoloop.mesh import build_mesh
-from thermoloop.model import (ReactionTerm, disc_indicators, eval_reaction, eval_switch,
-                              thermostat_step)
+from thermoloop.model import ReactionTerm, eval_reaction, eval_switch, thermostat_step
 import thermoloop.stepper as stepper_mod
 from thermoloop.stepper import SimState, StepDiagnostics, picard_step, run
-from mesh_helpers import as_scipy
+from mesh_helpers import as_scipy, disc_indicators
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
 
