@@ -456,12 +456,13 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     built = assemble(config) if assembled is None else _reuse_assembly(assembled, config)
     t_assembly = _time.perf_counter() - t0
 
+    n_nodes = config.scheme.n_steps + 1
     observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness,
-                                     built.problem.ystar.values)]
+                                     built.problem.ystar.values, n_nodes)]
     if snap_steps:
         observers.append(SnapshotRecorder(snap_steps))
     if record_trajectory:
-        observers.append(TrajectoryRecorder(config.scheme.n_steps + 1))
+        observers.append(TrajectoryRecorder(n_nodes))
     observers.extend(extra_observers)
 
     out = run(built.initial, built.problem, config.scheme, observers)

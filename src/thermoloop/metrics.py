@@ -37,7 +37,7 @@ class ErrorSeries:
 
 
 class ErrorRecorder:
-    """Observer collecting E_y, E_grad, kappa and mass at every time node.
+    """Observer collecting E_y, E_grad, kappa and mass at each of ``n_nodes`` time nodes.
 
     The reference ``ystar`` is an array: the (mass.n_cols,) values of one
     field, or a (k, mass.n_cols) array whose row m is the reference at step
@@ -46,9 +46,15 @@ class ErrorRecorder:
     wrong length fails the subtraction y - y* with numpy's ValueError, or a
     product with ``CsrMatrix.dot``'s "dimension mismatch", before the node is
     recorded.
+
+    A run of M steps has M + 1 nodes.  The four scalar series and the
+    (n_nodes, J) kappa rows are allocated once (the rows at the first node)
+    and written in place; ``series()`` returns views of the filled part.  A
+    node beyond ``n_nodes`` raises ValueError.
     """
 
-    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, ystar: np.ndarray):
+    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, ystar: np.ndarray,
+                 n_nodes: int):
         if not isinstance(ystar, np.ndarray):
             raise TypeError(f"reference ystar must be an array, not {type(ystar).__name__}")
         if ystar.ndim == 1 and len(ystar) != mass.n_cols:
@@ -56,33 +62,39 @@ class ErrorRecorder:
         if ystar.ndim != 1 and ystar.shape[1:] != (mass.n_cols,):
             raise ValueError(f"reference trajectory of shape {ystar.shape} is not "
                              f"{mass.n_cols} columns wide")
+        if n_nodes < 1:
+            raise ValueError(f"a series has at least one node, got {n_nodes}")
         self._mass = mass
         self._stiffness = stiffness
         self._ystar = ystar   # (n,) field or (k, n) trajectory
         self._weights = mass.dot(np.ones(mass.n_cols))  # row sums; mass of y is w . y
-        self._times: list[float] = []
-        self._e_y: list[float] = []
-        self._e_grad: list[float] = []
-        self._kappa: list[np.ndarray] = []
-        self._mass_trace: list[float] = []
+        self.n_nodes = n_nodes
+        self._count = 0
+        self._times, self._e_y, self._e_grad, self._mass_trace = np.empty((4, n_nodes))
+        self._kappas = np.zeros((0, 0))   # (n_nodes, J), allocated at the first node
 
     def __call__(self, state) -> None:
+        m = self._count
+        if m == self.n_nodes:
+            raise ValueError(f"error recorder sized for {self.n_nodes} time nodes "
+                             f"was given another (step {state.step_index})")
         y, ref = state.y.values, self._ystar
         deviation = y - (ref[state.step_index] if ref.ndim == 2 else ref)
         e_y, e_grad = form_norm(self._mass, deviation), form_norm(self._stiffness, deviation)
-        mass = float(self._weights @ y)
-        self._times.append(state.time)
-        self._e_y.append(e_y)
-        self._e_grad.append(e_grad)
-        self._kappa.append(np.array(state.kappa))
-        self._mass_trace.append(mass)
+        if m == 0:
+            self._kappas = np.empty((self.n_nodes, len(state.kappa)))
+        self._times[m] = state.time
+        self._e_y[m] = e_y
+        self._e_grad[m] = e_grad
+        self._kappas[m] = state.kappa
+        self._mass_trace[m] = self._weights @ y
+        self._count = m + 1
 
     def series(self) -> ErrorSeries:
-        return ErrorSeries(times=np.array(self._times),
-                           e_y=np.array(self._e_y),
-                           e_grad=np.array(self._e_grad),
-                           kappa_traces=np.array(self._kappa).T,
-                           mass_trace=np.array(self._mass_trace))
+        """Views of the recorded nodes; ``kappa_traces`` is the (J, nodes) transpose."""
+        m = self._count
+        return ErrorSeries(times=self._times[:m], e_y=self._e_y[:m], e_grad=self._e_grad[:m],
+                           kappa_traces=self._kappas[:m].T, mass_trace=self._mass_trace[:m])
 
 
 class SnapshotRecorder:

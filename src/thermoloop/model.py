@@ -150,12 +150,14 @@ def disc_rows(mesh: Mesh, centers, radius: float, operator: CsrMatrix) -> CsrMat
                      data=rows[nonzero])
 
 
-def thermostat_step(beta: float, kappa_prev: float, W: float, tau: float):
-    """One implicit Euler step of beta * kappa' + kappa = W.
+def thermostat_step(beta: np.ndarray | float, kappa_prev: np.ndarray | float,
+                    W: np.ndarray | float, tau: float) -> np.ndarray | float:
+    """One implicit Euler step of beta * kappa' + kappa = W, for every device.
 
-    Returns (beta * kappa_prev + tau * W) / (beta + tau), a convex
-    combination of kappa_prev and W, so |kappa| can never exceed
-    max(|kappa_prev|, |W|).
+    ``beta``, ``kappa_prev`` and ``W`` are the (J,) time constants, signals
+    and demands of the J thermostats (scalars for one).  Returns
+    (beta * kappa_prev + tau * W) / (beta + tau), a convex combination of
+    kappa_prev and W, so |kappa| can never exceed max(|kappa_prev|, |W|).
     """
     b = np.asarray(beta)
     # one reduction: min propagates NaN, so "not > 0" rejects a NaN as well as a value <= 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,25 +17,41 @@ def write_series_csv(series: ErrorSeries, path) -> None:
     """One row per time node: t, e_y, e_grad, mass, kappa_1..kappa_J.
 
     Values are written with 13 significant digits so a re-read reproduces
-    the series to better than 1e-12 relative.
+    the series to better than 1e-12 relative.  Each row is formatted and
+    written on its own, the bytes ``np.savetxt`` writes, without a stacked
+    copy of the series.
     """
     J = series.kappa_traces.shape[0]
     header = "t,e_y,e_grad,mass" + "".join(f",kappa_{j + 1}" for j in range(J))
-    columns = np.column_stack([series.times, series.e_y, series.e_grad, series.mass_trace,
-                               series.kappa_traces.T])
-    np.savetxt(path, columns, fmt="%.12e", delimiter=",", header=header, comments="")
+    row = ",".join(["%.12e"] * (4 + J)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for t, e_y, e_grad, mass, kappa in zip(series.times, series.e_y, series.e_grad,
+                                               series.mass_trace, series.kappa_traces.T):
+            fh.write(row % (t, e_y, e_grad, mass, *kappa.tolist()))
 
 
 def read_series_csv(path) -> ErrorSeries:
-    """Inverse of write_series_csv."""
+    """Inverse of write_series_csv.
+
+    Raises ValueError for a header that does not start t,e_y,e_grad,mass,
+    and for rows whose column count differs from the header's, a file
+    without rows included.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-    if header[:4] != ["t", "e_y", "e_grad", "mass"]:
-        raise ValueError(f"{path}: unexpected series header {header[:4]}")
-    J = len(header) - 4
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if header[:4] != ["t", "e_y", "e_grad", "mass"]:
+            raise ValueError(f"{path}: unexpected series header {header[:4]}")
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without rows, which is rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    width = data.shape[1] if len(data) else 0
+    if width != len(header):
+        raise ValueError(f"{path}: the header names {len(header)} columns, "
+                         f"the rows hold {width}")
     return ErrorSeries(times=data[:, 0], e_y=data[:, 1], e_grad=data[:, 2],
-                       mass_trace=data[:, 3], kappa_traces=data[:, 4:4 + J].T)
+                       mass_trace=data[:, 3], kappa_traces=data[:, 4:].T)
 
 
 def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,

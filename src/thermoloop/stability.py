@@ -136,7 +136,8 @@ def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityRepor
     for d in deltas:
         # delta 0 reruns the base configuration unchanged: a determinism check
         cfg = base if d == 0.0 else perturb(d)
-        diff = ErrorRecorder(P.mass, P.stiffness, base_out.trajectory_y)
+        diff = ErrorRecorder(P.mass, P.stiffness, base_out.trajectory_y,
+                             len(base_out.trajectory_y))
         out = run_experiment(cfg, extra_observers=[diff], assembled=built)
         dy = diff.series()
         dk = out.series.kappa_traces - base_out.series.kappa_traces

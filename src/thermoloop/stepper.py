@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class DiscreteProblem:
 class RunOutput:
     """Everything collected from one run, with the problem it ran."""
 
-    final_state: SimState
+    final_state: SimState                       # without its warm-start history
     problem: DiscreteProblem
     series: ErrorSeries | None = None
     snapshots: tuple = ()
@@ -340,6 +340,9 @@ def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
     Observers are callables taking the current SimState; the initial state is
     observed too, so series have n_steps + 1 entries.  Recorder observers
     from the metrics module are recognized and folded into the RunOutput.
+    Observers see each state's warm-start history; the returned final state
+    carries none (``history=()``), so a run continued from it steps as a
+    fresh start, the same solution within ``cg_tol`` but not the same bits.
     """
     t_start = _time.perf_counter()
     state = initial
@@ -361,6 +364,6 @@ def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
             snapshots = tuple(obs.snapshots)
         elif isinstance(obs, TrajectoryRecorder) and traj_y is None:
             traj_y, traj_kappa = obs.ys(), obs.kappas()
-    return RunOutput(final_state=state, problem=problem, series=series, snapshots=snapshots,
-                     trajectory_y=traj_y, trajectory_kappa=traj_kappa,
+    return RunOutput(final_state=replace(state, history=()), problem=problem, series=series,
+                     snapshots=snapshots, trajectory_y=traj_y, trajectory_kappa=traj_kappa,
                      timings={"stepping_s": elapsed})

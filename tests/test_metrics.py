@@ -60,8 +60,8 @@ def test_recorder_rejects_a_reference_from_another_mesh(ops):
                   np.zeros(n - 1), np.zeros(n + 1)):
         with pytest.raises(ValueError,
                            match=f"^reference ystar has {len(ystar)} values, not {n}$"):
-            ErrorRecorder(M, K, ystar)
-    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x).values)
+            ErrorRecorder(M, K, ystar, 1)
+    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x).values, 1)
 
 
 def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
@@ -69,8 +69,8 @@ def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
     n = mesh.n_vertices
     for shape in ((3, n - 1), (3, n + 1), (2, 3, n), ()):
         with pytest.raises(ValueError, match=f"^reference trajectory of shape .* is not {n} "):
-            ErrorRecorder(M, K, np.zeros(shape))
-    ErrorRecorder(M, K, np.zeros((3, n)))
+            ErrorRecorder(M, K, np.zeros(shape), 3)
+    ErrorRecorder(M, K, np.zeros((3, n)), 3)
 
 
 def test_recorder_takes_a_field_or_a_trajectory_as_an_array(ops):
@@ -79,11 +79,11 @@ def test_recorder_takes_a_field_or_a_trajectory_as_an_array(ops):
     n = mesh.n_vertices
     y = field_from_values(mesh, np.ones(n))
     for ystar in (np.zeros(n), np.zeros((1, n))):
-        rec = ErrorRecorder(M, K, ystar)
+        rec = ErrorRecorder(M, K, ystar, 1)
         rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
         assert rec.series().e_y[0] == pytest.approx(2.0)
     with pytest.raises(TypeError, match="^reference ystar must be an array, not NodalField$"):
-        ErrorRecorder(M, K, field_from_values(mesh, np.zeros(n)))
+        ErrorRecorder(M, K, field_from_values(mesh, np.zeros(n)), 1)
 
 
 def test_recorder_rejects_a_field_from_another_mesh(ops):
@@ -92,7 +92,7 @@ def test_recorder_rejects_a_field_from_another_mesh(ops):
     mesh, M, K = ops
     n = mesh.n_vertices
     for ystar in (np.zeros((2, n)), np.zeros(n)):
-        rec = ErrorRecorder(M, K, ystar)
+        rec = ErrorRecorder(M, K, ystar, 1)
         for length in (build_mesh(3).n_vertices, 1, n - 1, n + 1):
             y = NodalField(np.zeros(length))
             with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ def test_gradient_error_shift_invariant(ops):
 
 def test_recorder_series_shape_and_times(ops):
     mesh, M, K = ops
-    rec = ErrorRecorder(M, K, np.zeros(mesh.n_vertices))
+    rec = ErrorRecorder(M, K, np.zeros(mesh.n_vertices), 5)
     tau = 0.25
     for m in range(5):
         y = field_from_values(mesh, np.full(mesh.n_vertices, float(m)))
@@ -152,7 +152,7 @@ def test_recorder_against_a_trajectory(ops):
     rng = np.random.default_rng(7)
     ys = rng.standard_normal((4, mesh.n_vertices))
     refs = rng.standard_normal((4, mesh.n_vertices))
-    rec = ErrorRecorder(M, K, refs)
+    rec = ErrorRecorder(M, K, refs, 4)
     for m, y in enumerate(ys):
         rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, y), kappa=()))
     series = rec.series()
@@ -161,6 +161,36 @@ def test_recorder_against_a_trajectory(ops):
         assert series.e_y[m] == distance(M, y, ref)
         assert series.e_grad[m] == distance(K, y, ref)
     assert series.kappa_traces.shape == (0, 4)
+
+
+def test_recorder_rows_and_capacity(ops):
+    # the series a list of per-node copies gives, byte for byte; kappa_traces
+    # is the (J, nodes) transpose of the rows, as np.array(list).T
+    mesh, M, K = ops
+    rng = np.random.default_rng(5)
+    ys, kappas = rng.standard_normal((4, mesh.n_vertices)), rng.standard_normal((4, 3))
+    ystar = np.zeros(mesh.n_vertices)
+    rec = ErrorRecorder(M, K, ystar, 4)
+    for m in range(4):
+        rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, ys[m]),
+                     kappa=kappas[m]))
+    series = rec.series()
+    ones = M.dot(np.ones(mesh.n_vertices))
+    for name, expected in (("times", [0.5 * m for m in range(4)]),
+                           ("e_y", [form_norm(M, y - ystar) for y in ys]),
+                           ("e_grad", [form_norm(K, y - ystar) for y in ys]),
+                           ("mass_trace", [float(ones @ y) for y in ys]),
+                           ("kappa_traces", np.array(list(kappas)).T)):
+        got = getattr(series, name)
+        assert got.tobytes() == np.array(expected).tobytes() and got.shape == np.shape(expected)
+    assert series.kappa_traces.base is not None   # a view of the rows, not a copy
+    with pytest.raises(ValueError, match=r"^error recorder sized for 4 time nodes was given "
+                                         r"another \(step 4\)$"):
+        rec(SimState(step_index=4, time=2.0, y=field_from_values(mesh, ys[0]), kappa=kappas[0]))
+    assert rec.series().n_nodes == 4
+    for n_nodes in (0, -1):
+        with pytest.raises(ValueError, match="at least one node"):
+            ErrorRecorder(M, K, ystar, n_nodes)
 
 
 def test_trajectory_recorder_rows_and_capacity(ops):

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,11 +8,12 @@ import numpy as np
 import pytest
 
 from thermoloop.experiments import ExplicitLayout, make_experiment, run_experiment
-from thermoloop.fem import NodalField, field_from_values
+from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, field_from_values
 from thermoloop.mesh import build_mesh
-from thermoloop.metrics import ErrorSeries
+from thermoloop.metrics import ErrorRecorder, ErrorSeries
 from thermoloop.output import (read_series_csv, read_snapshot_image,
                                write_series_csv, write_snapshot_image)
+from thermoloop.stepper import SimState
 
 
 def sample_series(n_steps=400, J=2):
@@ -62,6 +66,48 @@ class TestSeriesCsv:
         write_series_csv(series, p1)
         write_series_csv(series, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("rows", ["1,2,3,4\n", "1,2,3,4,5,6\n", "", "\n"],
+                             ids=["narrower", "wider", "header-only", "blank-row"])
+    def test_read_rejects_rows_that_do_not_fit_the_header(self, tmp_path, rows):
+        # kappa columns are neither dropped nor invented, and a file without
+        # rows is no series
+        path = tmp_path / "series.csv"
+        path.write_text("t,e_y,e_grad,mass,kappa_1\n" + rows)
+        width = len(rows.strip().split(",")) if rows.strip() else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the header names 5 "
+                                                 f"columns, the rows hold {width}$"):
+                read_series_csv(path)
+
+
+def test_series_and_csv_hold_no_second_copy(tmp_path):
+    # a run of 1200 steps on 64 devices: series() returns views of the
+    # recorder's arrays, and the writer streams rows instead of stacking them
+    n_nodes, J = 1201, 64
+    mesh = build_mesh(4)
+    rec = ErrorRecorder(assemble_mass(mesh), assemble_stiffness(mesh),
+                        np.zeros(mesh.n_vertices), n_nodes)
+    rng = np.random.default_rng(2)
+    y = field_from_values(mesh, rng.standard_normal(mesh.n_vertices))
+    for m in range(n_nodes):
+        rec(SimState(step_index=m, time=0.01 * m, y=y, kappa=rng.uniform(-1.0, 1.0, J)))
+    recorded = n_nodes * (4 + J) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        series = rec.series()
+        series_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        write_series_csv(series, tmp_path / "series.csv")
+        csv_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert series.n_nodes == n_nodes and series.kappa_traces.shape == (J, n_nodes)
+    assert series_peak < recorded / 4, (series_peak, recorded)
+    assert csv_peak < 64 * 1024, csv_peak
 
 
 def line_by_line_series_csv(series, path):

@@ -297,14 +297,18 @@ def scanning_picard_step(state, problem, scheme):
 
 class ScanningErrorRecorder(ErrorRecorder):
     def __call__(self, state) -> None:
+        m = self._count
         ref = self._ystar
         ref = ref[state.step_index] if ref.ndim == 2 else ref
-        self._times.append(state.time)
+        if m == 0:
+            self._kappas = np.empty((self.n_nodes, len(state.kappa)))
+        self._times[m] = state.time
         y = state.y.values
-        self._e_y.append(form_norm(self._mass, y - ref))
-        self._e_grad.append(form_norm(self._stiffness, y - ref))
-        self._kappa.append(np.array(state.kappa))
-        self._mass_trace.append(float(self._weights @ state.y.values))
+        self._e_y[m] = form_norm(self._mass, y - ref)
+        self._e_grad[m] = form_norm(self._stiffness, y - ref)
+        self._kappas[m] = np.array(state.kappa)
+        self._mass_trace[m] = float(self._weights @ state.y.values)
+        self._count = m + 1
 
 
 class TestStepOperator:
@@ -537,6 +541,14 @@ class TestVectorizedSweep:
         assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
 
 
+def stepped_state(built, scheme, n_steps):
+    """The state after n_steps picard_steps from the initial state, with its history."""
+    state = built.initial
+    for _ in range(n_steps):
+        state = picard_step(state, built.problem, scheme)
+    return state
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("explicit, device_free",
                              [(False, False), (True, False), (False, True), (True, True)],
@@ -549,7 +561,7 @@ class TestWarmStart:
             cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = run(built.initial, built.problem, replace(scheme, n_steps=4)).final_state
+        state = stepped_state(built, scheme, 4)
         fresh = replace(state, history=())
         y, kappa, sol, increment = parent_picard_step(fresh, built.problem, scheme)
         new = picard_step(fresh, built.problem, scheme)
@@ -564,7 +576,8 @@ class TestWarmStart:
         cfg = campaign1_small()
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = run(built.initial, built.problem, replace(scheme, n_steps=3)).final_state
+        state = stepped_state(built, scheme, 3)
+        assert len(state.history) == 3   # a stale newest entry, two valid older ones
         fresh = picard_step(replace(state, history=()), built.problem, scheme)
         n = built.problem.mesh.n_vertices
         for shape in [(scheme.n_picard + 1, n), (scheme.n_picard, n - 1), (n,)]:
@@ -578,14 +591,30 @@ class TestWarmStart:
         cfg = campaign1_small()
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = run(built.initial, built.problem, replace(scheme, n_steps=2)).final_state
+        state = stepped_state(built, scheme, 2)
         fresh = picard_step(replace(state, history=()), built.problem, scheme)
         poisoned = np.array(state.history[0])
+        assert np.isfinite(poisoned).all() and np.abs(poisoned).max() > 0
         poisoned[:, 0] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             new = picard_step(replace(state, history=(poisoned,)), built.problem, scheme)
         assert new.y.values.tobytes() == fresh.y.values.tobytes()
+
+    def test_run_returns_no_history_while_observers_see_it(self):
+        # the history drives every step of the run; only the returned state drops it
+        cfg = campaign1_small()
+        seen = []
+        out = run_experiment(cfg, extra_observers=[lambda state: seen.append(state.history)])
+        assert out.final_state.history == ()
+        assert [len(h) for h in seen] == [min(m, 3) for m in range(cfg.scheme.n_steps + 1)]
+        assert cfg.scheme.n_steps > 3
+        assert all(h[0].shape == (cfg.scheme.n_picard, out.problem.mesh.n_vertices)
+                   for h in seen[3:])
+        # the solution is the observed last state's, bit for bit
+        final = stepped_state(assemble(cfg), cfg.scheme, cfg.scheme.n_steps)
+        assert out.final_state.y.values.tobytes() == final.y.values.tobytes()
+        assert out.final_state.kappa.tobytes() == final.kappa.tobytes()
 
     def test_extrapolation_cuts_cg_iterations(self, monkeypatch):
         cfg = campaign1_small()
@@ -626,7 +655,7 @@ class TestScanFreeSweep:
         assert problem.device_mass.n_rows == (0 if case == "device-free" else 64)
         trajectory = np.linspace(-0.5, 0.5, (scheme.n_steps + 1) * problem.mesh.n_vertices)
         trajectory = trajectory.reshape(scheme.n_steps + 1, -1)
-        recorders = [cls(problem.mass, problem.stiffness, ref)
+        recorders = [cls(problem.mass, problem.stiffness, ref, scheme.n_steps + 1)
                      for ref in (problem.ystar.values, trajectory)
                      for cls in (ErrorRecorder, ScanningErrorRecorder)]
 
