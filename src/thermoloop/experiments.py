@@ -434,10 +434,15 @@ def _reuse_assembly(assembled: AssembledExperiment,
 
 
 def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: bool = False,
-                   extra_observers=(), assembled: AssembledExperiment | None = None) -> RunOutput:
+                   reference: np.ndarray | None = None,
+                   assembled: AssembledExperiment | None = None) -> RunOutput:
     """Assemble and run a configured experiment with the standard recorders.
 
-    The field is kept at each step in ``snap_steps`` (``out.snapshots``).
+    The run's one ``ErrorRecorder`` measures ``out.series`` against
+    ``reference``: the values of ``problem.ystar`` by default, or another
+    run's (M+1, n) trajectory, so that ``e_y`` and ``e_grad`` are the
+    distances to that run.  The field is kept at each step in ``snap_steps``
+    (``out.snapshots``).
 
     With ``assembled`` the run reuses its mesh and operators instead of
     assembling anew, and gives the same bits as a run without it.
@@ -456,16 +461,15 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     built = assemble(config) if assembled is None else _reuse_assembly(assembled, config)
     t_assembly = _time.perf_counter() - t0
 
-    n_nodes = config.scheme.n_steps + 1
-    observers: list = [ErrorRecorder(built.problem.mass, built.problem.stiffness,
-                                     built.problem.ystar.values, n_nodes)]
+    P, n_nodes = built.problem, config.scheme.n_steps + 1
+    reference = P.ystar.values if reference is None else reference
+    observers: list = [ErrorRecorder(P.mass, P.stiffness, reference, n_nodes)]
     if snap_steps:
         observers.append(SnapshotRecorder(snap_steps))
     if record_trajectory:
         observers.append(TrajectoryRecorder(n_nodes))
-    observers.extend(extra_observers)
 
-    out = run(built.initial, built.problem, config.scheme, observers)
+    out = run(built.initial, P, config.scheme, observers)
     timings = dict(out.timings)
     timings["assembly_s"] = t_assembly
     return replace(out, timings=timings)

@@ -82,9 +82,9 @@ class CsrMatrix:
     indices sorted within each row and no duplicates.  The constructor takes
     such arrays as they are; ``model.disc_rows`` builds them from the bands
     of a mesh operator.  The arrays of the other form are None, and every
-    stored array is read-only.  ``nnz`` counts the nonzero entries.  An
-    operand fits when its length is ``n_cols`` (``n_rows`` for ``tdot``);
-    ``dot`` and ``tdot`` raise ValueError ("dimension mismatch") on any other.
+    stored array is read-only.  ``nnz`` counts the nonzero entries.  ``dot``
+    takes a vector of ``n_cols`` values, ``tdot`` one of ``n_rows``; any
+    other operand raises ValueError ("dimension mismatch").
     """
 
     def __init__(self, shape, *, offsets=None, bands=None, indptr=None, indices=None,
@@ -117,19 +117,14 @@ class CsrMatrix:
         return cls(shape, offsets=offsets, bands=bands)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """self @ x, into a zeroed vector, for x of n_cols values; a 2-D x is
-        multiplied column by column.  One call of scipy's DIA or CSR kernel per
-        vector: the bits of ``@``, without the 5-7 us of dispatch it spends on
+        """self @ x, into a zeroed vector, for a vector x of n_cols values (a
+        2-D x raises "dimension mismatch").  One call of scipy's DIA or CSR
+        kernel: the bits of ``@``, without the 5-7 us of dispatch it spends on
         each product (a CG iteration at n=3721 takes about 40 us)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or len(x) != self.n_cols:
+        if x.shape != (self.n_cols,):
             raise _mismatch(x.shape, self.n_cols)
-        if x.ndim == 1:
-            return self._matvec(x)
-        y = np.empty((self.n_rows, x.shape[1]))
-        for c in range(x.shape[1]):
-            y[:, c] = self._matvec(x[:, c])
-        return y
+        return self._matvec(x)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
         """self @ x of a float64 vector of n_cols values."""

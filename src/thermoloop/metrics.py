@@ -42,10 +42,10 @@ class ErrorRecorder:
     The reference ``ystar`` is an array: the (mass.n_cols,) values of one
     field, or a (k, mass.n_cols) array whose row m is the reference at step
     m (a recorded trajectory): the errors are then the distances between two
-    runs.  Only its width is checked, once, here: an observed field of the
-    wrong length fails the subtraction y - y* with numpy's ValueError, or a
-    product with ``CsrMatrix.dot``'s "dimension mismatch", before the node is
-    recorded.
+    runs.  Its width and a trajectory's k >= n_nodes rows are checked once,
+    here; a later step without a row (a run continued from a later state)
+    raises ValueError.  An observed field of the wrong length fails y - y*
+    or a ``CsrMatrix.dot`` product with ValueError before it is recorded.
 
     A run of M steps has M + 1 nodes.  The four scalar series and the
     (n_nodes, J) kappa rows are allocated once (the rows at the first node)
@@ -64,6 +64,8 @@ class ErrorRecorder:
                              f"{mass.n_cols} columns wide")
         if n_nodes < 1:
             raise ValueError(f"a series has at least one node, got {n_nodes}")
+        if ystar.ndim == 2 and len(ystar) < n_nodes:
+            raise ValueError(f"reference trajectory has {len(ystar)} rows for {n_nodes} nodes")
         self._mass = mass
         self._stiffness = stiffness
         self._ystar = ystar   # (n,) field or (k, n) trajectory
@@ -78,8 +80,10 @@ class ErrorRecorder:
         if m == self.n_nodes:
             raise ValueError(f"error recorder sized for {self.n_nodes} time nodes "
                              f"was given another (step {state.step_index})")
-        y, ref = state.y.values, self._ystar
-        deviation = y - (ref[state.step_index] if ref.ndim == 2 else ref)
+        y, ref, step = state.y.values, self._ystar, state.step_index
+        if ref.ndim == 2 and step >= len(ref):
+            raise ValueError(f"step {step} is beyond the reference trajectory of {len(ref)} rows")
+        deviation = y - (ref[step] if ref.ndim == 2 else ref)
         e_y, e_grad = form_norm(self._mass, deviation), form_norm(self._stiffness, deviation)
         if m == 0:
             self._kappas = np.empty((self.n_nodes, len(state.kappa)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments
 from .experiments import ExperimentConfig, FieldSpec, FieldSum, run_experiment
-from .metrics import ErrorRecorder
+from .fem import form_norm
 from .stepper import RunOutput
 
 
@@ -46,11 +46,10 @@ def trajectory_norms(out: RunOutput) -> TrajectoryNorms:
     if out.trajectory_y is None:
         raise ValueError("run output has no recorded trajectory "
                          "(pass record_trajectory=True)")
-    Y, P = out.trajectory_y, out.problem
-    quad_mass = np.einsum("mn,nm->m", Y, P.mass.dot(Y.T))
-    quad_stiff = np.einsum("mn,nm->m", Y, P.stiffness.dot(Y.T))
-    return _norms(np.sqrt(np.maximum(quad_mass, 0.0)), np.sqrt(np.maximum(quad_stiff, 0.0)),
-                  out.trajectory_kappa.T, P.tau)
+    P = out.problem
+    e_y = np.array([form_norm(P.mass, y) for y in out.trajectory_y])
+    e_grad = np.array([form_norm(P.stiffness, y) for y in out.trajectory_y])
+    return _norms(e_y, e_grad, out.trajectory_kappa.T, P.tau)
 
 
 @dataclass(frozen=True)
@@ -124,25 +123,22 @@ def response_norm(e_y: np.ndarray, dkappa: np.ndarray) -> float:
 def _probe(base: ExperimentConfig, perturb, deltas, kind: str) -> StabilityReport:
     """Run the base, then each member against the base's one stored trajectory.
 
-    The base is assembled once; every run reuses its mesh and operators.
+    The base is assembled once; every run reuses its mesh and operators.  A
+    member's ``series.e_y`` and ``e_grad`` are its distances to the base run.
     """
     deltas = _check_deltas(deltas)
     # through the module attribute, so a wrapper set on experiments.assemble sees the call
     built = experiments.assemble(base)
     base_out = run_experiment(base, record_trajectory=True, assembled=built)
-    P = base_out.problem
     responses = []
     norms = []
     for d in deltas:
         # delta 0 reruns the base configuration unchanged: a determinism check
         cfg = base if d == 0.0 else perturb(d)
-        diff = ErrorRecorder(P.mass, P.stiffness, base_out.trajectory_y,
-                             len(base_out.trajectory_y))
-        out = run_experiment(cfg, extra_observers=[diff], assembled=built)
-        dy = diff.series()
-        dk = out.series.kappa_traces - base_out.series.kappa_traces
+        dy = run_experiment(cfg, reference=base_out.trajectory_y, assembled=built).series
+        dk = dy.kappa_traces - base_out.series.kappa_traces
         responses.append(response_norm(dy.e_y, dk))
-        norms.append(_norms(dy.e_y, dy.e_grad, dk, P.tau))
+        norms.append(_norms(dy.e_y, dy.e_grad, dk, base.tau))
     return StabilityReport(kind=kind, deltas=deltas, responses=tuple(responses),
                            difference_norms=tuple(norms))
 

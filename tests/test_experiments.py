@@ -12,7 +12,7 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     PROBE_DIRECTION, REFERENCE_STATE, SchemeSpec, assemble,
                                     grid_layout,
                                     list_presets, make_experiment, preset, run_experiment)
-from thermoloop.fem import interpolate
+from thermoloop.fem import form_norm, interpolate
 from thermoloop.mesh import build_mesh
 
 
@@ -352,3 +352,33 @@ class TestAssemblyReuse:
         built = assemble(self.base())
         with pytest.raises(ValueError, match=rf"differs in {re.escape(named)} "):
             run_experiment(replace(self.base(), **change), assembled=built)
+
+
+class TestReference:
+    """run_experiment(config, reference=...) measures the series against another run."""
+
+    def base(self):
+        return replace(make_experiment(2, variant=1),
+                       T=0.1, scheme=SchemeSpec(n_div=12, n_steps=4))
+
+    def test_distances_to_another_run(self):
+        base = self.base()
+        other = run_experiment(replace(base, C_g=3.0), record_trajectory=True)
+        out = run_experiment(base, reference=other.trajectory_y, record_trajectory=True)
+        M, K = out.problem.mass, out.problem.stiffness
+        for m, (y, ref) in enumerate(zip(out.trajectory_y, other.trajectory_y)):
+            assert out.series.e_y[m] == form_norm(M, y - ref)
+            assert out.series.e_grad[m] == form_norm(K, y - ref)
+        assert out.series.e_y[-1] > 0   # the runs part after the shared initial state
+        # the rest of the series does not depend on the reference
+        default = run_experiment(base)
+        for name in ("times", "kappa_traces", "mass_trace"):
+            assert getattr(out.series, name).tobytes() == getattr(default.series, name).tobytes()
+        replay = run_experiment(base, reference=out.trajectory_y).series
+        assert not replay.e_y.any() and not replay.e_grad.any()
+
+    @pytest.mark.parametrize("rows", [0, 4])
+    def test_reference_shorter_than_the_run_rejected(self, rows):
+        n = build_mesh(12).n_vertices
+        with pytest.raises(ValueError, match=f"^reference trajectory has {rows} rows for 5 nodes$"):
+            run_experiment(self.base(), reference=np.zeros((rows, n)))

@@ -73,6 +73,21 @@ def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
     ErrorRecorder(M, K, np.zeros((3, n)), 3)
 
 
+def test_recorder_rejects_a_trajectory_without_a_row_for_each_node(ops):
+    mesh, M, K = ops
+    n = mesh.n_vertices
+    for rows in (0, 2):
+        with pytest.raises(ValueError, match=f"^reference trajectory has {rows} rows for 3 nodes$"):
+            ErrorRecorder(M, K, np.zeros((rows, n)), 3)
+    # a run continued from step 2 has a row for its first node, not for its second
+    rec = ErrorRecorder(M, K, np.zeros((3, n)), 3)
+    y = field_from_values(mesh, np.ones(n))
+    rec(SimState(step_index=2, time=1.0, y=y, kappa=()))
+    with pytest.raises(ValueError, match="^step 3 is beyond the reference trajectory of 3 rows$"):
+        rec(SimState(step_index=3, time=1.5, y=y, kappa=()))
+    assert rec.series().n_nodes == 1
+
+
 def test_recorder_takes_a_field_or_a_trajectory_as_an_array(ops):
     # n values are one reference field, a (k, n) array a reference trajectory
     mesh, M, K = ops

@@ -10,6 +10,7 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     grid_layout, make_experiment, run_experiment)
 from thermoloop.fem import assemble_mass, assemble_stiffness
 from thermoloop.mesh import build_mesh
+from thermoloop.metrics import ErrorRecorder
 from thermoloop.model import ReactionTerm
 import thermoloop.stability as stability_mod
 from thermoloop.stability import (StabilityReport, TrajectoryNorms, probe_control_stability,
@@ -68,15 +69,15 @@ def reference_probe(base, perturb, deltas):
     run records its full trajectory, and the response and the difference
     norms are formed afterwards from the trajectories' differences."""
     mesh = build_mesh(base.scheme.n_div)
-    M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+    M, K = assemble_mass(mesh).toarray(), assemble_stiffness(mesh).toarray()
     base_out = run_experiment(base, record_trajectory=True)
     responses, norms = [], []
     for d in deltas:
         out = run_experiment(base if d == 0.0 else perturb(d), record_trajectory=True)
         dY = out.trajectory_y - base_out.trajectory_y
         dk = out.trajectory_kappa - base_out.trajectory_kappa
-        quad_mass = np.einsum("mn,nm->m", dY, M.dot(dY.T))
-        quad_stiff = np.einsum("mn,nm->m", dY, K.dot(dY.T))
+        quad_mass = np.einsum("mn,nm->m", dY, M @ dY.T)
+        quad_stiff = np.einsum("mn,nm->m", dY, K @ dY.T)
         resp = float(np.sqrt(np.max(np.maximum(quad_mass, 0.0))))
         if dk.size:
             resp += float(np.sum(np.max(np.abs(dk), axis=0)))
@@ -155,12 +156,27 @@ class TestSharedAssembly:
             probe(tiny_config())
             assert len(meshes) == 1
 
+    def test_each_member_records_its_series_once(self, monkeypatch):
+        # one for the base and one for each member, which measures against the base trajectory
+        made = []
+        init = ErrorRecorder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ErrorRecorder, "__init__", counting_init)
+        for probe in self.probes():
+            made.clear()
+            probe(tiny_config())
+            assert len(made) == 1 + len(self.DELTAS)
+
     def test_members_bitwise_equal_fresh_runs(self, monkeypatch):
         members = []
 
         def recording_run(cfg, **kwargs):
             out = run_experiment(cfg, **kwargs)
-            members.append((cfg, out))
+            members.append((cfg, kwargs, out))
             return out
 
         monkeypatch.setattr(stability_mod, "run_experiment", recording_run)
@@ -168,8 +184,12 @@ class TestSharedAssembly:
             members.clear()
             probe(tiny_config())
             assert len(members) == 1 + len(self.DELTAS)
-            for cfg, out in members:
-                fresh = run_experiment(cfg)
+            base_trajectory = members[0][2].trajectory_y
+            assert all(kwargs["reference"] is base_trajectory for _, kwargs, _ in members[1:])
+            for cfg, kwargs, out in members:
+                # a fresh assembly, the same recorders and reference
+                del kwargs["assembled"]
+                fresh = run_experiment(cfg, **kwargs)
                 assert out.final_state.y.values.tobytes() == fresh.final_state.y.values.tobytes()
                 assert out.final_state.kappa.tobytes() == fresh.final_state.kappa.tobytes()
                 for name in ("times", "e_y", "e_grad", "kappa_traces", "mass_trace"):

@@ -45,6 +45,15 @@ def assert_contracting(state):
         assert np.max(np.abs(corrections[-1])) < np.max(np.abs(corrections[0]))
 
 
+def run_observed(cfg, *observers):
+    """stepper.run of the assembled cfg with run_experiment's ErrorRecorder,
+    against y*, and then ``observers``."""
+    built = assemble(cfg)
+    p = built.problem
+    recorder = ErrorRecorder(p.mass, p.stiffness, p.ystar.values, cfg.scheme.n_steps + 1)
+    return run(built.initial, p, cfg.scheme, [recorder, *observers])
+
+
 # small_config's T = 0.5 in 20 steps: the Picard iteration contracts at every
 # step (last/first sweep increment at most 0.008); it does not at 2 or 5 steps
 CONTRACTING_STEPS = 20
@@ -504,7 +513,7 @@ class TestPicardStep:
                 if last > first:
                     grown.append(last / np.abs(state.y.values).max())
 
-        out = run_experiment(cfg, extra_observers=[record])
+        out = run_observed(cfg, record)
         assert out.final_state.step_index == 2000
         assert grown and max(grown) < math.sqrt(cfg.scheme.cg_tol)
 
@@ -605,7 +614,7 @@ class TestWarmStart:
         # the history drives every step of the run; only the returned state drops it
         cfg = campaign1_small()
         seen = []
-        out = run_experiment(cfg, extra_observers=[lambda state: seen.append(state.history)])
+        out = run_observed(cfg, lambda state: seen.append(state.history))
         assert out.final_state.history == ()
         assert [len(h) for h in seen] == [min(m, 3) for m in range(cfg.scheme.n_steps + 1)]
         assert cfg.scheme.n_steps > 3
@@ -791,13 +800,13 @@ class TestRun:
 
     def test_observers_see_initial_state(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
-        out = run_experiment(cfg, extra_observers=[assert_contracting])
+        out = run_observed(cfg, assert_contracting)
         assert out.series.n_nodes == CONTRACTING_STEPS + 1
         assert out.series.times[0] == 0.0
 
     def test_time_axis(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
-        out = run_experiment(cfg, extra_observers=[assert_contracting])
+        out = run_observed(cfg, assert_contracting)
         assert np.allclose(np.diff(out.series.times), cfg.tau)
         assert abs(out.final_state.time - cfg.T) <= 1e-12 * cfg.T
 
