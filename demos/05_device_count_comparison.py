@@ -8,8 +8,7 @@ field snapshots to binary graymaps under demo_output/.
 from dataclasses import replace
 from pathlib import Path
 
-from thermoloop import (build_mesh, make_experiment, run_experiment,
-                        write_series_csv, write_snapshot_image)
+from thermoloop import make_experiment, run_experiment, write_series_csv, write_snapshot_image
 
 out_dir = Path(__file__).resolve().parent / "demo_output"
 out_dir.mkdir(exist_ok=True)
@@ -21,9 +20,9 @@ for devices in (64, 20):
     out = run_experiment(config, snap_steps=(0, 100, 200))
     series[devices] = out.series
     write_series_csv(out.series, out_dir / f"errors_{devices}dev.csv")
-    mesh = build_mesh(config.scheme.n_div)
     for step, field in out.snapshots:
-        write_snapshot_image(field, mesh, path=out_dir / f"field_{devices}dev_{step:03d}.pgm")
+        write_snapshot_image(field, out.problem.mesh,
+                             path=out_dir / f"field_{devices}dev_{step:03d}.pgm")
 
 s64, s20 = series[64], series[20]
 half = s64.n_nodes // 2

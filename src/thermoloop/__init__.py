@@ -13,10 +13,10 @@ warm-started conjugate gradients.
 
 from .mesh import Mesh, build_mesh
 from .linalg import CsrMatrix, CgResult, ConvergenceError, cg_solve
-from .fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
-                  form_norm, interpolate)
-from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_rows,
-                    eval_reaction, eval_switch, thermostat_step)
+from .fem import (NodalField, assemble_mass, assemble_stiffness, disc_rows,
+                  field_from_values, form_norm, interpolate)
+from .model import (ReactionTerm, SwitchingFunction, calibrate_ch, eval_reaction,
+                    eval_switch, thermostat_step)
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, picard_step, run
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from .experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,

@@ -12,10 +12,10 @@ from typing import Union
 
 import numpy as np
 
-from .fem import assemble_mass, assemble_stiffness, interpolate
+from .fem import assemble_mass, assemble_stiffness, disc_rows, interpolate
 from .mesh import Mesh, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
-from .model import ReactionTerm, SwitchingFunction, calibrate_ch, disc_rows
+from .model import ReactionTerm, SwitchingFunction, calibrate_ch
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, as_int, run
 
 

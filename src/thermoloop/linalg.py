@@ -1,5 +1,5 @@
-"""Sparse symmetric-positive-definite linear algebra: banded or CSR storage,
-symmetric diagonal scaling and conjugate gradients.
+"""Sparse symmetric-positive-definite linear algebra: square banded or CSR
+storage, Jacobi scaling and conjugate gradients.
 
 The sparse operations run in scipy's compiled kernels, the private extension
 ``scipy.sparse._sparsetools``, loaded from its file alone: importing it
@@ -55,12 +55,12 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _band_slices(offsets: np.ndarray, n_rows: int, n_cols: int):
-    """(k, offset, lo, hi) per band k: its column j holds entry (j - offset, j),
-    inside the matrix for lo <= j < hi."""
+def _band_slices(offsets: np.ndarray, n: int):
+    """(k, offset, lo, hi) per band k of an n x n matrix: its column j holds
+    entry (j - offset, j), inside the matrix for lo <= j < hi."""
     for k, offset in enumerate(offsets.tolist()):
         lo = max(offset, 0)
-        yield k, offset, lo, max(lo, min(n_cols, n_rows + offset))
+        yield k, offset, lo, max(lo, min(n, n + offset))
 
 
 def _mismatch(shape, n_cols: int) -> ValueError:
@@ -72,15 +72,16 @@ def _mismatch(shape, n_cols: int) -> ValueError:
 class CsrMatrix:
     """Sparse float64 matrix, immutable once built, stored in one of two forms.
 
-    A banded matrix (``banded``), such as a mesh operator with its 7
-    diagonals, keeps ``offsets`` (strictly increasing) and ``bands``: column j
-    of ``bands[k]`` holds entry (j - offsets[k], j), zero where that lies
-    outside the matrix.  Its products add the diagonals in increasing offset
-    order, which is each row's column order, so for finite operands they
-    equal the CSR ones up to the sign of zero.  Every other matrix is
+    A banded matrix (``banded``) is square: a mesh operator with its 7
+    diagonals, or its Jacobi scaling (``jacobi_scaled``).  It keeps
+    ``offsets`` (strictly increasing) and ``bands``: column j of ``bands[k]``
+    holds entry (j - offsets[k], j), zero where that lies outside the
+    matrix.  Its products add the diagonals in increasing offset order,
+    which is each row's column order, so for finite operands they equal the
+    CSR ones up to the sign of zero.  Every other matrix is
     canonical CSR: int32 ``indptr`` and ``indices``, float64 ``data``, column
     indices sorted within each row and no duplicates.  The constructor takes
-    such arrays as they are; ``model.disc_rows`` builds them from the bands
+    such arrays as they are; ``fem.disc_rows`` builds them from the bands
     of a mesh operator.  The arrays of the other form are None, and every
     stored array is read-only.  ``nnz`` counts the nonzero entries.  ``dot``
     takes a vector of ``n_cols`` values, ``tdot`` one of ``n_rows``; any
@@ -100,21 +101,20 @@ class CsrMatrix:
         self.nnz = int(np.count_nonzero(data if bands is None else bands))
 
     @classmethod
-    def banded(cls, bands, offsets, shape) -> "CsrMatrix":
-        """The matrix whose entry (j - offsets[k], j) is ``bands[k, j]``, for
-        strictly increasing offsets and bands of shape (len(offsets), n_cols).
+    def banded(cls, bands, offsets) -> "CsrMatrix":
+        """The n x n matrix whose entry (j - offsets[k], j) is ``bands[k, j]``,
+        for strictly increasing offsets and bands of shape (len(offsets), n).
         The bands are copied; their slots outside the matrix are set to zero."""
-        n_rows, n_cols = shape
         offsets = np.array(offsets, dtype=np.int32)
         bands = np.array(bands, dtype=np.float64)
         if offsets.ndim != 1 or np.any(np.diff(offsets) <= 0):
             raise ValueError("band offsets must increase strictly")
-        if bands.shape != (len(offsets), n_cols):
-            raise ValueError(f"bands of shape {bands.shape} do not fit {len(offsets)} "
-                             f"offsets and {n_cols} columns")
-        for k, _, lo, hi in _band_slices(offsets, n_rows, n_cols):
+        if bands.ndim != 2 or len(bands) != len(offsets):
+            raise ValueError(f"bands of shape {bands.shape} do not fit {len(offsets)} offsets")
+        n = bands.shape[1]
+        for k, _, lo, hi in _band_slices(offsets, n):
             bands[k, :lo] = bands[k, hi:] = 0.0
-        return cls(shape, offsets=offsets, bands=bands)
+        return cls((n, n), offsets=offsets, bands=bands)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """self @ x, into a zeroed vector, for a vector x of n_cols values (a
@@ -152,22 +152,13 @@ class CsrMatrix:
                             x, y)
         return y
 
-    def diagonal(self) -> np.ndarray:
-        """The entries (i, i) of a banded matrix, as a new array; a CSR matrix
-        raises ValueError."""
-        if self.bands is None:
-            raise ValueError("diagonal needs a banded matrix")
-        size = min(self.n_rows, self.n_cols)
-        main = np.flatnonzero(self.offsets == 0)
-        return self.bands[main[0], :size].copy() if len(main) else np.zeros(size)
-
     def toarray(self) -> np.ndarray:
         """The dense matrix, as a new array: scipy's ``toarray`` bit for bit."""
         dense = np.zeros((self.n_rows, self.n_cols))
         if self.bands is None:
             dense[np.repeat(np.arange(self.n_rows), np.diff(self.indptr)), self.indices] = self.data
         else:
-            for k, offset, lo, hi in _band_slices(self.offsets, self.n_rows, self.n_cols):
+            for k, offset, lo, hi in _band_slices(self.offsets, self.n_rows):
                 dense[np.arange(lo - offset, hi - offset), np.arange(lo, hi)] = self.bands[k, lo:hi]
         dense += 0.0   # a stored -0.0 reads +0.0, as in scipy's dense copy
         return dense
@@ -181,27 +172,28 @@ class CsrMatrix:
         if (self.bands is None or other.bands is None
                 or not np.array_equal(self.offsets, other.offsets)):
             raise ValueError("scaled_add needs two banded matrices on the same diagonals")
-        return CsrMatrix.banded(self.bands + factor * other.bands, self.offsets,
-                                (self.n_rows, self.n_cols))
+        return CsrMatrix.banded(self.bands + factor * other.bands, self.offsets)
 
-    def scaled_symmetric(self, s: np.ndarray) -> "CsrMatrix":
-        """diag(s) @ self @ diag(s) of a square banded matrix, on the same
-        diagonals; any other matrix raises ValueError.
+    def jacobi_scaled(self) -> tuple[np.ndarray, "CsrMatrix"]:
+        """The Jacobi scaling (s, S A S) of a banded matrix A: the read-only
+        scale s = 1 / sqrt(diag(A)) and, on A's diagonals, S A S for
+        S = diag(s).  A CSR matrix raises ValueError, and so does a main
+        diagonal that is missing or not positive (A is not SPD).
 
         Entry (i, j) is multiplied by the product s_i * s_j, taken first, so
         a bitwise symmetric matrix stays bitwise symmetric.
         """
-        s = np.asarray(s, dtype=np.float64)
-        n = self.n_rows
-        if n != self.n_cols or s.shape != (n,):
-            raise ValueError(f"scale of shape {s.shape} does not fit a "
-                             f"{self.n_rows} x {self.n_cols} matrix")
         if self.bands is None:
-            raise ValueError("scaled_symmetric needs a banded matrix")
+            raise ValueError("jacobi_scaled needs a banded matrix")
+        main = np.flatnonzero(self.offsets == 0)
+        if not len(main) or not np.all(self.bands[main[0]] > 0):
+            raise ValueError("the matrix needs a positive diagonal (it must be SPD)")
+        s = 1.0 / np.sqrt(self.bands[main[0]])
+        s.setflags(write=False)
         bands = np.zeros_like(self.bands)
-        for k, offset, lo, hi in _band_slices(self.offsets, n, n):
+        for k, offset, lo, hi in _band_slices(self.offsets, self.n_rows):
             bands[k, lo:hi] = self.bands[k, lo:hi] * (s[lo - offset:hi - offset] * s[lo:hi])
-        return CsrMatrix((n, n), offsets=self.offsets, bands=bands)
+        return s, CsrMatrix((self.n_rows, self.n_rows), offsets=self.offsets, bands=bands)
 
 
 class CgResult(NamedTuple):
@@ -215,7 +207,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
     """Conjugate gradients for symmetric positive definite A, started from ``x0``.
 
     The solver has no preconditioner: a caller that wants one scales the
-    system instead (``CsrMatrix.scaled_symmetric``), which gives the same
+    system instead (``CsrMatrix.jacobi_scaled``), which gives the same
     iterates as preconditioned CG with one dot product and one vector pass
     less per iteration.
 

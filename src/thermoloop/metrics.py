@@ -10,7 +10,7 @@ from .fem import NodalField, form_norm
 from .linalg import CsrMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorSeries:
     """Per-time-node diagnostics of a run."""
 

@@ -70,17 +70,13 @@ class SchemeSpec:
         counts = ("n_div", "n_steps", "n_picard") + (
             () if self.cg_max_iters is None else ("cg_max_iters",))
         for name in counts:
-            object.__setattr__(self, name, as_int(getattr(self, name), f"scheme.{name}"))
-        if self.n_div < 1:
-            raise ValueError("scheme.n_div must be >= 1")
-        if self.n_steps < 1:
-            raise ValueError("scheme.n_steps must be >= 1")
-        if self.n_picard < 1:
-            raise ValueError("scheme.n_picard must be >= 1")
+            value = as_int(getattr(self, name), f"scheme.{name}")
+            if value < 1:
+                raise ValueError(f"scheme.{name} must be >= 1"
+                                 + (" or null" if name == "cg_max_iters" else ""))
+            object.__setattr__(self, name, value)
         if not 0 < self.cg_tol < 1:   # also rejects nan and inf
             raise ValueError(f"scheme.cg_tol must lie in (0, 1), got {self.cg_tol}")
-        if self.cg_max_iters is not None and self.cg_max_iters < 1:
-            raise ValueError("scheme.cg_max_iters must be >= 1 or null")
 
 
 @dataclass(frozen=True)
@@ -90,16 +86,17 @@ class StepDiagnostics:
     picard_increment: float  # max-abs change of y over the last Picard sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimState:
-    """The unknowns (y, kappa) at one time node.
+    """The unknowns (y, kappa) at one time node, ``step_index`` (an integer
+    >= 0, else ValueError) steps from the start.  States compare by identity.
 
     ``history`` holds the read-only (n_picard, n) Picard corrections
     y_p - y_{p-1} of up to the last WARM_START_ORDER steps, newest first;
     picard_step extrapolates them into the warm starts of its solves.  It is
-    solver state, not part of the solution: states compare without it, and
-    a state without history (every initial state) steps exactly as a
-    solve warm-started from the previous iterate.
+    solver state, not part of the solution: a state without history (every
+    initial state) steps exactly as a solve warm-started from the previous
+    iterate.
     """
 
     step_index: int
@@ -107,9 +104,13 @@ class SimState:
     y: NodalField
     kappa: np.ndarray
     diagnostics: StepDiagnostics | None = None
-    history: tuple = field(default=(), compare=False, repr=False)
+    history: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
+        step_index = as_int(self.step_index, "step_index")
+        if step_index < 0:
+            raise ValueError(f"step_index must be >= 0, got {step_index}")
+        object.__setattr__(self, "step_index", step_index)
         kappa = np.atleast_1d(np.asarray(self.kappa, dtype=np.float64))
         if not np.isfinite(kappa).all():
             raise ValueError("kappa contains non-finite values")
@@ -117,7 +118,7 @@ class SimState:
         object.__setattr__(self, "kappa", kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteProblem:
     """Assembled operators and model terms for a run; immutable and shareable.
 
@@ -127,9 +128,10 @@ class DiscreteProblem:
     device heights: the measurements are m = C_h * (P y - P y*) and the
     control load is C_g * P^T kappa (M is symmetric, so this is M I^T kappa),
     computed from P's own arrays (``CsrMatrix.tdot``): P is stored once.
-    The constant P y* and the Jacobi-scaled step matrix S A S, with the
-    read-only scale s = 1 / sqrt(diag(A)) (S = diag(s)), are derived once, at
-    construction: every solve runs on S A S.
+    The constant P y* and the Jacobi scaling of the step matrix A
+    (``CsrMatrix.jacobi_scaled``: the read-only scale s = 1 / sqrt(diag(A))
+    and S A S, S = diag(s)) are derived once, at construction: every solve
+    runs on S A S.
     All devices share one ``switch`` (scalar L_w and H_w); ``alpha`` routes
     the J switch outputs to the J thermostats, whose time constants are the
     read-only (J,) ``beta``.  A device-free problem has J = 0: its empty
@@ -172,16 +174,12 @@ class DiscreteProblem:
                             ("device_mass_ystar", ystar_measured)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        diag = self.step_matrix.diagonal()
-        if not np.all(diag > 0):
-            raise ValueError("the step matrix needs a positive diagonal (it must be SPD)")
-        scale = 1.0 / np.sqrt(diag)
-        scale.setflags(write=False)
-        object.__setattr__(self, "step_scale", scale)
-        object.__setattr__(self, "scaled_step_matrix", self.step_matrix.scaled_symmetric(scale))
+        for name, value in zip(("step_scale", "scaled_step_matrix"),
+                               self.step_matrix.jacobi_scaled()):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunOutput:
     """Everything collected from one run, with the problem it ran."""
 
@@ -225,11 +223,13 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     non-finite guess the solve starts from y_{p-1}.  The new state carries
     this step's corrections in front of the history.
 
-    A Picard iteration that diverges raises ConvergenceError.  An overflow of
-    the lagged reaction or of the right-hand side names the step, the sweep
-    and the last finite Picard increment.  A last sweep that moves y further
-    in max-abs than the first (never with one sweep) and than the floor
-    sqrt(cg_tol) * max|y_new| names the step and both increments.  The floor
+    A kappa that is not the (J,) vector of one signal per thermostat raises
+    ValueError before the first sweep.  A Picard iteration that diverges
+    raises ConvergenceError.  An overflow of the lagged reaction or of the
+    right-hand side names the step, the sweep and the last finite Picard
+    increment.  A last sweep that moves y further in max-abs than the first
+    (never with one sweep) and than the floor sqrt(cg_tol) * max|y_new|
+    names the step and both increments.  The floor
     lies above solver noise: x = y / s is off by at most cond(S A S) cg_tol
     ||x||_2, so y is off by at most (max s / min s) cond(S A S) sqrt(n)
     cg_tol max|y| in max-abs, and a converged sweep's correction, the
@@ -244,6 +244,8 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     s = problem.step_scale
     y_m = state.y.values
     kappa_m = state.kappa
+    if kappa_m.shape != problem.beta.shape:
+        raise ValueError(f"kappa of shape {kappa_m.shape} for {len(problem.beta)} thermostats")
     if scheme.explicit_measure:
         kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
 

@@ -6,8 +6,8 @@ reference for its operations."""
 import numpy as np
 import scipy.sparse as sp
 
+from thermoloop.fem import disc_rows
 from thermoloop.linalg import CsrMatrix
-from thermoloop.model import disc_rows
 
 
 def as_scipy(A: CsrMatrix):
@@ -22,7 +22,7 @@ def as_scipy(A: CsrMatrix):
 def disc_indicators(mesh, centers, radius) -> CsrMatrix:
     """The (J, n) 0/1 disc indicators I: ``disc_rows`` on the banded identity."""
     n = mesh.n_vertices
-    return disc_rows(mesh, centers, radius, CsrMatrix.banded(np.ones((1, n)), [0], (n, n)))
+    return disc_rows(mesh, centers, radius, CsrMatrix.banded(np.ones((1, n)), [0]))
 
 
 def csr(m, shape=None) -> CsrMatrix:

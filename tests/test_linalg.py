@@ -33,12 +33,6 @@ def start(A, x0=None):
     return dict(x0=np.zeros(A.n_rows) if x0 is None else x0)
 
 
-def jacobi_scaled(A):
-    """The Jacobi scale s = 1 / sqrt(diag(A)) and the scaled matrix S A S."""
-    s = 1.0 / np.sqrt(A.diagonal())
-    return s, A.scaled_symmetric(s)
-
-
 def step_matrix(mesh, D, tau):
     """M + tau*D*K on the mesh, as assemble builds it."""
     return assemble_mass(mesh).scaled_add(tau * D, assemble_stiffness(mesh))
@@ -123,7 +117,7 @@ def test_cg_jacobi_preconditioning():
     # of A y = b, in fewer iterations than CG on A
     mesh = build_mesh(6)
     A = step_matrix(mesh, D=0.5, tau=0.1)
-    s, SAS = jacobi_scaled(A)
+    s, SAS = A.jacobi_scaled()
     rng = np.random.default_rng(3)
     b = rng.standard_normal(mesh.n_vertices)
     plain = cg_solve(A, b, rel_tol=1e-11, **start(A))
@@ -165,15 +159,6 @@ def test_cg_rhs_length_mismatch():
         cg_solve(A, np.ones(3), **start(A))
 
 
-def test_scale_length_mismatch():
-    A = dense_2x2(4, 1, 1, 3)
-    for s in (np.ones(3), np.ones(1), np.ones((2, 2))):
-        with pytest.raises(ValueError, match="does not fit a 2 x 2 matrix"):
-            A.scaled_symmetric(s)
-    with pytest.raises(ValueError, match="does not fit a 2 x 3 matrix"):
-        csr(RECT).scaled_symmetric(np.ones(2))
-
-
 def campaign_step_matrix(n_div):
     """The exp1-64 step matrix M + tau*D*K at n_div cells per side, with its mass matrix."""
     cfg = make_experiment(1, devices=64)
@@ -186,7 +171,7 @@ def test_cg_jacobi_meets_tolerance_in_fewer_iterations(n_div):
     # plain CG on S A S meets its tolerance on the scaled residual in fewer
     # iterations than plain CG on A
     A, M = campaign_step_matrix(n_div)
-    s, SAS = jacobi_scaled(A)
+    s, SAS = A.jacobi_scaled()
     rng = np.random.default_rng(100 + n_div)
     n = A.n_rows
     for b, x0 in ((rng.standard_normal(n), np.zeros(n)),
@@ -205,21 +190,21 @@ def test_problem_rejects_step_matrix_without_positive_diagonal():
     cfg = make_experiment(1, devices=64)
     problem = assemble(replace(cfg, scheme=replace(cfg.scheme, n_div=16))).problem
     A = problem.step_matrix
-    assert np.array_equal(problem.step_scale, 1.0 / np.sqrt(A.diagonal()))
+    assert np.array_equal(problem.step_scale, 1.0 / np.sqrt(np.diag(A.toarray())))
     with pytest.raises(ValueError, match="read-only"):
         problem.step_scale[0] = 1.0
     for factor in (1.0, 2.0):   # one zero, then one negative diagonal entry
         shift = np.zeros(A.n_rows)
-        shift[5] = factor * A.diagonal()[5]
+        shift[5] = factor * A.toarray()[5, 5]
         bands = np.array(A.bands)
         bands[list(A.offsets).index(0)] -= shift
-        bad = CsrMatrix.banded(bands, A.offsets, (A.n_rows, A.n_cols))
+        bad = CsrMatrix.banded(bands, A.offsets)
         assert np.array_equal(bad.toarray(), A.toarray() - np.diag(shift))
-        with pytest.raises(ValueError, match="positive diagonal"):
+        with pytest.raises(ValueError, match="^the matrix needs a positive diagonal"):
             replace(problem, step_matrix=bad)
     # a diagonal matrix is banded on other diagonals than A: no sum of bands
     with pytest.raises(ValueError, match="two banded matrices on the same diagonals"):
-        A.scaled_add(-1.0, CsrMatrix.banded(shift[None, :], [0], (A.n_rows, A.n_cols)))
+        A.scaled_add(-1.0, CsrMatrix.banded(shift[None, :], [0]))
 
 
 @pytest.mark.parametrize("n_div", [2, 3, 4, 5, 6])
@@ -243,15 +228,53 @@ def test_problem_solves_on_the_jacobi_scaled_step_matrix(n_div):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     # only a banded matrix scales
-    with pytest.raises(ValueError, match="needs a banded matrix"):
-        csr(A).scaled_symmetric(s)
+    with pytest.raises(ValueError, match="^jacobi_scaled needs a banded matrix$"):
+        csr(A).jacobi_scaled()
     # y = s * x of a scaled solve meets the unscaled system up to the spread of s
-    d = A.diagonal()
+    d = np.diag(A.toarray())
     rng = np.random.default_rng(n_div)
     for tol in (1e-6, 1e-10):
         b = problem.mass.dot(rng.standard_normal(A.n_rows))
         x = cg_solve(SAS, s * b, rel_tol=tol, **start(A)).x
         assert np.linalg.norm(b - A.dot(s * x)) <= np.sqrt(d.max() / d.min()) * tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n_div", [1, 2, 5, 40])
+def test_jacobi_scaled_is_scipys_scaling(n_div):
+    # s = 1 / sqrt(diag(A)) and S A S on M, K and the step matrix.  Each entry
+    # is a_ij * (s_i * s_j), scipy's entrywise product with the outer product
+    # of s, bit for bit, and so bitwise symmetric; scipy's diags(s) @ A @
+    # diags(s) rounds (s_i * a_ij) * s_j instead, within two ulps of it
+    mesh = build_mesh(n_div)
+    M, K = assemble_mass(mesh), assemble_stiffness(mesh)
+    for A in (M, K, M.scaled_add(0.02 * 0.02, K)):
+        ref = as_scipy(A)
+        s, SAS = A.jacobi_scaled()
+        assert_same_bits(s, 1.0 / np.sqrt(ref.diagonal()))
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] = 1.0
+        assert np.array_equal(SAS.offsets, A.offsets) and SAS.nnz == A.nnz
+        dense = SAS.toarray()
+        assert_same_bits(dense, ref.multiply(np.outer(s, s)).toarray())
+        assert_same_bits(dense, dense.T)
+        product = (sp.diags(s) @ ref @ sp.diags(s)).toarray()
+        assert np.all(np.abs(dense - product) <= 2 * np.spacing(np.abs(product)))
+
+
+def test_jacobi_scaled_needs_a_banded_matrix_with_a_positive_diagonal():
+    M = assemble_mass(build_mesh(3))
+    with pytest.raises(ValueError, match="^jacobi_scaled needs a banded matrix$"):
+        csr(M).jacobi_scaled()
+    main = list(M.offsets).index(0)
+    bad = [CsrMatrix.banded(np.delete(M.bands, main, axis=0), np.delete(M.offsets, main))]
+    for value in (0.0, -1.0, np.nan):   # one zero, negative or NaN diagonal entry
+        bands = np.array(M.bands)
+        bands[main, 7] = value
+        bad.append(CsrMatrix.banded(bands, M.offsets))
+    for A in bad:
+        with pytest.raises(ValueError,
+                           match=r"^the matrix needs a positive diagonal \(it must be SPD\)$"):
+            A.jacobi_scaled()
 
 
 @pytest.mark.parametrize("n_div", [1, 4, 40])
@@ -307,21 +330,21 @@ def test_dia_input_gives_banded_vector_products():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((3, 6))
     data[1, 2] = 0.0   # a stored zero: the CSR form drops it
-    A = CsrMatrix.banded(data, [-2, 0, 3], (6, 6))
-    assert A.bands is not None
+    A = CsrMatrix.banded(data, [-2, 0, 3])
+    assert (A.n_rows, A.n_cols) == (6, 6) and A.bands is not None
     assert A.nnz == np.count_nonzero(A.toarray()) == 4 + 6 + 3 - 1
     assert np.array_equal(A.toarray(), sp.dia_matrix((data, [-2, 0, 3]), shape=(6, 6)).toarray())
     csr = sp.csr_matrix(A.toarray())
     x = rng.standard_normal(6)
     assert np.array_equal(A.dot(x), csr @ x)
-    # decreasing offsets would add a row's terms out of column order, and bands
-    # hold one slot per column: any other input is rejected
+    # decreasing offsets would add a row's terms out of column order, and the
+    # matrix is square with one band per offset: any other input is rejected
     for offsets in ([3, 0, -2], [0, 0, 3], [[-2, 0, 3]]):
         with pytest.raises(ValueError, match="offsets must increase strictly"):
-            CsrMatrix.banded(data, offsets, (6, 6))
-    for shape in ((6, 5), (6, 7)):
-        with pytest.raises(ValueError, match=r"bands of shape \(3, 6\) do not fit"):
-            CsrMatrix.banded(data, [-2, 0, 3], shape)
+            CsrMatrix.banded(data, offsets)
+    for bands in (data[:2], data[0], data[None]):
+        with pytest.raises(ValueError, match=r"bands of shape \(.*\) do not fit 3 offsets$"):
+            CsrMatrix.banded(bands, [-2, 0, 3])
 
 
 def test_banded_dot_is_bitwise_the_scipy_product():
@@ -332,13 +355,12 @@ def test_banded_dot_is_bitwise_the_scipy_product():
     for n_div in (1, 4, 40):
         mesh = build_mesh(n_div)
         A = assemble_mass(mesh).scaled_add(0.02 * 0.02, assemble_stiffness(mesh))
-        mats += [A, A.scaled_symmetric(1.0 / np.sqrt(A.diagonal()))]
+        mats += [A, A.jacobi_scaled()[1]]
     given = []   # scipy matrices of the bands as given, slots outside the matrix too
-    for shape, offsets in (((6, 6), [-2, 0, 3]), ((4, 6), [-2, 0, 3]), ((6, 4), [-2, 0, 3]),
-                           ((6, 6), [-9, 0, 8])):
-        data = rng.standard_normal((3, shape[1]))
-        mats.append(CsrMatrix.banded(data, offsets, shape))
-        given.append(sp.dia_matrix((data, offsets), shape=shape))
+    for offsets in ([-2, 0, 3], [-9, 0, 8]):
+        data = rng.standard_normal((3, 6))
+        mats.append(CsrMatrix.banded(data, offsets))
+        given.append(sp.dia_matrix((data, offsets), shape=(6, 6)))
     for A, reference in zip(mats, [as_scipy(A) for A in mats[:6]] + given):
         assert A.bands is not None
         x = rng.standard_normal(A.n_cols)
@@ -399,10 +421,9 @@ def test_toarray_is_scipys_dense_copy_bitwise():
     rng = np.random.default_rng(13)
     mesh = build_mesh(6)
     mats = [assemble_mass(mesh), assemble_stiffness(mesh), step_matrix(mesh, D=0.02, tau=0.01)]
-    for shape in ((6, 6), (4, 6), (6, 4)):
-        data = rng.standard_normal((3, shape[1]))
-        data[1, 2] = -0.0
-        mats.append(CsrMatrix.banded(data, [-2, 0, 3], shape))
+    data = rng.standard_normal((3, 6))
+    data[1, 2] = -0.0
+    mats.append(CsrMatrix.banded(data, [-2, 0, 3]))
     mats += [csr(RECT), disc_indicators(mesh, [(0.0, 0.0), (1.0, -1.0)], 0.5),
              CsrMatrix((2, 3), indptr=np.array([0, 2, 3], dtype=np.int32),
                        indices=np.array([0, 2, 1], dtype=np.int32), data=np.array([-0.0, 2.0, 3.0]))]
@@ -437,16 +458,16 @@ def test_operations_equal_scipy_bitwise(n_div):
         assert_same_bits(A.dot(x), ref @ x)
         assert_same_bits(A.toarray(), ref.toarray())
         assert A.nnz == ref.count_nonzero()
-        # diagonal reads bands only, tdot CSR arrays only
+        # jacobi_scaled reads bands only, tdot CSR arrays only
         if A.bands is not None:
-            assert_same_bits(A.diagonal(), ref.diagonal())
+            assert_same_bits(A.jacobi_scaled()[0], 1.0 / np.sqrt(ref.diagonal()))
             with pytest.raises(ValueError, match="tdot needs a CSR matrix"):
                 A.tdot(np.ones(A.n_rows))
         else:
             y = rng.standard_normal(A.n_rows)
             assert_same_bits(A.tdot(y), ref.T @ y)
-            with pytest.raises(ValueError, match="diagonal needs a banded matrix"):
-                A.diagonal()
+            with pytest.raises(ValueError, match="jacobi_scaled needs a banded matrix"):
+                A.jacobi_scaled()
 
 
 def tdot_operators():

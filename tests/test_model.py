@@ -8,11 +8,12 @@ import pytest
 from thermoloop.experiments import (SUBSET20_INDICES, Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, GridSubsetLayout, SchemeSpec,
                                     assemble, grid_layout, list_presets, preset)
-from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, interpolate
+from thermoloop.fem import (NodalField, assemble_mass, assemble_stiffness, disc_rows,
+                            interpolate)
 from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
-from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, disc_rows,
-                              eval_reaction, eval_switch, thermostat_step)
+from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, eval_reaction,
+                              eval_switch, thermostat_step)
 from thermoloop.stepper import SimState, picard_step
 from mesh_helpers import as_scipy, csr, disc_indicators
 
@@ -410,7 +411,7 @@ def test_disc_rows_reject_operators_off_the_p1_stencil():
             disc_rows(mesh, [(0.0, 0.0)], 0.5, operator)
     # the other diagonal (4), two ticks (2, -10) and beyond the grid (25)
     for offset in (4, -4, 2, -10, 25):
-        band = CsrMatrix.banded(np.ones((1, n)), [offset], (n, n))
+        band = CsrMatrix.banded(np.ones((1, n)), [offset])
         with pytest.raises(ValueError, match=f"^band offset {offset} is not in the P1 stencil"):
             disc_rows(mesh, [(0.0, 0.0)], 0.5, band)
     # an entry from the end of one grid row to the start of the next: column 5
@@ -419,5 +420,5 @@ def test_disc_rows_reject_operators_off_the_p1_stencil():
         bands = np.zeros((1, n))
         bands[0, column] = 1.0
         with pytest.raises(ValueError, match=f"^band offset {offset} couples the ends"):
-            disc_rows(mesh, [(0.0, 0.0)], 0.5, CsrMatrix.banded(bands, [offset], (n, n)))
+            disc_rows(mesh, [(0.0, 0.0)], 0.5, CsrMatrix.banded(bands, [offset]))
     assert disc_rows(mesh, [(0.0, 0.0)], 0.5, mass).n_rows == 1

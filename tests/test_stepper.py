@@ -410,6 +410,18 @@ class TestPicardStep:
             assert resid <= scheme.cg_tol * np.linalg.norm(rhs)
             state = new
 
+    def test_kappa_of_another_length_is_rejected(self):
+        # one signal per thermostat: a one-entry kappa is not spread over the 4
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=3))
+        built = assemble(cfg)
+        for kappa in ([0.0], np.zeros(5), (), np.zeros((4, 1))):
+            state = replace(built.initial, kappa=kappa)
+            message = rf"^kappa of shape {re.escape(str(state.kappa.shape))} for 4 thermostats$"
+            with pytest.raises(ValueError, match=message):
+                picard_step(state, built.problem, cfg.scheme)
+            with pytest.raises(ValueError, match=message):
+                run(state, built.problem, cfg.scheme)
+
     def test_diagnostics_populated(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
         built = assemble(cfg)
@@ -760,6 +772,33 @@ class TestImports:
                       " + final.kappa.tobytes()).hexdigest())\n" + after)
             digests.append(run_script(script))
         assert digests[0] == digests[1] == digests[2]
+
+
+class TestSimState:
+    def test_step_index_is_a_nonnegative_integer(self):
+        cfg = small_config(T=0.5 / CONTRACTING_STEPS, scheme=SchemeSpec(n_div=10, n_steps=1))
+        built = assemble(cfg)
+        for bad, message in ((2.5, "^step_index must be an integer, got 2.5$"),
+                             (True, "^step_index must be an integer, got True$"),
+                             (-1, "^step_index must be >= 0, got -1$"),
+                             (np.int64(-3), "^step_index must be >= 0, got -3$")):
+            with pytest.raises(ValueError, match=message):
+                replace(built.initial, step_index=bad)
+        state = replace(built.initial, step_index=np.int64(3))
+        assert type(state.step_index) is int and state.step_index == 3
+        assert picard_step(state, built.problem, cfg.scheme).step_index == 4
+
+    def test_array_holders_compare_by_identity(self):
+        # equal values, distinct objects: unequal, without numpy's ambiguous
+        # truth value, and hashable
+        cfg = small_config(scheme=SchemeSpec(n_div=6, n_steps=CONTRACTING_STEPS))
+        a, b = run_experiment(cfg), run_experiment(cfg)
+        assert np.array_equal(a.final_state.y.values, b.final_state.y.values)
+        for x, y in ((a, b), (a.final_state, b.final_state), (a.final_state.y, b.final_state.y),
+                     (a.problem, b.problem), (a.problem.mesh, b.problem.mesh),
+                     (a.series, b.series)):
+            assert x == x and x != y
+            assert len({x, y, x}) == 2
 
 
 class TestRun:
