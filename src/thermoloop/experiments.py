@@ -368,8 +368,7 @@ _REUSABLE_FIELDS = ("y0", "kappa0", "C_g")
 
 
 def _initial_state(config: ExperimentConfig, mesh: Mesh) -> SimState:
-    return SimState(step_index=0, time=0.0, y=interpolate(mesh, config.y0),
-                    kappa=config.kappa0)
+    return SimState(step_index=0, y=interpolate(mesh, config.y0), kappa=config.kappa0)
 
 
 def _first_difference(a, b, names) -> str | None:
@@ -463,7 +462,7 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
 
     P, n_nodes = built.problem, config.scheme.n_steps + 1
     reference = P.ystar.values if reference is None else reference
-    observers: list = [ErrorRecorder(P.mass, P.stiffness, reference, n_nodes)]
+    observers: list = [ErrorRecorder(P.mass, P.stiffness, reference, n_nodes, P.tau)]
     if snap_steps:
         observers.append(SnapshotRecorder(snap_steps))
     if record_trajectory:

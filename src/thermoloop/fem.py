@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import CsrMatrix
+from .linalg import CsrMatrix, dot
 from .mesh import Mesh
 
 
@@ -169,4 +169,4 @@ def form_norm(A: CsrMatrix, values: np.ndarray) -> float:
     With the mass matrix M it is the discrete L2 norm, with the stiffness
     matrix K the gradient seminorm (zero for constant fields).
     """
-    return math.sqrt(max(float(values @ A.dot(values)), 0.0))
+    return math.sqrt(max(dot(values, A.dot(values)), 0.0))

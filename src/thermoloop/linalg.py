@@ -196,6 +196,28 @@ class CsrMatrix:
         return s, CsrMatrix((self.n_rows, self.n_rows), offsets=self.offsets, bands=bands)
 
 
+# OpenBLAS splits a ddot of more than this many values over its threads, and
+# each thread count adds the partial sums in another order
+_DOT_BLOCK = 10000
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y of two float64 vectors, with bits that do not depend on the
+    number of BLAS threads.  Up to 10000 values it is ``x.dot(y)``, one
+    single-threaded ddot.  A longer product adds, left to right, the ddots
+    of consecutive blocks of 10000 values (the last one shorter).  Vectors
+    of different lengths raise ValueError."""
+    n = len(x)
+    if n <= _DOT_BLOCK:
+        return float(x.dot(y))
+    if len(y) != n:   # the blocks alone would drop the tail of a longer y
+        raise ValueError(f"dot of vectors of {n} and {len(y)} values")
+    total = float(x[:_DOT_BLOCK].dot(y[:_DOT_BLOCK]))
+    for i in range(_DOT_BLOCK, n, _DOT_BLOCK):
+        total += float(x[i:i + _DOT_BLOCK].dot(y[i:i + _DOT_BLOCK]))
+    return total
+
+
 class CgResult(NamedTuple):
     x: np.ndarray
     iters: int
@@ -216,9 +238,9 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
 
     The iteration works in place with one scratch vector and computes
     r^T r once per iteration; its square root is the residual norm.  Dot
-    products go through ``ndarray.dot``: the same BLAS ddot as ``@``, with
-    about 1 us less dispatch per call.  A square A and an ``x0`` of n values
-    are checked once (a wrong length raises ``dot``'s "dimension mismatch"),
+    products go through ``dot``, so the iterates do not depend on the
+    number of BLAS threads.  A square A and an ``x0`` of n values
+    are checked once (a wrong length raises "dimension mismatch"),
     and every product then calls the kernel directly.
 
     Raises ConvergenceError after ``max_iters`` (default 10 * n) iterations,
@@ -240,7 +262,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
         max_iters = 10 * n
 
     with np.errstate(over="ignore"):
-        b_norm = math.sqrt(float(b.dot(b)))   # bitwise equal to np.linalg.norm(b)
+        b_norm = math.sqrt(dot(b, b))
     if not math.isfinite(b_norm):   # b.b is non-finite for any non-finite entry
         if not np.isfinite(b).all():
             raise ConvergenceError("right-hand side contains non-finite entries", 0, float("nan"))
@@ -255,14 +277,14 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
     r = b - A._matvec(x)
     scratch = np.empty_like(b)
     p = r.copy()
-    rr = float(r.dot(r))
-    res = math.sqrt(rr)   # bitwise equal to np.linalg.norm(r)
+    rr = dot(r, r)
+    res = math.sqrt(rr)
 
     for k in range(max_iters):
         if res <= threshold:
             return CgResult(x, k, res)
         Ap = A._matvec(p)
-        pAp = float(p.dot(Ap))
+        pAp = dot(p, Ap)
         if not math.isfinite(pAp) or pAp <= 0:
             raise ConvergenceError(
                 f"breakdown at iteration {k}: p^T A p = {pAp} (matrix not SPD?)", k, res)
@@ -270,7 +292,7 @@ def cg_solve(A: CsrMatrix, b: np.ndarray, *, x0: np.ndarray,
         x += np.multiply(p, alpha, out=scratch)
         Ap *= alpha
         r -= Ap
-        rr_new = float(r.dot(r))
+        rr_new = dot(r, r)
         p *= rr_new / rr
         p += r
         rr = rr_new

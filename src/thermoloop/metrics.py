@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import NodalField, form_norm
-from .linalg import CsrMatrix
+from .linalg import CsrMatrix, dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,8 @@ class ErrorSeries:
 class ErrorRecorder:
     """Observer collecting E_y, E_grad, kappa and mass at each of ``n_nodes`` time nodes.
 
-    The reference ``ystar`` is an array: the (mass.n_cols,) values of one
+    A state at step m is recorded at time m * ``tau``, the run's step size.
+    The ``reference`` is an array: the (mass.n_cols,) values of one
     field, or a (k, mass.n_cols) array whose row m is the reference at step
     m (a recorded trajectory): the errors are then the distances between two
     runs.  Its width and a trajectory's k >= n_nodes rows are checked once,
@@ -53,23 +54,24 @@ class ErrorRecorder:
     node beyond ``n_nodes`` raises ValueError.
     """
 
-    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, ystar: np.ndarray,
-                 n_nodes: int):
-        if not isinstance(ystar, np.ndarray):
-            raise TypeError(f"reference ystar must be an array, not {type(ystar).__name__}")
-        if ystar.ndim == 1 and len(ystar) != mass.n_cols:
-            raise ValueError(f"reference ystar has {len(ystar)} values, not {mass.n_cols}")
-        if ystar.ndim != 1 and ystar.shape[1:] != (mass.n_cols,):
-            raise ValueError(f"reference trajectory of shape {ystar.shape} is not "
+    def __init__(self, mass: CsrMatrix, stiffness: CsrMatrix, reference: np.ndarray,
+                 n_nodes: int, tau: float):
+        if not isinstance(reference, np.ndarray):
+            raise TypeError(f"reference ystar must be an array, not {type(reference).__name__}")
+        if reference.ndim == 1 and len(reference) != mass.n_cols:
+            raise ValueError(f"reference ystar has {len(reference)} values, not {mass.n_cols}")
+        if reference.ndim != 1 and reference.shape[1:] != (mass.n_cols,):
+            raise ValueError(f"reference trajectory of shape {reference.shape} is not "
                              f"{mass.n_cols} columns wide")
         if n_nodes < 1:
             raise ValueError(f"a series has at least one node, got {n_nodes}")
-        if ystar.ndim == 2 and len(ystar) < n_nodes:
-            raise ValueError(f"reference trajectory has {len(ystar)} rows for {n_nodes} nodes")
+        if reference.ndim == 2 and len(reference) < n_nodes:
+            raise ValueError(f"reference trajectory has {len(reference)} rows for {n_nodes} nodes")
         self._mass = mass
         self._stiffness = stiffness
-        self._ystar = ystar   # (n,) field or (k, n) trajectory
+        self._ystar = reference   # (n,) field or (k, n) trajectory
         self._weights = mass.dot(np.ones(mass.n_cols))  # row sums; mass of y is w . y
+        self._tau = tau
         self.n_nodes = n_nodes
         self._count = 0
         self._times, self._e_y, self._e_grad, self._mass_trace = np.empty((4, n_nodes))
@@ -87,11 +89,11 @@ class ErrorRecorder:
         e_y, e_grad = form_norm(self._mass, deviation), form_norm(self._stiffness, deviation)
         if m == 0:
             self._kappas = np.empty((self.n_nodes, len(state.kappa)))
-        self._times[m] = state.time
+        self._times[m] = step * self._tau
         self._e_y[m] = e_y
         self._e_grad[m] = e_grad
         self._kappas[m] = state.kappa
-        self._mass_trace[m] = self._weights @ y
+        self._mass_trace[m] = dot(self._weights, y)
         self._count = m + 1
 
     def series(self) -> ErrorSeries:

@@ -89,7 +89,8 @@ class StepDiagnostics:
 @dataclass(frozen=True, eq=False)
 class SimState:
     """The unknowns (y, kappa) at one time node, ``step_index`` (an integer
-    >= 0, else ValueError) steps from the start.  States compare by identity.
+    >= 0, else ValueError) steps from the start: at time step_index * tau,
+    which ``ErrorRecorder`` records.  States compare by identity.
 
     ``history`` holds the read-only (n_picard, n) Picard corrections
     y_p - y_{p-1} of up to the last WARM_START_ORDER steps, newest first;
@@ -100,7 +101,6 @@ class SimState:
     """
 
     step_index: int
-    time: float
     y: NodalField
     kappa: np.ndarray
     diagnostics: StepDiagnostics | None = None
@@ -196,6 +196,8 @@ def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray, y: np.nda
                         tau: float) -> np.ndarray:
     """Measure y, switch, and advance every thermostat one step from kappa_m."""
     m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
+    # every assembled alpha is I, so each demand is one exact term, whatever
+    # order a threaded BLAS sums in
     demands = problem.alpha @ eval_switch(problem.switch, m_vals)
     return thermostat_step(problem.beta, kappa_m, demands, tau)
 
@@ -310,9 +312,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
                             picard_increment=increment)
-    # node time from the index, not by accumulation: exact for every step
     return SimState(step_index=state.step_index + 1,
-                    time=(state.step_index + 1) * tau,
                     y=NodalField(y_prev),   # checked finite after its solve
                     kappa=kappa_new,
                     diagnostics=diags,

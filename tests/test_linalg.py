@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -505,6 +506,24 @@ def test_cg_checks_its_operands_once():
             cg_solve(A, np.ones(2), x0=x0)
     with pytest.raises(ValueError, match="needs a square matrix, got 2 x 3"):
         cg_solve(csr(RECT), np.ones(2), x0=np.zeros(3))
+
+
+def test_dot_is_ndarray_dot_up_to_10000_values_and_blocked_above():
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 9999, 10000):
+        x, y = rng.standard_normal((2, n))
+        assert linalg.dot(x, y).hex() == float(x.dot(y)).hex()
+    for n in (10201, 20001):   # N=100 meshes have 10201 vertices
+        x, y = rng.standard_normal((2, n))
+        blocks = [float(x[i:i + 10000].dot(y[i:i + 10000])) for i in range(0, n, 10000)]
+        total = blocks[0]
+        for block in blocks[1:]:
+            total += block
+        assert linalg.dot(x, y).hex() == total.hex()
+        assert linalg.dot(x, y) == pytest.approx(math.fsum(x * y), rel=1e-12)
+    for m, n in ((3, 4), (20000, 25000), (25000, 20000)):
+        with pytest.raises(ValueError):
+            linalg.dot(np.ones(m), np.ones(n))
 
 
 class RecordingKernels:

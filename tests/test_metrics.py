@@ -60,8 +60,8 @@ def test_recorder_rejects_a_reference_from_another_mesh(ops):
                   np.zeros(n - 1), np.zeros(n + 1)):
         with pytest.raises(ValueError,
                            match=f"^reference ystar has {len(ystar)} values, not {n}$"):
-            ErrorRecorder(M, K, ystar, 1)
-    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x).values, 1)
+            ErrorRecorder(M, K, ystar, 1, 0.5)
+    ErrorRecorder(M, K, interpolate(mesh, lambda x, yy: x).values, 1, 0.5)
 
 
 def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
@@ -69,8 +69,8 @@ def test_recorder_rejects_a_trajectory_of_the_wrong_width(ops):
     n = mesh.n_vertices
     for shape in ((3, n - 1), (3, n + 1), (2, 3, n), ()):
         with pytest.raises(ValueError, match=f"^reference trajectory of shape .* is not {n} "):
-            ErrorRecorder(M, K, np.zeros(shape), 3)
-    ErrorRecorder(M, K, np.zeros((3, n)), 3)
+            ErrorRecorder(M, K, np.zeros(shape), 3, 0.5)
+    ErrorRecorder(M, K, np.zeros((3, n)), 3, 0.5)
 
 
 def test_recorder_rejects_a_trajectory_without_a_row_for_each_node(ops):
@@ -78,13 +78,13 @@ def test_recorder_rejects_a_trajectory_without_a_row_for_each_node(ops):
     n = mesh.n_vertices
     for rows in (0, 2):
         with pytest.raises(ValueError, match=f"^reference trajectory has {rows} rows for 3 nodes$"):
-            ErrorRecorder(M, K, np.zeros((rows, n)), 3)
+            ErrorRecorder(M, K, np.zeros((rows, n)), 3, 0.5)
     # a run continued from step 2 has a row for its first node, not for its second
-    rec = ErrorRecorder(M, K, np.zeros((3, n)), 3)
+    rec = ErrorRecorder(M, K, np.zeros((3, n)), 3, 0.5)
     y = field_from_values(mesh, np.ones(n))
-    rec(SimState(step_index=2, time=1.0, y=y, kappa=()))
+    rec(SimState(step_index=2, y=y, kappa=()))
     with pytest.raises(ValueError, match="^step 3 is beyond the reference trajectory of 3 rows$"):
-        rec(SimState(step_index=3, time=1.5, y=y, kappa=()))
+        rec(SimState(step_index=3, y=y, kappa=()))
     assert rec.series().n_nodes == 1
 
 
@@ -94,11 +94,11 @@ def test_recorder_takes_a_field_or_a_trajectory_as_an_array(ops):
     n = mesh.n_vertices
     y = field_from_values(mesh, np.ones(n))
     for ystar in (np.zeros(n), np.zeros((1, n))):
-        rec = ErrorRecorder(M, K, ystar, 1)
-        rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
+        rec = ErrorRecorder(M, K, ystar, 1, 0.5)
+        rec(SimState(step_index=0, y=y, kappa=()))
         assert rec.series().e_y[0] == pytest.approx(2.0)
     with pytest.raises(TypeError, match="^reference ystar must be an array, not NodalField$"):
-        ErrorRecorder(M, K, field_from_values(mesh, np.zeros(n)), 1)
+        ErrorRecorder(M, K, field_from_values(mesh, np.zeros(n)), 1, 0.5)
 
 
 def test_recorder_rejects_a_field_from_another_mesh(ops):
@@ -107,12 +107,12 @@ def test_recorder_rejects_a_field_from_another_mesh(ops):
     mesh, M, K = ops
     n = mesh.n_vertices
     for ystar in (np.zeros((2, n)), np.zeros(n)):
-        rec = ErrorRecorder(M, K, ystar, 1)
+        rec = ErrorRecorder(M, K, ystar, 1, 0.5)
         for length in (build_mesh(3).n_vertices, 1, n - 1, n + 1):
             y = NodalField(np.zeros(length))
             with pytest.raises(ValueError):
-                rec(SimState(step_index=0, time=0.0, y=y, kappa=()))
-        rec(SimState(step_index=0, time=0.0, y=field_from_values(mesh, np.ones(n)), kappa=()))
+                rec(SimState(step_index=0, y=y, kappa=()))
+        rec(SimState(step_index=0, y=field_from_values(mesh, np.ones(n)), kappa=()))
         assert rec.series().n_nodes == 1
 
 
@@ -147,11 +147,11 @@ def test_gradient_error_shift_invariant(ops):
 
 def test_recorder_series_shape_and_times(ops):
     mesh, M, K = ops
-    rec = ErrorRecorder(M, K, np.zeros(mesh.n_vertices), 5)
     tau = 0.25
+    rec = ErrorRecorder(M, K, np.zeros(mesh.n_vertices), 5, tau)
     for m in range(5):
         y = field_from_values(mesh, np.full(mesh.n_vertices, float(m)))
-        rec(SimState(step_index=m, time=m * tau, y=y, kappa=np.array([0.5, -0.5])))
+        rec(SimState(step_index=m, y=y, kappa=np.array([0.5, -0.5])))
     series = rec.series()
     assert series.n_nodes == 5
     assert np.all(np.diff(series.times) > 0)
@@ -167,9 +167,9 @@ def test_recorder_against_a_trajectory(ops):
     rng = np.random.default_rng(7)
     ys = rng.standard_normal((4, mesh.n_vertices))
     refs = rng.standard_normal((4, mesh.n_vertices))
-    rec = ErrorRecorder(M, K, refs, 4)
+    rec = ErrorRecorder(M, K, refs, 4, 0.5)
     for m, y in enumerate(ys):
-        rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, y), kappa=()))
+        rec(SimState(step_index=m, y=field_from_values(mesh, y), kappa=()))
     series = rec.series()
     for m in range(4):
         y, ref = field_from_values(mesh, ys[m]), field_from_values(mesh, refs[m])
@@ -185,9 +185,9 @@ def test_recorder_rows_and_capacity(ops):
     rng = np.random.default_rng(5)
     ys, kappas = rng.standard_normal((4, mesh.n_vertices)), rng.standard_normal((4, 3))
     ystar = np.zeros(mesh.n_vertices)
-    rec = ErrorRecorder(M, K, ystar, 4)
+    rec = ErrorRecorder(M, K, ystar, 4, 0.5)
     for m in range(4):
-        rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, ys[m]),
+        rec(SimState(step_index=m, y=field_from_values(mesh, ys[m]),
                      kappa=kappas[m]))
     series = rec.series()
     ones = M.dot(np.ones(mesh.n_vertices))
@@ -201,11 +201,11 @@ def test_recorder_rows_and_capacity(ops):
     assert series.kappa_traces.base is not None   # a view of the rows, not a copy
     with pytest.raises(ValueError, match=r"^error recorder sized for 4 time nodes was given "
                                          r"another \(step 4\)$"):
-        rec(SimState(step_index=4, time=2.0, y=field_from_values(mesh, ys[0]), kappa=kappas[0]))
+        rec(SimState(step_index=4, y=field_from_values(mesh, ys[0]), kappa=kappas[0]))
     assert rec.series().n_nodes == 4
     for n_nodes in (0, -1):
         with pytest.raises(ValueError, match="at least one node"):
-            ErrorRecorder(M, K, ystar, n_nodes)
+            ErrorRecorder(M, K, ystar, n_nodes, 0.5)
 
 
 def test_trajectory_recorder_rows_and_capacity(ops):
@@ -214,13 +214,13 @@ def test_trajectory_recorder_rows_and_capacity(ops):
     ys, kappas = rng.standard_normal((4, mesh.n_vertices)), rng.standard_normal((4, 2))
     rec = TrajectoryRecorder(4)
     for m in range(4):
-        rec(SimState(step_index=m, time=0.5 * m, y=field_from_values(mesh, ys[m]),
+        rec(SimState(step_index=m, y=field_from_values(mesh, ys[m]),
                      kappa=kappas[m]))
     # the rows a list of copies would give, byte for byte
     assert rec.ys().tobytes() == np.array(list(ys)).tobytes() and rec.ys().shape == ys.shape
     assert rec.kappas().tobytes() == kappas.tobytes() and rec.kappas().shape == (4, 2)
     with pytest.raises(ValueError, match="4 time nodes"):
-        rec(SimState(step_index=4, time=2.0, y=field_from_values(mesh, ys[0]), kappa=kappas[0]))
+        rec(SimState(step_index=4, y=field_from_values(mesh, ys[0]), kappa=kappas[0]))
     with pytest.raises(ValueError):
         TrajectoryRecorder(0)
 

@@ -25,8 +25,7 @@ def hand_assembled_heat_error(n_div, n_steps, D, T, cg_tol=1e-12):
         beta=np.zeros(0),
         reaction=ReactionTerm.zero(),
         ystar=interpolate(mesh, lambda x, y: np.zeros_like(x)))
-    initial = SimState(step_index=0, time=0.0,
-                       y=interpolate(mesh, exact_heat_solution(D, 0.0)),
+    initial = SimState(step_index=0, y=interpolate(mesh, exact_heat_solution(D, 0.0)),
                        kappa=np.zeros(0))
     out = run(initial, problem, SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1,
                                            cg_tol=cg_tol))

@@ -156,7 +156,7 @@ class TestFeedback:
     def demands(self, alpha, y):
         """W from one explicit-measure step from kappa = 0: with beta = tau = 1, kappa = W / 2."""
         problem = replace(self.base, alpha=np.asarray(alpha, dtype=np.float64))
-        state = SimState(0, 0.0, NodalField(y), np.zeros(2))
+        state = SimState(0, NodalField(y), np.zeros(2))
         scheme = SchemeSpec(n_div=8, n_steps=1, n_picard=1, explicit_measure=True)
         return 2.0 * picard_step(state, problem, scheme).kappa
 

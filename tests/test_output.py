@@ -88,11 +88,11 @@ def test_series_and_csv_hold_no_second_copy(tmp_path):
     n_nodes, J = 1201, 64
     mesh = build_mesh(4)
     rec = ErrorRecorder(assemble_mass(mesh), assemble_stiffness(mesh),
-                        np.zeros(mesh.n_vertices), n_nodes)
+                        np.zeros(mesh.n_vertices), n_nodes, 0.01)
     rng = np.random.default_rng(2)
     y = field_from_values(mesh, rng.standard_normal(mesh.n_vertices))
     for m in range(n_nodes):
-        rec(SimState(step_index=m, time=0.01 * m, y=y, kappa=rng.uniform(-1.0, 1.0, J)))
+        rec(SimState(step_index=m, y=y, kappa=rng.uniform(-1.0, 1.0, J)))
     recorded = n_nodes * (4 + J) * 8
     tracemalloc.start()
     try:

@@ -50,7 +50,7 @@ def run_observed(cfg, *observers):
     against y*, and then ``observers``."""
     built = assemble(cfg)
     p = built.problem
-    recorder = ErrorRecorder(p.mass, p.stiffness, p.ystar.values, cfg.scheme.n_steps + 1)
+    recorder = ErrorRecorder(p.mass, p.stiffness, p.ystar.values, cfg.scheme.n_steps + 1, p.tau)
     return run(built.initial, p, cfg.scheme, [recorder, *observers])
 
 
@@ -295,9 +295,7 @@ def scanning_picard_step(state, problem, scheme):
     corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
                             picard_increment=scanning_max_abs(corrections[-1]))
-    # node time from the index, not by accumulation: exact for every step
     return SimState(step_index=state.step_index + 1,
-                    time=(state.step_index + 1) * tau,
                     y=NodalField(y_prev),
                     kappa=kappa_new,
                     diagnostics=diags,
@@ -311,7 +309,7 @@ class ScanningErrorRecorder(ErrorRecorder):
         ref = ref[state.step_index] if ref.ndim == 2 else ref
         if m == 0:
             self._kappas = np.empty((self.n_nodes, len(state.kappa)))
-        self._times[m] = state.time
+        self._times[m] = state.step_index * self._tau
         y = state.y.values
         self._e_y[m] = form_norm(self._mass, y - ref)
         self._e_grad[m] = form_norm(self._stiffness, y - ref)
@@ -540,8 +538,7 @@ class TestVectorizedSweep:
         state = built.initial
         ref_y, ref_kappa, ref_history = state.y.values, state.kappa, ()
         for step in range(scheme.n_steps):
-            ref_state = SimState(step, step * cfg.tau,
-                                 NodalField(ref_y), ref_kappa)
+            ref_state = SimState(step, NodalField(ref_y), ref_kappa)
             ref_y, ref_kappa, ref_c = reference_picard_step(
                 ref_state, built.problem, scheme, profiles, loads, ref_history)
             ref_history = ((ref_c,) + ref_history)[:3]
@@ -676,7 +673,7 @@ class TestScanFreeSweep:
         assert problem.device_mass.n_rows == (0 if case == "device-free" else 64)
         trajectory = np.linspace(-0.5, 0.5, (scheme.n_steps + 1) * problem.mesh.n_vertices)
         trajectory = trajectory.reshape(scheme.n_steps + 1, -1)
-        recorders = [cls(problem.mass, problem.stiffness, ref, scheme.n_steps + 1)
+        recorders = [cls(problem.mass, problem.stiffness, ref, scheme.n_steps + 1, problem.tau)
                      for ref in (problem.ystar.values, trajectory)
                      for cls in (ErrorRecorder, ScanningErrorRecorder)]
 
@@ -707,15 +704,43 @@ SMALL_RUN = ("cfg = make_experiment(2)\n"
              "out = run_experiment(cfg)\n")
 
 
-def run_script(script: str) -> str:
-    """The stripped stdout of ``script`` run by a fresh interpreter that
-    imports thermoloop from this checkout's src/."""
+def run_script(script: str, *args: str, **env: str) -> str:
+    """The stripped stdout of ``script`` run with ``args`` by a fresh
+    interpreter that imports thermoloop from this checkout's src/, with
+    ``env`` added to its environment."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     return out.stdout.strip()
+
+
+# exp2-ic1 at its full scale N=100 (n = 10201 values, more than the 10000
+# above which OpenBLAS splits a ddot over its threads) for 40 of its 400
+# steps, at its step size tau = 0.01; writes series.csv to argv[1] and prints
+# the digests of the final y and kappa
+THREADED_RUN = (
+    "import hashlib, sys\n"
+    "from dataclasses import replace\n"
+    "from thermoloop import preset, run_experiment, write_series_csv\n"
+    "cfg = preset('exp2-ic1')\n"
+    "cfg = replace(cfg, T=0.4, scheme=replace(cfg.scheme, n_steps=40))\n"
+    "out = run_experiment(cfg)\n"
+    "write_series_csv(out.series, sys.argv[1])\n"
+    "for a in (out.final_state.y.values, out.final_state.kappa):\n"
+    "    print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 CPUs for OpenBLAS to run 2 threads")
+    def test_full_scale_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        runs = {threads: (run_script(THREADED_RUN, str(tmp_path / f"series{threads}.csv"),
+                                     OPENBLAS_NUM_THREADS=threads),
+                          (tmp_path / f"series{threads}.csv").read_bytes())
+                for threads in ("1", "2")}
+        assert runs["1"] == runs["2"]
 
 
 class TestImports:
@@ -847,7 +872,26 @@ class TestRun:
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
         out = run_observed(cfg, assert_contracting)
         assert np.allclose(np.diff(out.series.times), cfg.tau)
-        assert abs(out.final_state.time - cfg.T) <= 1e-12 * cfg.T
+        assert abs(out.series.times[-1] - cfg.T) <= 1e-12 * cfg.T
+
+    def test_node_times_are_step_indices_times_tau(self):
+        # a run started at step k records its node m at (k + m) * tau, bit for bit
+        k = 7
+        cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
+        built = assemble(cfg)
+        p, n_nodes = built.problem, CONTRACTING_STEPS + 1
+        recorder = ErrorRecorder(p.mass, p.stiffness, p.ystar.values, n_nodes, p.tau)
+        initial = SimState(step_index=k, y=built.initial.y, kappa=built.initial.kappa)
+        out = run(initial, p, cfg.scheme, [recorder])
+        expected = np.array([(k + m) * cfg.tau for m in range(n_nodes)])
+        assert out.series.times.tobytes() == expected.tobytes()
+
+    def test_campaign2_node_times(self):
+        # make_experiment(2) at N=16, M=200 records node m at m * tau, bit for bit
+        cfg = make_experiment(2)
+        cfg = replace(cfg, scheme=replace(cfg.scheme, n_div=16, n_steps=200))
+        times = run_experiment(cfg).series.times
+        assert times.tobytes() == np.array([m * cfg.tau for m in range(201)]).tobytes()
 
 
 class TestMeasurementVariants:
