@@ -23,7 +23,7 @@ config = ExperimentConfig(
     scheme=SchemeSpec(n_div=24, n_steps=80),
     reaction=ReactionTerm.zero())
 
-print(f"device radius {config.r_sigma}, control height C_g = {config.C_g}")
+print(f"device radius {config.layout.radius}, control height C_g = {config.C_g}")
 print(f"calibrated measurement height C_h = {config.C_h:.6f}")
 print(f"switch saturates once the mean deviation over the disc reaches "
       f"+-{config.C_switch}\n")

@@ -13,10 +13,10 @@ from typing import Union
 import numpy as np
 
 from .fem import assemble_mass, assemble_stiffness, disc_rows, interpolate
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, as_int, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
 from .model import ReactionTerm, SwitchingFunction, calibrate_ch
-from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, as_int, run
+from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, run
 
 
 def _require_finite(spec, *names) -> None:
@@ -197,7 +197,8 @@ class ExperimentConfig:
 
     Control and measurement devices are paired (same centers and radius,
     identity routing weights); they differ only in height: C_g for controls
-    and the calibrated C_h for measurements.
+    and the calibrated C_h for measurements.  The disc radius is
+    ``layout.radius``; ``r_sigma`` must equal it exactly.
     """
 
     T: float
@@ -222,18 +223,14 @@ class ExperimentConfig:
             raise ValueError("T must be positive")
         if self.D <= 0:
             raise ValueError("D must be positive")
-        if self.H_w <= 0:
-            raise ValueError("H_w must be positive")
-        if self.L_w == 0:
-            raise ValueError("L_w must be nonzero")
-        if self.C_switch <= 0:
-            raise ValueError("C_switch must be positive")
         if self.C_g < 0:
             raise ValueError("C_g must be nonnegative")
-        if self.r_sigma <= 0:
-            raise ValueError("r_sigma must be positive")
-        if abs(self.r_sigma - self.layout.radius) > 1e-12:
-            raise ValueError("r_sigma must equal the layout's device radius")
+        # the parts check their own parameters, and the layout its radius
+        SwitchingFunction(self.L_w, self.H_w)
+        calibrate_ch(self.L_w, self.C_switch, self.layout.radius)
+        if self.r_sigma != self.layout.radius:
+            raise ValueError(f"r_sigma {self.r_sigma!r} must equal the layout's device "
+                             f"radius {self.layout.radius!r}")
         J = self.n_devices
         if len(self.beta) != J:
             raise ValueError(f"beta has {len(self.beta)} entries but the layout has {J} devices")
@@ -253,7 +250,7 @@ class ExperimentConfig:
 
     @property
     def C_h(self) -> float:
-        return calibrate_ch(self.L_w, self.C_switch, self.r_sigma)
+        return calibrate_ch(self.L_w, self.C_switch, self.layout.radius)
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +292,7 @@ def make_experiment(exp_id: int, devices: int | None = None,
     subset (``devices``).
     """
     if exp_id == 1:
-        devices = 64 if devices is None else devices
+        devices = 64 if devices is None else as_int(devices, "devices")
         if devices not in (16, 36, 64):
             raise ValueError("campaign 1 supports 16, 36 or 64 devices")
         n = math.isqrt(devices)
@@ -309,7 +306,7 @@ def make_experiment(exp_id: int, devices: int | None = None,
         y0 = ICOND_VARIANT1 if variant == 1 else ICOND_VARIANT2
         ystar = REFERENCE_STATE
     elif exp_id == 3:
-        devices = 64 if devices is None else devices
+        devices = 64 if devices is None else as_int(devices, "devices")
         if devices not in (64, 20):
             raise ValueError("campaign 3 supports 64 or 20 devices")
         T, D, n_steps = 4.0, 0.02, 400
@@ -393,7 +390,7 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
 
     # P = I M of unit-height indicators I: the heights enter as scale factors,
     # so a zero C_g (control switched off) stays representable
-    device_mass = disc_rows(mesh, config.layout.centers, config.r_sigma, mass)
+    device_mass = disc_rows(mesh, config.layout.centers, config.layout.radius, mass)
     # a device that covers no vertex has an empty row: it would measure 0 and load nothing
     empty = np.flatnonzero(np.diff(device_mass.indptr) == 0)
     if len(empty):

@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def as_int(value, name: str) -> int:
+    """An integer parameter as a Python int; numpy integers are accepted.
+
+    A bool, a float or anything else without ``__index__`` is a ValueError
+    naming the parameter.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +51,11 @@ class Mesh:
 
 
 def build_mesh(n_div: int) -> Mesh:
-    """Triangulate (-1,1)^2 with n_div cells per side.  Rejects n_div < 1."""
+    """Triangulate (-1,1)^2 with n_div cells per side.
+
+    Rejects a non-integer n_div (numpy integers are accepted) and n_div < 1.
+    """
+    n_div = as_int(n_div, "n_div")
     if n_div < 1:
         raise ValueError(f"n_div must be >= 1, got {n_div}")
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import NodalField, form_norm
 from .linalg import CsrMatrix, dot
+from .mesh import as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +41,8 @@ class ErrorSeries:
 class ErrorRecorder:
     """Observer collecting E_y, E_grad, kappa and mass at each of ``n_nodes`` time nodes.
 
-    A state at step m is recorded at time m * ``tau``, the run's step size.
+    A state at step m is recorded at time m * ``tau``, the run's step size
+    (finite and > 0, else ValueError).
     The ``reference`` is an array: the (mass.n_cols,) values of one
     field, or a (k, mass.n_cols) array whose row m is the reference at step
     m (a recorded trajectory): the errors are then the distances between two
@@ -63,8 +66,11 @@ class ErrorRecorder:
         if reference.ndim != 1 and reference.shape[1:] != (mass.n_cols,):
             raise ValueError(f"reference trajectory of shape {reference.shape} is not "
                              f"{mass.n_cols} columns wide")
+        n_nodes = as_int(n_nodes, "n_nodes")
         if n_nodes < 1:
             raise ValueError(f"a series has at least one node, got {n_nodes}")
+        if not 0 < tau < math.inf:   # also rejects nan
+            raise ValueError(f"tau must be finite and > 0, got {tau}")
         if reference.ndim == 2 and len(reference) < n_nodes:
             raise ValueError(f"reference trajectory has {len(reference)} rows for {n_nodes} nodes")
         self._mass = mass
@@ -104,10 +110,14 @@ class ErrorRecorder:
 
 
 class SnapshotRecorder:
-    """Observer storing (step_index, field) pairs at the given steps."""
+    """Observer storing (step_index, field) pairs at the given steps.
+
+    Each step is an integer (a numpy integer too); a float or a bool is a
+    ValueError, not a step rounded down.
+    """
 
     def __init__(self, steps):
-        self.steps = frozenset(int(s) for s in steps)
+        self.steps = frozenset(as_int(s, "snapshot step") for s in steps)
         self.snapshots: list[tuple[int, NodalField]] = []
 
     def __call__(self, state) -> None:
@@ -124,6 +134,7 @@ class TrajectoryRecorder:
     """
 
     def __init__(self, n_nodes: int):
+        n_nodes = as_int(n_nodes, "n_nodes")
         if n_nodes < 1:
             raise ValueError(f"a trajectory has at least one node, got {n_nodes}")
         self.n_nodes = n_nodes

@@ -82,8 +82,10 @@ def calibrate_ch(L_w: float, C_switch: float, r_sigma: float) -> float:
     """
     if L_w == 0:
         raise ValueError("L_w must be nonzero to calibrate the measurement height")
-    if C_switch <= 0 or r_sigma <= 0:
-        raise ValueError("C_switch and r_sigma must be positive")
+    if C_switch <= 0:
+        raise ValueError(f"C_switch must be positive, got {C_switch}")
+    if r_sigma <= 0:
+        raise ValueError(f"r_sigma must be positive, got {r_sigma}")
     return 1.0 / (math.pi * abs(L_w) * C_switch * r_sigma ** 2)
 
 

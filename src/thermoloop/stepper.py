@@ -12,7 +12,6 @@ extrapolated in time.
 from __future__ import annotations
 
 import math
-import operator
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .fem import NodalField
 from .linalg import CsrMatrix, ConvergenceError, cg_solve
-from .mesh import Mesh
+from .mesh import Mesh, as_int
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from .model import (ReactionTerm, SwitchingFunction, eval_reaction, eval_switch,
                     thermostat_step)
@@ -32,20 +31,6 @@ from .model import (ReactionTerm, SwitchingFunction, eval_reaction, eval_switch,
 WARM_START_ORDER = 3
 _EXTRAPOLATION_WEIGHTS = tuple(tuple((-1.0) ** k * math.comb(d, k + 1) for k in range(d))
                                for d in range(WARM_START_ORDER + 1))
-
-
-def as_int(value, name: str) -> int:
-    """An integer parameter as a Python int; numpy integers are accepted.
-
-    A bool, a float or anything else without ``__index__`` is a ValueError
-    naming the parameter.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -192,14 +177,14 @@ class RunOutput:
     timings: dict = field(default_factory=dict)
 
 
-def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray, y: np.ndarray,
-                        tau: float) -> np.ndarray:
+def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray,
+                        y: np.ndarray) -> np.ndarray:
     """Measure y, switch, and advance every thermostat one step from kappa_m."""
     m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
     # every assembled alpha is I, so each demand is one exact term, whatever
     # order a threaded BLAS sums in
     demands = problem.alpha @ eval_switch(problem.switch, m_vals)
-    return thermostat_step(problem.beta, kappa_m, demands, tau)
+    return thermostat_step(problem.beta, kappa_m, demands, problem.tau)
 
 
 def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -> SimState:
@@ -249,7 +234,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     if kappa_m.shape != problem.beta.shape:
         raise ValueError(f"kappa of shape {kappa_m.shape} for {len(problem.beta)} thermostats")
     if scheme.explicit_measure:
-        kappa_new = _update_thermostats(problem, kappa_m, y_m, tau)
+        kappa_new = _update_thermostats(problem, kappa_m, y_m)
 
     corrections = np.empty((scheme.n_picard, len(y_m)))
     history = state.history
@@ -264,7 +249,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     sol = None
     for p in range(scheme.n_picard):
         if not scheme.explicit_measure:
-            kappa_new = _update_thermostats(problem, kappa_m, y_prev, tau)
+            kappa_new = _update_thermostats(problem, kappa_m, y_prev)
         # a non-finite reaction gives a non-finite right-hand side (tau > 0,
         # diag(M) > 0 and s > 0), which cg_solve rejects before its first iteration
         with np.errstate(over="ignore"):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -108,6 +110,23 @@ def test_zero_beta_rejected_citing_constraint():
     d = config_to_dict(make_experiment(2))
     d["beta"] = 0.0
     with pytest.raises(ConfigError, match="beta_j > 0"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("r_sigma", math.nextafter(0.125, 1.0),
+     "r_sigma 0.12500000000000003 must equal the layout's device radius 0.125"),
+    ("H_w", 0.0, "H_w must be positive, got 0.0"),
+    ("H_w", -10.0, "H_w must be positive, got -10.0"),
+    ("L_w", 0.0, "L_w must be nonzero"),
+    ("C_switch", 0.0, "C_switch must be positive, got 0.0"),
+    ("C_switch", -0.2, "C_switch must be positive, got -0.2"),
+], ids=["r_sigma-ulp", "H_w-zero", "H_w-negative", "L_w-zero", "C_switch-zero",
+        "C_switch-negative"])
+def test_parameter_rule_named(key, value, message):
+    d = config_to_dict(make_experiment(2))
+    d[key] = value
+    with pytest.raises(ConfigError, match="^" + re.escape("config: " + message)):
         config_from_dict(d)
 
 
@@ -240,9 +259,9 @@ NAN = float("nan")
     (make_experiment(1), ("ystar", "value"), 1e999, "config.ystar: value"),
 ])
 def test_non_finite_layout_or_field_named(config, path, value, named):
-    # unchecked, each would load: a NaN radius passes abs(r_sigma - nan) > 1e-12, a
-    # NaN center makes a device that covers no vertex, an infinite amplitude fails
-    # only at assembly without the key, and an infinite width flattens the blob
+    # unchecked, each would load or fail without its key: a NaN radius fails only
+    # the r_sigma comparison, a NaN center makes a device that covers no vertex, an
+    # infinite amplitude fails only at assembly, and an infinite width flattens the blob
     d = config_to_dict(config)
     _set(d, path, value)
     with pytest.raises(ConfigError, match=named + " must be finite"):

@@ -12,8 +12,9 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     PROBE_DIRECTION, REFERENCE_STATE, SchemeSpec, assemble,
                                     grid_layout,
                                     list_presets, make_experiment, preset, run_experiment)
-from thermoloop.fem import form_norm, interpolate
+from thermoloop.fem import assemble_mass, form_norm, interpolate
 from thermoloop.mesh import build_mesh
+from thermoloop.metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
 
 
 class TestGridLayout:
@@ -173,6 +174,10 @@ class TestPresets:
             make_experiment(4)
         with pytest.raises(ValueError):
             make_experiment(1, devices=25)
+        for exp_id, devices in ((1, 16.0), (1, True), (3, 20.0)):
+            with pytest.raises(ValueError, match="^devices must be an integer"):
+                make_experiment(exp_id, devices=devices)
+        assert make_experiment(1, devices=np.int64(16)) == make_experiment(1, devices=16)
         with pytest.raises(ValueError):
             preset("exp9")
 
@@ -236,8 +241,13 @@ class TestConfigValidation:
     def test_numpy_integer_counts_stored_as_int(self):
         spec = SchemeSpec(n_div=np.int64(4), n_steps=np.int32(2), cg_max_iters=np.int64(5))
         layout = GridSubsetLayout(np.int64(8), 0.125, tuple(np.arange(3)))
+        mesh = build_mesh(np.int64(4))
+        M = assemble_mass(mesh)
+        recorders = (ErrorRecorder(M, M, np.zeros(M.n_cols), np.int64(3), 0.5),
+                     TrajectoryRecorder(np.int32(3)))
         for value in (spec.n_div, spec.n_steps, spec.cg_max_iters, layout.n_per_side,
-                      *layout.kept_indices):
+                      *layout.kept_indices, mesh.n_div, *(r.n_nodes for r in recorders),
+                      *SnapshotRecorder(np.arange(3)).steps):
             assert type(value) is int
         assert spec == SchemeSpec(n_div=4, n_steps=2, cg_max_iters=5)
 
@@ -253,17 +263,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="beta"):
             self.base(beta=(1.0, 1.0))
 
-    def test_radius_mismatch(self):
-        with pytest.raises(ValueError, match="r_sigma"):
-            self.base(r_sigma=0.5)
+    # one ulp either side of the layout's radius is as much a mismatch as 0.5
+    @pytest.mark.parametrize("r_sigma", [0.5, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)])
+    def test_radius_mismatch(self, r_sigma):
+        with pytest.raises(ValueError, match=re.escape(
+                f"r_sigma {r_sigma!r} must equal the layout's device radius 1.0")):
+            self.base(r_sigma=r_sigma)
 
     def test_nonpositive_T(self):
         with pytest.raises(ValueError, match="T"):
             self.base(T=0.0)
 
-    def test_zero_switch_slope(self):
-        with pytest.raises(ValueError, match="L_w"):
-            self.base(L_w=0.0)
+    # SwitchingFunction checks H_w, calibrate_ch checks L_w and C_switch
+    @pytest.mark.parametrize("name, value", [("L_w", 0.0), ("H_w", 0.0), ("H_w", -10.0),
+                                             ("C_switch", 0.0), ("C_switch", -0.2)])
+    def test_switch_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            self.base(**{name: value})
 
     @pytest.mark.parametrize("name", ["T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma",
                                       "beta", "kappa0"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def test_smallest_mesh():
 def test_rejects_zero_divisions():
     with pytest.raises(ValueError):
         build_mesh(0)
+
+
+# 2.5 would give 16 vertices with ticks up to 1.4, which assembly cannot use
+@pytest.mark.parametrize("n_div", [2.5, 2.0, True, "2"])
+def test_rejects_non_integer_divisions(n_div):
+    message = f"n_div must be an integer, got {n_div!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_mesh(n_div)
 
 
 def test_vertex_coordinates_corners_and_center():

@@ -1,10 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from thermoloop.fem import (NodalField, assemble_mass, assemble_stiffness, field_from_values,
                             form_norm, interpolate)
 from thermoloop.mesh import build_mesh
-from thermoloop.metrics import ErrorRecorder, ErrorSeries, TrajectoryRecorder
+from thermoloop.metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from thermoloop.stepper import SimState
 
 
@@ -206,6 +209,29 @@ def test_recorder_rows_and_capacity(ops):
     for n_nodes in (0, -1):
         with pytest.raises(ValueError, match="at least one node"):
             ErrorRecorder(M, K, ystar, n_nodes, 0.5)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.5])
+def test_recorder_rejects_a_step_that_is_not_finite_and_positive(ops, tau):
+    # unchecked, a nan step records every node and fails only in series()
+    mesh, M, K = ops
+    message = f"tau must be finite and > 0, got {tau}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ErrorRecorder(M, K, np.zeros(mesh.n_vertices), 3, tau)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda ops, count: ErrorRecorder(ops[1], ops[2], np.zeros(ops[1].n_cols), count, 0.5),
+     "n_nodes"),
+    (lambda ops, count: TrajectoryRecorder(count), "n_nodes"),
+    (lambda ops, count: SnapshotRecorder([1, count]), "snapshot step"),
+], ids=["error", "trajectory", "snapshot"])
+@pytest.mark.parametrize("count", [2.5, 10.9, True, "2"])
+def test_recorder_counts_must_be_integers(ops, make, named, count):
+    # unchecked, snapshot steps 2.5, True and 10.9 would keep steps 2, 1 and 10
+    message = f"{named} must be an integer, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(ops, count)
 
 
 def test_trajectory_recorder_rows_and_capacity(ops):
