@@ -217,8 +217,7 @@ class ExperimentConfig:
     reaction: ReactionTerm = field(default_factory=ReactionTerm.cubic_bistable)
 
     def __post_init__(self):
-        _require_finite(self, "T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma", "beta",
-                        "kappa0")
+        _require_finite(self, "T", "D", "C_g", "r_sigma", "beta", "kappa0")
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.D <= 0:
@@ -289,8 +288,14 @@ def make_experiment(exp_id: int, devices: int | None = None,
     tightly covering devices (select with ``devices``).  Campaign 2 tracks a
     structured reference state from two initial conditions (``variant`` 1 or
     2) with 64 devices.  Campaign 3 compares 64 devices against a 20-device
-    subset (``devices``).
+    subset (``devices``).  An argument the campaign does not take
+    (``variant`` for campaigns 1 and 3, ``devices`` for campaign 2) raises
+    ValueError.
     """
+    if exp_id in (1, 2, 3):
+        name, value = ("devices", devices) if exp_id == 2 else ("variant", variant)
+        if value is not None:
+            raise ValueError(f"campaign {exp_id} takes no {name} argument, got {name}={value!r}")
     if exp_id == 1:
         devices = 64 if devices is None else as_int(devices, "devices")
         if devices not in (16, 36, 64):
@@ -438,7 +443,8 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     ``reference``: the values of ``problem.ystar`` by default, or another
     run's (M+1, n) trajectory, so that ``e_y`` and ``e_grad`` are the
     distances to that run.  The field is kept at each step in ``snap_steps``
-    (``out.snapshots``).
+    (``out.snapshots``); a step outside 0..n_steps raises ValueError naming
+    it, before the assembly.
 
     With ``assembled`` the run reuses its mesh and operators instead of
     assembling anew, and gives the same bits as a run without it.
@@ -453,15 +459,20 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     """
     import time as _time
 
+    snapshots, n_steps = SnapshotRecorder(snap_steps), config.scheme.n_steps
+    for step in sorted(snapshots.steps):
+        if not 0 <= step <= n_steps:
+            raise ValueError(f"snapshot step {step} lies outside the run's steps 0..{n_steps}")
+
     t0 = _time.perf_counter()
     built = assemble(config) if assembled is None else _reuse_assembly(assembled, config)
     t_assembly = _time.perf_counter() - t0
 
-    P, n_nodes = built.problem, config.scheme.n_steps + 1
+    P, n_nodes = built.problem, n_steps + 1
     reference = P.ystar.values if reference is None else reference
     observers: list = [ErrorRecorder(P.mass, P.stiffness, reference, n_nodes, P.tau)]
-    if snap_steps:
-        observers.append(SnapshotRecorder(snap_steps))
+    if snapshots.steps:
+        observers.append(snapshots)
     if record_trajectory:
         observers.append(TrajectoryRecorder(n_nodes))
 

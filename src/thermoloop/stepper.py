@@ -177,16 +177,6 @@ class RunOutput:
     timings: dict = field(default_factory=dict)
 
 
-def _update_thermostats(problem: DiscreteProblem, kappa_m: np.ndarray,
-                        y: np.ndarray) -> np.ndarray:
-    """Measure y, switch, and advance every thermostat one step from kappa_m."""
-    m_vals = problem.C_h * (problem.device_mass.dot(y) - problem.device_mass_ystar)
-    # every assembled alpha is I, so each demand is one exact term, whatever
-    # order a threaded BLAS sums in
-    demands = problem.alpha @ eval_switch(problem.switch, m_vals)
-    return thermostat_step(problem.beta, kappa_m, demands, problem.tau)
-
-
 def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -> SimState:
     """Advance one implicit Euler step with a fixed number of Picard sweeps.
 
@@ -199,16 +189,17 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     s = 1 / sqrt(diag(A)), from x0 / s, and y = s * x.  ``cg_tol`` bounds the
     scaled residual, ||S (b - A y)||_2 <= cg_tol ||S b||_2, which is the
     ``cg_residual`` of the step's diagnostics.  With ``explicit_measure`` the
-    thermostats are updated once per step from y_m instead of once per sweep.
+    step keeps the first sweep's thermostat update, made from y_m, in every
+    later sweep.
 
-    The solve of sweep p starts from the previous iterate y_{p-1} plus the
-    correction c_p = y_p - y_{p-1} that sweep p will make, extrapolated in
-    time from the corrections it made at the last d <= WARM_START_ORDER
-    steps (``state.history``): x0 = y_{p-1} + 3 c_p^(m) - 3 c_p^(m-1) + c_p^(m-2)
-    for d = 3, with the lower-order binomial weights for d = 1, 2.  With no
-    usable history (d = 0, or arrays that are not (n_picard, n)) or a
-    non-finite guess the solve starts from y_{p-1}.  The new state carries
-    this step's corrections in front of the history.
+    The solve of sweep p starts from the order-d extrapolation of the
+    correction c_p = y_p - y_{p-1} that sweep p will make, in time from the
+    corrections it made at the last d <= WARM_START_ORDER steps
+    (``state.history``): x0 = y_{p-1} + 3 c_p^(m) - 3 c_p^(m-1) + c_p^(m-2)
+    for d = 3, with the lower-order binomial weights for d = 1, 2, and
+    x0 = y_{p-1} for d = 0.  History arrays that are not (n_picard, n) count
+    as d = 0, and a non-finite guess falls back to y_{p-1}.  The new state
+    carries this step's corrections in front of the history.
 
     A kappa that is not the (J,) vector of one signal per thermostat raises
     ValueError before the first sweep.  A Picard iteration that diverges
@@ -233,8 +224,6 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     kappa_m = state.kappa
     if kappa_m.shape != problem.beta.shape:
         raise ValueError(f"kappa of shape {kappa_m.shape} for {len(problem.beta)} thermostats")
-    if scheme.explicit_measure:
-        kappa_new = _update_thermostats(problem, kappa_m, y_m)
 
     corrections = np.empty((scheme.n_picard, len(y_m)))
     history = state.history
@@ -248,8 +237,12 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     y_prev = y_m
     sol = None
     for p in range(scheme.n_picard):
-        if not scheme.explicit_measure:
-            kappa_new = _update_thermostats(problem, kappa_m, y_prev)
+        if p == 0 or not scheme.explicit_measure:   # y_prev is y_m in the first sweep
+            m_vals = problem.C_h * (problem.device_mass.dot(y_prev) - problem.device_mass_ystar)
+            # every assembled alpha is I, so each demand is one exact term, whatever
+            # order a threaded BLAS sums in
+            demands = problem.alpha @ eval_switch(problem.switch, m_vals)
+            kappa_new = thermostat_step(problem.beta, kappa_m, demands, tau)
         # a non-finite reaction gives a non-finite right-hand side (tau > 0,
         # diag(M) > 0 and s > 0), which cg_solve rejects before its first iteration
         with np.errstate(over="ignore"):
@@ -257,14 +250,12 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             rhs = M.dot(y_m + tau * reaction)
             rhs += tau * problem.C_g * problem.device_mass.tdot(kappa_new)
             rhs *= s   # S b, the right-hand side of the scaled system
-        x0 = None
-        if weighted:
-            guess = y_prev + weighted[0][p]
-            for wh in weighted[1:]:
-                guess += wh[p]
-            if np.isfinite(guess).all():
-                x0 = np.divide(guess, s, out=guess)
-        if x0 is None:
+        x0 = y_prev.copy()   # the order-d extrapolation, d = len(history)
+        for wh in weighted:
+            x0 += wh[p]
+        if np.isfinite(x0).all():
+            x0 /= s
+        else:
             x0 = y_prev / s
         try:
             sol = cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,

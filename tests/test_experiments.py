@@ -181,6 +181,12 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("exp9")
 
+    @pytest.mark.parametrize("exp_id, name, value", [
+        (1, "variant", 2), (2, "devices", 16), (2, "devices", 64), (3, "variant", 2)])
+    def test_argument_the_campaign_ignores_rejected(self, exp_id, name, value):
+        with pytest.raises(ValueError, match=f"^campaign {exp_id} takes no {name} argument"):
+            make_experiment(exp_id, **{name: value})
+
     def test_presets_validate_and_have_unit_beta(self):
         for name in list_presets():
             cfg = preset(name)
@@ -398,3 +404,19 @@ class TestReference:
         n = build_mesh(12).n_vertices
         with pytest.raises(ValueError, match=f"^reference trajectory has {rows} rows for 5 nodes$"):
             run_experiment(self.base(), reference=np.zeros((rows, n)))
+
+
+class TestSnapshotSteps:
+    """run_experiment(config, snap_steps=...) keeps the field at steps 0..n_steps."""
+
+    def base(self):
+        return replace(make_experiment(2, variant=1),
+                       T=0.25, scheme=SchemeSpec(n_div=12, n_steps=10))
+
+    def test_step_outside_the_run_rejected(self):
+        out = run_experiment(self.base(), snap_steps=[10, 0, 5])   # both ends are in the run
+        assert sorted(step for step, _ in out.snapshots) == [0, 5, 10]
+        for steps, named in (([-1, 5, 11, 10**6], -1), ([5, 11], 11), ([10**6], 10**6)):
+            with pytest.raises(ValueError,
+                               match=f"^snapshot step {named} lies outside the run's steps 0..10$"):
+                run_experiment(self.base(), snap_steps=steps)

@@ -95,6 +95,22 @@ class TestCalibration:
             calibrate_ch(0.0, 0.2, 0.125)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, make", [
+    ("L_w", lambda v: SwitchingFunction(L_w=v, H_w=10.0)),
+    ("H_w", lambda v: SwitchingFunction(L_w=-10.0, H_w=v)),
+    ("L_w", lambda v: calibrate_ch(v, 0.2, 0.125)),
+    ("C_switch", lambda v: calibrate_ch(-10.0, v, 0.125)),
+    ("r_sigma", lambda v: calibrate_ch(-10.0, 0.2, v)),
+], ids=["switch-L_w", "switch-H_w", "calibrate-L_w", "calibrate-C_switch",
+        "calibrate-r_sigma"])
+def test_non_finite_switch_parameter_rejected(name, make, value):
+    # a nan would reach every switch output, and calibrate_ch(-10, inf, r) = 0
+    # would switch every measurement off
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(value)
+
+
 def device_config(centers, radius, ystar=ConstantField(0.0), n_div=4):
     """Paired disc devices at ``centers`` with beta = 1 and tau = 1."""
     return ExperimentConfig(

@@ -907,3 +907,19 @@ class TestMeasurementVariants:
         assert out_i.series.e_y[0] == out_e.series.e_y[0]
         assert np.all(np.abs(out_e.series.kappa_traces) <= explicit.H_w)
         assert np.isfinite(out_e.series.e_y).all()
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_thermostats_update_once_per_sweep_or_once_per_step(self, monkeypatch, explicit):
+        # counted at the module names the benchmark's tracer patches
+        cfg = campaign1_small(explicit_measure=explicit)
+        built = assemble(cfg)
+        calls = dict.fromkeys(("eval_switch", "thermostat_step"), 0)
+        for name, fn in (("eval_switch", eval_switch), ("thermostat_step", thermostat_step)):
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(stepper_mod, name, counted)
+        scheme = replace(cfg.scheme, n_steps=4)
+        run(built.initial, built.problem, scheme)
+        per_step = 1 if explicit else scheme.n_picard
+        assert calls == dict.fromkeys(calls, scheme.n_steps * per_step)
