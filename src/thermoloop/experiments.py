@@ -13,16 +13,20 @@ from typing import Union
 import numpy as np
 
 from .fem import assemble_mass, assemble_stiffness, disc_rows, interpolate
-from .mesh import Mesh, as_int, build_mesh
+from .mesh import as_int, build_mesh
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
 from .model import ReactionTerm, SwitchingFunction, calibrate_ch
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, run
 
 
 def _require_finite(spec, *names) -> None:
-    """Raise ValueError naming the first of ``names`` with a non-finite entry."""
+    """Raise ValueError naming the first of ``names`` with a bool or non-finite entry."""
     for name in names:
-        if not np.isfinite(getattr(spec, name)).all():
+        value = getattr(spec, name)
+        # np.isfinite takes True for 1.0, and a config file cannot hold it as a number
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+            raise ValueError(f"{name} must be real, not a bool, got {value!r}")
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
 
 
@@ -304,7 +308,7 @@ def make_experiment(exp_id: int, devices: int | None = None,
         T, D, n_steps, layout = 24.0, 0.01, 2400, grid_layout(n, 1.0 / n)
         y0, ystar = ICOND_VARIANT1, ConstantField(0.0)
     elif exp_id == 2:
-        variant = 1 if variant is None else variant
+        variant = 1 if variant is None else as_int(variant, "variant")
         if variant not in (1, 2):
             raise ValueError("campaign 2 has initial-condition variants 1 and 2")
         T, D, n_steps, layout = 4.0, 0.02, 400, grid_layout(8, 0.125)
@@ -357,20 +361,15 @@ def preset(name: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class AssembledExperiment:
-    """The mesh, operators and initial state built from ``config``."""
+    """The mesh, operators and device profiles built from ``config``: what its runs share."""
 
     config: ExperimentConfig
     problem: DiscreteProblem
-    initial: SimState
 
 
 # The config fields a run may change and still reuse another config's assembly:
 # the initial state and the control height, which enters the problem as a scale.
 _REUSABLE_FIELDS = ("y0", "kappa0", "C_g")
-
-
-def _initial_state(config: ExperimentConfig, mesh: Mesh) -> SimState:
-    return SimState(step_index=0, y=interpolate(mesh, config.y0), kappa=config.kappa0)
 
 
 def _first_difference(a, b, names) -> str | None:
@@ -385,7 +384,7 @@ def _first_difference(a, b, names) -> str | None:
 
 
 def assemble(config: ExperimentConfig) -> AssembledExperiment:
-    """Mesh, operators, device profiles and initial state for a config.
+    """Mesh, operators and device profiles for a config.
 
     A device whose disc covers no mesh vertex raises ValueError.
     """
@@ -412,26 +411,24 @@ def assemble(config: ExperimentConfig) -> AssembledExperiment:
         beta=config.beta,
         reaction=config.reaction,
         ystar=interpolate(mesh, config.ystar))
-    return AssembledExperiment(config=config, problem=problem,
-                               initial=_initial_state(config, mesh))
+    return AssembledExperiment(config=config, problem=problem)
 
 
-def _reuse_assembly(assembled: AssembledExperiment,
-                    config: ExperimentConfig) -> AssembledExperiment:
+def _problem_for(assembled: AssembledExperiment, config: ExperimentConfig) -> DiscreteProblem:
+    """The assembled problem of ``assembled``, for a run of ``config``."""
+    problem = assembled.problem
     if config == assembled.config:
-        return assembled
+        return problem
     fixed = [f.name for f in fields(config) if f.name not in _REUSABLE_FIELDS]
     differs = _first_difference(config, assembled.config, fixed)
     if differs is not None:
         raise ValueError(f"cannot reuse the assembly of a config that differs in {differs} "
                          f"(only {', '.join(_REUSABLE_FIELDS)} may differ)")
-    problem = assembled.problem
     if config.C_g != problem.C_g:
         # replace reruns __post_init__, which re-derives P y*, the Jacobi
         # scale and S A S; none of them depends on C_g
         problem = replace(problem, C_g=config.C_g)
-    return AssembledExperiment(config=config, problem=problem,
-                               initial=_initial_state(config, problem.mesh))
+    return problem
 
 
 def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: bool = False,
@@ -446,16 +443,17 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     (``out.snapshots``); a step outside 0..n_steps raises ValueError naming
     it, before the assembly.
 
-    With ``assembled`` the run reuses its mesh and operators instead of
-    assembling anew, and gives the same bits as a run without it.
-    ``config`` may differ from ``assembled.config`` only in ``y0``,
-    ``kappa0`` and ``C_g``: the initial state is built anew, and a
+    Every run builds its own initial state from its own ``config``
+    (``y0`` interpolated on the mesh, ``kappa0``).  With ``assembled`` the
+    run reuses its mesh and operators instead of assembling anew, and gives
+    the same bits as a run without it.  ``config`` may differ from
+    ``assembled.config`` only in ``y0``, ``kappa0`` and ``C_g``: a
     different C_g goes into a copy of the problem.  Any other difference
     raises ValueError naming the first field that differs.
 
     ``timings["assembly_s"]`` is the time before stepping: the whole
     assembly, or with ``assembled`` only the check of the configs and what
-    the reuse builds.
+    the reuse builds, and in both cases the initial state.
     """
     import time as _time
 
@@ -465,10 +463,11 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
             raise ValueError(f"snapshot step {step} lies outside the run's steps 0..{n_steps}")
 
     t0 = _time.perf_counter()
-    built = assemble(config) if assembled is None else _reuse_assembly(assembled, config)
+    P = _problem_for(assemble(config) if assembled is None else assembled, config)
+    initial = SimState(step_index=0, y=interpolate(P.mesh, config.y0), kappa=config.kappa0)
     t_assembly = _time.perf_counter() - t0
 
-    P, n_nodes = built.problem, n_steps + 1
+    n_nodes = n_steps + 1
     reference = P.ystar.values if reference is None else reference
     observers: list = [ErrorRecorder(P.mass, P.stiffness, reference, n_nodes, P.tau)]
     if snapshots.steps:
@@ -476,7 +475,7 @@ def run_experiment(config: ExperimentConfig, snap_steps=(), record_trajectory: b
     if record_trajectory:
         observers.append(TrajectoryRecorder(n_nodes))
 
-    out = run(built.initial, P, config.scheme, observers)
+    out = run(initial, P, config.scheme, observers)
     timings = dict(out.timings)
     timings["assembly_s"] = t_assembly
     return replace(out, timings=timings)

@@ -13,14 +13,14 @@ tau proportional to h^2 should show second-order decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import ConstantField, ExperimentConfig, ExplicitLayout, assemble
+from .experiments import ConstantField, ExperimentConfig, ExplicitLayout, run_experiment
 from .fem import form_norm, interpolate
 from .model import ReactionTerm
-from .stepper import SchemeSpec, run
+from .stepper import SchemeSpec
 
 
 # The study's diffusivity, final time, coarsest step count and CG tolerance.
@@ -49,20 +49,17 @@ class ConvergenceRow:
 
 
 def heat_error(n_div: int, n_steps: int) -> float:
-    """Discrete L2 error against the manufactured solution at time T."""
+    """Discrete L2 error at time T of a run_experiment started from the manufactured solution."""
     # no devices, so the switch and calibration parameters are placeholders
     config = ExperimentConfig(
         T=T, D=D, beta=(), kappa0=(), C_g=0.0, C_switch=1.0, L_w=1.0, H_w=1.0,
         r_sigma=1.0, layout=ExplicitLayout((), 1.0),
-        y0=ConstantField(0.0), ystar=ConstantField(0.0),
+        y0=exact_heat_solution(D, 0.0), ystar=ConstantField(0.0),
         scheme=SchemeSpec(n_div=n_div, n_steps=n_steps, n_picard=1, cg_tol=CG_TOL),
         reaction=ReactionTerm.zero())
-    built = assemble(config)
-    mesh, mass = built.problem.mesh, built.problem.mass
-    initial = replace(built.initial, y=interpolate(mesh, exact_heat_solution(D, 0.0)))
-    out = run(initial, built.problem, config.scheme)
-    exact = interpolate(mesh, exact_heat_solution(D, T))
-    return form_norm(mass, out.final_state.y.values - exact.values)
+    out = run_experiment(config)
+    exact = interpolate(out.problem.mesh, exact_heat_solution(D, T))
+    return form_norm(out.problem.mass, out.final_state.y.values - exact.values)
 
 
 def convergence_study(base_n: int = 10,

@@ -92,8 +92,10 @@ def calibrate_ch(L_w: float, C_switch: float, r_sigma: float) -> float:
 
 
 def _require_finite(**params) -> None:
-    """Raise ValueError naming the first parameter that is not a finite number."""
+    """Raise ValueError naming the first parameter that is a bool or not a finite number."""
     for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be real, not a bool, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 

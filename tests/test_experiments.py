@@ -174,10 +174,13 @@ class TestPresets:
             make_experiment(4)
         with pytest.raises(ValueError):
             make_experiment(1, devices=25)
-        for exp_id, devices in ((1, 16.0), (1, True), (3, 20.0)):
-            with pytest.raises(ValueError, match="^devices must be an integer"):
-                make_experiment(exp_id, devices=devices)
+        for exp_id, name, value in ((1, "devices", 16.0), (1, "devices", True),
+                                    (3, "devices", 20.0), (2, "variant", True),
+                                    (2, "variant", 1.0), (2, "variant", 2.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}"):
+                make_experiment(exp_id, **{name: value})
         assert make_experiment(1, devices=np.int64(16)) == make_experiment(1, devices=16)
+        assert make_experiment(2, variant=np.int64(2)) == make_experiment(2, variant=2)
         with pytest.raises(ValueError):
             preset("exp9")
 
@@ -295,6 +298,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             self.base(**{name: bad})
 
+    @pytest.mark.parametrize("name", ["T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma",
+                                      "beta", "kappa0", "width"])
+    def test_bool_parameter_rejected(self, name):
+        # np.isfinite takes True as 1.0, but config_to_json would write it as true,
+        # which config_from_dict rejects
+        with pytest.raises(ValueError, match=f"^{name} must be real, not a bool, got "):
+            if name == "width":
+                self.base(y0=GaussianBlobs((Blob((0.0, 0.0), True, 1.0),)))
+            else:
+                self.base(**{name: (True,) if name in ("beta", "kappa0") else True})
+
     def test_device_set_construction(self):
         # the paired devices become one row of the device operator P = I M,
         # measuring with the calibrated height C_h and loading with C_g
@@ -333,6 +347,17 @@ class TestAssemblyReuse:
     def test_assembly_records_its_config(self):
         cfg = self.base()
         assert assemble(cfg).config is cfg
+
+    def test_assembly_does_not_evaluate_y0(self):
+        # an assembly holds only what runs share: each run builds its own start
+        def y0(x, y):
+            raise RuntimeError("y0 was evaluated")
+
+        cfg = replace(self.base(), y0=y0)
+        built = assemble(cfg)
+        for assembled in (built, None):
+            with pytest.raises(RuntimeError, match="^y0 was evaluated$"):
+                run_experiment(cfg, assembled=assembled)
 
     @pytest.mark.parametrize("change", [
         dict(y0=FieldSum((ConstantField(0.1), GaussianBlobs((Blob((0.2, 0.1), 0.3, 0.5),))))),

@@ -13,7 +13,8 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, GaussianBlobs, SchemeSpec,
                                     assemble, grid_layout,
                                     make_experiment, run_experiment)
-from thermoloop.fem import NodalField, assemble_mass, assemble_stiffness, form_norm
+from thermoloop.fem import (NodalField, assemble_mass, assemble_stiffness, form_norm,
+                            interpolate)
 from thermoloop.linalg import CgResult, ConvergenceError, cg_solve
 from thermoloop.metrics import ErrorRecorder
 from thermoloop.mesh import build_mesh
@@ -45,13 +46,19 @@ def assert_contracting(state):
         assert np.max(np.abs(corrections[-1])) < np.max(np.abs(corrections[0]))
 
 
+def initial_state(built):
+    """The state a run of ``built.config`` starts from, as run_experiment builds it."""
+    return SimState(step_index=0, y=interpolate(built.problem.mesh, built.config.y0),
+                    kappa=built.config.kappa0)
+
+
 def run_observed(cfg, *observers):
     """stepper.run of the assembled cfg with run_experiment's ErrorRecorder,
     against y*, and then ``observers``."""
     built = assemble(cfg)
     p = built.problem
     recorder = ErrorRecorder(p.mass, p.stiffness, p.ystar.values, cfg.scheme.n_steps + 1, p.tau)
-    return run(built.initial, p, cfg.scheme, [recorder, *observers])
+    return run(initial_state(built), p, cfg.scheme, [recorder, *observers])
 
 
 # small_config's T = 0.5 in 20 steps: the Picard iteration contracts at every
@@ -378,7 +385,7 @@ class TestConservation:
         wM = built.problem.mass.dot(ones)
         # 1^T G_j per device, G_j = C_g * M I_j
         g_masses = built.problem.C_g * built.problem.device_mass.dot(ones)
-        state = built.initial
+        state = initial_state(built)
         for _ in range(scheme.n_steps):
             new = picard_step(state, built.problem, scheme)
             lhs = wM @ new.y.values
@@ -395,7 +402,7 @@ class TestPicardStep:
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=8, n_picard=1))
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = built.initial
+        state = initial_state(built)
         p = built.problem
         _, loads = dense_device_arrays(cfg, built)
         for step in range(scheme.n_steps):
@@ -413,7 +420,7 @@ class TestPicardStep:
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=3))
         built = assemble(cfg)
         for kappa in ([0.0], np.zeros(5), (), np.zeros((4, 1))):
-            state = replace(built.initial, kappa=kappa)
+            state = replace(initial_state(built), kappa=kappa)
             message = rf"^kappa of shape {re.escape(str(state.kappa.shape))} for 4 thermostats$"
             with pytest.raises(ValueError, match=message):
                 picard_step(state, built.problem, cfg.scheme)
@@ -423,7 +430,7 @@ class TestPicardStep:
     def test_diagnostics_populated(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
         built = assemble(cfg)
-        state = picard_step(built.initial, built.problem, cfg.scheme)
+        state = picard_step(initial_state(built), built.problem, cfg.scheme)
         assert_contracting(state)
         d = state.diagnostics
         assert d.cg_iters >= 0 and np.isfinite(d.cg_residual)
@@ -472,7 +479,7 @@ class TestPicardStep:
                                              cg_tol=1e-15, cg_max_iters=1))
         built = assemble(cfg)
         with pytest.raises(ConvergenceError, match="step 1, Picard sweep"):
-            picard_step(built.initial, built.problem, cfg.scheme)
+            picard_step(initial_state(built), built.problem, cfg.scheme)
 
 
     def test_silent_picard_divergence_raises(self):
@@ -490,7 +497,7 @@ class TestPicardStep:
         cfg = replace(cfg, T=0.5, scheme=replace(cfg.scheme, n_div=10, n_steps=n_steps))
         built = assemble(cfg)
         with pytest.raises(ConvergenceError) as info:
-            picard_step(built.initial, built.problem, cfg.scheme)
+            picard_step(initial_state(built), built.problem, cfg.scheme)
         named = re.fullmatch(r"Picard iteration diverged at step 1: the last sweep moved y "
                              r"by (\S+), more than the first sweep's (\S+)", str(info.value))
         assert named, str(info.value)
@@ -535,7 +542,7 @@ class TestVectorizedSweep:
         built = assemble(cfg)
         scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
-        state = built.initial
+        state = initial_state(built)
         ref_y, ref_kappa, ref_history = state.y.values, state.kappa, ()
         for step in range(scheme.n_steps):
             ref_state = SimState(step, NodalField(ref_y), ref_kappa)
@@ -553,15 +560,16 @@ class TestVectorizedSweep:
         assert built.problem.device_mass.n_rows == 0
         scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
-        ref_y, _, _ = reference_picard_step(built.initial, built.problem, scheme, profiles, loads)
-        new = picard_step(built.initial, built.problem, scheme)
+        state = initial_state(built)
+        ref_y, _, _ = reference_picard_step(state, built.problem, scheme, profiles, loads)
+        new = picard_step(state, built.problem, scheme)
         assert new.kappa.shape == (0,)
         assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
 
 
 def stepped_state(built, scheme, n_steps):
     """The state after n_steps picard_steps from the initial state, with its history."""
-    state = built.initial
+    state = initial_state(built)
     for _ in range(n_steps):
         state = picard_step(state, built.problem, scheme)
     return state
@@ -649,7 +657,7 @@ class TestWarmStart:
         totals = {}
         for warm in (False, True):
             iters.clear()
-            state = built.initial
+            state = initial_state(built)
             for _ in range(scheme.n_steps):
                 state = picard_step(state if warm else replace(state, history=()),
                                     built.problem, scheme)
@@ -681,7 +689,7 @@ class TestScanFreeSweep:
             d = state.diagnostics
             return d.cg_iters, d.cg_residual.hex(), d.picard_increment.hex()
 
-        state = reference = built.initial
+        state = reference = initial_state(built)
         for recorder in recorders:
             recorder(state)
         for _ in range(scheme.n_steps):
@@ -808,8 +816,8 @@ class TestSimState:
                              (-1, "^step_index must be >= 0, got -1$"),
                              (np.int64(-3), "^step_index must be >= 0, got -3$")):
             with pytest.raises(ValueError, match=message):
-                replace(built.initial, step_index=bad)
-        state = replace(built.initial, step_index=np.int64(3))
+                replace(initial_state(built), step_index=bad)
+        state = replace(initial_state(built), step_index=np.int64(3))
         assert type(state.step_index) is int and state.step_index == 3
         assert picard_step(state, built.problem, cfg.scheme).step_index == 4
 
@@ -849,8 +857,8 @@ class TestRun:
         cfg = small_config(T=0.5 / CONTRACTING_STEPS, scheme=SchemeSpec(n_div=10, n_steps=1))
         built = assemble(cfg)
         scheme = cfg.scheme
-        via_run = run(built.initial, built.problem, scheme).final_state
-        direct = picard_step(built.initial, built.problem, scheme)
+        via_run = run(initial_state(built), built.problem, scheme).final_state
+        direct = picard_step(initial_state(built), built.problem, scheme)
         assert np.array_equal(via_run.y.values, direct.y.values)
         assert np.array_equal(via_run.kappa, direct.kappa)
 
@@ -881,7 +889,7 @@ class TestRun:
         built = assemble(cfg)
         p, n_nodes = built.problem, CONTRACTING_STEPS + 1
         recorder = ErrorRecorder(p.mass, p.stiffness, p.ystar.values, n_nodes, p.tau)
-        initial = SimState(step_index=k, y=built.initial.y, kappa=built.initial.kappa)
+        initial = replace(initial_state(built), step_index=k)
         out = run(initial, p, cfg.scheme, [recorder])
         expected = np.array([(k + m) * cfg.tau for m in range(n_nodes)])
         assert out.series.times.tobytes() == expected.tobytes()
@@ -920,6 +928,6 @@ class TestMeasurementVariants:
                 return _fn(*args)
             monkeypatch.setattr(stepper_mod, name, counted)
         scheme = replace(cfg.scheme, n_steps=4)
-        run(built.initial, built.problem, scheme)
+        run(initial_state(built), built.problem, scheme)
         per_step = 1 if explicit else scheme.n_picard
         assert calls == dict.fromkeys(calls, scheme.n_steps * per_step)
