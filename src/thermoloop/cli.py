@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,21 +33,10 @@ def write_report_csv(report: StabilityReport, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    scheme = config.scheme
-    if args.cg_tol is not None:
-        scheme = replace(scheme, cg_tol=args.cg_tol)
-    if getattr(args, "explicit_measure", False):
-        scheme = replace(scheme, explicit_measure=True)
-    return config if scheme is config.scheme else replace(config, scheme=scheme)
-
-
 def _cmd_run(args) -> int:
-    config = _apply_overrides(parse_config(args.source), args)
-    # checked before the run, not when the snapshots are written
-    if not 0 < args.vmax - args.vmin < math.inf:
-        raise ValueError(f"need vmin < vmax a finite distance apart for the snapshots, "
-                         f"got {args.vmin} and {args.vmax}")
+    config = parse_config(args.source)
+    if args.explicit_measure:
+        config = replace(config, scheme=replace(config.scheme, explicit_measure=True))
     if args.snap_every is not None and args.snap_every < 1:
         raise ValueError(f"--snap-every must be >= 1, got {args.snap_every}")
     snap_steps = set()   # the first, the last and every S-th step, kept only for --out
@@ -71,8 +59,7 @@ def _cmd_run(args) -> int:
         write_series_csv(series, out_dir / "series.csv")
         (out_dir / "config_echo").write_text(config_to_json(config))
         for step, field in out.snapshots:
-            write_snapshot_image(field, out.problem.mesh, vmin=args.vmin, vmax=args.vmax,
-                                 path=out_dir / f"snap_{step}.pgm")
+            write_snapshot_image(field, out.problem.mesh, path=out_dir / f"snap_{step}.pgm")
         print(f"wrote {out_dir}/series.csv, config_echo and "
               f"{len(out.snapshots)} snapshots")
     return 0
@@ -130,16 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("source", help="preset name or JSON config path")
     p_run.add_argument("--out", help="output directory (series.csv, snapshots, config_echo)")
     p_run.add_argument("--snap-every", type=int, default=None,
-                       help="with --out, also write a field snapshot every S steps")
-    p_run.add_argument("--cg-tol", type=float, default=None,
-                       help="override the linear-solver relative tolerance, a bound on "
-                            "the Jacobi-weighted residual: ||S(b - A y)|| <= tol ||S b||, "
-                            "S = diag(A)^-1/2")
+                       help="with --out, also write a field snapshot every S steps "
+                            "(graymap, black at -1, white at +1)")
     p_run.add_argument("--explicit-measure", action="store_true",
                        help="measure against the previous time level instead of "
                             "the current Picard iterate")
-    p_run.add_argument("--vmin", type=float, default=-1.0, help="snapshot black level")
-    p_run.add_argument("--vmax", type=float, default=1.0, help="snapshot white level")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="numerical verification harnesses")
@@ -164,21 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_level_values(argv: list[str]) -> list[str]:
-    """``--vmin V`` and ``--vmax V`` as ``--vmin=V``: argparse would take a value
-    such as ``-1e308`` or ``-inf``, which is not a plain negative number, for
-    an option and report the level as missing."""
-    joined = []
-    args = iter(argv)
-    for arg in args:
-        value = next(args, None) if arg in ("--vmin", "--vmax") else None
-        joined.append(arg if value is None else f"{arg}={value}")
-    return joined
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _join_level_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse already printed usage

@@ -13,21 +13,10 @@ from typing import Union
 import numpy as np
 
 from .fem import assemble_mass, assemble_stiffness, disc_rows, interpolate
-from .mesh import as_int, build_mesh
+from .mesh import as_int, build_mesh, require_finite
 from .metrics import ErrorRecorder, SnapshotRecorder, TrajectoryRecorder
 from .model import ReactionTerm, SwitchingFunction, calibrate_ch
 from .stepper import DiscreteProblem, RunOutput, SchemeSpec, SimState, run
-
-
-def _require_finite(spec, *names) -> None:
-    """Raise ValueError naming the first of ``names`` with a bool or non-finite entry."""
-    for name in names:
-        value = getattr(spec, name)
-        # np.isfinite takes True for 1.0, and a config file cannot hold it as a number
-        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
-            raise ValueError(f"{name} must be real, not a bool, got {value!r}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
 
 
 # --------------------------------------------------------------------------
@@ -40,7 +29,7 @@ class Blob:
     amplitude: float
 
     def __post_init__(self):
-        _require_finite(self, "center", "width", "amplitude")
+        require_finite(center=self.center, width=self.width, amplitude=self.amplitude)
         if self.width <= 0:
             raise ValueError("blob width must be positive")
 
@@ -50,7 +39,7 @@ class ConstantField:
     value: float
 
     def __post_init__(self):
-        _require_finite(self, "value")
+        require_finite(value=self.value)
 
     def __call__(self, x, y) -> np.ndarray:
         return np.full(np.broadcast(x, y).shape, float(self.value))
@@ -112,7 +101,7 @@ class GridLayout:
         object.__setattr__(self, "n_per_side", as_int(self.n_per_side, "n_per_side"))
         if self.n_per_side < 1:
             raise ValueError("grid needs at least one device per side")
-        _require_finite(self, "radius")
+        require_finite(radius=self.radius)
         if self.radius <= 0:
             raise ValueError("device radius must be positive")
         if self.radius > 1.0 / self.n_per_side + 1e-12:
@@ -165,7 +154,7 @@ class ExplicitLayout:
         for c in self.centers:
             if np.shape(c) != (2,):
                 raise ValueError(f"device center {c!r} is not an (x, y) pair")
-        _require_finite(self, "centers", "radius")
+        require_finite(centers=self.centers, radius=self.radius)
         if self.radius <= 0:
             raise ValueError("device radius must be positive")
 
@@ -221,7 +210,8 @@ class ExperimentConfig:
     reaction: ReactionTerm = field(default_factory=ReactionTerm.cubic_bistable)
 
     def __post_init__(self):
-        _require_finite(self, "T", "D", "C_g", "r_sigma", "beta", "kappa0")
+        require_finite(T=self.T, D=self.D, C_g=self.C_g, r_sigma=self.r_sigma,
+                       beta=self.beta, kappa0=self.kappa0)
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.D <= 0:
@@ -239,6 +229,10 @@ class ExperimentConfig:
             raise ValueError(f"beta has {len(self.beta)} entries but the layout has {J} devices")
         if len(self.kappa0) != J:
             raise ValueError(f"kappa0 has {len(self.kappa0)} entries but the layout has {J} devices")
+        # an array would make == between configs ambiguous and not dump to JSON,
+        # and a list would compare unequal to the tuple its dump re-parses to
+        for name in ("beta", "kappa0"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if any(b <= 0 for b in self.beta):
             raise ValueError("beta entries must be strictly positive "
                              "(thermostat time constants beta_j > 0)")

@@ -22,6 +22,20 @@ def as_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_finite(**params) -> None:
+    """Raise ValueError naming the first parameter with a bool or non-finite entry.
+
+    Each value is a real number or a sequence of them; numpy scalars and
+    arrays are accepted.
+    """
+    for name, value in params.items():
+        # np.isfinite takes True for 1.0, and a config file cannot hold it as a number
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+            raise ValueError(f"{name} must be real, not a bool, got {value!r}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Uniform triangulation of the square (-1,1)^2.

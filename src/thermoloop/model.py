@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import require_finite
+
 
 @dataclass(frozen=True)
 class ReactionTerm:
@@ -63,7 +65,7 @@ class SwitchingFunction:
     H_w: float
 
     def __post_init__(self):
-        _require_finite(L_w=self.L_w, H_w=self.H_w)
+        require_finite(L_w=self.L_w, H_w=self.H_w)
         if self.H_w <= 0:
             raise ValueError(f"H_w must be positive, got {self.H_w}")
 
@@ -81,7 +83,7 @@ def calibrate_ch(L_w: float, C_switch: float, r_sigma: float) -> float:
     Solves C_switch * integral(sigma_h) = 1/|L_w| for a disc profile of
     radius r_sigma, giving C_h = 1 / (pi * |L_w| * C_switch * r_sigma^2).
     """
-    _require_finite(L_w=L_w, C_switch=C_switch, r_sigma=r_sigma)
+    require_finite(L_w=L_w, C_switch=C_switch, r_sigma=r_sigma)
     if L_w == 0:
         raise ValueError("L_w must be nonzero to calibrate the measurement height")
     if C_switch <= 0:
@@ -89,15 +91,6 @@ def calibrate_ch(L_w: float, C_switch: float, r_sigma: float) -> float:
     if r_sigma <= 0:
         raise ValueError(f"r_sigma must be positive, got {r_sigma}")
     return 1.0 / (math.pi * abs(L_w) * C_switch * r_sigma ** 2)
-
-
-def _require_finite(**params) -> None:
-    """Raise ValueError naming the first parameter that is a bool or not a finite number."""
-    for name, value in params.items():
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name} must be real, not a bool, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def thermostat_step(beta: np.ndarray | float, kappa_prev: np.ndarray | float,

@@ -62,6 +62,11 @@ class SchemeSpec:
             object.__setattr__(self, name, value)
         if not 0 < self.cg_tol < 1:   # also rejects nan and inf
             raise ValueError(f"scheme.cg_tol must lie in (0, 1), got {self.cg_tol}")
+        # a truthy "no" would select the explicit variant; a config file holds only true or false
+        if not isinstance(self.explicit_measure, (bool, np.bool_)):
+            raise ValueError(f"scheme.explicit_measure must be true or false, "
+                             f"got {self.explicit_measure!r}")
+        object.__setattr__(self, "explicit_measure", bool(self.explicit_measure))
 
 
 @dataclass(frozen=True)

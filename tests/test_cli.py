@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -97,28 +98,58 @@ def test_bad_snap_every_rejected_before_the_run(tmp_path, tiny_config_path, caps
 
 
 def test_run_config_echo_reproduces_run(tmp_path, tiny_config_path):
-    d1 = tmp_path / "first"
-    assert main(["run", str(tiny_config_path), "--out", str(d1)]) == 0
-    echo = d1 / "config_echo"
-    d2 = tmp_path / "second"
-    assert main(["run", str(echo), "--out", str(d2)]) == 0
-    assert (d1 / "series.csv").read_bytes() == (d2 / "series.csv").read_bytes()
+    # the echo holds every input that shapes the files, --explicit-measure included;
+    # --snap-every only chooses which snapshots are written, so it is passed again
+    series = {}
+    for flags in ([], ["--explicit-measure"]):
+        d1, d2 = (tmp_path / "-".join([name, *flags]) for name in ("first", "second"))
+        assert main(["run", str(tiny_config_path), "--out", str(d1),
+                     "--snap-every", "2", *flags]) == 0
+        assert main(["run", str(d1 / "config_echo"), "--out", str(d2),
+                     "--snap-every", "2"]) == 0
+        written = sorted(p.name for p in d1.iterdir())
+        assert written == ["config_echo", "series.csv", "snap_0.pgm", "snap_2.pgm",
+                           "snap_4.pgm", "snap_6.pgm"]
+        assert sorted(p.name for p in d2.iterdir()) == written
+        for name in written:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), (flags, name)
+        series[bool(flags)] = (d1 / "series.csv").read_bytes()
+    # so the rerun without the flag reproduced the explicit variant from its echo
+    assert series[True] != series[False]
 
 
 def test_run_cg_tol_override_lands_in_echo(tmp_path, tiny_config_path):
-    out_dir = tmp_path / "results"
-    assert main(["run", str(tiny_config_path), "--out", str(out_dir),
-                 "--cg-tol", "1e-12"]) == 0
-    echoed = json.loads((out_dir / "config_echo").read_text())
+    # the solver tolerance is overridden by editing a copy of config_echo
+    d1 = tmp_path / "first"
+    assert main(["run", str(tiny_config_path), "--out", str(d1)]) == 0
+    edited = json.loads((d1 / "config_echo").read_text())
+    edited["scheme"]["cg_tol"] = 1e-12
+    edited_path = tmp_path / "edited.json"
+    edited_path.write_text(json.dumps(edited))
+    d2 = tmp_path / "second"
+    assert main(["run", str(edited_path), "--out", str(d2)]) == 0
+    echoed = json.loads((d2 / "config_echo").read_text())
     assert echoed["scheme"]["cg_tol"] == 1e-12
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "1"])
 def test_run_unusable_cg_tol_fails(tmp_path, tiny_config_path, capsys, tol):
+    d = json.loads(tiny_config_path.read_text())
+    d["scheme"]["cg_tol"] = float(tol)   # written as Infinity, NaN and 1.0
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(d))
     out_dir = tmp_path / "results"
-    assert main(["run", str(tiny_config_path), "--out", str(out_dir), "--cg-tol", tol]) == 1
+    assert main(["run", str(bad_path), "--out", str(out_dir)]) == 1
     assert "scheme.cg_tol" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_run_takes_only_options_the_echo_reproduces(capsys):
+    # every other input that shapes an output file comes from the config
+    with pytest.raises(SystemExit):
+        cli_mod.build_parser().parse_args(["run", "--help"])
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--out", "--snap-every", "--explicit-measure"}
 
 
 def test_run_unknown_preset_fails(capsys):
@@ -209,12 +240,14 @@ def test_explicit_measure_flag_changes_scheme(tmp_path, tiny_config_path):
                                         ("-1", "inf"), ("-1e308", "1e308"), ("-inf", "1")])
 def test_bad_snapshot_levels_rejected_before_the_run(tmp_path, tiny_config_path, capsys,
                                                      monkeypatch, vmin, vmax):
+    # snapshots are written at the fixed levels -1 and +1: a level given on the
+    # command line is refused as an unknown option, before any run or file
     calls = []
     monkeypatch.setattr(cli_mod, "run_experiment", lambda *a, **k: calls.append(a))
     out_dir = tmp_path / "levels"
     # each level given joined by "=" and as a separate argument
     for levels in ([f"--vmin={vmin}", f"--vmax={vmax}"], ["--vmin", vmin, "--vmax", vmax]):
-        assert main(["run", str(tiny_config_path), "--out", str(out_dir)] + levels) == 1
-        assert capsys.readouterr().err.startswith("error: need vmin < vmax")
+        assert main(["run", str(tiny_config_path), "--out", str(out_dir)] + levels) == 2
+        assert "unrecognized arguments: --vmin" in capsys.readouterr().err
         assert calls == []
-        assert not out_dir.exists() or not any(out_dir.iterdir())
+        assert not out_dir.exists()

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from thermoloop.config_io import config_from_dict, config_to_json
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig,
                                     ExplicitLayout, FieldSum, GaussianBlobs,
                                     GridSubsetLayout, SUBSET20_INDICES,
@@ -259,6 +261,30 @@ class TestConfigValidation:
                       *SnapshotRecorder(np.arange(3)).steps):
             assert type(value) is int
         assert spec == SchemeSpec(n_div=4, n_steps=2, cg_max_iters=5)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0.0, None])
+    def test_explicit_measure_must_be_a_bool(self, value):
+        # a truthy "no" would select the explicit variant, and no such value
+        # dumps to a config that re-parses
+        with pytest.raises(ValueError, match=re.escape(
+                f"scheme.explicit_measure must be true or false, got {value!r}")):
+            replace(SchemeSpec(n_div=4, n_steps=2), explicit_measure=value)
+
+    def test_numpy_bool_explicit_measure_stored_as_bool(self):
+        spec = SchemeSpec(n_div=4, n_steps=2, explicit_measure=np.bool_(True))
+        assert spec.explicit_measure is True
+
+    @pytest.mark.parametrize("make", [np.array, list], ids=["ndarray", "list"])
+    def test_beta_and_kappa0_stored_as_float_tuples(self, make):
+        a, b = (self.base(T=0.1, beta=make([1.0]), kappa0=make([np.float32(0.5)]))
+                for _ in range(2))
+        assert a.beta == (1.0,) and a.kappa0 == (0.5,)
+        assert all(type(v) is float for v in a.beta + a.kappa0)
+        # an ndarray would make == between equal configs raise, so a run could not
+        # reuse an assembly, and would not dump; a list would not equal its re-parse
+        assert a == b
+        run_experiment(b, assembled=assemble(a))
+        assert config_from_dict(json.loads(config_to_json(a))) == a
 
     def test_solver_settings_accepted(self):
         spec = SchemeSpec(n_div=4, n_steps=2, cg_tol=1e-12, cg_max_iters=1)
