@@ -12,7 +12,10 @@ from .experiments import (ExperimentConfig, PROBE_DIRECTION, list_presets,
                           preset, run_experiment)
 from .linalg import ConvergenceError
 from .mms import convergence_study
-from .stability import StabilityReport, probe_control_stability, probe_data_stability
+from .stability import probe_control_stability, probe_data_stability
+
+# The perturbation sizes of `verify stability`: three, spanning two decades.
+VERIFY_DELTAS = (1e-1, 1e-2, 1e-3)
 
 
 def parse_config(source: str) -> ExperimentConfig:
@@ -24,13 +27,6 @@ def parse_config(source: str) -> ExperimentConfig:
         return load_config(path)
     raise ConfigError(f"{source!r} is neither a preset ({', '.join(list_presets())}) "
                       f"nor an existing config file")
-
-
-def write_report_csv(report: StabilityReport, path) -> None:
-    lines = ["delta,response,ratio"]
-    for d, r, q in zip(report.deltas, report.responses, report.ratios):
-        lines.append(f"{d:.12e},{r:.12e},{q:.12e}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _cmd_run(args) -> int:
@@ -67,11 +63,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_stability(args) -> int:
     config = parse_config(args.source)
-    deltas = [float(v) for v in args.deltas.split(",")]
     if args.control:
-        report = probe_control_stability(config, deltas)
+        report = probe_control_stability(config, VERIFY_DELTAS)
     else:
-        report = probe_data_stability(config, PROBE_DIRECTION, deltas)
+        report = probe_data_stability(config, PROBE_DIRECTION, VERIFY_DELTAS)
     print(f"stability probe ({report.kind}) on {args.source}:")
     print(f"{'delta':>12}  {'response':>14}  {'response/delta':>14}  "
           f"{'sup L2':>11}  {'grad L2':>11}  {'sup kappa':>11}")
@@ -84,13 +79,15 @@ def _cmd_verify_stability(args) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_report_csv(report, out_dir / "report.csv")
+        rows = [f"{d:.12e},{r:.12e},{q:.12e}"
+                for d, r, q in zip(report.deltas, report.responses, report.ratios)]
+        (out_dir / "report.csv").write_text("\n".join(["delta,response,ratio", *rows]) + "\n")
         print(f"wrote {out_dir}/report.csv")
     return 0 if report.spread < 3 else 1
 
 
-def _cmd_verify_convergence(args) -> int:
-    rows, orders = convergence_study(base_n=args.base_n, levels=args.levels)
+def _cmd_verify_convergence(_args) -> int:
+    rows, orders = convergence_study()
     print(f"{'n_div':>6}  {'h':>10}  {'steps':>7}  {'L2 error':>12}  {'order':>6}")
     for i, row in enumerate(rows):
         order = f"{orders[i - 1]:6.3f}" if i else "     -"
@@ -129,16 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stab = verify_sub.add_parser("stability", help="perturbation-response probe")
     p_stab.add_argument("source", help="preset name or JSON config path")
-    p_stab.add_argument("--deltas", default="1e-1,1e-2,1e-3",
-                        help="comma-separated perturbation sizes, decreasing")
     p_stab.add_argument("--control", action="store_true",
                         help="perturb the control height instead of the initial state")
     p_stab.add_argument("--out", help="directory for report.csv")
     p_stab.set_defaults(func=_cmd_verify_stability)
 
     p_conv = verify_sub.add_parser("convergence", help="manufactured-solution order check")
-    p_conv.add_argument("--base-n", type=int, default=10, help="coarsest mesh divisions")
-    p_conv.add_argument("--levels", type=int, default=3, help="number of refinements")
     p_conv.set_defaults(func=_cmd_verify_convergence)
 
     p_list = sub.add_parser("list-presets", help="name the built-in experiment presets")

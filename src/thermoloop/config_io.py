@@ -15,6 +15,8 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import (ConstantField, ExperimentConfig, ExplicitLayout, FieldSum,
                           GaussianBlobs, GridLayout, GridSubsetLayout, LayoutSpec)
 
@@ -43,6 +45,8 @@ def _dump(value):
         return out
     if isinstance(value, tuple):
         return [_dump(v) for v in value]
+    if isinstance(value, np.generic):   # a numpy scalar is written as its Python number
+        return value.item()
     return value
 
 

@@ -157,6 +157,8 @@ class ExplicitLayout:
         require_finite(centers=self.centers, radius=self.radius)
         if self.radius <= 0:
             raise ValueError("device radius must be positive")
+        # stored as ExperimentConfig stores beta and kappa0, for == and the dump
+        object.__setattr__(self, "centers", tuple((float(x), float(y)) for x, y in self.centers))
 
 
 LayoutSpec = Union[GridLayout, GridSubsetLayout, ExplicitLayout]

@@ -171,30 +171,46 @@ def test_console_main_exits_with_the_status_of_main(monkeypatch, capsys, argv, c
 
 
 def test_verify_convergence_passes(capsys):
-    assert main(["verify", "convergence", "--base-n", "8", "--levels", "2"]) == 0
+    assert main(["verify", "convergence"]) == 0
     out = capsys.readouterr().out
     assert "order" in out
 
 
-@pytest.mark.parametrize("levels", ["1", "0"])
-def test_verify_convergence_needs_two_levels(levels, capsys):
-    # one mesh measures no order; this must not pass as "orders [] meet the target"
-    assert main(["verify", "convergence", "--base-n", "8", "--levels", levels]) == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "levels" in captured.err
-    assert "meet" not in captured.out
+@pytest.mark.parametrize("check, options", [
+    ("stability", {"--help", "--control", "--out"}),
+    ("convergence", {"--help"}),
+])
+def test_verify_takes_no_setting_of_its_check(check, options, capsys):
+    # each check runs at its one documented setting: deltas 1e-1, 1e-2, 1e-3,
+    # and meshes N = 10, 20, 40
+    with pytest.raises(SystemExit):
+        cli_mod.build_parser().parse_args(["verify", check, "--help"])
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == options
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "stability", "exp2-ic1", "--deltas", "1e-1,1e-2,1e-3"],
+    ["verify", "stability", "exp2-ic1", "--control", "--deltas=1,0.1,0.01"],
+    ["verify", "convergence", "--base-n", "8"],
+    ["verify", "convergence", "--levels", "2"],
+    ["verify", "convergence", "--levels=1"],
+])
+def test_removed_verify_setting_rejected_before_any_run(argv, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+    for name in ("probe_data_stability", "probe_control_stability", "convergence_study"):
+        monkeypatch.setattr(cli_mod, name, no_run)
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_stability_writes_report(tmp_path, tiny_config_path, capsys):
     out_dir = tmp_path / "verify"
-    code = main(["verify", "stability", str(tiny_config_path),
-                 "--deltas", "1e-1,1e-2,1e-3", "--out", str(out_dir)])
+    code = main(["verify", "stability", str(tiny_config_path), "--out", str(out_dir)])
     assert code == 0
     report = (out_dir / "report.csv").read_text().strip().split("\n")
     assert report[0] == "delta,response,ratio"
-    assert len(report) == 4
-    deltas = [float(r.split(",")[0]) for r in report[1:]]
-    assert deltas == sorted(deltas, reverse=True)
+    assert [float(r.split(",")[0]) for r in report[1:]] == [1e-1, 1e-2, 1e-3]
 
 
 def test_verify_stability_without_response_is_inconclusive(tiny_config_path, capsys,
@@ -209,7 +225,7 @@ def test_verify_stability_without_response_is_inconclusive(tiny_config_path, cap
 def test_verify_stability_control_mode(tmp_path, tiny_config_path):
     out_dir = tmp_path / "verify-ctrl"
     code = main(["verify", "stability", str(tiny_config_path), "--control",
-                 "--deltas", "1e-1,1e-2,1e-3", "--out", str(out_dir)])
+                 "--out", str(out_dir)])
     assert code == 0
     assert (out_dir / "report.csv").exists()
 

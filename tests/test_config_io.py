@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from thermoloop.cli import main
@@ -11,7 +12,8 @@ from thermoloop.config_io import (KINDS, ConfigError, config_from_dict, config_t
                                   config_to_json, dump_config, load_config)
 from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, ExplicitLayout,
                                     FieldSum, GaussianBlobs, GridSubsetLayout, SchemeSpec,
-                                    list_presets, make_experiment, preset)
+                                    assemble, list_presets, make_experiment, preset,
+                                    run_experiment)
 from thermoloop.model import ReactionTerm
 
 # sha256 of config_to_json(preset(name)): the file format, frozen byte for byte
@@ -272,3 +274,28 @@ def test_integral_float_count_accepted():
     d = config_to_dict(make_experiment(2))
     d["scheme"]["n_div"] = 100.0
     assert config_from_dict(d) == make_experiment(2)
+
+
+SMALL = replace(make_experiment(2), scheme=SchemeSpec(n_div=16, n_steps=400))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: replace(SMALL, T=np.float32(4.0)),
+    lambda: _with_layout(SMALL, ExplicitLayout(np.array([[0.0, 0.5], [-0.25, 0.0]]), 0.125)),
+    lambda: _with_layout(SMALL, ExplicitLayout(((np.float32(0.1), 0.5),), 0.125)),
+], ids=["float32-T", "ndarray-centers", "float32-center"])
+def test_config_holding_numpy_numbers_dumps_and_reuses_its_assembly(make):
+    a, b = make(), make()
+    # an ndarray made == raise, and a numpy scalar made the dump raise TypeError
+    assert a == b
+    again = config_from_dict(json.loads(config_to_json(a)))
+    assert again == a
+    assert config_to_json(again) == config_to_json(a)
+    for config in (b, again):
+        run_experiment(config, assembled=assemble(a))
+
+
+def test_explicit_centers_stored_as_float_pairs():
+    layout = ExplicitLayout(np.array([[0.0, 0.5], [-0.25, 0.0]]), 0.125)
+    assert layout.centers == ((0.0, 0.5), (-0.25, 0.0))
+    assert all(type(v) is float for c in layout.centers for v in c)

@@ -56,6 +56,13 @@ def test_observed_order_at_least_1_8():
     assert all(o >= 1.8 for o in orders)
 
 
+@pytest.mark.parametrize("levels", [1, 0])
+def test_convergence_study_needs_two_levels(levels):
+    # one mesh measures no order; this must not pass as "orders [] meet the target"
+    with pytest.raises(ValueError, match="levels must be >= 2"):
+        convergence_study(base_n=8, levels=levels)
+
+
 @pytest.mark.parametrize("n_div, n_steps", [(8, 4), (20, 16)])
 def test_heat_error_equals_hand_assembly_bitwise(n_div, n_steps):
     error = heat_error(n_div, n_steps)
