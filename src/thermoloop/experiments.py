@@ -32,6 +32,11 @@ class Blob:
         require_finite(center=self.center, width=self.width, amplitude=self.amplitude)
         if self.width <= 0:
             raise ValueError("blob width must be positive")
+        # floats, as ExperimentConfig stores its parameters: a float32 width
+        # interpolated 1.2e-8 off its equal float twin
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "amplitude", float(self.amplitude))
 
 
 @dataclass(frozen=True)
@@ -40,9 +45,10 @@ class ConstantField:
 
     def __post_init__(self):
         require_finite(value=self.value)
+        object.__setattr__(self, "value", float(self.value))
 
     def __call__(self, x, y) -> np.ndarray:
-        return np.full(np.broadcast(x, y).shape, float(self.value))
+        return np.full(np.broadcast(x, y).shape, self.value)
 
     def scaled(self, factor: float) -> ConstantField:
         return ConstantField(self.value * factor)
@@ -108,6 +114,7 @@ class GridLayout:
             raise ValueError(
                 f"radius {self.radius} makes grid discs overlap "
                 f"(limit 1/{self.n_per_side})")
+        object.__setattr__(self, "radius", float(self.radius))
 
     @property
     def centers(self) -> np.ndarray:
@@ -129,6 +136,7 @@ class GridSubsetLayout:
     def __post_init__(self):
         grid = GridLayout(self.n_per_side, self.radius)  # reuse grid validation
         object.__setattr__(self, "n_per_side", grid.n_per_side)
+        object.__setattr__(self, "radius", grid.radius)
         object.__setattr__(self, "kept_indices",
                            tuple(as_int(i, "kept_indices") for i in self.kept_indices))
         n2 = self.n_per_side ** 2
@@ -159,6 +167,7 @@ class ExplicitLayout:
             raise ValueError("device radius must be positive")
         # stored as ExperimentConfig stores beta and kappa0, for == and the dump
         object.__setattr__(self, "centers", tuple((float(x), float(y)) for x, y in self.centers))
+        object.__setattr__(self, "radius", float(self.radius))
 
 
 LayoutSpec = Union[GridLayout, GridSubsetLayout, ExplicitLayout]
@@ -166,7 +175,7 @@ LayoutSpec = Union[GridLayout, GridSubsetLayout, ExplicitLayout]
 
 def grid_layout(n_per_side: int, radius: float) -> GridLayout:
     """Uniform n x n layout with centers at odd multiples of 1/n from the edges."""
-    return GridLayout(n_per_side=n_per_side, radius=float(radius))
+    return GridLayout(n_per_side=n_per_side, radius=radius)
 
 
 # The 20-device subset of the 8 x 8 grid: an L-shaped triple in each corner,
@@ -232,9 +241,13 @@ class ExperimentConfig:
         if len(self.kappa0) != J:
             raise ValueError(f"kappa0 has {len(self.kappa0)} entries but the layout has {J} devices")
         # an array would make == between configs ambiguous and not dump to JSON,
-        # and a list would compare unequal to the tuple its dump re-parses to
+        # and a list would compare unequal to the tuple its dump re-parses to; a
+        # numpy scalar would compute in its own precision (a float32 T, a float32
+        # tau) while comparing equal to the float its dump re-parses to
         for name in ("beta", "kappa0"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        for name in ("T", "D", "C_g", "C_switch", "L_w", "H_w", "r_sigma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if any(b <= 0 for b in self.beta):
             raise ValueError("beta entries must be strictly positive "
                              "(thermostat time constants beta_j > 0)")

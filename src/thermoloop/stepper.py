@@ -5,32 +5,29 @@ sweeps.  Within a sweep the measurement and thermostat update use the newest
 field iterate (implicit coupling) while the reaction term is lagged one
 iterate, so the linear system keeps the constant SPD matrix M + tau*D*K,
 solved by conjugate gradients on its Jacobi-scaled form.  Each solve starts from
-the previous iterate plus the correction its sweep made at the last steps,
-extrapolated in time.
+the previous iterate plus the combination of the corrections its sweep made at
+the last steps that leaves the smallest residual (a minimal-residual fit).
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fem import NodalField
-from .linalg import CsrMatrix, ConvergenceError, cg_solve
+from .linalg import CsrMatrix, ConvergenceError, cg_solve, row_dots
 from .mesh import Mesh, as_int
 from .metrics import ErrorRecorder, ErrorSeries, SnapshotRecorder, TrajectoryRecorder
 from .model import (ReactionTerm, SwitchingFunction, eval_reaction, eval_switch,
                     thermostat_step)
 
-# Order of the extrapolation in time of each sweep's correction
-# (the warm start of its solve), and the binomial weights of the last d
-# corrections, newest first, for each history length d <= the order:
-# (), (1,), (2, -1), (3, -3, 1).
-WARM_START_ORDER = 3
-_EXTRAPOLATION_WEIGHTS = tuple(tuple((-1.0) ** k * math.comb(d, k + 1) for k in range(d))
-                               for d in range(WARM_START_ORDER + 1))
+# How many of its sweep's last corrections, one per step, the warm start of
+# each solve combines
+WARM_START_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,7 @@ class SchemeSpec:
             object.__setattr__(self, name, value)
         if not 0 < self.cg_tol < 1:   # also rejects nan and inf
             raise ValueError(f"scheme.cg_tol must lie in (0, 1), got {self.cg_tol}")
+        object.__setattr__(self, "cg_tol", float(self.cg_tol))   # not a numpy scalar
         # a truthy "no" would select the explicit variant; a config file holds only true or false
         if not isinstance(self.explicit_measure, (bool, np.bool_)):
             raise ValueError(f"scheme.explicit_measure must be true or false, "
@@ -76,25 +74,66 @@ class StepDiagnostics:
     picard_increment: float  # max-abs change of y over the last Picard sweep
 
 
+class _WarmStartScratch:
+    """The vectors the warm starts of one run fit, written in place from step
+    to step (every state of the run shares them, none is copied).  For each
+    sweep p and each of the last WARM_START_DEPTH steps, ring slot
+    ``slots[p, j]`` holds the correction c = y_p - y_{p-1} the sweep made, in
+    its first n values, and the image S A S (c / s) of that correction to the
+    scaled unknown x = y / s, in its last n.  ``gram[p]`` holds the inner
+    products of sweep p's images; ``steps`` counts the steps written."""
+
+    def __init__(self, n_picard: int, n: int):
+        self.slots = np.zeros((n_picard, WARM_START_DEPTH, 2 * n))
+        self.gram = np.zeros((n_picard, WARM_START_DEPTH, WARM_START_DEPTH))
+        self.steps = 0
+
+
+@dataclass(frozen=True, eq=False)
+class WarmStartHistory(Sequence):
+    """A stepped state's warm-start history: as a sequence, the read-only
+    (n_picard, n) Picard corrections y_p - y_{p-1} of its last
+    min(steps, WARM_START_DEPTH) steps, newest first, as views of the run's
+    ``scratch``.  ``image`` is S A S x of the solve that gave the state's y,
+    x = y / s, which estimates the start residual of the next step's first
+    solve.  The history is current while the scratch has written ``steps``
+    steps; once a step is made from the state, the scratch moves on and the
+    views show later corrections."""
+
+    scratch: _WarmStartScratch = field(repr=False)
+    steps: int
+    image: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return min(self.steps, WARM_START_DEPTH)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        slot = (self.steps - 1 - range(len(self))[k]) % WARM_START_DEPTH
+        n = self.scratch.slots.shape[2] // 2
+        view = self.scratch.slots[:, slot, :n]
+        view.setflags(write=False)
+        return view
+
+
 @dataclass(frozen=True, eq=False)
 class SimState:
     """The unknowns (y, kappa) at one time node, ``step_index`` (an integer
     >= 0, else ValueError) steps from the start: at time step_index * tau,
     which ``ErrorRecorder`` records.  States compare by identity.
 
-    ``history`` holds the read-only (n_picard, n) Picard corrections
-    y_p - y_{p-1} of up to the last WARM_START_ORDER steps, newest first;
-    picard_step extrapolates them into the warm starts of its solves.  It is
-    solver state, not part of the solution: a state without history (every
-    initial state) steps exactly as a solve warm-started from the previous
-    iterate.
+    ``history`` is the solver state the warm starts of picard_step's solves
+    fit (a ``WarmStartHistory``, which picard_step makes), not part of the
+    solution.  A state without one (``()``, every initial state) steps
+    exactly as a solve started from the previous iterate, and so does a state
+    whose history is stale (a step was already made from it) or was made for
+    another number of sweeps or vertices.
     """
 
     step_index: int
     y: NodalField
     kappa: np.ndarray
     diagnostics: StepDiagnostics | None = None
-    history: tuple = field(default=(), repr=False)
+    history: Sequence = field(default=(), repr=False)
 
     def __post_init__(self):
         step_index = as_int(self.step_index, "step_index")
@@ -197,14 +236,22 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     step keeps the first sweep's thermostat update, made from y_m, in every
     later sweep.
 
-    The solve of sweep p starts from the order-d extrapolation of the
-    correction c_p = y_p - y_{p-1} that sweep p will make, in time from the
-    corrections it made at the last d <= WARM_START_ORDER steps
-    (``state.history``): x0 = y_{p-1} + 3 c_p^(m) - 3 c_p^(m-1) + c_p^(m-2)
-    for d = 3, with the lower-order binomial weights for d = 1, 2, and
-    x0 = y_{p-1} for d = 0.  History arrays that are not (n_picard, n) count
-    as d = 0, and a non-finite guess falls back to y_{p-1}.  The new state
-    carries this step's corrections in front of the history.
+    The solve of sweep p starts from the minimal-residual fit of the
+    corrections c = y_p - y_{p-1} that sweep made at the last
+    k <= WARM_START_DEPTH steps (``state.history``): with the scaled
+    corrections d_i = c_i / s and their images S A S d_i as the rows of D
+    and F, it starts from x0 = y_{p-1} / s + D^T g, where g solves
+    (F F^T) g = F e and e = S b - S A S (y_{p-1} / s) is the cold start's
+    residual, so ||e - F^T g||_2, the start residual, is least.  The images
+    and e come from consecutive solves, as (S b - r) - (S b' - r') and
+    S b - (S b' - r') for the final residual r' of the solve that gave
+    y_{p-1} (the previous step's last solve for p = 0), so the fit adds no
+    product with A but one at a cold start, for its first solve.  cg_solve
+    recomputes the start residual exactly, so the fit only
+    changes the iteration count, never the tolerance met.  A state without a
+    current history of this shape starts every solve from y_{p-1} / s, and
+    a singular or non-finite fit falls back to that cold start.  The new
+    state carries the run's history, written in place.
 
     A kappa that is not the (J,) vector of one signal per thermostat raises
     ValueError before the first sweep.  A Picard iteration that diverges
@@ -230,59 +277,72 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     if kappa_m.shape != problem.beta.shape:
         raise ValueError(f"kappa of shape {kappa_m.shape} for {len(problem.beta)} thermostats")
 
-    corrections = np.empty((scheme.n_picard, len(y_m)))
+    n = len(y_m)
     history = state.history
-    if any(np.shape(h) != corrections.shape for h in history):
-        history = ()
-    history = history[:WARM_START_ORDER]
-    # the weighted corrections w * c^(m-k) of all sweeps, formed once per step
-    weighted = [h if w == 1.0 else w * h
-                for w, h in zip(_EXTRAPOLATION_WEIGHTS[len(history)], history)]
+    if (isinstance(history, WarmStartHistory) and history.steps == history.scratch.steps
+            and history.scratch.slots.shape[::2] == (scheme.n_picard, 2 * n)):
+        scratch, image = history.scratch, history.image
+    else:   # no history, a stale one or one of another shape: every solve starts cold
+        scratch, image = _WarmStartScratch(scheme.n_picard, n), None
+    kept = min(scratch.steps, WARM_START_DEPTH)   # the corrections each solve fits
+    slot = scratch.steps % WARM_START_DEPTH       # the ring slot this step writes
+    scratch.steps += 1                            # the history stepped from is stale now
+    written = min(scratch.steps, WARM_START_DEPTH)
+    corrections = scratch.slots[:, slot, :n]
 
     y_prev = y_m
     sol = None
-    for p in range(scheme.n_picard):
-        if p == 0 or not scheme.explicit_measure:   # y_prev is y_m in the first sweep
-            m_vals = problem.C_h * (problem.device_mass.dot(y_prev) - problem.device_mass_ystar)
-            # every assembled alpha is I, so each demand is one exact term, whatever
-            # order a threaded BLAS sums in
-            demands = problem.alpha @ eval_switch(problem.switch, m_vals)
-            kappa_new = thermostat_step(problem.beta, kappa_m, demands, tau)
-        # a non-finite reaction gives a non-finite right-hand side (tau > 0,
-        # diag(M) > 0 and s > 0), which cg_solve rejects before its first iteration
-        with np.errstate(over="ignore"):
+    # a non-finite reaction gives a non-finite right-hand side (tau > 0, diag(M) > 0
+    # and s > 0), which cg_solve rejects before its first iteration, and a fit that
+    # is not finite falls back to a cold start
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(scheme.n_picard):
+            if p == 0 or not scheme.explicit_measure:   # y_prev is y_m in the first sweep
+                m_vals = problem.C_h * (problem.device_mass.dot(y_prev)
+                                        - problem.device_mass_ystar)
+                # every assembled alpha is I, so each demand is one exact term, whatever
+                # order a threaded BLAS sums in
+                demands = problem.alpha @ eval_switch(problem.switch, m_vals)
+                kappa_new = thermostat_step(problem.beta, kappa_m, demands, tau)
             reaction = eval_reaction(problem.reaction, y_prev)
             rhs = M.dot(y_m + tau * reaction)
             rhs += tau * problem.C_g * problem.device_mass.tdot(kappa_new)
             rhs *= s   # S b, the right-hand side of the scaled system
-        x0 = y_prev.copy()   # the order-d extrapolation, d = len(history)
-        for wh in weighted:
-            x0 += wh[p]
-        if np.isfinite(x0).all():
-            x0 /= s
-        else:
-            x0 = y_prev / s
-        try:
-            sol = cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,
-                           max_iters=scheme.cg_max_iters, x0=x0)
-        except ConvergenceError as err:
-            if err.iters == 0 and not np.isfinite(err.residual):
-                if not np.isfinite(reaction).all():
-                    cause = "the lagged reaction term is non-finite"
-                else:
-                    cause = f"the linear solve rejected its right-hand side: {err}"
-                raise _divergence(state, p, corrections, cause) from err
-            raise ConvergenceError(
-                f"linear solve failed at step {state.step_index + 1}, "
-                f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
-        y_new = np.multiply(sol.x, s, out=sol.x)   # y = S x, in cg_solve's own array
-        if not np.isfinite(y_new).all():
-            raise RuntimeError(
-                f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
-                f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
-                f"{kappa_new.max() if len(kappa_new) else 0}]")
-        np.subtract(y_new, y_prev, out=corrections[p])
-        y_prev = y_new
+            x0 = _fitted_start(scratch.gram[p, :kept, :kept], scratch.slots[p, :kept],
+                               rhs - image, y_prev, s) if kept else None
+            if x0 is None:
+                x0 = y_prev / s
+            if image is None:   # a cold start's first solve: no solve before it
+                image = problem.scaled_step_matrix.dot(x0)
+            try:
+                sol = cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,
+                               max_iters=scheme.cg_max_iters, x0=x0)
+            except ConvergenceError as err:
+                if err.iters == 0 and not np.isfinite(err.residual):
+                    if not np.isfinite(reaction).all():
+                        cause = "the lagged reaction term is non-finite"
+                    else:
+                        cause = f"the linear solve rejected its right-hand side: {err}"
+                    raise _divergence(state, p, corrections, cause) from err
+                raise ConvergenceError(
+                    f"linear solve failed at step {state.step_index + 1}, "
+                    f"Picard sweep {p + 1}: {err}", err.iters, err.residual) from err
+            y_new = np.multiply(sol.x, s, out=sol.x)   # y = S x, in cg_solve's own array
+            if not np.isfinite(y_new).all():
+                raise RuntimeError(
+                    f"non-finite iterate at step {state.step_index + 1}, Picard sweep {p + 1}; "
+                    f"kappa range [{kappa_new.min() if len(kappa_new) else 0}, "
+                    f"{kappa_new.max() if len(kappa_new) else 0}]")
+            np.subtract(y_new, y_prev, out=corrections[p])
+            y_prev = y_new
+            # the image S A S x = S b - r of the solution, and of the correction
+            new_image = np.subtract(rhs, sol.r, out=sol.r)
+            images = scratch.slots[p, :written, n:]
+            np.subtract(new_image, image, out=images[slot])
+            products = row_dots(images, images[slot])
+            scratch.gram[p, slot, :written] = products
+            scratch.gram[p, :written, slot] = products
+            image = new_image
 
     increment, first = _max_abs(corrections[-1]), _max_abs(corrections[0])
     if increment > first and increment > math.sqrt(scheme.cg_tol) * _max_abs(y_prev):
@@ -290,14 +350,34 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             f"Picard iteration diverged at step {state.step_index + 1}: the last sweep "
             f"moved y by {increment:.3e}, more than the first sweep's {first:.3e}",
             scheme.n_picard, increment)
-    corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
                             picard_increment=increment)
     return SimState(step_index=state.step_index + 1,
                     y=NodalField(y_prev),   # checked finite after its solve
                     kappa=kappa_new,
                     diagnostics=diags,
-                    history=((corrections,) + history)[:WARM_START_ORDER])
+                    history=WarmStartHistory(scratch, scratch.steps, image))
+
+
+def _fitted_start(gram: np.ndarray, fits: np.ndarray, residual: np.ndarray,
+                  y_prev: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """The scaled start x0 = (y_prev + C^T g) / s of a solve whose cold start
+    y_prev / s leaves the residual ``residual``, for the k corrections C in
+    the first n columns of the (k, 2n) ``fits`` and their images F in the
+    last n: g solves the k x k system ``gram`` g = F residual (gram = F F^T),
+    so x0's residual is the one of least 2-norm over the span of the
+    corrections.  ``np.linalg.solve`` solves the system by LU with partial
+    pivoting, backward stable where ``gram`` is ill conditioned (an explicit
+    inverse is not).  None where ``gram`` is singular or x0 is not finite."""
+    n = len(y_prev)
+    try:
+        g = np.linalg.solve(gram, row_dots(fits[:, n:], residual))
+    except np.linalg.LinAlgError:   # zero or repeated corrections
+        return None
+    x0 = g @ fits[:, :n]   # each entry a sum of k terms, bitwise for any BLAS threads
+    x0 += y_prev
+    x0 /= s
+    return x0 if np.isfinite(x0).all() else None
 
 
 def _divergence(state: SimState, p: int, corrections: np.ndarray, cause: str) -> ConvergenceError:

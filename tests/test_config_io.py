@@ -14,6 +14,8 @@ from thermoloop.experiments import (Blob, ConstantField, ExperimentConfig, Expli
                                     FieldSum, GaussianBlobs, GridSubsetLayout, SchemeSpec,
                                     assemble, list_presets, make_experiment, preset,
                                     run_experiment)
+from thermoloop.fem import interpolate
+from thermoloop.mesh import build_mesh
 from thermoloop.model import ReactionTerm
 
 # sha256 of config_to_json(preset(name)): the file format, frozen byte for byte
@@ -293,6 +295,50 @@ def test_config_holding_numpy_numbers_dumps_and_reuses_its_assembly(make):
     assert config_to_json(again) == config_to_json(a)
     for config in (b, again):
         run_experiment(config, assembled=assemble(a))
+
+
+def test_config_holding_a_float32_T_runs_the_bits_of_its_reparse():
+    # a float32 T made a float32 tau: reusing its assembly ended 1.1e-10 from a
+    # fresh run of the equal re-parsed config
+    a = replace(SMALL, T=np.float32(4.0))
+    b = config_from_dict(json.loads(config_to_json(a)))
+    assert a == b and type(a.T) is float
+    assert type(a.tau) is float and a.tau.hex() == b.tau.hex()
+    fresh = run_experiment(b).final_state
+    reused = run_experiment(b, assembled=assemble(a)).final_state
+    assert reused.y.values.tobytes() == fresh.y.values.tobytes()
+    assert reused.kappa.tobytes() == fresh.kappa.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["grid", "grid-subset", "explicit"])
+def test_real_parameters_stored_as_floats(layout):
+    cfg = make_experiment(2)
+    radius = np.float32(cfg.layout.radius)   # 0.125, exact in float32
+    layouts = {"grid": replace(cfg.layout, radius=radius),
+               "grid-subset": GridSubsetLayout(cfg.layout.n_per_side, radius, (0, 9)),
+               "explicit": ExplicitLayout(((0.0, 0.5),), radius)}
+    names = ("T", "D", "C_g", "C_switch", "L_w", "H_w")
+    built = _with_layout(replace(cfg, **{name: np.float32(getattr(cfg, name)) for name in names},
+                                 r_sigma=radius), layouts[layout])
+    built = replace(built, scheme=replace(built.scheme, cg_tol=np.float32(1e-10)))
+    for value in [getattr(built, name) for name in names + ("r_sigma",)] + [
+            built.layout.radius, built.scheme.cg_tol]:
+        assert type(value) is float
+
+
+def test_field_parameters_stored_as_floats():
+    # a float32 blob equal to its float twin interpolated 1.2e-8 off it
+    blobs = [(tuple(np.float32(c) for c in b.center), np.float32(b.width),
+              np.float32(b.amplitude)) for b in make_experiment(2).y0.blobs]
+    single = GaussianBlobs(tuple(Blob(*b) for b in blobs))
+    twin = GaussianBlobs(tuple(Blob(tuple(map(float, c)), float(w), float(a))
+                               for c, w, a in blobs))
+    assert single == twin
+    assert all(type(v) is float for b in single.blobs
+               for v in b.center + (b.width, b.amplitude))
+    mesh = build_mesh(16)
+    assert interpolate(mesh, single).values.tobytes() == interpolate(mesh, twin).values.tobytes()
+    assert type(ConstantField(np.float32(0.5)).value) is float
 
 
 def test_explicit_centers_stored_as_float_pairs():

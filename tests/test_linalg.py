@@ -70,22 +70,22 @@ def test_spmv_dimension_mismatch():
 def test_cg_identity_single_iteration():
     I5 = identity(5)
     b = np.array([3.0, -1.0, 0.5, 2.0, 7.0])
-    x, iters, res = cg_solve(I5, b, **start(I5))
+    x, iters, res, _ = cg_solve(I5, b, **start(I5))
     assert iters <= 1
     assert np.allclose(x, b, atol=1e-14)
 
 
 def test_cg_2x2_hand_solution():
     A = dense_2x2(4, 1, 1, 3)
-    x, _, _ = cg_solve(A, np.array([1.0, 2.0]), **start(A))
+    x = cg_solve(A, np.array([1.0, 2.0]), **start(A)).x
     assert np.allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-12)
 
 
 def test_cg_zero_rhs_returns_zero():
     A = dense_2x2(4, 1, 1, 3)
-    x, iters, res = cg_solve(A, np.zeros(2), **start(A))
+    x, iters, res, r = cg_solve(A, np.zeros(2), **start(A))
     assert iters == 0 and res == 0.0
-    assert np.all(x == 0.0)
+    assert np.all(x == 0.0) and np.all(r == 0.0)
 
 
 def test_cg_step_system_matches_dense_oracle():
@@ -94,7 +94,7 @@ def test_cg_step_system_matches_dense_oracle():
     A = step_matrix(mesh, D=0.02, tau=0.01)
     rng = np.random.default_rng(7)
     b = rng.standard_normal(mesh.n_vertices)
-    x, iters, _ = cg_solve(A, b, rel_tol=1e-12, **start(A))
+    x, iters, _, _ = cg_solve(A, b, rel_tol=1e-12, **start(A))
     oracle = np.linalg.solve(A.toarray(), b)
     assert np.max(np.abs(x - oracle)) <= 1e-8
     assert iters <= 10 * mesh.n_vertices
@@ -108,7 +108,8 @@ def test_cg_agrees_with_dense_oracle_on_every_small_mesh(n_div):
     A = step_matrix(mesh, D=0.01, tau=0.01)
     rng = np.random.default_rng(n_div)
     b = M.dot(rng.standard_normal(mesh.n_vertices))
-    x, iters, res = cg_solve(A, b, rel_tol=1e-10, max_iters=10 * mesh.n_vertices, **start(A))
+    x, iters, res, _ = cg_solve(A, b, rel_tol=1e-10, max_iters=10 * mesh.n_vertices,
+                                **start(A))
     assert np.max(np.abs(x - np.linalg.solve(A.toarray(), b))) <= 1e-8
     assert res <= 1e-10 * np.linalg.norm(b)
 
@@ -130,9 +131,26 @@ def test_cg_jacobi_preconditioning():
 def test_cg_warm_start_converges_immediately_at_solution():
     A = dense_2x2(4, 1, 1, 3)
     exact = np.array([1.0 / 11.0, 7.0 / 11.0])
-    x, iters, _ = cg_solve(A, np.array([1.0, 2.0]), **start(A, exact))
+    b = np.array([1.0, 2.0])
+    x, iters, _, r = cg_solve(A, b, **start(A, exact))
     assert iters == 0
     assert np.allclose(x, exact)
+    assert r.tobytes() == (b - A.dot(exact)).tobytes()   # the start residual, computed
+
+
+@pytest.mark.parametrize("x0", ["zero", "random"])
+def test_cg_returns_its_final_residual_vector(x0):
+    # r is the residual the iteration updated: its norm is the reported one,
+    # bit for bit, and it stays within rounding of the recomputed b - A x
+    mesh = build_mesh(6)
+    s, A = step_matrix(mesh, D=0.02, tau=0.01).jacobi_scaled()
+    rng = np.random.default_rng(11)
+    b, start_x = rng.standard_normal((2, mesh.n_vertices))
+    x, iters, res, r = cg_solve(A, b, rel_tol=1e-10,
+                                **start(A, None if x0 == "zero" else start_x))
+    assert iters > 0 and res <= 1e-10 * np.linalg.norm(b)
+    assert res.hex() == math.sqrt(linalg.dot(r, r)).hex()
+    assert np.linalg.norm(r - (b - A.dot(x))) <= 1e-14 * np.linalg.norm(b)
 
 
 def test_cg_reports_nonconvergence_with_residual():
@@ -524,6 +542,28 @@ def test_dot_is_ndarray_dot_up_to_10000_values_and_blocked_above():
     for m, n in ((3, 4), (20000, 25000), (25000, 20000)):
         with pytest.raises(ValueError):
             linalg.dot(np.ones(m), np.ones(n))
+
+
+def test_row_dots_is_one_gemv_up_to_10000_columns_and_blocked_above():
+    # the rows are strided, as picard_step's kept images are
+    rng = np.random.default_rng(9)
+    for k in (1, 2, 6):
+        for n in (1, 9999, 10000):
+            X = rng.standard_normal((k, 2 * n))[:, n:]
+            y = rng.standard_normal(n)
+            assert linalg.row_dots(X, y).tobytes() == (X @ y).tobytes()
+        for n in (10201, 20001):   # N=100 meshes have 10201 vertices
+            X = rng.standard_normal((k, 2 * n))[:, n:]
+            y = rng.standard_normal(n)
+            total = X[:, :10000] @ y[:10000]
+            for i in range(10000, n, 10000):
+                total += X[:, i:i + 10000] @ y[i:i + 10000]
+            assert linalg.row_dots(X, y).tobytes() == total.tobytes()
+            assert linalg.row_dots(X, y) == pytest.approx([math.fsum(row * y) for row in X],
+                                                          rel=1e-12)
+    for n, m in ((3, 4), (20000, 25000), (25000, 20000)):
+        with pytest.raises(ValueError):
+            linalg.row_dots(np.ones((2, n)), np.ones(m))
 
 
 class RecordingKernels:

@@ -80,22 +80,18 @@ def dense_device_arrays(cfg, built):
     return cfg.C_h * indicators, loads.reshape(indicators.shape)
 
 
-def reference_picard_step(state, problem, scheme, profiles, loads, history=()):
+def reference_picard_step(state, problem, scheme, profiles, loads):
     """The sweep before vectorization, kept as the reference: one eval_switch
     call per device, dense device matvecs on M (y - y*), s - s**3 and a
-    separate mass spmv for M y_m and for M f(y_lag).  Each solve starts from
-    the previous iterate plus the cubic (or, with a shorter ``history``,
-    lower-order) extrapolation in time of the corrections its sweep made at
-    the last steps, ``history`` newest first, and solves the Jacobi-scaled
-    system S A S x = S rhs for y = S x.  Returns y, kappa and this step's
-    (n_picard, n) corrections."""
+    separate mass spmv for M y_m and for M f(y_lag).  Each solve starts cold,
+    from the previous iterate, and solves the Jacobi-scaled system
+    S A S x = S rhs for y = S x.  Returns y and kappa."""
     tau = problem.tau
     M = problem.mass
     y_m = state.y.values
     b0 = M.dot(y_m)
     switches = (problem.switch,) * len(profiles)
     y_prev, kappa_new = y_m, state.kappa
-    corrections = []
     for p in range(scheme.n_picard):
         measured = y_m if scheme.explicit_measure else y_prev
         m_vals = profiles @ M.dot(measured - problem.ystar.values)
@@ -103,27 +99,16 @@ def reference_picard_step(state, problem, scheme, profiles, loads, history=()):
         kappa_new = thermostat_step(problem.beta, state.kappa,
                                     problem.alpha @ w_vals, tau)
         rhs = b0 + tau * M.dot(y_prev - y_prev ** 3) + tau * (loads.T @ kappa_new)
-        c = [h[p] for h in history]
-        if len(c) == 3:
-            x0 = y_prev + 3 * c[0] - 3 * c[1] + c[2]
-        elif len(c) == 2:
-            x0 = y_prev + 2 * c[0] - c[1]
-        elif len(c) == 1:
-            x0 = y_prev + c[0]
-        else:
-            x0 = y_prev
         s = problem.step_scale
-        y_new = s * cg_solve(problem.scaled_step_matrix, s * rhs, rel_tol=scheme.cg_tol,
-                             max_iters=scheme.cg_max_iters, x0=x0 / s).x
-        corrections.append(y_new - y_prev)
-        y_prev = y_new
-    return y_prev, kappa_new, np.array(corrections)
+        y_prev = s * cg_solve(problem.scaled_step_matrix, s * rhs, rel_tol=scheme.cg_tol,
+                              max_iters=scheme.cg_max_iters, x0=y_prev / s).x
+    return y_prev, kappa_new
 
 
 def parent_picard_step(state, problem, scheme):
     """The vectorized sweep as it was before warm starts, every solve
-    starting from the previous iterate, on the Jacobi-scaled system: the
-    reference a state without history must reproduce bit for bit."""
+    starting cold, from the previous iterate, on the Jacobi-scaled system:
+    the reference a state without history must reproduce bit for bit."""
     tau = problem.tau
     y_m, kappa_m = state.y.values, state.kappa
     controlled = problem.device_mass.n_rows > 0
@@ -159,7 +144,8 @@ def campaign1_small(**scheme):
 # reaction, every right-hand side and every thermostat bank was scanned on each
 # sweep, kept verbatim (with the names they call) as the reference the sweep
 # must reproduce bit for bit; only the solve moved to the Jacobi-scaled system
-# S A S x = S rhs, y = S x, which plain CG solves.
+# S A S x = S rhs, y = S x, which plain CG solves, and every solve starts cold,
+# from the previous iterate, as a sweep without warm-start history does.
 
 def scanning_eval_switch(w, s):
     s = np.asarray(s, dtype=np.float64)
@@ -197,7 +183,7 @@ def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, x0=None):
     if not math.isfinite(b_norm):
         raise ConvergenceError("the norm of the right-hand side overflows", 0, b_norm)
     if b_norm == 0.0:
-        return CgResult(np.zeros_like(b), 0, 0.0)
+        return CgResult(np.zeros_like(b), 0, 0.0, np.zeros_like(b))
     threshold = rel_tol * b_norm
 
     if x0 is None:
@@ -215,7 +201,7 @@ def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, x0=None):
 
     for k in range(max_iters):
         if res <= threshold:
-            return CgResult(x, k, res)
+            return CgResult(x, k, res, r)
         Ap = A.dot(p)
         pAp = float(p @ Ap)
         if not np.isfinite(pAp) or pAp <= 0:
@@ -236,7 +222,7 @@ def scanning_cg_solve(A, b, rel_tol=1e-10, max_iters=None, x0=None):
             raise ConvergenceError(f"non-finite residual at iteration {k + 1}", k + 1, res)
 
     if res <= threshold:
-        return CgResult(x, max_iters, res)
+        return CgResult(x, max_iters, res, r)
     raise ConvergenceError(
         f"no convergence in {max_iters} iterations "
         f"(residual {res:.3e}, target {threshold:.3e})", max_iters, res)
@@ -251,11 +237,6 @@ def scanning_picard_step(state, problem, scheme):
         kappa_new = scanning_update_thermostats(problem, kappa_m, y_m, tau)
 
     corrections = np.empty((scheme.n_picard, len(y_m)))
-    history = state.history
-    if any(np.shape(h) != corrections.shape for h in history):
-        history = ()
-    history = history[:stepper_mod.WARM_START_ORDER]
-    weights = stepper_mod._EXTRAPOLATION_WEIGHTS[len(history)]
 
     y_prev = y_m
     sol = None
@@ -271,16 +252,9 @@ def scanning_picard_step(state, problem, scheme):
         rhs += tau * problem.C_g * (as_scipy(problem.device_mass).T @ kappa_new)
         s = problem.step_scale
         rhs = rhs * s
-        x0 = y_prev
-        if weights:
-            guess = y_prev.copy()
-            for w, h in zip(weights, history):
-                guess += w * h[p]
-            if np.isfinite(guess).all():
-                x0 = guess
         try:
             sol = scanning_cg_solve(problem.scaled_step_matrix, rhs, rel_tol=scheme.cg_tol,
-                                    max_iters=scheme.cg_max_iters, x0=x0 / s)
+                                    max_iters=scheme.cg_max_iters, x0=y_prev / s)
         except ConvergenceError as err:
             if err.iters == 0 and not np.isfinite(err.residual):
                 # cg_solve rejects a right-hand side before its first iteration
@@ -299,14 +273,12 @@ def scanning_picard_step(state, problem, scheme):
         np.subtract(y_new, y_prev, out=corrections[p])
         y_prev = y_new
 
-    corrections.setflags(write=False)
     diags = StepDiagnostics(cg_iters=sol.iters, cg_residual=sol.residual,
                             picard_increment=scanning_max_abs(corrections[-1]))
     return SimState(step_index=state.step_index + 1,
                     y=NodalField(y_prev),
                     kappa=kappa_new,
-                    diagnostics=diags,
-                    history=((corrections,) + history)[:stepper_mod.WARM_START_ORDER])
+                    diagnostics=diags)
 
 
 class ScanningErrorRecorder(ErrorRecorder):
@@ -397,8 +369,8 @@ class TestConservation:
 class TestPicardStep:
     def test_per_step_linear_residual(self):
         # with a single Picard sweep the accepted rhs is reconstructible; the
-        # chained steps warm-start from extrapolated corrections, and every
-        # solve must still meet the CG tolerance
+        # chained steps warm-start from fitted corrections, and every solve
+        # must still meet the CG tolerance
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=8, n_picard=1))
         built = assemble(cfg)
         scheme = cfg.scheme
@@ -407,7 +379,7 @@ class TestPicardStep:
         _, loads = dense_device_arrays(cfg, built)
         for step in range(scheme.n_steps):
             new = picard_step(state, p, scheme)
-            assert len(new.history) == min(step + 1, 3)
+            assert len(new.history) == min(step + 1, stepper_mod.WARM_START_DEPTH)
             f_vals = np.asarray(eval_reaction(p.reaction, state.y.values))
             rhs = (p.mass.dot(state.y.values) + cfg.tau * p.mass.dot(f_vals)
                    + cfg.tau * (loads.T @ new.kappa))
@@ -538,21 +510,21 @@ class TestPicardStep:
 class TestVectorizedSweep:
     @pytest.mark.parametrize("explicit", [False, True])
     def test_matches_per_device_reference(self, explicit):
+        # each step starts cold, as the reference does: the warm start changes
+        # a solve's iterates within cg_tol only, more than this bound
         cfg = campaign1_small(explicit_measure=explicit)
         built = assemble(cfg)
         scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
         state = initial_state(built)
-        ref_y, ref_kappa, ref_history = state.y.values, state.kappa, ()
+        ref_y, ref_kappa = state.y.values, state.kappa
         for step in range(scheme.n_steps):
             ref_state = SimState(step, NodalField(ref_y), ref_kappa)
-            ref_y, ref_kappa, ref_c = reference_picard_step(
-                ref_state, built.problem, scheme, profiles, loads, ref_history)
-            ref_history = ((ref_c,) + ref_history)[:3]
-            state = picard_step(state, built.problem, scheme)
+            ref_y, ref_kappa = reference_picard_step(
+                ref_state, built.problem, scheme, profiles, loads)
+            state = picard_step(replace(state, history=()), built.problem, scheme)
             assert np.max(np.abs(state.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
             assert np.max(np.abs(state.kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
-        assert len(state.history) == 3
 
     def test_device_free_problem_steps(self):
         cfg = devices_off(scheme=SchemeSpec(n_div=12, n_steps=5))
@@ -561,10 +533,23 @@ class TestVectorizedSweep:
         scheme = cfg.scheme
         profiles, loads = dense_device_arrays(cfg, built)
         state = initial_state(built)
-        ref_y, _, _ = reference_picard_step(state, built.problem, scheme, profiles, loads)
+        ref_y, _ = reference_picard_step(state, built.problem, scheme, profiles, loads)
         new = picard_step(state, built.problem, scheme)
         assert new.kappa.shape == (0,)
         assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
+
+
+# Two solutions that each meet cg_tol differ by at most twice (max s / min s)
+# cond(S A S) sqrt(n) cg_tol max|y|, about 330 cg_tol max|y| at N = 20 (see
+# picard_step); a warm and a cold step were measured within 3 cg_tol max|y|.
+WITHIN_CG_TOL = 1e3
+
+
+def assert_within_cg_tol(new, cold, scheme):
+    """new's y and kappa lie within the CG tolerance of the cold step's."""
+    bound = WITHIN_CG_TOL * scheme.cg_tol
+    assert np.max(np.abs(new.y.values - cold.y.values)) <= bound * np.max(np.abs(cold.y.values))
+    assert np.max(np.abs(new.kappa - cold.kappa)) <= bound * np.max(np.abs(cold.kappa))
 
 
 def stepped_state(built, scheme, n_steps):
@@ -598,51 +583,128 @@ class TestWarmStart:
         assert new.history[0].shape == (scheme.n_picard, built.problem.mesh.n_vertices)
         assert not new.history[0].flags.writeable
 
-    def test_history_of_wrong_shape_is_ignored(self):
+    def test_scratch_of_another_problem_lands_within_cg_tol(self):
+        # a state made by a run with another C_g (the same shapes): its kept
+        # corrections do not fit this problem's steps, but every solve still
+        # meets cg_tol
         cfg = campaign1_small()
         built = assemble(cfg)
-        scheme = cfg.scheme
-        state = stepped_state(built, scheme, 3)
-        assert len(state.history) == 3   # a stale newest entry, two valid older ones
-        fresh = picard_step(replace(state, history=()), built.problem, scheme)
-        n = built.problem.mesh.n_vertices
-        for shape in [(scheme.n_picard + 1, n), (scheme.n_picard, n - 1), (n,)]:
-            stale = replace(state, history=(np.ones(shape),) + state.history[1:])
-            new = picard_step(stale, built.problem, scheme)
-            assert new.y.values.tobytes() == fresh.y.values.tobytes()
-            assert new.kappa.tobytes() == fresh.kappa.tobytes()
+        other = assemble(replace(cfg, C_g=2 * cfg.C_g))
+        state = stepped_state(other, cfg.scheme, 8)
+        assert len(state.history) == stepper_mod.WARM_START_DEPTH
+        cold = picard_step(replace(state, history=()), built.problem, cfg.scheme)
+        new = picard_step(state, built.problem, cfg.scheme)
+        assert_within_cg_tol(new, cold, cfg.scheme)
+
+    def test_stale_state_stepped_twice_lands_within_cg_tol(self):
+        # the first step moves the run's scratch on: the second step from the
+        # same state finds it stale and starts cold
+        cfg = campaign1_small()
+        built = assemble(cfg)
+        state = stepped_state(built, cfg.scheme, 8)
+        cold = picard_step(replace(state, history=()), built.problem, cfg.scheme)
+        first = picard_step(state, built.problem, cfg.scheme)
+        second = picard_step(state, built.problem, cfg.scheme)
+        for new in (first, second):
+            assert_within_cg_tol(new, cold, cfg.scheme)
+        assert first.diagnostics.cg_iters < cold.diagnostics.cg_iters
+        assert second.y.values.tobytes() == cold.y.values.tobytes()
+        assert second.kappa.tobytes() == cold.kappa.tobytes()
+        assert len(second.history) == 1
+        # the cold step wrote a scratch of its own: the first step's run goes on warm
+        assert first.history.steps == first.history.scratch.steps == 9
+
+    def test_history_of_another_shape_starts_cold(self):
+        # the scratch of a run with another sweep count, or on another mesh
+        cfg = campaign1_small()
+        built = assemble(cfg)
+        state = stepped_state(built, cfg.scheme, 3)
+        cold = picard_step(replace(state, history=()), built.problem, cfg.scheme)
+        for other in (replace(cfg.scheme, n_picard=2), replace(cfg.scheme, n_div=19)):
+            foreign = stepped_state(assemble(replace(cfg, scheme=other)), other, 3)
+            new = picard_step(replace(state, history=foreign.history), built.problem,
+                              cfg.scheme)
+            assert new.y.values.tobytes() == cold.y.values.tobytes()
+            assert new.kappa.tobytes() == cold.kappa.tobytes()
             assert len(new.history) == 1
 
-    def test_non_finite_guess_falls_back(self):
+    def test_non_finite_scratch_falls_back_bitwise(self):
         cfg = campaign1_small()
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = stepped_state(built, scheme, 2)
-        fresh = picard_step(replace(state, history=()), built.problem, scheme)
-        poisoned = np.array(state.history[0])
-        assert np.isfinite(poisoned).all() and np.abs(poisoned).max() > 0
-        poisoned[:, 0] = np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = picard_step(replace(state, history=(poisoned,)), built.problem, scheme)
-        assert new.y.values.tobytes() == fresh.y.values.tobytes()
+        state = stepped_state(built, scheme, 8)
+        cold = picard_step(replace(state, history=()), built.problem, scheme)
+        for poison in (np.inf, np.nan):
+            state = stepped_state(built, scheme, 8)
+            slots = state.history.scratch.slots   # every sweep's kept corrections
+            assert np.isfinite(slots).all() and np.abs(slots).max() > 0
+            slots[:, :, 0] = poison
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                new = picard_step(state, built.problem, scheme)
+            assert new.y.values.tobytes() == cold.y.values.tobytes()
+            assert new.kappa.tobytes() == cold.kappa.tobytes()
+            assert new.diagnostics == cold.diagnostics
+
+    def test_start_residual_is_least_over_the_kept_corrections(self, monkeypatch):
+        # at every step the start of each solve leaves the residual that a
+        # least-squares fit of exact images (products with S A S) finds least
+        # over the kept corrections: measured within 2.5e-9 of it, and at
+        # most 0.62 times the cold start's (at step 5, sweep 2)
+        cfg = campaign1_small()
+        built = assemble(cfg)
+        problem, scheme = built.problem, cfg.scheme
+        A, s = problem.scaled_step_matrix, problem.step_scale
+        solves = []
+
+        def recording_cg(A, b, **kwargs):
+            result = cg_solve(A, b, **kwargs)
+            solves.append((b, kwargs["x0"], result.x))   # result.x becomes the sweep's y
+            return result
+
+        monkeypatch.setattr(stepper_mod, "cg_solve", recording_cg)
+        state = initial_state(built)
+        for step in range(30):
+            kept = [np.array(c) for c in state.history]
+            assert len(kept) == min(step, stepper_mod.WARM_START_DEPTH)
+            solves.clear()
+            new = picard_step(state, problem, scheme)
+            y_prev = state.y.values
+            for p, (b, x0, y_new) in enumerate(solves):
+                cold = b - A.dot(y_prev / s)
+                start = np.linalg.norm(b - A.dot(x0))
+                if kept:
+                    images = np.array([A.dot(c[p] / s) for c in kept]).T
+                    g = np.linalg.lstsq(images, cold, rcond=None)[0]
+                    least = np.linalg.norm(cold - images @ g)
+                    assert start <= (1 + 1e-6) * least, (step, p)
+                    assert start < 0.7 * np.linalg.norm(cold), (step, p)
+                else:
+                    assert x0.tobytes() == (y_prev / s).tobytes()
+                y_prev = y_new
+            state = new
 
     def test_run_returns_no_history_while_observers_see_it(self):
         # the history drives every step of the run; only the returned state drops it
         cfg = campaign1_small()
+        depth = stepper_mod.WARM_START_DEPTH
         seen = []
         out = run_observed(cfg, lambda state: seen.append(state.history))
         assert out.final_state.history == ()
-        assert [len(h) for h in seen] == [min(m, 3) for m in range(cfg.scheme.n_steps + 1)]
-        assert cfg.scheme.n_steps > 3
+        assert [len(h) for h in seen] == [min(m, depth)
+                                          for m in range(cfg.scheme.n_steps + 1)]
+        assert cfg.scheme.n_steps > depth
         assert all(h[0].shape == (cfg.scheme.n_picard, out.problem.mesh.n_vertices)
-                   for h in seen[3:])
+                   for h in seen[1:])
         # the solution is the observed last state's, bit for bit
         final = stepped_state(assemble(cfg), cfg.scheme, cfg.scheme.n_steps)
         assert out.final_state.y.values.tobytes() == final.y.values.tobytes()
         assert out.final_state.kappa.tobytes() == final.kappa.tobytes()
 
-    def test_extrapolation_cuts_cg_iterations(self, monkeypatch):
+    def test_warm_start_cuts_cg_iterations(self, monkeypatch):
+        # measured 1278 warm against 1908 cold iterations, a ratio of 0.670;
+        # 0.70 leaves a margin of 0.03 (57 iterations), and the cubic
+        # extrapolation in time the fit replaced read 1630, a ratio of 0.854
         cfg = campaign1_small()
         built = assemble(cfg)
         scheme = cfg.scheme
@@ -662,15 +724,15 @@ class TestWarmStart:
                 state = picard_step(state if warm else replace(state, history=()),
                                     built.problem, scheme)
             totals[warm] = sum(iters)
-        assert totals[True] < 0.9 * totals[False], totals
+        assert totals[True] <= 0.70 * totals[False], totals
 
 
 class TestScanFreeSweep:
     @pytest.mark.parametrize("case", ["default", "explicit", "device-free"])
     def test_steps_and_series_bitwise_as_scanning_sweep(self, case):
-        # exp1-64 at N=16, tau = 0.02, 40 steps: the warm start reaches its
-        # cubic order, and the series are recorded against y* and against a
-        # stored trajectory as the stability probe does
+        # exp1-64 at N=16, tau = 0.02, 40 steps, each started cold as the
+        # reference's are, and the series are recorded against y* and against
+        # a stored trajectory as the stability probe does
         cfg = make_experiment(1, devices=64)
         cfg = replace(cfg, T=0.8, scheme=replace(cfg.scheme, n_div=16, n_steps=40,
                                                  explicit_measure=case == "explicit"))
@@ -693,14 +755,13 @@ class TestScanFreeSweep:
         for recorder in recorders:
             recorder(state)
         for _ in range(scheme.n_steps):
-            state = picard_step(state, problem, scheme)
+            state = picard_step(replace(state, history=()), problem, scheme)
             reference = scanning_picard_step(reference, problem, scheme)
             assert state.y.values.tobytes() == reference.y.values.tobytes()
             assert state.kappa.tobytes() == reference.kappa.tobytes()
             assert diagnostics_bytes(state) == diagnostics_bytes(reference)
             for recorder, observed in zip(recorders, (state, reference) * 2):
                 recorder(observed)
-        assert len(state.history) == 3
         for lean, scanning in (recorders[:2], recorders[2:]):
             a, b = lean.series(), scanning.series()
             for name in ("times", "e_y", "e_grad", "kappa_traces", "mass_trace"):
