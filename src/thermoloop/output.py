@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -84,11 +85,18 @@ def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,
 
 
 def read_snapshot_image(path) -> np.ndarray:
-    """Decode a P5 graymap written by write_snapshot_image into a pixel array."""
+    """Decode a P5 graymap written by write_snapshot_image into a pixel array.
+
+    Raises ValueError, naming the path, for a header that is not the three
+    lines write_snapshot_image writes and for pixels that are not exactly
+    width x height bytes.
+    """
     raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5" or parts[2] != b"255":
+    header = re.match(rb"P5\n(\d+) (\d+)\n255\n", raw)
+    if header is None:
         raise ValueError(f"{path}: not a maxval-255 binary graymap")
-    width, height = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3][:width * height], dtype=np.uint8)
-    return pixels.reshape(height, width)
+    width, height = int(header[1]), int(header[2])
+    pixels = raw[header.end():]
+    if len(pixels) != width * height:
+        raise ValueError(f"{path}: {len(pixels)} pixel bytes for a {width} x {height} image")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)

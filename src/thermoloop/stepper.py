@@ -7,14 +7,15 @@ iterate, so the linear system keeps the constant SPD matrix M + tau*D*K,
 solved by conjugate gradients on its Jacobi-scaled form.  Each solve starts from
 the previous iterate plus the combination of the corrections its sweep made at
 the last steps that leaves the smallest residual (a minimal-residual fit).
+Those corrections are the run's workspace (``WarmStart``), not part of a
+state: ``run`` makes one and passes it to every step.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,45 +75,22 @@ class StepDiagnostics:
     picard_increment: float  # max-abs change of y over the last Picard sweep
 
 
-class _WarmStartScratch:
-    """The vectors the warm starts of one run fit, written in place from step
-    to step (every state of the run shares them, none is copied).  For each
-    sweep p and each of the last WARM_START_DEPTH steps, ring slot
-    ``slots[p, j]`` holds the correction c = y_p - y_{p-1} the sweep made, in
-    its first n values, and the image S A S (c / s) of that correction to the
-    scaled unknown x = y / s, in its last n.  ``gram[p]`` holds the inner
-    products of sweep p's images; ``steps`` counts the steps written."""
+class WarmStart:
+    """The workspace the warm starts of one run's solves fit, written in place
+    from step to step.  For each sweep p and each of the last WARM_START_DEPTH
+    steps, ring slot ``slots[p, j]`` holds the correction c = y_p - y_{p-1}
+    the sweep made, in its first n values, and the image S A S (c / s) of
+    that correction to the scaled unknown x = y / s, in its last n.
+    ``gram[p]`` holds the inner products of sweep p's images; ``steps``
+    counts the steps written.  ``image`` is S A S x of the last solve, which
+    estimates the start residual of the next step's first solve (None before
+    the first step)."""
 
     def __init__(self, n_picard: int, n: int):
         self.slots = np.zeros((n_picard, WARM_START_DEPTH, 2 * n))
         self.gram = np.zeros((n_picard, WARM_START_DEPTH, WARM_START_DEPTH))
         self.steps = 0
-
-
-@dataclass(frozen=True, eq=False)
-class WarmStartHistory(Sequence):
-    """A stepped state's warm-start history: as a sequence, the read-only
-    (n_picard, n) Picard corrections y_p - y_{p-1} of its last
-    min(steps, WARM_START_DEPTH) steps, newest first, as views of the run's
-    ``scratch``.  ``image`` is S A S x of the solve that gave the state's y,
-    x = y / s, which estimates the start residual of the next step's first
-    solve.  The history is current while the scratch has written ``steps``
-    steps; once a step is made from the state, the scratch moves on and the
-    views show later corrections."""
-
-    scratch: _WarmStartScratch = field(repr=False)
-    steps: int
-    image: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return min(self.steps, WARM_START_DEPTH)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        slot = (self.steps - 1 - range(len(self))[k]) % WARM_START_DEPTH
-        n = self.scratch.slots.shape[2] // 2
-        view = self.scratch.slots[:, slot, :n]
-        view.setflags(write=False)
-        return view
+        self.image: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +98,12 @@ class SimState:
     """The unknowns (y, kappa) at one time node, ``step_index`` (an integer
     >= 0, else ValueError) steps from the start: at time step_index * tau,
     which ``ErrorRecorder`` records.  States compare by identity.
-
-    ``history`` is the solver state the warm starts of picard_step's solves
-    fit (a ``WarmStartHistory``, which picard_step makes), not part of the
-    solution.  A state without one (``()``, every initial state) steps
-    exactly as a solve started from the previous iterate, and so does a state
-    whose history is stale (a step was already made from it) or was made for
-    another number of sweeps or vertices.
     """
 
     step_index: int
     y: NodalField
     kappa: np.ndarray
     diagnostics: StepDiagnostics | None = None
-    history: Sequence = field(default=(), repr=False)
 
     def __post_init__(self):
         step_index = as_int(self.step_index, "step_index")
@@ -212,7 +182,7 @@ class DiscreteProblem:
 class RunOutput:
     """Everything collected from one run, with the problem it ran."""
 
-    final_state: SimState                       # without its warm-start history
+    final_state: SimState                       # after the last step: the solution alone
     problem: DiscreteProblem
     series: ErrorSeries | None = None
     snapshots: tuple = ()
@@ -221,7 +191,8 @@ class RunOutput:
     timings: dict = field(default_factory=dict)
 
 
-def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -> SimState:
+def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
+                warm: WarmStart | None = None) -> SimState:
     """Advance one implicit Euler step with a fixed number of Picard sweeps.
 
     Sweep p measures all devices at once, m = C_h * (P y - P y*) with the
@@ -238,7 +209,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
 
     The solve of sweep p starts from the minimal-residual fit of the
     corrections c = y_p - y_{p-1} that sweep made at the last
-    k <= WARM_START_DEPTH steps (``state.history``): with the scaled
+    k <= WARM_START_DEPTH steps (kept in ``warm``): with the scaled
     corrections d_i = c_i / s and their images S A S d_i as the rows of D
     and F, it starts from x0 = y_{p-1} / s + D^T g, where g solves
     (F F^T) g = F e and e = S b - S A S (y_{p-1} / s) is the cold start's
@@ -248,10 +219,12 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     y_{p-1} (the previous step's last solve for p = 0), so the fit adds no
     product with A but one at a cold start, for its first solve.  cg_solve
     recomputes the start residual exactly, so the fit only
-    changes the iteration count, never the tolerance met.  A state without a
-    current history of this shape starts every solve from y_{p-1} / s, and
-    a singular or non-finite fit falls back to that cold start.  The new
-    state carries the run's history, written in place.
+    changes the iteration count, never the tolerance met.  The step writes
+    its corrections and images into ``warm`` in place, for the next step of
+    the run.  Without a workspace the step makes a fresh one, and so starts
+    every solve cold, from y_{p-1} / s; a singular or non-finite fit falls
+    back to that cold start too.  A workspace made for another number of
+    sweeps or vertices raises ValueError.
 
     A kappa that is not the (J,) vector of one signal per thermostat raises
     ValueError before the first sweep.  A Picard iteration that diverges
@@ -278,17 +251,18 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
         raise ValueError(f"kappa of shape {kappa_m.shape} for {len(problem.beta)} thermostats")
 
     n = len(y_m)
-    history = state.history
-    if (isinstance(history, WarmStartHistory) and history.steps == history.scratch.steps
-            and history.scratch.slots.shape[::2] == (scheme.n_picard, 2 * n)):
-        scratch, image = history.scratch, history.image
-    else:   # no history, a stale one or one of another shape: every solve starts cold
-        scratch, image = _WarmStartScratch(scheme.n_picard, n), None
-    kept = min(scratch.steps, WARM_START_DEPTH)   # the corrections each solve fits
-    slot = scratch.steps % WARM_START_DEPTH       # the ring slot this step writes
-    scratch.steps += 1                            # the history stepped from is stale now
-    written = min(scratch.steps, WARM_START_DEPTH)
-    corrections = scratch.slots[:, slot, :n]
+    if warm is None:
+        warm = WarmStart(scheme.n_picard, n)
+    elif warm.slots.shape[::2] != (scheme.n_picard, 2 * n):
+        raise ValueError(f"a warm start for {warm.slots.shape[0]} sweeps on "
+                         f"{warm.slots.shape[2] // 2} vertices cannot start a step of "
+                         f"{scheme.n_picard} sweeps on {n} vertices")
+    image = warm.image
+    kept = min(warm.steps, WARM_START_DEPTH)   # the corrections each solve fits
+    slot = warm.steps % WARM_START_DEPTH       # the ring slot this step writes
+    warm.steps += 1
+    written = min(warm.steps, WARM_START_DEPTH)
+    corrections = warm.slots[:, slot, :n]
 
     y_prev = y_m
     sol = None
@@ -308,7 +282,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             rhs = M.dot(y_m + tau * reaction)
             rhs += tau * problem.C_g * problem.device_mass.tdot(kappa_new)
             rhs *= s   # S b, the right-hand side of the scaled system
-            x0 = _fitted_start(scratch.gram[p, :kept, :kept], scratch.slots[p, :kept],
+            x0 = _fitted_start(warm.gram[p, :kept, :kept], warm.slots[p, :kept],
                                rhs - image, y_prev, s) if kept else None
             if x0 is None:
                 x0 = y_prev / s
@@ -337,12 +311,13 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
             y_prev = y_new
             # the image S A S x = S b - r of the solution, and of the correction
             new_image = np.subtract(rhs, sol.r, out=sol.r)
-            images = scratch.slots[p, :written, n:]
+            images = warm.slots[p, :written, n:]
             np.subtract(new_image, image, out=images[slot])
             products = row_dots(images, images[slot])
-            scratch.gram[p, slot, :written] = products
-            scratch.gram[p, :written, slot] = products
+            warm.gram[p, slot, :written] = products
+            warm.gram[p, :written, slot] = products
             image = new_image
+    warm.image = image
 
     increment, first = _max_abs(corrections[-1]), _max_abs(corrections[0])
     if increment > first and increment > math.sqrt(scheme.cg_tol) * _max_abs(y_prev):
@@ -355,8 +330,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec) -
     return SimState(step_index=state.step_index + 1,
                     y=NodalField(y_prev),   # checked finite after its solve
                     kappa=kappa_new,
-                    diagnostics=diags,
-                    history=WarmStartHistory(scratch, scratch.steps, image))
+                    diagnostics=diags)
 
 
 def _fitted_start(gram: np.ndarray, fits: np.ndarray, residual: np.ndarray,
@@ -403,16 +377,18 @@ def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
     Observers are callables taking the current SimState; the initial state is
     observed too, so series have n_steps + 1 entries.  Recorder observers
     from the metrics module are recognized and folded into the RunOutput.
-    Observers see each state's warm-start history; the returned final state
-    carries none (``history=()``), so a run continued from it steps as a
-    fresh start, the same solution within ``cg_tol`` but not the same bits.
+    Every step warm-starts from one ``WarmStart`` the run makes; a run
+    continued from the returned final state makes a new one, so its first
+    step starts cold: the same solution within ``cg_tol``, not the bits of
+    one unbroken run.
     """
     t_start = _time.perf_counter()
     state = initial
+    warm = WarmStart(scheme.n_picard, len(initial.y))
     for obs in observers:
         obs(state)
     for _ in range(scheme.n_steps):
-        state = picard_step(state, problem, scheme)
+        state = picard_step(state, problem, scheme, warm)
         for obs in observers:
             obs(state)
     elapsed = _time.perf_counter() - t_start
@@ -427,6 +403,6 @@ def run(initial: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
             snapshots = tuple(obs.snapshots)
         elif isinstance(obs, TrajectoryRecorder) and traj_y is None:
             traj_y, traj_kappa = obs.ys(), obs.kappas()
-    return RunOutput(final_state=replace(state, history=()), problem=problem, series=series,
+    return RunOutput(final_state=state, problem=problem, series=series,
                      snapshots=snapshots, trajectory_y=traj_y, trajectory_kappa=traj_kappa,
                      timings={"stepping_s": elapsed})

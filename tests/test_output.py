@@ -205,3 +205,17 @@ class TestSnapshotImage:
         rng = np.random.default_rng(9)
         fld = field_from_values(self.mesh, rng.uniform(-1, 1, self.mesh.n_vertices))
         assert write_snapshot_image(fld, self.mesh) == write_snapshot_image(fld, self.mesh)
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"", "not a maxval-255 binary graymap"),
+        (b"P5\n", "not a maxval-255 binary graymap"),
+        (b"P5\n5 5\n", "not a maxval-255 binary graymap"),
+        (b"P5\n5\n255\n" + bytes(25), "not a maxval-255 binary graymap"),
+        (b"P5\n5 5\n255\n" + bytes(22), "22 pixel bytes for a 5 x 5 image"),
+        (b"P5\n5 5\n255\n" + bytes(28), "28 pixel bytes for a 5 x 5 image"),
+    ], ids=["empty", "magic-only", "no-maxval", "one-dimension", "short", "trailing"])
+    def test_read_rejects_malformed_file(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_snapshot_image(path)

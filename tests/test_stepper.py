@@ -39,11 +39,41 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def assert_contracting(state):
-    """Observer: each step's last Picard sweep moves y less than its first."""
-    if state.history:
-        corrections = state.history[0]
-        assert np.max(np.abs(corrections[-1])) < np.max(np.abs(corrections[0]))
+def last_corrections(warm):
+    """The (n_picard, n) corrections y_p - y_{p-1} of the last step written
+    into the workspace ``warm``, as a view of its ring slot."""
+    n = warm.slots.shape[2] // 2
+    return warm.slots[:, (warm.steps - 1) % stepper_mod.WARM_START_DEPTH, :n]
+
+
+def assert_contracting(warm):
+    """The last step written into ``warm``: its last Picard sweep moved y
+    less than its first."""
+    corrections = last_corrections(warm)
+    assert np.max(np.abs(corrections[-1])) < np.max(np.abs(corrections[0]))
+
+
+@pytest.fixture
+def workspaces(monkeypatch):
+    """The warm-start workspaces stepper made in the test, in order: the one
+    of each run, and a fresh one for each picard_step without one."""
+    made = []
+
+    class Recorded(stepper_mod.WarmStart):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(stepper_mod, "WarmStart", Recorded)
+    return made
+
+
+def contracting(workspaces):
+    """Observer of a run: each step's last Picard sweep moves y less than its first."""
+    def observe(state):
+        if state.step_index:
+            assert_contracting(workspaces[-1])
+    return observe
 
 
 def initial_state(built):
@@ -108,7 +138,8 @@ def reference_picard_step(state, problem, scheme, profiles, loads):
 def parent_picard_step(state, problem, scheme):
     """The vectorized sweep as it was before warm starts, every solve
     starting cold, from the previous iterate, on the Jacobi-scaled system:
-    the reference a state without history must reproduce bit for bit."""
+    the reference a step without a warm-start workspace must reproduce bit
+    for bit."""
     tau = problem.tau
     y_m, kappa_m = state.y.values, state.kappa
     controlled = problem.device_mass.n_rows > 0
@@ -145,7 +176,7 @@ def campaign1_small(**scheme):
 # sweep, kept verbatim (with the names they call) as the reference the sweep
 # must reproduce bit for bit; only the solve moved to the Jacobi-scaled system
 # S A S x = S rhs, y = S x, which plain CG solves, and every solve starts cold,
-# from the previous iterate, as a sweep without warm-start history does.
+# from the previous iterate, as a step without a warm-start workspace does.
 
 def scanning_eval_switch(w, s):
     s = np.asarray(s, dtype=np.float64)
@@ -377,9 +408,9 @@ class TestPicardStep:
         state = initial_state(built)
         p = built.problem
         _, loads = dense_device_arrays(cfg, built)
-        for step in range(scheme.n_steps):
-            new = picard_step(state, p, scheme)
-            assert len(new.history) == min(step + 1, stepper_mod.WARM_START_DEPTH)
+        warm = stepper_mod.WarmStart(scheme.n_picard, p.mesh.n_vertices)
+        for _ in range(scheme.n_steps):
+            new = picard_step(state, p, scheme, warm)
             f_vals = np.asarray(eval_reaction(p.reaction, state.y.values))
             rhs = (p.mass.dot(state.y.values) + cfg.tau * p.mass.dot(f_vals)
                    + cfg.tau * (loads.T @ new.kappa))
@@ -402,8 +433,9 @@ class TestPicardStep:
     def test_diagnostics_populated(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
         built = assemble(cfg)
-        state = picard_step(initial_state(built), built.problem, cfg.scheme)
-        assert_contracting(state)
+        warm = stepper_mod.WarmStart(cfg.scheme.n_picard, built.problem.mesh.n_vertices)
+        state = picard_step(initial_state(built), built.problem, cfg.scheme, warm)
+        assert_contracting(warm)
         d = state.diagnostics
         assert d.cg_iters >= 0 and np.isfinite(d.cg_residual)
         assert d.picard_increment >= 0.0
@@ -487,7 +519,7 @@ class TestPicardStep:
         assert out.final_state.step_index == 4
         assert np.isfinite(out.final_state.y.values).all()
 
-    def test_solver_noise_near_steady_state_does_not_trip(self):
+    def test_solver_noise_near_steady_state_does_not_trip(self, workspaces):
         # exp2 at N = 20 runs to T = 100 in 2000 steps: close to steady state
         # the last sweep's correction is CG noise of order 1e-9 at cg_tol =
         # 1e-10 and often exceeds the first's, but stays some 4000 times
@@ -497,8 +529,8 @@ class TestPicardStep:
         grown = []
 
         def record(state):
-            if state.history:
-                first, last = np.abs(state.history[0][[0, -1]]).max(axis=1)
+            if state.step_index:
+                first, last = np.abs(last_corrections(workspaces[-1])[[0, -1]]).max(axis=1)
                 if last > first:
                     grown.append(last / np.abs(state.y.values).max())
 
@@ -522,7 +554,7 @@ class TestVectorizedSweep:
             ref_state = SimState(step, NodalField(ref_y), ref_kappa)
             ref_y, ref_kappa = reference_picard_step(
                 ref_state, built.problem, scheme, profiles, loads)
-            state = picard_step(replace(state, history=()), built.problem, scheme)
+            state = picard_step(state, built.problem, scheme)
             assert np.max(np.abs(state.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
             assert np.max(np.abs(state.kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
 
@@ -553,11 +585,13 @@ def assert_within_cg_tol(new, cold, scheme):
 
 
 def stepped_state(built, scheme, n_steps):
-    """The state after n_steps picard_steps from the initial state, with its history."""
+    """The state after n_steps picard_steps from the initial state, and the
+    one workspace they warm-started from."""
+    warm = stepper_mod.WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
     state = initial_state(built)
     for _ in range(n_steps):
-        state = picard_step(state, built.problem, scheme)
-    return state
+        state = picard_step(state, built.problem, scheme, warm)
+    return state, warm
 
 
 class TestWarmStart:
@@ -572,76 +606,57 @@ class TestWarmStart:
             cfg = replace(cfg, layout=ExplicitLayout((), cfg.r_sigma), beta=(), kappa0=())
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = stepped_state(built, scheme, 4)
-        fresh = replace(state, history=())
-        y, kappa, sol, increment = parent_picard_step(fresh, built.problem, scheme)
-        new = picard_step(fresh, built.problem, scheme)
-        assert new.y.values.tobytes() == y.tobytes()
-        assert new.kappa.tobytes() == kappa.tobytes()
-        assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
-        assert len(new.history) == 1
-        assert new.history[0].shape == (scheme.n_picard, built.problem.mesh.n_vertices)
-        assert not new.history[0].flags.writeable
+        state, _ = stepped_state(built, scheme, 4)
+        y, kappa, sol, increment = parent_picard_step(state, built.problem, scheme)
+        fresh = stepper_mod.WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
+        for new in (picard_step(state, built.problem, scheme),
+                    picard_step(state, built.problem, scheme, fresh)):
+            assert new.y.values.tobytes() == y.tobytes()
+            assert new.kappa.tobytes() == kappa.tobytes()
+            assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
+        assert fresh.steps == 1
 
     def test_scratch_of_another_problem_lands_within_cg_tol(self):
-        # a state made by a run with another C_g (the same shapes): its kept
+        # the workspace of a run with another C_g (the same shapes): its kept
         # corrections do not fit this problem's steps, but every solve still
         # meets cg_tol
         cfg = campaign1_small()
         built = assemble(cfg)
         other = assemble(replace(cfg, C_g=2 * cfg.C_g))
-        state = stepped_state(other, cfg.scheme, 8)
-        assert len(state.history) == stepper_mod.WARM_START_DEPTH
-        cold = picard_step(replace(state, history=()), built.problem, cfg.scheme)
-        new = picard_step(state, built.problem, cfg.scheme)
+        state, warm = stepped_state(other, cfg.scheme, 8)
+        assert warm.steps > stepper_mod.WARM_START_DEPTH
+        cold = picard_step(state, built.problem, cfg.scheme)
+        new = picard_step(state, built.problem, cfg.scheme, warm)
         assert_within_cg_tol(new, cold, cfg.scheme)
 
-    def test_stale_state_stepped_twice_lands_within_cg_tol(self):
-        # the first step moves the run's scratch on: the second step from the
-        # same state finds it stale and starts cold
+    def test_workspace_of_another_shape_is_rejected(self):
+        # the workspace of a run with another sweep count, or on the mesh of
+        # n_div = 19 (400 vertices, against 441 at n_div = 20)
         cfg = campaign1_small()
         built = assemble(cfg)
-        state = stepped_state(built, cfg.scheme, 8)
-        cold = picard_step(replace(state, history=()), built.problem, cfg.scheme)
-        first = picard_step(state, built.problem, cfg.scheme)
-        second = picard_step(state, built.problem, cfg.scheme)
-        for new in (first, second):
-            assert_within_cg_tol(new, cold, cfg.scheme)
-        assert first.diagnostics.cg_iters < cold.diagnostics.cg_iters
-        assert second.y.values.tobytes() == cold.y.values.tobytes()
-        assert second.kappa.tobytes() == cold.kappa.tobytes()
-        assert len(second.history) == 1
-        # the cold step wrote a scratch of its own: the first step's run goes on warm
-        assert first.history.steps == first.history.scratch.steps == 9
-
-    def test_history_of_another_shape_starts_cold(self):
-        # the scratch of a run with another sweep count, or on another mesh
-        cfg = campaign1_small()
-        built = assemble(cfg)
-        state = stepped_state(built, cfg.scheme, 3)
-        cold = picard_step(replace(state, history=()), built.problem, cfg.scheme)
-        for other in (replace(cfg.scheme, n_picard=2), replace(cfg.scheme, n_div=19)):
-            foreign = stepped_state(assemble(replace(cfg, scheme=other)), other, 3)
-            new = picard_step(replace(state, history=foreign.history), built.problem,
-                              cfg.scheme)
-            assert new.y.values.tobytes() == cold.y.values.tobytes()
-            assert new.kappa.tobytes() == cold.kappa.tobytes()
-            assert len(new.history) == 1
+        state, _ = stepped_state(built, cfg.scheme, 3)
+        for n_picard, n in ((2, 441), (3, 400)):
+            foreign = stepper_mod.WarmStart(n_picard, n)
+            message = (f"^a warm start for {n_picard} sweeps on {n} vertices cannot start "
+                       f"a step of 3 sweeps on 441 vertices$")
+            with pytest.raises(ValueError, match=message):
+                picard_step(state, built.problem, cfg.scheme, foreign)
+            assert foreign.steps == 0   # left as it was
 
     def test_non_finite_scratch_falls_back_bitwise(self):
         cfg = campaign1_small()
         built = assemble(cfg)
         scheme = cfg.scheme
-        state = stepped_state(built, scheme, 8)
-        cold = picard_step(replace(state, history=()), built.problem, scheme)
+        state, _ = stepped_state(built, scheme, 8)
+        cold = picard_step(state, built.problem, scheme)
         for poison in (np.inf, np.nan):
-            state = stepped_state(built, scheme, 8)
-            slots = state.history.scratch.slots   # every sweep's kept corrections
+            state, warm = stepped_state(built, scheme, 8)
+            slots = warm.slots   # every sweep's kept corrections
             assert np.isfinite(slots).all() and np.abs(slots).max() > 0
             slots[:, :, 0] = poison
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                new = picard_step(state, built.problem, scheme)
+                new = picard_step(state, built.problem, scheme, warm)
             assert new.y.values.tobytes() == cold.y.values.tobytes()
             assert new.kappa.tobytes() == cold.kappa.tobytes()
             assert new.diagnostics == cold.diagnostics
@@ -663,18 +678,20 @@ class TestWarmStart:
             return result
 
         monkeypatch.setattr(stepper_mod, "cg_solve", recording_cg)
+        warm = stepper_mod.WarmStart(scheme.n_picard, problem.mesh.n_vertices)
+        n = problem.mesh.n_vertices
         state = initial_state(built)
         for step in range(30):
-            kept = [np.array(c) for c in state.history]
-            assert len(kept) == min(step, stepper_mod.WARM_START_DEPTH)
+            # (n_picard, k, n): every sweep's kept corrections, copied before the step
+            kept = np.array(warm.slots[:, :min(step, stepper_mod.WARM_START_DEPTH), :n])
             solves.clear()
-            new = picard_step(state, problem, scheme)
+            new = picard_step(state, problem, scheme, warm)
             y_prev = state.y.values
             for p, (b, x0, y_new) in enumerate(solves):
                 cold = b - A.dot(y_prev / s)
                 start = np.linalg.norm(b - A.dot(x0))
-                if kept:
-                    images = np.array([A.dot(c[p] / s) for c in kept]).T
+                if kept.size:
+                    images = np.array([A.dot(c / s) for c in kept[p]]).T
                     g = np.linalg.lstsq(images, cold, rcond=None)[0]
                     least = np.linalg.norm(cold - images @ g)
                     assert start <= (1 + 1e-6) * least, (step, p)
@@ -684,27 +701,21 @@ class TestWarmStart:
                 y_prev = y_new
             state = new
 
-    def test_run_returns_no_history_while_observers_see_it(self):
-        # the history drives every step of the run; only the returned state drops it
+    def test_run_is_the_chain_of_warm_steps(self):
+        # run steps from one workspace: its final state is, bit for bit, the
+        # last of the picard_steps that share one
         cfg = campaign1_small()
-        depth = stepper_mod.WARM_START_DEPTH
-        seen = []
-        out = run_observed(cfg, lambda state: seen.append(state.history))
-        assert out.final_state.history == ()
-        assert [len(h) for h in seen] == [min(m, depth)
-                                          for m in range(cfg.scheme.n_steps + 1)]
-        assert cfg.scheme.n_steps > depth
-        assert all(h[0].shape == (cfg.scheme.n_picard, out.problem.mesh.n_vertices)
-                   for h in seen[1:])
-        # the solution is the observed last state's, bit for bit
-        final = stepped_state(assemble(cfg), cfg.scheme, cfg.scheme.n_steps)
+        assert cfg.scheme.n_steps > stepper_mod.WARM_START_DEPTH
+        out = run_observed(cfg)
+        final, _ = stepped_state(assemble(cfg), cfg.scheme, cfg.scheme.n_steps)
         assert out.final_state.y.values.tobytes() == final.y.values.tobytes()
         assert out.final_state.kappa.tobytes() == final.kappa.tobytes()
 
     def test_warm_start_cuts_cg_iterations(self, monkeypatch):
         # measured 1278 warm against 1908 cold iterations, a ratio of 0.670;
         # 0.70 leaves a margin of 0.03 (57 iterations), and the cubic
-        # extrapolation in time the fit replaced read 1630, a ratio of 0.854
+        # extrapolation in time the fit replaced read 1630, a ratio of 0.854.
+        # run must step warm too: it counts as the warm chain does
         cfg = campaign1_small()
         built = assemble(cfg)
         scheme = cfg.scheme
@@ -719,11 +730,16 @@ class TestWarmStart:
         totals = {}
         for warm in (False, True):
             iters.clear()
+            workspace = (stepper_mod.WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
+                         if warm else None)
             state = initial_state(built)
             for _ in range(scheme.n_steps):
-                state = picard_step(state if warm else replace(state, history=()),
-                                    built.problem, scheme)
+                state = picard_step(state, built.problem, scheme, workspace)
             totals[warm] = sum(iters)
+        iters.clear()
+        run(initial_state(built), built.problem, scheme)
+        totals["run"] = sum(iters)
+        assert totals["run"] == totals[True], totals
         assert totals[True] <= 0.70 * totals[False], totals
 
 
@@ -755,7 +771,7 @@ class TestScanFreeSweep:
         for recorder in recorders:
             recorder(state)
         for _ in range(scheme.n_steps):
-            state = picard_step(replace(state, history=()), problem, scheme)
+            state = picard_step(state, problem, scheme)
             reference = scanning_picard_step(reference, problem, scheme)
             assert state.y.values.tobytes() == reference.y.values.tobytes()
             assert state.kappa.tobytes() == reference.kappa.tobytes()
@@ -931,15 +947,15 @@ class TestRun:
         assert a.trajectory_kappa.tobytes() == b.trajectory_kappa.tobytes()
         assert np.array_equal(a.series.e_y, b.series.e_y)
 
-    def test_observers_see_initial_state(self):
+    def test_observers_see_initial_state(self, workspaces):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
-        out = run_observed(cfg, assert_contracting)
+        out = run_observed(cfg, contracting(workspaces))
         assert out.series.n_nodes == CONTRACTING_STEPS + 1
         assert out.series.times[0] == 0.0
 
-    def test_time_axis(self):
+    def test_time_axis(self, workspaces):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
-        out = run_observed(cfg, assert_contracting)
+        out = run_observed(cfg, contracting(workspaces))
         assert np.allclose(np.diff(out.series.times), cfg.tau)
         assert abs(out.series.times[-1] - cfg.T) <= 1e-12 * cfg.T
 
