@@ -26,12 +26,12 @@ for name, spec in (("initial_variant1", ICOND_VARIANT1),
     print(f"{name:18s} range [{field.values.min():+.3f}, {field.values.max():+.3f}]"
           f" -> {name}.pgm")
 
-# device layout: union of disc indicators, drawn at full white
+# device layout: union of disc indicators, drawn white (+1) on black (-1)
 centers = GridSubsetLayout(8, 0.125, SUBSET20_INDICES).centers
 mask = np.zeros(mesh.n_vertices)
 for cx, cy in centers:
     inside = (mesh.vertices[:, 0] - cx) ** 2 + (mesh.vertices[:, 1] - cy) ** 2 <= 0.125 ** 2
     mask[inside] = 1.0
-write_snapshot_image(field_from_values(mesh, mask), mesh, vmin=0.0, vmax=1.0,
+write_snapshot_image(field_from_values(mesh, 2.0 * mask - 1.0), mesh,
                      path=out_dir / "devices_20.pgm")
 print(f"devices_20         {len(centers)} discs -> devices_20.pgm")

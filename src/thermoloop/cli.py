@@ -35,6 +35,8 @@ def _cmd_run(args) -> int:
         config = replace(config, scheme=replace(config.scheme, explicit_measure=True))
     if args.snap_every is not None and args.snap_every < 1:
         raise ValueError(f"--snap-every must be >= 1, got {args.snap_every}")
+    if args.snap_every is not None and args.out is None:
+        raise ValueError("--snap-every writes snapshots only with --out")
     snap_steps = set()   # the first, the last and every S-th step, kept only for --out
     if args.out is not None:
         n_steps = config.scheme.n_steps

@@ -60,6 +60,10 @@ class GaussianBlobs:
 
     blobs: tuple[Blob, ...]
 
+    def __post_init__(self):
+        # a tuple, as ExplicitLayout stores its centers: a list neither hashes nor dumps
+        object.__setattr__(self, "blobs", tuple(self.blobs))
+
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -77,6 +81,9 @@ class GaussianBlobs:
 @dataclass(frozen=True)
 class FieldSum:
     terms: tuple[FieldSpec, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))   # as GaussianBlobs.blobs
 
     def __call__(self, x, y) -> np.ndarray:
         out = np.zeros(np.broadcast(x, y).shape)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from pathlib import Path
@@ -55,33 +54,25 @@ def read_series_csv(path) -> ErrorSeries:
                        mass_trace=data[:, 3], kappa_traces=data[:, 4:].T)
 
 
-def write_snapshot_image(field: NodalField, mesh: Mesh, vmin: float = -1.0,
-                         vmax: float = 1.0, path=None) -> bytes:
-    """Render a nodal field, one value per vertex of ``mesh``, as a binary
-    graymap (P5, maxval 255).
+def write_snapshot_image(field: NodalField, mesh: Mesh, path) -> None:
+    """Write a nodal field, one value per vertex of ``mesh``, to ``path`` as a
+    binary graymap (P5, maxval 255).
 
     The pixel grid equals the vertex grid: (n_div+1) x (n_div+1) pixels, the
     top image row holding the top of the domain (largest second coordinate).
-    Values map linearly from vmin (black) to vmax (white); values outside
-    [vmin, vmax] are truncated.  vmax - vmin must be positive and finite.  Pixel law: floor(255 * t + 0.5) for
-    t = clamp((v - vmin) / (vmax - vmin), 0, 1), i.e. round-half-up.
-
-    Returns the encoded bytes; writes them to ``path`` when given.
+    Values map linearly from -1 (black) to +1 (white); values outside
+    [-1, 1] are truncated.  Pixel law: floor(255 * clip((v + 1) / 2, 0, 1) + 0.5),
+    i.e. round-half-up.
     """
-    if not 0 < vmax - vmin < math.inf:
-        raise ValueError(f"need vmin < vmax a finite distance apart, got [{vmin}, {vmax}]")
     if len(field) != mesh.n_vertices:
         raise ValueError(f"field of {len(field)} values does not fit a mesh of "
                          f"{mesh.n_vertices} vertices")
     n = mesh.n_div + 1
     grid = field.values.reshape(n, n)          # row i holds vertices with x2 = -1 + i*h
-    t = np.clip((grid - vmin) / (vmax - vmin), 0.0, 1.0)
+    t = np.clip((grid + 1.0) / 2.0, 0.0, 1.0)
     pixels = np.floor(255.0 * t + 0.5).astype(np.uint8)
     pixels = pixels[::-1]                      # image top = domain top
-    payload = f"P5\n{n} {n}\n255\n".encode("ascii") + pixels.tobytes()
-    if path is not None:
-        Path(path).write_bytes(payload)
-    return payload
+    Path(path).write_bytes(f"P5\n{n} {n}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def read_snapshot_image(path) -> np.ndarray:

@@ -192,7 +192,7 @@ class RunOutput:
 
 
 def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
-                warm: WarmStart | None = None) -> SimState:
+                warm: WarmStart) -> SimState:
     """Advance one implicit Euler step with a fixed number of Picard sweeps.
 
     Sweep p measures all devices at once, m = C_h * (P y - P y*) with the
@@ -221,10 +221,10 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
     recomputes the start residual exactly, so the fit only
     changes the iteration count, never the tolerance met.  The step writes
     its corrections and images into ``warm`` in place, for the next step of
-    the run.  Without a workspace the step makes a fresh one, and so starts
-    every solve cold, from y_{p-1} / s; a singular or non-finite fit falls
-    back to that cold start too.  A workspace made for another number of
-    sweeps or vertices raises ValueError.
+    the run.  A fresh ``WarmStart(scheme.n_picard, n)`` holds no corrections,
+    so the step starts every solve cold, from y_{p-1} / s; a singular or
+    non-finite fit falls back to that cold start too.  A workspace made for
+    another number of sweeps or vertices raises ValueError.
 
     A kappa that is not the (J,) vector of one signal per thermostat raises
     ValueError before the first sweep.  A Picard iteration that diverges
@@ -251,9 +251,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
         raise ValueError(f"kappa of shape {kappa_m.shape} for {len(problem.beta)} thermostats")
 
     n = len(y_m)
-    if warm is None:
-        warm = WarmStart(scheme.n_picard, n)
-    elif warm.slots.shape[::2] != (scheme.n_picard, 2 * n):
+    if warm.slots.shape[::2] != (scheme.n_picard, 2 * n):
         raise ValueError(f"a warm start for {warm.slots.shape[0]} sweeps on "
                          f"{warm.slots.shape[2] // 2} vertices cannot start a step of "
                          f"{scheme.n_picard} sweeps on {n} vertices")
@@ -283,9 +281,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
             rhs += tau * problem.C_g * problem.device_mass.tdot(kappa_new)
             rhs *= s   # S b, the right-hand side of the scaled system
             x0 = _fitted_start(warm.gram[p, :kept, :kept], warm.slots[p, :kept],
-                               rhs - image, y_prev, s) if kept else None
-            if x0 is None:
-                x0 = y_prev / s
+                               rhs - image, y_prev, s) if kept else y_prev / s
             if image is None:   # a cold start's first solve: no solve before it
                 image = problem.scaled_step_matrix.dot(x0)
             try:
@@ -334,7 +330,7 @@ def picard_step(state: SimState, problem: DiscreteProblem, scheme: SchemeSpec,
 
 
 def _fitted_start(gram: np.ndarray, fits: np.ndarray, residual: np.ndarray,
-                  y_prev: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+                  y_prev: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The scaled start x0 = (y_prev + C^T g) / s of a solve whose cold start
     y_prev / s leaves the residual ``residual``, for the k corrections C in
     the first n columns of the (k, 2n) ``fits`` and their images F in the
@@ -342,16 +338,17 @@ def _fitted_start(gram: np.ndarray, fits: np.ndarray, residual: np.ndarray,
     so x0's residual is the one of least 2-norm over the span of the
     corrections.  ``np.linalg.solve`` solves the system by LU with partial
     pivoting, backward stable where ``gram`` is ill conditioned (an explicit
-    inverse is not).  None where ``gram`` is singular or x0 is not finite."""
+    inverse is not).  The cold start y_prev / s where ``gram`` is singular or
+    x0 is not finite."""
     n = len(y_prev)
     try:
         g = np.linalg.solve(gram, row_dots(fits[:, n:], residual))
     except np.linalg.LinAlgError:   # zero or repeated corrections
-        return None
+        return y_prev / s
     x0 = g @ fits[:, :n]   # each entry a sum of k terms, bitwise for any BLAS threads
     x0 += y_prev
     x0 /= s
-    return x0 if np.isfinite(x0).all() else None
+    return x0 if np.isfinite(x0).all() else y_prev / s
 
 
 def _divergence(state: SimState, p: int, corrections: np.ndarray, cause: str) -> ConvergenceError:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import thermoloop.cli as cli_mod
+from thermoloop import experiments
 from thermoloop.cli import main, parse_config
 from thermoloop.config_io import ConfigError, dump_config
 from thermoloop.experiments import (ConstantField, ExperimentConfig, GaussianBlobs,
@@ -75,12 +76,25 @@ def test_snapshots_kept_only_for_out(tmp_path, tiny_config_path, monkeypatch):
         return real_run(config, **kwargs)
 
     monkeypatch.setattr(cli_mod, "run_experiment", recording_run)
-    assert main(["run", str(tiny_config_path), "--snap-every", "1"]) == 0
     assert main(["run", str(tiny_config_path)]) == 0
     assert main(["run", str(tiny_config_path), "--out", str(tmp_path / "a"),
                  "--snap-every", "4"]) == 0
     assert main(["run", str(tiny_config_path), "--out", str(tmp_path / "b")]) == 0
-    assert seen == [set(), set(), {0, 4, 6}, {0, 6}]
+    assert seen == [set(), {0, 4, 6}, {0, 6}]
+
+
+@pytest.mark.parametrize("every", ["1", "5"])
+def test_snap_every_without_out_rejected_before_the_run(tiny_config_path, capsys,
+                                                        monkeypatch, every):
+    # without --out no snapshot is written, so the cadence would be ignored in silence;
+    # the options are refused before the problem is assembled or stepped
+    calls = []
+    for name in ("assemble", "run"):
+        monkeypatch.setattr(experiments, name, lambda *a, _name=name, **k: calls.append(_name))
+    assert main(["run", str(tiny_config_path), "--snap-every", every]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --snap-every writes snapshots only with --out\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

@@ -55,6 +55,10 @@ def _with_layout(cfg, layout):
     lambda c: replace(c, y0=FieldSum((ConstantField(0.1),
                                       GaussianBlobs((Blob((0.0, 0.5), 0.2, -0.3),)),
                                       FieldSum((ConstantField(-0.2),))))),
+    # a list of blobs or terms is stored as the tuple its dump re-parses to
+    lambda c: replace(c, y0=GaussianBlobs([Blob((0, 0), 0.3, 1.0)])),
+    lambda c: replace(c, ystar=FieldSum([ConstantField(0.1),
+                                         GaussianBlobs([Blob((0.0, 0.5), 0.2, -0.3)])])),
     lambda c: replace(c, reaction=ReactionTerm.zero()),
     lambda c: replace(c, layout=GridSubsetLayout(4, 0.125, (0, 5, 15)),
                       beta=(1.0, 0.5, 3.0), kappa0=(0.0, 0.1, -0.2)),
@@ -64,6 +68,7 @@ def _with_layout(cfg, layout):
 def test_round_trip_equality_other_kinds(change):
     cfg = change(make_experiment(2))
     assert config_from_dict(json.loads(config_to_json(cfg))) == cfg
+    hash(cfg)
 
 
 @pytest.mark.parametrize("key, section, named", [

@@ -14,7 +14,7 @@ from thermoloop.linalg import CsrMatrix
 from thermoloop.mesh import build_mesh
 from thermoloop.model import (ReactionTerm, SwitchingFunction, calibrate_ch, eval_reaction,
                               eval_switch, thermostat_step)
-from thermoloop.stepper import SimState, picard_step
+from thermoloop.stepper import SimState, WarmStart, picard_step
 from mesh_helpers import as_scipy, csr, disc_indicators
 
 
@@ -174,7 +174,7 @@ class TestFeedback:
         problem = replace(self.base, alpha=np.asarray(alpha, dtype=np.float64))
         state = SimState(0, NodalField(y), np.zeros(2))
         scheme = SchemeSpec(n_div=8, n_steps=1, n_picard=1, explicit_measure=True)
-        return 2.0 * picard_step(state, problem, scheme).kappa
+        return 2.0 * picard_step(state, problem, scheme, WarmStart(1, len(y))).kappa
 
     def switched(self, y):
         return eval_switch(self.base.switch, measure(self.base, y))

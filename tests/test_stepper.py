@@ -20,7 +20,7 @@ from thermoloop.metrics import ErrorRecorder
 from thermoloop.mesh import build_mesh
 from thermoloop.model import ReactionTerm, eval_reaction, eval_switch, thermostat_step
 import thermoloop.stepper as stepper_mod
-from thermoloop.stepper import SimState, StepDiagnostics, picard_step, run
+from thermoloop.stepper import SimState, StepDiagnostics, WarmStart, picard_step, run
 from mesh_helpers import as_scipy, disc_indicators
 
 BLOB = GaussianBlobs((Blob((0.3, -0.2), 0.35, 0.8), Blob((-0.4, 0.3), 0.3, -0.6)))
@@ -389,8 +389,9 @@ class TestConservation:
         # 1^T G_j per device, G_j = C_g * M I_j
         g_masses = built.problem.C_g * built.problem.device_mass.dot(ones)
         state = initial_state(built)
+        n = built.problem.mesh.n_vertices
         for _ in range(scheme.n_steps):
-            new = picard_step(state, built.problem, scheme)
+            new = picard_step(state, built.problem, scheme, WarmStart(scheme.n_picard, n))
             lhs = wM @ new.y.values
             rhs = wM @ state.y.values + cfg.tau * float(new.kappa @ g_masses)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
@@ -408,7 +409,7 @@ class TestPicardStep:
         state = initial_state(built)
         p = built.problem
         _, loads = dense_device_arrays(cfg, built)
-        warm = stepper_mod.WarmStart(scheme.n_picard, p.mesh.n_vertices)
+        warm = WarmStart(scheme.n_picard, p.mesh.n_vertices)
         for _ in range(scheme.n_steps):
             new = picard_step(state, p, scheme, warm)
             f_vals = np.asarray(eval_reaction(p.reaction, state.y.values))
@@ -426,14 +427,15 @@ class TestPicardStep:
             state = replace(initial_state(built), kappa=kappa)
             message = rf"^kappa of shape {re.escape(str(state.kappa.shape))} for 4 thermostats$"
             with pytest.raises(ValueError, match=message):
-                picard_step(state, built.problem, cfg.scheme)
+                picard_step(state, built.problem, cfg.scheme,
+                            WarmStart(cfg.scheme.n_picard, len(state.y)))
             with pytest.raises(ValueError, match=message):
                 run(state, built.problem, cfg.scheme)
 
     def test_diagnostics_populated(self):
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS))
         built = assemble(cfg)
-        warm = stepper_mod.WarmStart(cfg.scheme.n_picard, built.problem.mesh.n_vertices)
+        warm = WarmStart(cfg.scheme.n_picard, built.problem.mesh.n_vertices)
         state = picard_step(initial_state(built), built.problem, cfg.scheme, warm)
         assert_contracting(warm)
         d = state.diagnostics
@@ -482,8 +484,9 @@ class TestPicardStep:
         cfg = small_config(scheme=SchemeSpec(n_div=10, n_steps=CONTRACTING_STEPS,
                                              cg_tol=1e-15, cg_max_iters=1))
         built = assemble(cfg)
+        warm = WarmStart(cfg.scheme.n_picard, built.problem.mesh.n_vertices)
         with pytest.raises(ConvergenceError, match="step 1, Picard sweep"):
-            picard_step(initial_state(built), built.problem, cfg.scheme)
+            picard_step(initial_state(built), built.problem, cfg.scheme, warm)
 
 
     def test_silent_picard_divergence_raises(self):
@@ -500,8 +503,9 @@ class TestPicardStep:
         cfg = make_experiment(2)
         cfg = replace(cfg, T=0.5, scheme=replace(cfg.scheme, n_div=10, n_steps=n_steps))
         built = assemble(cfg)
+        warm = WarmStart(cfg.scheme.n_picard, built.problem.mesh.n_vertices)
         with pytest.raises(ConvergenceError) as info:
-            picard_step(initial_state(built), built.problem, cfg.scheme)
+            picard_step(initial_state(built), built.problem, cfg.scheme, warm)
         named = re.fullmatch(r"Picard iteration diverged at step 1: the last sweep moved y "
                              r"by (\S+), more than the first sweep's (\S+)", str(info.value))
         assert named, str(info.value)
@@ -554,7 +558,8 @@ class TestVectorizedSweep:
             ref_state = SimState(step, NodalField(ref_y), ref_kappa)
             ref_y, ref_kappa = reference_picard_step(
                 ref_state, built.problem, scheme, profiles, loads)
-            state = picard_step(state, built.problem, scheme)
+            state = picard_step(state, built.problem, scheme,
+                                WarmStart(scheme.n_picard, len(state.y)))
             assert np.max(np.abs(state.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
             assert np.max(np.abs(state.kappa - ref_kappa)) <= 1e-12 * np.max(np.abs(ref_kappa))
 
@@ -566,7 +571,7 @@ class TestVectorizedSweep:
         profiles, loads = dense_device_arrays(cfg, built)
         state = initial_state(built)
         ref_y, _ = reference_picard_step(state, built.problem, scheme, profiles, loads)
-        new = picard_step(state, built.problem, scheme)
+        new = picard_step(state, built.problem, scheme, WarmStart(scheme.n_picard, len(state.y)))
         assert new.kappa.shape == (0,)
         assert np.max(np.abs(new.y.values - ref_y)) <= 1e-12 * np.max(np.abs(ref_y))
 
@@ -587,7 +592,7 @@ def assert_within_cg_tol(new, cold, scheme):
 def stepped_state(built, scheme, n_steps):
     """The state after n_steps picard_steps from the initial state, and the
     one workspace they warm-started from."""
-    warm = stepper_mod.WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
+    warm = WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
     state = initial_state(built)
     for _ in range(n_steps):
         state = picard_step(state, built.problem, scheme, warm)
@@ -608,12 +613,11 @@ class TestWarmStart:
         scheme = cfg.scheme
         state, _ = stepped_state(built, scheme, 4)
         y, kappa, sol, increment = parent_picard_step(state, built.problem, scheme)
-        fresh = stepper_mod.WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
-        for new in (picard_step(state, built.problem, scheme),
-                    picard_step(state, built.problem, scheme, fresh)):
-            assert new.y.values.tobytes() == y.tobytes()
-            assert new.kappa.tobytes() == kappa.tobytes()
-            assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
+        fresh = WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
+        new = picard_step(state, built.problem, scheme, fresh)
+        assert new.y.values.tobytes() == y.tobytes()
+        assert new.kappa.tobytes() == kappa.tobytes()
+        assert new.diagnostics == StepDiagnostics(sol.iters, sol.residual, increment)
         assert fresh.steps == 1
 
     def test_scratch_of_another_problem_lands_within_cg_tol(self):
@@ -625,7 +629,8 @@ class TestWarmStart:
         other = assemble(replace(cfg, C_g=2 * cfg.C_g))
         state, warm = stepped_state(other, cfg.scheme, 8)
         assert warm.steps > stepper_mod.WARM_START_DEPTH
-        cold = picard_step(state, built.problem, cfg.scheme)
+        cold = picard_step(state, built.problem, cfg.scheme,
+                           WarmStart(cfg.scheme.n_picard, len(state.y)))
         new = picard_step(state, built.problem, cfg.scheme, warm)
         assert_within_cg_tol(new, cold, cfg.scheme)
 
@@ -636,7 +641,7 @@ class TestWarmStart:
         built = assemble(cfg)
         state, _ = stepped_state(built, cfg.scheme, 3)
         for n_picard, n in ((2, 441), (3, 400)):
-            foreign = stepper_mod.WarmStart(n_picard, n)
+            foreign = WarmStart(n_picard, n)
             message = (f"^a warm start for {n_picard} sweeps on {n} vertices cannot start "
                        f"a step of 3 sweeps on 441 vertices$")
             with pytest.raises(ValueError, match=message):
@@ -648,7 +653,7 @@ class TestWarmStart:
         built = assemble(cfg)
         scheme = cfg.scheme
         state, _ = stepped_state(built, scheme, 8)
-        cold = picard_step(state, built.problem, scheme)
+        cold = picard_step(state, built.problem, scheme, WarmStart(scheme.n_picard, len(state.y)))
         for poison in (np.inf, np.nan):
             state, warm = stepped_state(built, scheme, 8)
             slots = warm.slots   # every sweep's kept corrections
@@ -678,7 +683,7 @@ class TestWarmStart:
             return result
 
         monkeypatch.setattr(stepper_mod, "cg_solve", recording_cg)
-        warm = stepper_mod.WarmStart(scheme.n_picard, problem.mesh.n_vertices)
+        warm = WarmStart(scheme.n_picard, problem.mesh.n_vertices)
         n = problem.mesh.n_vertices
         state = initial_state(built)
         for step in range(30):
@@ -728,13 +733,15 @@ class TestWarmStart:
 
         monkeypatch.setattr(stepper_mod, "cg_solve", counting_cg)
         totals = {}
+        n = built.problem.mesh.n_vertices
         for warm in (False, True):
             iters.clear()
-            workspace = (stepper_mod.WarmStart(scheme.n_picard, built.problem.mesh.n_vertices)
-                         if warm else None)
+            workspace = WarmStart(scheme.n_picard, n)
             state = initial_state(built)
             for _ in range(scheme.n_steps):
-                state = picard_step(state, built.problem, scheme, workspace)
+                # a cold chain starts each step from a fresh workspace
+                state = picard_step(state, built.problem, scheme,
+                                    workspace if warm else WarmStart(scheme.n_picard, n))
             totals[warm] = sum(iters)
         iters.clear()
         run(initial_state(built), built.problem, scheme)
@@ -771,7 +778,8 @@ class TestScanFreeSweep:
         for recorder in recorders:
             recorder(state)
         for _ in range(scheme.n_steps):
-            state = picard_step(state, problem, scheme)
+            state = picard_step(state, problem, scheme,
+                                WarmStart(scheme.n_picard, problem.mesh.n_vertices))
             reference = scanning_picard_step(reference, problem, scheme)
             assert state.y.values.tobytes() == reference.y.values.tobytes()
             assert state.kappa.tobytes() == reference.kappa.tobytes()
@@ -896,7 +904,8 @@ class TestSimState:
                 replace(initial_state(built), step_index=bad)
         state = replace(initial_state(built), step_index=np.int64(3))
         assert type(state.step_index) is int and state.step_index == 3
-        assert picard_step(state, built.problem, cfg.scheme).step_index == 4
+        warm = WarmStart(cfg.scheme.n_picard, len(state.y))
+        assert picard_step(state, built.problem, cfg.scheme, warm).step_index == 4
 
     def test_array_holders_compare_by_identity(self):
         # equal values, distinct objects: unequal, without numpy's ambiguous
@@ -935,7 +944,8 @@ class TestRun:
         built = assemble(cfg)
         scheme = cfg.scheme
         via_run = run(initial_state(built), built.problem, scheme).final_state
-        direct = picard_step(initial_state(built), built.problem, scheme)
+        direct = picard_step(initial_state(built), built.problem, scheme,
+                             WarmStart(scheme.n_picard, built.problem.mesh.n_vertices))
         assert np.array_equal(via_run.y.values, direct.y.values)
         assert np.array_equal(via_run.kappa, direct.kappa)
 
